@@ -14,15 +14,14 @@ from .core import (
     Pose2,
     RangeBatch,
     check_observability,
-    chordal_rmse,
     ml_cost,
     predicted_ranges,
     rotation_angle,
     rotation_matrix,
     wrap_angle,
 )
-from .crlb import CrlbResult, FisherInfo, constrained_crlb, fisher_info, pose_parameter_vector
-from .dac import TagFixes, estimate_dac, fit_pose_from_fixes, localize_tag, localize_tags
+from .crlb import CrlbResult, FisherInfo, constrained_crlb, fisher_info
+from .dac import estimate_dac, fit_pose_from_fixes, localize_tags
 from .errors import (
     DegenerateGeometryError,
     DegenerateProjectionError,
@@ -35,12 +34,11 @@ from .errors import (
     UnobservableAtPoseError,
     UnobservableDeploymentError,
 )
-from .estimators import ESTIMATORS, run_method
+from .estimators import ESTIMATORS
 from .gnrefine import GnWorkspace, build_gn_workspace, estimate_gn_uls, gn_step
 from .linstage import (
     LinearSystem,
     build_linear_system,
-    centering_projector,
     estimate_uls,
     project_so2,
     rotation_from_y,

@@ -56,6 +56,13 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.config is None:
@@ -245,9 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--window", type=int, default=5, help="outlier rejection window length")
     est.add_argument(
         "--gn-iterations",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="diagnostic only: extra Gauss-Newton iterations for gn methods",
+        help="diagnostic only: Gauss-Newton steps for gn methods, at least 1",
     )
     est.set_defaults(func=_cmd_estimate)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -51,14 +50,6 @@ def rotation_angle(rot: np.ndarray) -> float:
     return wrap_angle(math.atan2(rot[1, 0], rot[0, 0]))
 
 
-def _frozen_array(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    if shape is not None:
-        out = out.reshape(shape)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Pose2:
     """Planar pose: rotation angle in [0, 2*pi) plus a translation in meters.
@@ -83,20 +74,10 @@ class Pose2:
         """2x2 rotation matrix of this pose."""
         return rotation_matrix(self.theta)
 
-    @classmethod
-    def from_rotation(cls, rot: np.ndarray, t) -> "Pose2":
-        """Build a pose from a rotation matrix and translation."""
-        return cls(rotation_angle(rot), t)
-
     def transform(self, points) -> np.ndarray:
         """Map body-frame points (K, 2) into the global frame."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.t
-
-
-# An unconstrained 2x2 rotation estimate, prior to projection onto SO(2),
-# is represented by a plain (2, 2) float array.
-RotMat2 = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,17 +130,20 @@ class Deployment:
 class RangeBatch:
     """One estimation problem's measurements, indexed (tag, anchor, repetition).
 
-    Repeated ranging is stored as the third index rather than by duplicating
-    anchor rows; estimators expand on the fly. ``T`` repetitions of ``M``
-    anchors behave like ``M_T = M * T`` anchors, so ``n = N * M * T``.
-    Measurements must be finite; sign is not checked here because synthetic
-    sweeps keep raw Gaussian draws, while real logs reject negative ranges
-    at ingestion.
+    Repeated ranging is stored as the third index. ``T`` repetitions of ``M``
+    anchors behave like ``M_T = M * T`` anchors, so ``n = N * M * T``. Every
+    estimator depends on the repetitions only through ``T`` and the per-pair
+    moments ``mean_d`` and ``mean_d2`` (both (N, M), read-only), which are
+    computed once here. Measurements must be finite; sign is not checked
+    here because synthetic sweeps keep raw Gaussian draws, while real logs
+    reject negative ranges at ingestion.
     """
 
     deployment: Deployment
     repeat_t: int
     d: np.ndarray
+    mean_d: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_d2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = int(self.repeat_t)
@@ -172,9 +156,12 @@ class RangeBatch:
         if not np.all(np.isfinite(d)):
             raise ValueError("measurements must be finite")
         d = d.copy()
-        d.setflags(write=False)
+        mean_d = d.mean(axis=2)
+        mean_d2 = np.einsum("nmt,nmt->nm", d, d) / t
+        for name, arr in (("d", d), ("mean_d", mean_d), ("mean_d2", mean_d2)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "repeat_t", t)
-        object.__setattr__(self, "d", d)
 
     @property
     def m_t(self) -> int:
@@ -185,27 +172,6 @@ class RangeBatch:
     def n(self) -> int:
         """Total measurement count N * M * T."""
         return self.deployment.num_tags * self.m_t
-
-    def expanded_anchors(self) -> np.ndarray:
-        """Anchor coordinates repeated per ranging round, shape (M_T, 2)."""
-        return np.tile(self.deployment.anchors, (self.repeat_t, 1))
-
-    def ranges_by_tag(self) -> np.ndarray:
-        """Measurements as (N, M_T); column ``rep * M + m`` holds pair (m, rep)."""
-        n_tags = self.deployment.num_tags
-        return self.d.transpose(0, 2, 1).reshape(n_tags, self.m_t)
-
-    def sigma_by_tag(self) -> np.ndarray:
-        """Noise deviations aligned with :meth:`ranges_by_tag`."""
-        return np.tile(self.deployment.sigma, (1, self.repeat_t))
-
-    def dh_by_tag(self) -> np.ndarray:
-        """Height differences aligned with :meth:`ranges_by_tag`."""
-        return np.tile(self.deployment.dh, (1, self.repeat_t))
-
-    def flat_ranges(self) -> np.ndarray:
-        """Measurements flattened tag-major, length n."""
-        return self.ranges_by_tag().reshape(self.n)
 
 
 class Method(str, enum.Enum):
@@ -304,15 +270,3 @@ def ml_cost(batch: RangeBatch, pose: Pose2) -> float:
     residual = batch.d - pred[:, :, np.newaxis]
     weights = 1.0 / batch.deployment.sigma**2
     return float(np.sum(residual**2 * weights[:, :, np.newaxis]))
-
-
-def chordal_rmse(estimates: Sequence[np.ndarray], truth: np.ndarray) -> float:
-    """Root mean square Frobenius distance between rotation estimates and truth."""
-    if len(estimates) == 0:
-        raise ValueError("need at least one rotation estimate")
-    truth = np.asarray(truth, dtype=float)
-    total = 0.0
-    for est in estimates:
-        diff = np.asarray(est, dtype=float) - truth
-        total += float(np.sum(diff * diff))
-    return math.sqrt(total / len(estimates))

@@ -2,16 +2,14 @@
 
 Each tag is positioned in the global frame by the same projected
 squared-range trick used by the linear stage, restricted to one tag and two
-unknowns. A small unweighted least-squares fit then recovers (y, t) from the
-tag fixes, and the rotation part is projected onto SO(2). The intermediate
-localizer here is the projected squared-range solver itself, which has the
-consistency the pose fit needs.
+unknowns. A closed-form rigid fit then recovers the pose from the tag
+fixes. The intermediate localizer here is the projected squared-range
+solver itself, which has the consistency the pose fit needs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,79 +22,40 @@ from .core import (
     ml_cost,
     rotation_matrix,
 )
-from .errors import (
-    DegenerateGeometryError,
-    SingularSystemError,
-    UnderdeterminedDeploymentError,
-)
+from .crlb import estimate_covariance
+from .errors import DegenerateGeometryError, SingularSystemError
 from .gnrefine import gn_step
-from .linstage import MIN_EFFECTIVE_ANCHORS, project_so2, rotation_from_y
+from .linstage import project_so2, projected_squared_ranges
 
 
-@dataclass(frozen=True)
-class TagFixes:
-    """Estimated global tag coordinates plus per-tag residual norms."""
+def localize_tags(batch: RangeBatch) -> np.ndarray:
+    """Global position of every tag from its own ranges alone, shape (N, 2).
 
-    positions: np.ndarray
-    residual_norms: np.ndarray
-
-
-def localize_tag(batch: RangeBatch, tag_index: int) -> np.ndarray:
-    """Global position of one tag from its ranges alone.
-
-    Solves the centered linear system ``-2 Abar^T s = dbar_i`` obtained by
-    squaring, debiasing, and projecting that tag's measurements.
+    Solves the centered linear systems ``-2 Abar^T s_i = dbar_i`` obtained by
+    squaring, debiasing, and projecting each tag's measurements. All tags
+    share the design, so one least-squares call solves them together.
     """
-    n_tags = batch.deployment.num_tags
-    if not 0 <= tag_index < n_tags:
-        raise ValueError(f"tag_index {tag_index} out of range [0, {n_tags})")
-    if batch.m_t < MIN_EFFECTIVE_ANCHORS:
-        raise UnderdeterminedDeploymentError(
-            f"need at least {MIN_EFFECTIVE_ANCHORS} effective anchors, got {batch.m_t}"
-        )
-    anchors = batch.expanded_anchors()
-    rhs = (
-        batch.ranges_by_tag()[tag_index] ** 2
-        - np.sum(anchors**2, axis=1)
-        - batch.sigma_by_tag()[tag_index] ** 2
-        - batch.dh_by_tag()[tag_index] ** 2
-    )
+    rhs = projected_squared_ranges(batch)  # (N, M)
+    anchors = batch.deployment.anchors
     design = -2.0 * (anchors - anchors.mean(axis=0))
-    rhs = rhs - rhs.mean()
-    solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(design, rhs.T, rcond=None)
     if rank < 2:
         raise SingularSystemError(
             f"tag localization rank {rank} < 2; anchors are collinear", rank=int(rank)
         )
-    return solution
+    return solution.T
 
 
-def localize_tags(batch: RangeBatch) -> TagFixes:
-    """Localize every tag independently."""
-    positions = np.empty((batch.deployment.num_tags, 2))
-    residuals = np.empty(batch.deployment.num_tags)
-    anchors = batch.expanded_anchors()
-    for i in range(batch.deployment.num_tags):
-        positions[i] = localize_tag(batch, i)
-        predicted = np.sqrt(
-            np.sum((anchors - positions[i]) ** 2, axis=1) + batch.dh_by_tag()[i] ** 2
-        )
-        residuals[i] = float(np.linalg.norm(batch.ranges_by_tag()[i] - predicted))
-    return TagFixes(positions=positions, residual_norms=residuals)
-
-
-def fit_pose_from_fixes(fixes: TagFixes | np.ndarray, tags_body) -> Pose2:
+def fit_pose_from_fixes(fixes, tags_body) -> Pose2:
     """Pose that best maps body-frame tags onto their global fixes.
 
-    Minimizes ``sum_i |fix_i - R(y) s_i - t|^2`` over the unconstrained
-    ``(y, t)`` in closed form, projects the rotation part onto SO(2), and
-    re-solves the translation for the projected rotation (its conditional
-    minimizer is the mean fix minus the rotated mean tag). For this
-    objective the unconstrained ``y`` is a positive multiple of the optimal
-    unit ``y``, so the result is the constrained minimizer and beats every
-    candidate pose.
+    Minimizes ``sum_i |fix_i - R s_i - t|^2`` over rotations in closed form
+    (2-D Procrustes; Umeyama 1991): the rotation is the SO(2) projection of
+    the centered cross-covariance ``sum_i (fix_i - mean fix)(s_i - mean s)^T``
+    and the translation, its conditional minimizer, is the mean fix minus
+    the rotated mean tag. The result beats every candidate pose.
     """
-    positions = fixes.positions if isinstance(fixes, TagFixes) else np.asarray(fixes, dtype=float)
+    positions = np.asarray(fixes, dtype=float)
     tags = np.asarray(tags_body, dtype=float)
     if positions.shape != tags.shape or tags.ndim != 2 or tags.shape[1] != 2:
         raise ValueError("fixes and body tags must both be (N, 2) arrays")
@@ -104,21 +63,9 @@ def fit_pose_from_fixes(fixes: TagFixes | np.ndarray, tags_body) -> Pose2:
         raise DegenerateGeometryError(
             "pose fit needs at least 2 tags not collinear with the body origin"
         )
-    n_tags = tags.shape[0]
-    design = np.zeros((2 * n_tags, 4))
-    design[0::2, 0] = -tags[:, 1]
-    design[0::2, 1] = tags[:, 0]
-    design[1::2, 0] = tags[:, 0]
-    design[1::2, 1] = tags[:, 1]
-    design[0::2, 2] = 1.0
-    design[1::2, 3] = 1.0
-    solution, _, rank, _ = np.linalg.lstsq(design, positions.reshape(-1), rcond=None)
-    if rank < 4:
-        raise DegenerateGeometryError(f"pose fit design rank {rank} < 4")
-    theta = project_so2(rotation_from_y(solution[:2]))
-    rot = rotation_matrix(theta)
-    translation = positions.mean(axis=0) - rot @ tags.mean(axis=0)
-    return Pose2(theta, translation)
+    mean_fix, mean_tag = positions.mean(axis=0), tags.mean(axis=0)
+    theta = project_so2((positions - mean_fix).T @ (tags - mean_tag))
+    return Pose2(theta, mean_fix - rotation_matrix(theta) @ mean_tag)
 
 
 def estimate_dac(
@@ -126,23 +73,16 @@ def estimate_dac(
 ) -> EstimateReport:
     """Divide-and-conquer estimate; ``refine`` adds one Gauss-Newton step."""
     start = time.perf_counter()
-    fixes = localize_tags(batch)
-    pose = fit_pose_from_fixes(fixes, batch.deployment.tags)
-    dac_us = (time.perf_counter() - start) * 1e6
-    timings = {"dac_us": dac_us}
+    pose = fit_pose_from_fixes(localize_tags(batch), batch.deployment.tags)
+    timings = {"dac_us": (time.perf_counter() - start) * 1e6}
     if refine:
         start = time.perf_counter()
         pose = gn_step(batch, pose)
         timings["gn_us"] = (time.perf_counter() - start) * 1e6
-    report = EstimateReport(
+    return EstimateReport(
         pose=pose,
         method=Method.GN_DAC if refine else Method.DAC,
         residual_cost=ml_cost(batch, pose),
+        covariance=estimate_covariance(batch, pose) if with_covariance else None,
         timings_us=timings,
     )
-    if with_covariance:
-        from .crlb import constrained_crlb, fisher_info
-
-        fi = fisher_info(batch.deployment, batch.repeat_t, pose)
-        report.covariance = constrained_crlb(fi, pose).crlb
-    return report

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .core import EstimateReport, Method, RangeBatch
+from .core import EstimateReport, Method
 from .dac import estimate_dac
 from .gnrefine import estimate_gn_uls
 from .linstage import estimate_uls
@@ -17,7 +17,3 @@ ESTIMATORS: dict[Method, Callable[..., EstimateReport]] = {
     Method.GN_DAC: partial(estimate_dac, refine=True),
 }
 
-
-def run_method(batch: RangeBatch, method: Method, with_covariance: bool = False) -> EstimateReport:
-    """Run the estimator identified by ``method`` on a batch."""
-    return ESTIMATORS[Method(method)](batch, with_covariance=with_covariance)

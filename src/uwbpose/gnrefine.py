@@ -4,7 +4,9 @@ A single step from any root-n-consistent initial pose already attains the
 accuracy of the full maximum-likelihood minimizer asymptotically, so exactly
 one iteration is the library default. The step linearizes the predicted
 ranges in (theta, t) around the initial pose and solves the weighted normal
-problem through an orthogonal factorization.
+problem through an orthogonal factorization. Repetitions share their
+pair's Jacobian row, so there is one row per (tag, anchor) pair on the mean
+range; the normal equations are those of all n measurements divided by T.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EstimateReport, Method, Pose2, RangeBatch, ml_cost
+from .crlb import estimate_covariance
 from .errors import DegenerateGeometryError, NearSingularityError
-from .linstage import estimate_uls
+from .linstage import uls_pose
 
 # Predicted ranges below this floor make the 1/range Jacobian terms blow up;
 # tag-on-anchor coincidence is treated as an explicit failure.
@@ -27,10 +30,10 @@ PROXIMITY_FLOOR_M = 1e-6
 class GnWorkspace:
     """Linearization of the range model at an initial pose.
 
-    ``jacobian`` is n x 3 with columns (d/dtheta, d/dt1, d/dt2) of the
-    predicted range, ``predicted`` the n predicted ranges, and ``weights``
-    the per-measurement values 1/sigma^2. Rows are tag-major, matching
-    ``RangeBatch.flat_ranges``.
+    ``jacobian`` is (N * M) x 3 with columns (d/dtheta, d/dt1, d/dt2) of the
+    predicted range, ``predicted`` the N * M predicted ranges, and ``weights``
+    the per-pair values 1/sigma^2. Rows are tag-major, one per (tag, anchor)
+    pair, matching ``predicted_ranges(...).reshape(-1)``.
     """
 
     jacobian: np.ndarray
@@ -63,13 +66,11 @@ def build_gn_workspace(batch: RangeBatch, init: Pose2) -> GnWorkspace:
     j_theta = -(s1 * u[:, :, 1] - s2 * u[:, :, 0]) / g
     j_t = -f / g[:, :, np.newaxis]
     jac = np.concatenate([j_theta[:, :, np.newaxis], j_t], axis=2)  # (N, M, 3)
-
-    t_rep = batch.repeat_t
-    n = batch.n
-    jac = np.tile(jac, (1, t_rep, 1)).reshape(n, 3)
-    predicted = np.tile(g, (1, t_rep)).reshape(n)
-    weights = (1.0 / batch.sigma_by_tag() ** 2).reshape(n)
-    return GnWorkspace(jacobian=jac, predicted=predicted, weights=weights)
+    return GnWorkspace(
+        jacobian=jac.reshape(-1, 3),
+        predicted=g.reshape(-1),
+        weights=(1.0 / dep.sigma**2).reshape(-1),
+    )
 
 
 def gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
@@ -81,7 +82,7 @@ def gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
     ws = build_gn_workspace(batch, init)
     w = np.sqrt(ws.weights)
     jw = ws.jacobian * w[:, np.newaxis]
-    rw = (batch.flat_ranges() - ws.predicted) * w
+    rw = (batch.mean_d.reshape(-1) - ws.predicted) * w
     update, _, rank, _ = np.linalg.lstsq(jw, rw, rcond=None)
     if rank < 3:
         raise DegenerateGeometryError(
@@ -92,19 +93,14 @@ def gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
 
 def estimate_gn_uls(batch: RangeBatch, with_covariance: bool = False) -> EstimateReport:
     """Closed-form estimate refined by one Gauss-Newton step."""
-    first = estimate_uls(batch)
+    first, linstage_us = uls_pose(batch)
     start = time.perf_counter()
-    pose = gn_step(batch, first.pose)
+    pose = gn_step(batch, first)
     gn_us = (time.perf_counter() - start) * 1e6
-    report = EstimateReport(
+    return EstimateReport(
         pose=pose,
         method=Method.GN_ULS,
         residual_cost=ml_cost(batch, pose),
-        timings_us={**first.timings_us, "gn_us": gn_us},
+        covariance=estimate_covariance(batch, pose) if with_covariance else None,
+        timings_us={"linstage_us": linstage_us, "gn_us": gn_us},
     )
-    if with_covariance:
-        from .crlb import constrained_crlb, fisher_info
-
-        fi = fisher_info(batch.deployment, batch.repeat_t, pose)
-        report.covariance = constrained_crlb(fi, pose).crlb
-    return report

@@ -3,10 +3,12 @@
 Squaring the range model and subtracting the known per-pair variance gives,
 per tag, a linear relation in ``(vec(R), t)`` plus a quadratic nuisance term
 that is constant across anchors. Projecting onto the orthogonal complement
-of the all-ones vector removes the nuisance, leaving an n x 4 least-squares
+of the all-ones vector removes the nuisance, leaving a least-squares
 problem in ``(y, t)``, with ``y = (sin theta, cos theta)`` entering through
-``vec(R) = GAMMA @ y``. The solution is consistent but unconstrained, so the
-rotation part is projected onto SO(2) afterwards.
+``vec(R) = GAMMA @ y``. Repetitions add identical design rows, so there is
+one row per (tag, anchor) pair on the mean squared range; the normal
+equations are those of all n measurements divided by T. The solution is
+consistent but unconstrained, so the rotation part is projected onto SO(2).
 
 The correlated covariance of the projected errors is deliberately discarded;
 no whitened variant is provided.
@@ -14,12 +16,14 @@ no whitened variant is provided.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimateReport, Method, Pose2, RangeBatch, ml_cost, rotation_angle
+from .core import EstimateReport, Method, Pose2, RangeBatch, ml_cost, wrap_angle
+from .crlb import estimate_covariance
 from .errors import (
     DegenerateProjectionError,
     SingularSystemError,
@@ -39,39 +43,28 @@ GAMMA = np.array(
 MIN_EFFECTIVE_ANCHORS = 3
 
 
-def centering_projector(m: int) -> np.ndarray:
-    """Projector onto the complement of the all-ones vector: I - 11^T / m."""
-    if m < 1:
-        raise ValueError("projector size must be positive")
-    return np.eye(m) - np.full((m, m), 1.0 / m)
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """Stacked design matrix and projected, debiased squared ranges.
 
-    ``h`` is n x 4 with columns ordered (y1, y2, t1, t2); ``dbar`` is the
-    matching right-hand side. Under an observable deployment ``h`` has full
-    column rank.
+    ``h`` is (N * M) x 4 with columns ordered (y1, y2, t1, t2) and rows
+    tag-major, one per (tag, anchor) pair; ``dbar`` is the matching
+    right-hand side. Under an observable deployment ``h`` has full column
+    rank. ``m_t`` is the effective anchor count M * T.
     """
 
     h: np.ndarray
     dbar: np.ndarray
-    num_tags: int
     m_t: int
 
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
 
+def projected_squared_ranges(batch: RangeBatch) -> np.ndarray:
+    """Debiased squared ranges centered across anchors per tag, shape (N, M).
 
-def build_linear_system(batch: RangeBatch) -> LinearSystem:
-    """Assemble the projected squared-range system for a batch.
-
-    Per tag, the right-hand side entries are ``d^2 - |a|^2 - sigma^2 - dh^2``
-    (the height term makes nonzero height differences reduce to the planar
-    case). Centering each tag's block and the anchor coordinates applies the
-    all-ones projector without materializing it.
+    Entries are ``mean d^2 - |a|^2 - sigma^2 - dh^2`` (the height term makes
+    nonzero height differences reduce to the planar case) minus their mean
+    over the tag's anchors, which applies the all-ones projector without
+    materializing it.
     """
     m_t = batch.m_t
     if m_t < MIN_EFFECTIVE_ANCHORS:
@@ -79,26 +72,24 @@ def build_linear_system(batch: RangeBatch) -> LinearSystem:
             f"need at least {MIN_EFFECTIVE_ANCHORS} effective anchors, got {m_t}"
         )
     dep = batch.deployment
-    anchors = batch.expanded_anchors()  # (M_T, 2)
-    rhs = batch.ranges_by_tag() ** 2
-    rhs -= np.sum(anchors**2, axis=1)[np.newaxis, :]
-    rhs -= np.tile(dep.sigma**2 + dep.dh**2, (1, batch.repeat_t))
-    rhs -= rhs.mean(axis=1, keepdims=True)
+    rhs = batch.mean_d2 - np.sum(dep.anchors**2, axis=1) - dep.sigma**2 - dep.dh**2
+    return rhs - rhs.mean(axis=1, keepdims=True)
 
+
+def build_linear_system(batch: RangeBatch) -> LinearSystem:
+    """Assemble the projected squared-range system for a batch."""
+    rhs = projected_squared_ranges(batch)
+    dep = batch.deployment
     # H = [-2 (S^T (x) Abar^T) GAMMA, -2 (1_N (x) Abar^T)] written out per
     # column: with centered anchor coordinates (ax, ay) and tag (s1, s2) the
     # y columns are -2 (s1 ay - s2 ax) and -2 (s1 ax + s2 ay).
-    centered = anchors - anchors.mean(axis=0)
+    centered = dep.anchors - dep.anchors.mean(axis=0)
     ax, ay = centered[:, 0], centered[:, 1]
     s1 = dep.tags[:, 0][:, np.newaxis]
     s2 = dep.tags[:, 1][:, np.newaxis]
-    n = batch.n
-    h = np.empty((n, 4))
-    h[:, 0] = (-2.0 * (s1 * ay - s2 * ax)).reshape(n)
-    h[:, 1] = (-2.0 * (s1 * ax + s2 * ay)).reshape(n)
-    h[:, 2] = np.tile(-2.0 * ax, dep.num_tags)
-    h[:, 3] = np.tile(-2.0 * ay, dep.num_tags)
-    return LinearSystem(h=h, dbar=rhs.reshape(-1), num_tags=dep.num_tags, m_t=m_t)
+    columns = np.broadcast_arrays(s1 * ay - s2 * ax, s1 * ax + s2 * ay, ax, ay)
+    h = -2.0 * np.stack(columns, axis=-1).reshape(-1, 4)
+    return LinearSystem(h=h, dbar=rhs.reshape(-1), m_t=batch.m_t)
 
 
 def solve_uls(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -121,21 +112,21 @@ def solve_uls(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
 def project_so2(x: np.ndarray) -> float:
     """Angle of the rotation matrix closest to ``x`` in Frobenius norm.
 
-    Computed from the SVD ``x = U S V^T`` as ``U diag(1, det(UV^T)) V^T``.
-    When both singular values tie with a reflection involved, the result
-    follows the factorization's deterministic output.
+    ``|x - R(theta)|^2`` is smallest where ``tr(R(theta)^T x)
+    = cos(theta) (x11 + x22) + sin(theta) (x21 - x12)`` is largest, at
+    ``atan2(x21 - x12, x11 + x22)``. When both terms are zero every angle
+    ties, and the input is rejected.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("projection input must be finite")
-    u, svals, vt = np.linalg.svd(x)
-    if svals[0] < 1e-300:
-        raise DegenerateProjectionError("cannot project a (numerically) zero matrix")
-    sign = 1.0 if np.linalg.det(u @ vt) > 0.0 else -1.0
-    rot = (u * np.array([1.0, sign])) @ vt
-    return rotation_angle(rot)
+    cos_part = float(x[0, 0] + x[1, 1])
+    sin_part = float(x[1, 0] - x[0, 1])
+    if cos_part == 0.0 and sin_part == 0.0:
+        raise DegenerateProjectionError("every rotation is equally close; projection undefined")
+    return wrap_angle(math.atan2(sin_part, cos_part))
 
 
 def rotation_from_y(y: np.ndarray) -> np.ndarray:
@@ -143,22 +134,21 @@ def rotation_from_y(y: np.ndarray) -> np.ndarray:
     return (GAMMA @ np.asarray(y, dtype=float)).reshape(2, 2, order="F")
 
 
-def estimate_uls(batch: RangeBatch, with_covariance: bool = False) -> EstimateReport:
-    """Closed-form pose estimate: linear solve plus SO(2) projection."""
+def uls_pose(batch: RangeBatch) -> tuple[Pose2, float]:
+    """Closed-form pose and the wall time it took, in microseconds."""
     start = time.perf_counter()
     y, t = solve_uls(build_linear_system(batch))
-    theta = project_so2(rotation_from_y(y))
-    pose = Pose2(theta, t)
-    elapsed_us = (time.perf_counter() - start) * 1e6
-    report = EstimateReport(
+    pose = Pose2(project_so2(rotation_from_y(y)), t)
+    return pose, (time.perf_counter() - start) * 1e6
+
+
+def estimate_uls(batch: RangeBatch, with_covariance: bool = False) -> EstimateReport:
+    """Closed-form pose estimate: linear solve plus SO(2) projection."""
+    pose, linstage_us = uls_pose(batch)
+    return EstimateReport(
         pose=pose,
         method=Method.ULS,
         residual_cost=ml_cost(batch, pose),
-        timings_us={"linstage_us": elapsed_us},
+        covariance=estimate_covariance(batch, pose) if with_covariance else None,
+        timings_us={"linstage_us": linstage_us},
     )
-    if with_covariance:
-        from .crlb import constrained_crlb, fisher_info
-
-        fi = fisher_info(batch.deployment, batch.repeat_t, pose)
-        report.covariance = constrained_crlb(fi, pose).crlb
-    return report

@@ -68,5 +68,10 @@ def random_observable_deployment(
             return dep
 
 
+def pose_parameter_vector(pose: Pose2) -> np.ndarray:
+    """(vec(R), t) as a 6-vector, column-major rotation stacking."""
+    return np.concatenate([pose.rotation.reshape(4, order="F"), pose.t])
+
+
 def random_pose(rng: np.random.Generator) -> Pose2:
     return Pose2(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(10.0, 40.0, size=2))

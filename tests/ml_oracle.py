@@ -2,10 +2,11 @@
 
 Multi-start damped Gauss-Newton on the weighted range residuals with
 central-finite-difference Jacobians. Deliberately shares no linearization
-code with the library: residuals are recomputed here from the measurement
-model, derivatives are numeric, and the solver iterates to convergence from
-36 angle seeds, so it is an independent reference for both the one-step
-refinement and the analytic Jacobian.
+code with the library: residuals are recomputed here from every raw
+measurement rather than the library's per-pair moments, derivatives are
+numeric, and the solver iterates to convergence from 36 angle seeds, so it
+is an independent reference for both the one-step refinement and the
+analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ def _weighted_residuals(batch: RangeBatch, thetas: np.ndarray, ts: np.ndarray) -
     ``thetas`` is (S,), ``ts`` is (S, 2); returns (S, n).
     """
     dep = batch.deployment
-    measured = batch.ranges_by_tag()
-    sigma = batch.sigma_by_tag()
-    dh = batch.dh_by_tag()
-    anchors = batch.expanded_anchors()
+    t_rep = batch.repeat_t
+    # Every raw measurement as its own column, rep * M + m, with the anchor,
+    # sigma and dh it was taken with.
+    measured = batch.d.transpose(0, 2, 1).reshape(dep.num_tags, -1)
+    sigma = np.tile(dep.sigma, (1, t_rep))
+    dh = np.tile(dep.dh, (1, t_rep))
+    anchors = np.tile(dep.anchors, (t_rep, 1))
     cos, sin = np.cos(thetas), np.sin(thetas)
     sx, sy = dep.tags[:, 0], dep.tags[:, 1]
     px = cos[:, None] * sx - sin[:, None] * sy + ts[:, 0][:, None]  # (S, N)

@@ -245,6 +245,19 @@ class TestEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("iterations", ["0", "-1"])
+    def test_gn_iterations_below_one_exits_2_without_output(self, tmp_path, capsys, iterations):
+        dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out),
+                 "--gn-iterations", iterations]
+            )
+        assert excinfo.value.code == 2
+        assert not out.exists()
+        assert "--gn-iterations" in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_recovers_injected_bias_and_model_feeds_estimate(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Geometry types, observability, the ML objective, and chordal RMSE."""
+"""Geometry types, per-pair range moments, observability, and the ML objective."""
 
 import math
 
@@ -10,7 +10,6 @@ from uwbpose.core import (
     Pose2,
     RangeBatch,
     check_observability,
-    chordal_rmse,
     ml_cost,
     predicted_ranges,
     rotation_angle,
@@ -132,16 +131,24 @@ class TestRangeBatch:
         with pytest.raises(ValueError):
             RangeBatch(dep, 1, d)
 
-    def test_by_tag_layout_matches_expanded_anchors(self):
-        dep = reference_deployment()
-        pose = reference_pose()
-        batch = noiseless_batch(dep, pose, repeat_t=3)
-        by_tag = batch.ranges_by_tag()
-        anchors = batch.expanded_anchors()
-        tag_pos = pose.transform(dep.tags)
+    def test_moments_match_explicit_loops(self):
+        rng = np.random.default_rng(15)
+        dep = reference_deployment(sigma=rng.uniform(0.05, 0.4, size=(2, 3)))
+        batch = noisy_batch(dep, reference_pose(), repeat_t=5, rng=rng)
+        assert batch.mean_d.shape == batch.mean_d2.shape == (2, 3)
         for i in range(dep.num_tags):
-            expected = np.linalg.norm(anchors - tag_pos[i], axis=1)
-            np.testing.assert_allclose(by_tag[i], expected, atol=1e-12)
+            for m in range(dep.num_anchors):
+                samples = [float(batch.d[i, m, rep]) for rep in range(batch.repeat_t)]
+                mean_d = sum(samples) / len(samples)
+                mean_d2 = sum(x * x for x in samples) / len(samples)
+                assert batch.mean_d[i, m] == pytest.approx(mean_d, rel=1e-14)
+                assert batch.mean_d2[i, m] == pytest.approx(mean_d2, rel=1e-14)
+
+    def test_moments_read_only(self):
+        batch = noiseless_batch(reference_deployment(), reference_pose(), repeat_t=2)
+        for moment in (batch.mean_d, batch.mean_d2):
+            with pytest.raises(ValueError):
+                moment[0, 0] = 1.0
 
 
 class TestObservability:
@@ -209,32 +216,6 @@ class TestMlCost:
                 for rep in range(batch.repeat_t):
                     expected += (batch.d[i, m, rep] - dist) ** 2 / dep.sigma[i, m] ** 2
         assert ml_cost(batch, probe) == pytest.approx(expected, rel=1e-12)
-
-
-class TestChordalRmse:
-    def test_zero_when_all_equal_truth(self):
-        truth = rotation_matrix(1.2)
-        assert chordal_rmse([truth.copy() for _ in range(5)], truth) == 0.0
-
-    def test_opposite_rotation_gives_two_sqrt_two(self):
-        truth = rotation_matrix(0.7)
-        flipped = rotation_matrix(0.7 + math.pi)
-        assert chordal_rmse([flipped], truth) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
-
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(14)
-        truth = rotation_matrix(0.3)
-        estimates = [rotation_matrix(rng.uniform(0, 2 * math.pi)) + rng.normal(0, 0.1, (2, 2)) for _ in range(17)]
-        total = 0.0
-        for est in estimates:
-            for r in range(2):
-                for c in range(2):
-                    total += (est[r, c] - truth[r, c]) ** 2
-        assert chordal_rmse(estimates, truth) == pytest.approx(math.sqrt(total / 17), rel=1e-12)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            chordal_rmse([], rotation_matrix(0.0))
 
 
 def test_predicted_ranges_include_height_offsets():

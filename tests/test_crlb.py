@@ -11,7 +11,6 @@ from uwbpose.crlb import (
     constraint_jacobian,
     fisher_info,
     nullspace_basis,
-    pose_parameter_vector,
 )
 from uwbpose.errors import NearSingularityError, UnobservableAtPoseError
 from uwbpose.gnrefine import estimate_gn_uls
@@ -20,6 +19,7 @@ from helpers import (
     BODY_TAGS,
     CORNER_ANCHORS,
     noisy_batch,
+    pose_parameter_vector,
     reference_deployment,
     reference_pose,
 )

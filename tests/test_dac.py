@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uwbpose.core import Deployment, rotation_matrix
-from uwbpose.dac import TagFixes, estimate_dac, fit_pose_from_fixes, localize_tag, localize_tags
+from uwbpose.dac import estimate_dac, fit_pose_from_fixes, localize_tags
 from uwbpose.errors import DegenerateGeometryError, SingularSystemError
 from uwbpose.gnrefine import gn_step
 
@@ -24,21 +24,16 @@ class TestLocalizeTag:
     def test_noiseless_exact(self):
         dep = reference_deployment()
         pose = reference_pose()
-        batch = noiseless_batch(dep, pose)
+        fixes = localize_tags(noiseless_batch(dep, pose))
         expected = pose.transform(dep.tags)
         for i in range(dep.num_tags):
-            np.testing.assert_allclose(localize_tag(batch, i), expected[i], atol=1e-9)
+            np.testing.assert_allclose(fixes[i], expected[i], atol=1e-9)
 
     def test_collinear_anchors_raise(self):
         dep = Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
         batch = noiseless_batch(dep, reference_pose())
         with pytest.raises(SingularSystemError):
-            localize_tag(batch, 0)
-
-    def test_bad_index_rejected(self):
-        batch = noiseless_batch(reference_deployment(), reference_pose())
-        with pytest.raises(ValueError):
-            localize_tag(batch, 5)
+            localize_tags(batch)
 
     def test_error_within_monte_carlo_bound(self):
         dep = reference_deployment(sigma=0.1)
@@ -48,17 +43,17 @@ class TestLocalizeTag:
         errors = []
         for _ in range(200):
             batch = noisy_batch(dep, pose, 10_000, rng)
-            errors.append(np.sum((localize_tag(batch, 1) - truth) ** 2))
+            errors.append(np.sum((localize_tags(batch)[1] - truth) ** 2))
         rmse = math.sqrt(float(np.mean(errors)))
-        fresh = localize_tag(noisy_batch(dep, pose, 10_000, rng), 1)
+        fresh = localize_tags(noisy_batch(dep, pose, 10_000, rng))[1]
         assert np.linalg.norm(fresh - truth) < 5.0 * rmse
 
     def test_localize_tags_collects_all(self):
         dep = reference_deployment()
         pose = reference_pose()
         fixes = localize_tags(noiseless_batch(dep, pose))
-        np.testing.assert_allclose(fixes.positions, pose.transform(dep.tags), atol=1e-9)
-        assert np.all(fixes.residual_norms <= 1e-9)
+        assert fixes.shape == (dep.num_tags, 2)
+        np.testing.assert_allclose(fixes, pose.transform(dep.tags), atol=1e-9)
 
 
 class TestFitPoseFromFixes:
@@ -110,11 +105,12 @@ class TestFitPoseFromFixes:
         with pytest.raises(DegenerateGeometryError):
             fit_pose_from_fixes(np.zeros((1, 2)), [[1.0, 1.0]])
 
-    def test_accepts_tagfixes_wrapper(self):
+    def test_accepts_localize_tags_output(self):
+        dep = reference_deployment(dh=0.8)
         pose = reference_pose()
-        fixes = TagFixes(positions=pose.transform(BODY_TAGS), residual_norms=np.zeros(2))
-        fitted = fit_pose_from_fixes(fixes, BODY_TAGS)
+        fitted = fit_pose_from_fixes(localize_tags(noiseless_batch(dep, pose)), dep.tags)
         assert abs(fitted.theta - pose.theta) <= 1e-9
+        np.testing.assert_allclose(fitted.t, pose.t, atol=1e-9)
 
 
 class TestEstimateDac:

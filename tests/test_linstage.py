@@ -14,9 +14,9 @@ from uwbpose.errors import (
 from uwbpose.linstage import (
     GAMMA,
     build_linear_system,
-    centering_projector,
     estimate_uls,
     project_so2,
+    projected_squared_ranges,
     rotation_from_y,
     solve_uls,
 )
@@ -33,14 +33,30 @@ from helpers import (
 
 
 class TestProjector:
-    def test_annihilates_ones(self):
-        proj = centering_projector(7)
-        np.testing.assert_allclose(proj @ np.ones(7), np.zeros(7), atol=1e-14)
+    """The all-ones projector, applied implicitly by centering per tag."""
 
-    def test_idempotent_and_symmetric(self):
-        proj = centering_projector(9)
-        assert np.linalg.norm(proj @ proj - proj) <= 1e-12
-        assert np.linalg.norm(proj - proj.T) <= 1e-12
+    def _batch(self):
+        rng = np.random.default_rng(24)
+        shape = (2, 3)
+        dep = reference_deployment(
+            sigma=rng.uniform(0.05, 0.3, size=shape), dh=rng.uniform(0.0, 1.0, size=shape)
+        )
+        return noisy_batch(dep, reference_pose(), 7, rng)
+
+    def test_annihilates_ones(self):
+        batch = self._batch()
+        system = build_linear_system(batch)
+        blocks_h = system.h.reshape(2, 3, 4)
+        blocks_d = system.dbar.reshape(2, 3)
+        np.testing.assert_allclose(blocks_h.sum(axis=1), 0.0, atol=1e-12 * np.abs(blocks_h).max())
+        np.testing.assert_allclose(blocks_d.sum(axis=1), 0.0, atol=1e-12 * np.abs(blocks_d).max())
+
+    def test_matches_explicit_projector(self):
+        batch = self._batch()
+        dep = batch.deployment
+        proj = np.eye(3) - np.full((3, 3), 1.0 / 3)
+        raw = np.mean(batch.d**2, axis=2) - np.sum(dep.anchors**2, axis=1) - dep.sigma**2 - dep.dh**2
+        np.testing.assert_allclose(projected_squared_ranges(batch), raw @ proj, rtol=0, atol=1e-9)
 
 
 class TestBuildLinearSystem:
