@@ -12,6 +12,7 @@ from .core import (
     Method,
     ObservabilityVerdict,
     Pose2,
+    PoseStack,
     RangeBatch,
     check_observability,
     ml_cost,
@@ -19,9 +20,17 @@ from .core import (
     rotation_angle,
     rotation_matrix,
     wrap_angle,
+    wrap_angles,
 )
 from .crlb import CrlbResult, FisherInfo, constrained_crlb, fisher_info
-from .dac import estimate_dac, fit_pose_from_fixes, localize_tags
+from .dac import (
+    estimate_dac,
+    fit_pose_from_fixes,
+    localize_tags,
+    stacked_dac,
+    stacked_fit_poses,
+    stacked_localize_tags,
+)
 from .errors import (
     DegenerateGeometryError,
     DegenerateProjectionError,
@@ -30,12 +39,13 @@ from .errors import (
     NearSingularityError,
     SchemaError,
     SingularSystemError,
+    Status,
     UnderdeterminedDeploymentError,
     UnobservableAtPoseError,
     UnobservableDeploymentError,
 )
-from .estimators import ESTIMATORS
-from .gnrefine import GnWorkspace, build_gn_workspace, estimate_gn_uls, gn_step
+from .estimators import ESTIMATORS, estimate_stacked
+from .gnrefine import GnWorkspace, build_gn_workspace, estimate_gn_uls, gn_step, stacked_gn_step
 from .linstage import (
     LinearSystem,
     build_linear_system,
@@ -43,11 +53,13 @@ from .linstage import (
     project_so2,
     rotation_from_y,
     solve_uls,
+    stacked_uls,
 )
 from .mc import McConfig, McResult, McRow, SweepAxis, run_outlier_stress, run_sweep, synthesize_ranges
 from .preprocess import (
     BiasModel,
     EpochPolicy,
+    Epochs,
     GroundTruthLog,
     NamedDeployment,
     RangeLog,

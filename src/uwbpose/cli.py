@@ -20,11 +20,10 @@ import tempfile
 import numpy as np
 
 from . import mc
-from .core import Method, check_observability, wrap_angle
+from .core import Method, check_observability, wrap_angles
 from .crlb import constrained_crlb, fisher_info
-from .errors import EstimationError, SchemaError, UnobservableDeploymentError
-from .estimators import ESTIMATORS
-from .gnrefine import gn_step
+from .errors import EstimationError, SchemaError, Status, UnobservableDeploymentError
+from .estimators import estimate_stacked
 from .preprocess import (
     BiasModel,
     EpochPolicy,
@@ -60,6 +59,27 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
     return value
 
 
@@ -136,55 +156,46 @@ def _cmd_estimate(args) -> int:
     log = _load_ranges(args)
     bias = BiasModel.from_json_file(args.bias) if args.bias else BiasModel.identity()
     policy = EpochPolicy(rate_hz=args.rate, max_gap_periods=args.max_gap)
-    batches = align_and_batch(log, bias, named, policy)
+    epochs = align_and_batch(log, bias, named, policy)
     method = Method(args.method)
 
-    extra_gn = args.gn_iterations - 1 if method in (Method.GN_ULS, Method.GN_DAC) else 0
-    epoch_rows = []
-    estimates = []
-    for epoch_time, batch in batches:
-        try:
-            report = ESTIMATORS[method](batch)
-            pose = report.pose
-            for _ in range(extra_gn):
-                pose = gn_step(batch, pose)
-        except EstimationError as exc:
-            epoch_rows.append([repr(epoch_time), "", "", "", method.value, f"error:{type(exc).__name__}"])
-            continue
-        yaw_deg = math.degrees(wrap_angle(pose.theta + math.radians(args.yaw_offset_deg)))
-        epoch_rows.append(
-            [
-                repr(float(epoch_time)),
-                repr(float(pose.t[0])),
-                repr(float(pose.t[1])),
-                repr(float(yaw_deg)),
-                method.value,
-                "ok",
-            ]
+    count = len(epochs)
+    t_xy, yaw_deg = np.full((count, 2), np.nan), np.full(count, np.nan)
+    try:
+        poses = estimate_stacked(
+            named.deployment, epochs.ranges, epochs.ranges**2, method, args.gn_iterations
         )
-        estimates.append((epoch_time, pose, yaw_deg))
+    except EstimationError as exc:  # the deployment itself fails every epoch alike
+        statuses = [f"error:{type(exc).__name__}"] * count
+    else:
+        t_xy = poses.t
+        yaw_deg = np.degrees(wrap_angles(poses.theta + math.radians(args.yaw_offset_deg)))
+        statuses = [
+            "ok" if code == Status.OK else f"error:{Status(code).error.__name__}"
+            for code in poses.status.tolist()
+        ]
+    ok = np.array([status == "ok" for status in statuses], dtype=bool)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["t", "x", "y", "yaw_deg", "method", "status"])
-    writer.writerows(epoch_rows)
+    for epoch_time, (x, y), yaw, status in zip(
+        epochs.times.tolist(), t_xy.tolist(), yaw_deg.tolist(), statuses
+    ):
+        fields = [repr(x), repr(y), repr(yaw)] if status == "ok" else ["", "", ""]
+        writer.writerow([repr(epoch_time), *fields, method.value, status])
     _atomic_write_text(args.out, buffer.getvalue())
-    print(f"wrote {len(epoch_rows)} epochs to {args.out} ({len(estimates)} ok)")
+    print(f"wrote {len(epochs)} epochs to {args.out} ({int(ok.sum())} ok)")
 
     if args.truth:
         truth = GroundTruthLog.from_csv(args.truth)
-        inside = [
-            (t, pose, yaw)
-            for t, pose, yaw in estimates
-            if truth.t[0] <= t <= truth.t[-1]
-        ]
-        if not inside:
+        inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
+        if not inside.any():
             print("no epochs overlap the ground-truth span", file=sys.stderr)
             return EXIT_RUNTIME
-        times = np.array([t for t, _, _ in inside])
-        positions, yaws = truth.interpolate(times)
-        est_xy = np.array([pose.t for _, pose, _ in inside])
-        est_yaw = np.array([math.radians(y) for _, _, y in inside])
+        positions, yaws = truth.interpolate(epochs.times[inside])
+        est_xy = t_xy[inside]
+        est_yaw = np.radians(yaw_deg[inside])
         yaw_err = np.degrees(np.arctan2(np.sin(est_yaw - yaws), np.cos(est_yaw - yaws)))
         pos_rmse_cm = float(np.sqrt(np.mean(np.sum((est_xy - positions) ** 2, axis=1)))) * 100.0
         rot_rmse_deg = float(np.sqrt(np.mean(yaw_err**2)))
@@ -244,12 +255,19 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--truth", default=None)
     est.add_argument("--method", choices=[m.value for m in Method], default=Method.GN_ULS.value)
     est.add_argument("--bias", default=None, help="bias model file from the calibrate command")
-    est.add_argument("--yaw-offset-deg", type=float, default=0.0)
-    est.add_argument("--freq", type=float, default=100.0, help="ranging frequency in Hz")
-    est.add_argument("--rate", type=float, default=None, help="estimation rate in Hz")
-    est.add_argument("--max-gap", type=float, default=3.0, help="drop epochs with gaps beyond this many periods")
-    est.add_argument("--vmax", type=float, default=1.0, help="velocity bound for outlier rejection, m/s")
-    est.add_argument("--window", type=int, default=5, help="outlier rejection window length")
+    est.add_argument("--yaw-offset-deg", type=_finite_float, default=0.0)
+    est.add_argument("--freq", type=_positive_float, default=100.0, help="ranging frequency in Hz")
+    est.add_argument("--rate", type=_positive_float, default=None, help="estimation rate in Hz")
+    est.add_argument(
+        "--max-gap",
+        type=_nonnegative_float,
+        default=3.0,
+        help="drop epochs with gaps beyond this many periods",
+    )
+    est.add_argument(
+        "--vmax", type=_positive_float, default=1.0, help="velocity bound for outlier rejection, m/s"
+    )
+    est.add_argument("--window", type=_positive_int, default=5, help="outlier rejection window length")
     est.add_argument(
         "--gn-iterations",
         type=_positive_int,
@@ -263,9 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--truth", required=True)
     cal.add_argument("--deployment", required=True)
     cal.add_argument("--out", required=True)
-    cal.add_argument("--freq", type=float, default=100.0)
-    cal.add_argument("--vmax", type=float, default=1.0)
-    cal.add_argument("--window", type=int, default=5)
+    cal.add_argument("--freq", type=_positive_float, default=100.0)
+    cal.add_argument("--vmax", type=_positive_float, default=1.0)
+    cal.add_argument("--window", type=_positive_int, default=5)
     cal.set_defaults(func=_cmd_calibrate)
 
     return parser

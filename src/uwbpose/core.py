@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,14 @@ def wrap_angle(theta: float) -> float:
         wrapped += TWO_PI
     if wrapped >= TWO_PI:  # rounding of tiny negatives
         wrapped = 0.0
+    return wrapped
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Elementwise ``wrap_angle`` of an array, with the same arithmetic."""
+    wrapped = np.fmod(theta, TWO_PI)
+    np.add(wrapped, TWO_PI, out=wrapped, where=wrapped < 0.0)
+    wrapped[wrapped >= TWO_PI] = 0.0
     return wrapped
 
 
@@ -93,6 +102,7 @@ class Deployment:
     tags: np.ndarray
     sigma: np.ndarray = 1.0
     dh: np.ndarray = 0.0
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         anchors = np.asarray(self.anchors, dtype=float)
@@ -124,6 +134,22 @@ class Deployment:
     @property
     def num_tags(self) -> int:
         return self.tags.shape[0]
+
+    def derived(self, fn):
+        """``fn(self)``, computed on first use and then kept.
+
+        The deployment is immutable, so whatever a pure function computes
+        from it alone can be reused by every later problem on it. Arrays in
+        the result (or in a tuple result) are made read-only.
+        """
+        try:
+            return self._derived[fn]
+        except KeyError:
+            value = fn(self)
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            return self._derived.setdefault(fn, value)
 
 
 @dataclass(frozen=True)
@@ -172,6 +198,20 @@ class RangeBatch:
     def n(self) -> int:
         """Total measurement count N * M * T."""
         return self.deployment.num_tags * self.m_t
+
+
+class PoseStack(NamedTuple):
+    """Poses of K problems that share one deployment, from a stacked estimator.
+
+    ``theta`` is (K,), ``t`` is (K, 2) and ``status`` is (K,) integer
+    ``errors.Status`` codes. The stacked kernels leave ``theta`` unreduced;
+    the stacked estimator entry point reduces it to [0, 2*pi) and sets the
+    pose of every problem whose status is nonzero to NaN.
+    """
+
+    theta: np.ndarray
+    t: np.ndarray
+    status: np.ndarray
 
 
 class Method(str, enum.Enum):
@@ -267,6 +307,7 @@ def ml_cost(batch: RangeBatch, pose: Pose2) -> float:
     exactly when the batch is noiseless and the pose is the truth.
     """
     pred = predicted_ranges(batch.deployment, pose)
-    residual = batch.d - pred[:, :, np.newaxis]
+    squares = np.subtract(batch.d, pred[:, :, np.newaxis])  # the one n-sized buffer
+    np.square(squares, out=squares)
     weights = 1.0 / batch.deployment.sigma**2
-    return float(np.sum(residual**2 * weights[:, :, np.newaxis]))
+    return float(np.vdot(squares.sum(axis=2), weights))

@@ -4,7 +4,10 @@ Each tag is positioned in the global frame by the same projected
 squared-range trick used by the linear stage, restricted to one tag and two
 unknowns. A closed-form rigid fit then recovers the pose from the tag
 fixes. The intermediate localizer here is the projected squared-range
-solver itself, which has the consistency the pose fit needs.
+solver itself, which has the consistency the pose fit needs. K problems that
+share a deployment are localized by one least-squares solve with N * K
+right-hand sides and fitted by one vectorised Procrustes pass
+(``stacked_dac``); the single-problem functions are these with K = 1.
 """
 
 from __future__ import annotations
@@ -14,58 +17,96 @@ import time
 import numpy as np
 
 from .core import (
+    Deployment,
     EstimateReport,
     Method,
     Pose2,
+    PoseStack,
     RangeBatch,
     _rank_two,
     ml_cost,
-    rotation_matrix,
 )
 from .crlb import estimate_covariance
-from .errors import DegenerateGeometryError, SingularSystemError
+from .errors import DegenerateGeometryError, DegenerateProjectionError, SingularSystemError
 from .gnrefine import gn_step
-from .linstage import project_so2, projected_squared_ranges
+from .linstage import (
+    DEGENERATE_PROJECTION_MESSAGE,
+    so2_angles,
+    stacked_projected_squared_ranges,
+)
 
 
-def localize_tags(batch: RangeBatch) -> np.ndarray:
-    """Global position of every tag from its own ranges alone, shape (N, 2).
+def _localization_design(deployment: Deployment) -> np.ndarray:
+    """``-2 Abar``: the centered anchors (M, 2) scaled by -2."""
+    anchors = deployment.anchors
+    return -2.0 * (anchors - anchors.mean(axis=0))
+
+
+def stacked_localize_tags(deployment: Deployment, mean_d2: np.ndarray) -> np.ndarray:
+    """Global position of every tag of K problems from its own ranges alone,
+    shape (K, N, 2).
 
     Solves the centered linear systems ``-2 Abar^T s_i = dbar_i`` obtained by
-    squaring, debiasing, and projecting each tag's measurements. All tags
-    share the design, so one least-squares call solves them together.
+    squaring, debiasing, and projecting each tag's measurements. All tags of
+    all problems share the design, so one least-squares call solves them
+    together.
     """
-    rhs = projected_squared_ranges(batch)  # (N, M)
-    anchors = batch.deployment.anchors
-    design = -2.0 * (anchors - anchors.mean(axis=0))
-    solution, _, rank, _ = np.linalg.lstsq(design, rhs.T, rcond=None)
+    rhs = stacked_projected_squared_ranges(deployment, mean_d2)  # (K, N, M)
+    design = deployment.derived(_localization_design)
+    solution, _, rank, _ = np.linalg.lstsq(design, rhs.reshape(-1, len(design)).T, rcond=None)
     if rank < 2:
         raise SingularSystemError(
             f"tag localization rank {rank} < 2; anchors are collinear", rank=int(rank)
         )
-    return solution.T
+    return solution.T.reshape(rhs.shape[0], rhs.shape[1], 2)
 
 
-def fit_pose_from_fixes(fixes, tags_body) -> Pose2:
-    """Pose that best maps body-frame tags onto their global fixes.
+def localize_tags(batch: RangeBatch) -> np.ndarray:
+    """``stacked_localize_tags`` of one batch, shape (N, 2)."""
+    return stacked_localize_tags(batch.deployment, batch.mean_d2[np.newaxis])[0]
+
+
+def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:
+    """Pose of each of K problems that best maps the body-frame tags (N, 2)
+    onto the problem's global fixes (K, N, 2).
 
     Minimizes ``sum_i |fix_i - R s_i - t|^2`` over rotations in closed form
     (2-D Procrustes; Umeyama 1991): the rotation is the SO(2) projection of
     the centered cross-covariance ``sum_i (fix_i - mean fix)(s_i - mean s)^T``
     and the translation, its conditional minimizer, is the mean fix minus
-    the rotated mean tag. The result beats every candidate pose.
+    the rotated mean tag. A zero cross-covariance gets the
+    ``DEGENERATE_PROJECTION`` status. Raises DegenerateGeometryError when the
+    tags cannot fix a rotation.
+    """
+    if tags.shape[0] < 2 or not _rank_two(tags, center=False):
+        raise DegenerateGeometryError(
+            "pose fit needs at least 2 tags not collinear with the body origin"
+        )
+    mean_fix, mean_tag = fixes.mean(axis=1), tags.mean(axis=0)
+    cross = (fixes - mean_fix[:, np.newaxis]).transpose(0, 2, 1) @ (tags - mean_tag)  # (K, 2, 2)
+    theta, status = so2_angles(cross[:, 0, 0] + cross[:, 1, 1], cross[:, 1, 0] - cross[:, 0, 1])
+    rotated = np.exp(1j * theta) * (mean_tag[0] + 1j * mean_tag[1])  # R mean_tag as x + iy
+    return PoseStack(theta, mean_fix - rotated.view(float).reshape(-1, 2), status)
+
+
+def fit_pose_from_fixes(fixes, tags_body) -> Pose2:
+    """``stacked_fit_poses`` of one problem; the result beats every candidate pose.
+
+    Raises DegenerateProjectionError when every rotation fits equally well.
     """
     positions = np.asarray(fixes, dtype=float)
     tags = np.asarray(tags_body, dtype=float)
     if positions.shape != tags.shape or tags.ndim != 2 or tags.shape[1] != 2:
         raise ValueError("fixes and body tags must both be (N, 2) arrays")
-    if tags.shape[0] < 2 or not _rank_two(tags, center=False):
-        raise DegenerateGeometryError(
-            "pose fit needs at least 2 tags not collinear with the body origin"
-        )
-    mean_fix, mean_tag = positions.mean(axis=0), tags.mean(axis=0)
-    theta = project_so2((positions - mean_fix).T @ (tags - mean_tag))
-    return Pose2(theta, mean_fix - rotation_matrix(theta) @ mean_tag)
+    fit = stacked_fit_poses(positions[np.newaxis], tags)
+    if fit.status[0]:
+        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
+    return Pose2(fit.theta[0], fit.t[0])
+
+
+def stacked_dac(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
+    """Divide-and-conquer poses of K problems from their (K, N, M) mean squared ranges."""
+    return stacked_fit_poses(stacked_localize_tags(deployment, mean_d2), deployment.tags)
 
 
 def estimate_dac(
@@ -73,7 +114,10 @@ def estimate_dac(
 ) -> EstimateReport:
     """Divide-and-conquer estimate; ``refine`` adds one Gauss-Newton step."""
     start = time.perf_counter()
-    pose = fit_pose_from_fixes(localize_tags(batch), batch.deployment.tags)
+    first = stacked_dac(batch.deployment, batch.mean_d2[np.newaxis])
+    if first.status[0]:
+        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
+    pose = Pose2(first.theta[0], first.t[0])
     timings = {"dac_us": (time.perf_counter() - start) * 1e6}
     if refine:
         start = time.perf_counter()

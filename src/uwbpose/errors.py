@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the per-problem status
+codes of the stacked estimator kernels that stand for some of them."""
+
+import enum
 
 
 class EstimationError(Exception):
@@ -6,7 +9,7 @@ class EstimationError(Exception):
 
 
 class UnderdeterminedDeploymentError(EstimationError):
-    """Fewer effective anchors than the linear stage needs."""
+    """Fewer anchors than the linear stage needs; repetitions do not count."""
 
 
 class SingularSystemError(EstimationError):
@@ -54,3 +57,30 @@ class InsufficientDataError(EstimationError):
 
 class SchemaError(Exception):
     """Malformed external input: scenario, log, deployment, or model file."""
+
+
+class Status(enum.IntEnum):
+    """Outcome of one problem in a stacked estimator call.
+
+    Failures shared by every problem of a stack (too few anchors, a
+    rank-deficient linear design, degenerate tags) are raised instead; each
+    nonzero code stands for the error the single-problem estimators raise
+    for that problem.
+    """
+
+    OK = 0
+    DEGENERATE_PROJECTION = 1
+    DEGENERATE_GEOMETRY = 2
+    NEAR_SINGULARITY = 3
+
+    @property
+    def error(self) -> type[EstimationError]:
+        """Exception class of a nonzero code."""
+        return _STATUS_ERRORS[self]
+
+
+_STATUS_ERRORS = {
+    Status.DEGENERATE_PROJECTION: DegenerateProjectionError,
+    Status.DEGENERATE_GEOMETRY: DegenerateGeometryError,
+    Status.NEAR_SINGULARITY: NearSingularityError,
+}

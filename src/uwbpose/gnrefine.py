@@ -7,6 +7,9 @@ ranges in (theta, t) around the initial pose and solves the weighted normal
 problem through an orthogonal factorization. Repetitions share their
 pair's Jacobian row, so there is one row per (tag, anchor) pair on the mean
 range; the normal equations are those of all n measurements divided by T.
+K problems that share a deployment take their steps together
+(``stacked_gn_step``): a (K, N * M, 3) stack of weighted Jacobians solved by
+one stacked SVD. ``gn_step`` is that step with K = 1.
 """
 
 from __future__ import annotations
@@ -16,14 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimateReport, Method, Pose2, RangeBatch, ml_cost
+from .core import (
+    Deployment,
+    EstimateReport,
+    Method,
+    Pose2,
+    PoseStack,
+    RangeBatch,
+    ml_cost,
+)
 from .crlb import estimate_covariance
-from .errors import DegenerateGeometryError, NearSingularityError
+from .errors import DegenerateGeometryError, NearSingularityError, Status
 from .linstage import uls_pose
 
 # Predicted ranges below this floor make the 1/range Jacobian terms blow up;
 # tag-on-anchor coincidence is treated as an explicit failure.
 PROXIMITY_FLOOR_M = 1e-6
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -41,36 +54,91 @@ class GnWorkspace:
     weights: np.ndarray
 
 
-def build_gn_workspace(batch: RangeBatch, init: Pose2) -> GnWorkspace:
-    """Predicted ranges and their (theta, t) Jacobian at ``init``.
+def _plane_constants(deployment: Deployment):
+    """Anchors (M,) and tags (N,) as complex numbers x + iy, dh^2 and the
+    per-pair root weights 1/sigma."""
+    dep = deployment
+    return (
+        dep.anchors[:, 0] + 1j * dep.anchors[:, 1],
+        dep.tags[:, 0] + 1j * dep.tags[:, 1],
+        dep.dh**2,
+        1.0 / dep.sigma,
+    )
+
+
+def _linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scale):
+    """Predicted ranges ``g`` (K, N, M) at K poses, the mask of those below
+    ``PROXIMITY_FLOOR_M``, and the (K, N, M, 3) (theta, t) Jacobian with
+    each pair's row multiplied by ``row_scale``.
 
     For a height offset dh the predicted range is
     ``g = sqrt(|f|^2 + dh^2)`` with ``f = a - R s - t``; its derivatives are
     ``-(s1 u2 - s2 u1) / g`` in theta, with ``u = R^T f``, and ``-f / g`` in t.
+    Plane vectors are complex numbers here, so ``R s`` is ``e^(i theta) s``
+    and ``s1 u2 - s2 u1`` is ``Im(conj(R s) f)``. Rows of pairs below the
+    floor are divided by 1 in place of ``g``, so that every entry stays
+    finite.
+    """
+    anchors, tags, dh2, _ = deployment.derived(_plane_constants)
+    rotated = np.exp(1j * theta)[:, np.newaxis] * tags  # R s, (K, N)
+    f = anchors - (rotated + (t[:, 0] + 1j * t[:, 1])[:, np.newaxis])[:, :, np.newaxis]
+    g = np.sqrt(f.real**2 + f.imag**2 + dh2)
+    close = g < PROXIMITY_FLOOR_M
+    scale = -row_scale / np.where(close, 1.0, g)
+    jac = np.empty(g.shape + (3,))
+    np.multiply((rotated.conj()[:, :, np.newaxis] * f).imag, scale, out=jac[..., 0])
+    np.multiply(f.real, scale, out=jac[..., 1])
+    np.multiply(f.imag, scale, out=jac[..., 2])
+    return g, close, jac
+
+
+def build_gn_workspace(batch: RangeBatch, init: Pose2) -> GnWorkspace:
+    """Predicted ranges and their (theta, t) Jacobian at ``init``.
+
+    Raises NearSingularityError, naming the pair, when a predicted range is
+    below ``PROXIMITY_FLOOR_M``.
     """
     dep = batch.deployment
-    rot = init.rotation
-    tag_pos = init.transform(dep.tags)  # (N, 2)
-    f = dep.anchors[np.newaxis, :, :] - tag_pos[:, np.newaxis, :]  # (N, M, 2)
-    g = np.sqrt(np.einsum("nmk,nmk->nm", f, f) + dep.dh**2)
-    if np.any(g < PROXIMITY_FLOOR_M):
-        i, m = np.argwhere(g < PROXIMITY_FLOOR_M)[0]
+    g, close, jac = _linearize(dep, np.array([init.theta]), init.t[np.newaxis], 1.0)
+    if close.any():
+        i, m = np.argwhere(close[0])[0]
         raise NearSingularityError(
             f"predicted range for tag {i}, anchor {m} is below {PROXIMITY_FLOOR_M} m",
             tag_index=int(i),
             anchor_index=int(m),
         )
-    u = f @ rot  # u[..., b] = (R^T f)_b
-    s1 = dep.tags[:, 0][:, np.newaxis]
-    s2 = dep.tags[:, 1][:, np.newaxis]
-    j_theta = -(s1 * u[:, :, 1] - s2 * u[:, :, 0]) / g
-    j_t = -f / g[:, :, np.newaxis]
-    jac = np.concatenate([j_theta[:, :, np.newaxis], j_t], axis=2)  # (N, M, 3)
     return GnWorkspace(
-        jacobian=jac.reshape(-1, 3),
-        predicted=g.reshape(-1),
+        jacobian=jac[0].reshape(-1, 3),
+        predicted=g[0].reshape(-1),
         weights=(1.0 / dep.sigma**2).reshape(-1),
     )
+
+
+def stacked_gn_step(
+    deployment: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: np.ndarray
+) -> PoseStack:
+    """One weighted Gauss-Newton update of each of K poses on its problem's
+    (K, N, M) mean ranges; the angles are not reduced to [0, 2*pi).
+
+    Each problem is solved as ``lstsq`` would solve it: by the SVD of its
+    weighted Jacobian, with singular values at most
+    ``eps * max(N * M, 3) * s_max`` treated as zero. A problem gets the
+    ``NEAR_SINGULARITY`` status when a predicted range falls below
+    ``PROXIMITY_FLOOR_M``, else ``DEGENERATE_GEOMETRY`` when the rank is
+    below 3. Poses of failed problems are finite but meaningless.
+    """
+    root_w = deployment.derived(_plane_constants)[3]
+    g, close, jac = _linearize(deployment, theta, t, root_w)
+    k, rows = g.shape[0], g.shape[1] * g.shape[2]
+    rw = ((mean_d - g) * root_w).reshape(k, rows, 1)
+    u, s, vh = np.linalg.svd(jac.reshape(k, rows, 3), full_matrices=False)
+    keep = s > (_EPS * max(rows, 3)) * s[:, :1]
+    coef = np.divide((u.transpose(0, 2, 1) @ rw)[:, :, 0], s, out=np.zeros(s.shape), where=keep)
+    update = (coef[:, np.newaxis, :] @ vh)[:, 0]
+    status = np.zeros(k, dtype=np.int64)
+    status[keep.sum(axis=1) < 3] = Status.DEGENERATE_GEOMETRY
+    status[close.any(axis=(1, 2))] = Status.NEAR_SINGULARITY
+    return PoseStack(theta + update[:, 0], t + update[:, 1:], status)
 
 
 def gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
@@ -79,16 +147,17 @@ def gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
     Scaling every sigma by a common factor leaves the update unchanged, and
     a noiseless batch evaluated at the true pose is a fixed point.
     """
-    ws = build_gn_workspace(batch, init)
-    w = np.sqrt(ws.weights)
-    jw = ws.jacobian * w[:, np.newaxis]
-    rw = (batch.mean_d.reshape(-1) - ws.predicted) * w
-    update, _, rank, _ = np.linalg.lstsq(jw, rw, rcond=None)
-    if rank < 3:
+    step = stacked_gn_step(
+        batch.deployment, batch.mean_d[np.newaxis], np.array([init.theta]), init.t[np.newaxis]
+    )
+    code = int(step.status[0])
+    if code == Status.NEAR_SINGULARITY:
+        build_gn_workspace(batch, init)  # raises, naming the pair
+    if code == Status.DEGENERATE_GEOMETRY:
         raise DegenerateGeometryError(
-            f"Gauss-Newton normal system rank {rank} < 3; geometry is degenerate"
+            "Gauss-Newton normal system rank < 3; geometry is degenerate"
         )
-    return Pose2(init.theta + update[0], init.t + update[1:])
+    return Pose2(step.theta[0], step.t[0])
 
 
 def estimate_gn_uls(batch: RangeBatch, with_covariance: bool = False) -> EstimateReport:

@@ -9,6 +9,9 @@ problem in ``(y, t)``, with ``y = (sin theta, cos theta)`` entering through
 one row per (tag, anchor) pair on the mean squared range; the normal
 equations are those of all n measurements divided by T. The solution is
 consistent but unconstrained, so the rotation part is projected onto SO(2).
+The design does not depend on the measurements, so K problems that share a
+deployment are one least-squares solve with K right-hand sides
+(``stacked_uls``); the single-problem functions are that solve with K = 1.
 
 The correlated covariance of the projected errors is deliberately discarded;
 no whitened variant is provided.
@@ -16,17 +19,26 @@ no whitened variant is provided.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimateReport, Method, Pose2, RangeBatch, ml_cost, wrap_angle
+from .core import (
+    Deployment,
+    EstimateReport,
+    Method,
+    Pose2,
+    PoseStack,
+    RangeBatch,
+    ml_cost,
+    wrap_angle,
+)
 from .crlb import estimate_covariance
 from .errors import (
     DegenerateProjectionError,
     SingularSystemError,
+    Status,
     UnderdeterminedDeploymentError,
 )
 
@@ -40,7 +52,12 @@ GAMMA = np.array(
     ]
 )
 
-MIN_EFFECTIVE_ANCHORS = 3
+# With two anchors a tag's two centered rows are negatives of each other,
+# so every row is s1 u + s2 v + w for fixed u, v, w and the design has rank
+# at most 3 < 4, for any number of tags and repetitions.
+MIN_ANCHORS = 3
+
+DEGENERATE_PROJECTION_MESSAGE = "every rotation is equally close; projection undefined"
 
 
 @dataclass(frozen=True)
@@ -49,56 +66,76 @@ class LinearSystem:
 
     ``h`` is (N * M) x 4 with columns ordered (y1, y2, t1, t2) and rows
     tag-major, one per (tag, anchor) pair; ``dbar`` is the matching
-    right-hand side. Under an observable deployment ``h`` has full column
-    rank. ``m_t`` is the effective anchor count M * T.
+    right-hand side, (N * M,) for one problem or (N * M, K) with one column
+    per problem. Under an observable deployment ``h`` has full column rank.
     """
 
     h: np.ndarray
     dbar: np.ndarray
-    m_t: int
+
+
+def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray) -> np.ndarray:
+    """Debiased squared ranges centered across anchors per tag, shape (K, N, M).
+
+    ``mean_d2`` holds the (K, N, M) per-pair mean squared ranges. Entries are
+    ``mean d^2 - |a|^2 - sigma^2 - dh^2`` (the height term makes nonzero
+    height differences reduce to the planar case) minus their mean over the
+    tag's anchors, which applies the all-ones projector without
+    materializing it.
+    """
+    if deployment.num_anchors < MIN_ANCHORS:
+        raise UnderdeterminedDeploymentError(
+            f"need at least {MIN_ANCHORS} anchors, got {deployment.num_anchors}"
+        )
+    rhs = mean_d2 - deployment.derived(_squared_range_offset)
+    return rhs - rhs.mean(axis=2, keepdims=True)
+
+
+def _squared_range_offset(deployment: Deployment) -> np.ndarray:
+    """``|a|^2 + sigma^2 + dh^2`` per (tag, anchor) pair, shape (N, M)."""
+    dep = deployment
+    return np.sum(dep.anchors**2, axis=1) + dep.sigma**2 + dep.dh**2
 
 
 def projected_squared_ranges(batch: RangeBatch) -> np.ndarray:
-    """Debiased squared ranges centered across anchors per tag, shape (N, M).
+    """``stacked_projected_squared_ranges`` of one batch, shape (N, M)."""
+    return stacked_projected_squared_ranges(batch.deployment, batch.mean_d2[np.newaxis])[0]
 
-    Entries are ``mean d^2 - |a|^2 - sigma^2 - dh^2`` (the height term makes
-    nonzero height differences reduce to the planar case) minus their mean
-    over the tag's anchors, which applies the all-ones projector without
-    materializing it.
-    """
-    m_t = batch.m_t
-    if m_t < MIN_EFFECTIVE_ANCHORS:
-        raise UnderdeterminedDeploymentError(
-            f"need at least {MIN_EFFECTIVE_ANCHORS} effective anchors, got {m_t}"
-        )
-    dep = batch.deployment
-    rhs = batch.mean_d2 - np.sum(dep.anchors**2, axis=1) - dep.sigma**2 - dep.dh**2
-    return rhs - rhs.mean(axis=1, keepdims=True)
+
+def linear_design(deployment: Deployment) -> np.ndarray:
+    """The (N * M) x 4 design ``h`` of the projected squared-range system."""
+    # H = [-2 (S^T (x) Abar^T) GAMMA, -2 (1_N (x) Abar^T)] written out per
+    # column: with centered anchor coordinates (ax, ay) and tag (s1, s2) the
+    # y columns are -2 (s1 ay - s2 ax) and -2 (s1 ax + s2 ay), the imaginary
+    # and real parts of conj(s) * (-2 abar) with plane vectors as complex numbers.
+    centered = deployment.anchors - deployment.anchors.mean(axis=0)
+    scaled = -2.0 * (centered[:, 0] + 1j * centered[:, 1])  # (M,)
+    tags = deployment.tags
+    products = np.multiply.outer(tags[:, 0] - 1j * tags[:, 1], scaled)  # (N, M)
+    h = np.empty(products.shape + (4,))
+    h[:, :, 0] = products.imag
+    h[:, :, 1] = products.real
+    h[:, :, 2] = scaled.real
+    h[:, :, 3] = scaled.imag
+    return h.reshape(-1, 4)
 
 
 def build_linear_system(batch: RangeBatch) -> LinearSystem:
     """Assemble the projected squared-range system for a batch."""
-    rhs = projected_squared_ranges(batch)
-    dep = batch.deployment
-    # H = [-2 (S^T (x) Abar^T) GAMMA, -2 (1_N (x) Abar^T)] written out per
-    # column: with centered anchor coordinates (ax, ay) and tag (s1, s2) the
-    # y columns are -2 (s1 ay - s2 ax) and -2 (s1 ax + s2 ay).
-    centered = dep.anchors - dep.anchors.mean(axis=0)
-    ax, ay = centered[:, 0], centered[:, 1]
-    s1 = dep.tags[:, 0][:, np.newaxis]
-    s2 = dep.tags[:, 1][:, np.newaxis]
-    columns = np.broadcast_arrays(s1 * ay - s2 * ax, s1 * ax + s2 * ay, ax, ay)
-    h = -2.0 * np.stack(columns, axis=-1).reshape(-1, 4)
-    return LinearSystem(h=h, dbar=rhs.reshape(-1), m_t=batch.m_t)
+    return LinearSystem(
+        h=batch.deployment.derived(linear_design),
+        dbar=projected_squared_ranges(batch).reshape(-1),
+    )
 
 
 def solve_uls(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solve of the linear stage.
 
-    Returns ``(y, t)``; ``y`` is not unit length in general. Uses an
-    orthogonal factorization rather than forming the normal equations.
-    Raises SingularSystemError carrying the numeric rank when the design
-    matrix is rank deficient.
+    Returns ``(y, t)``, each with a trailing K axis when ``dbar`` has K
+    columns; ``y`` is not unit length in general. Uses an orthogonal
+    factorization rather than forming the normal equations. Raises
+    SingularSystemError carrying the numeric rank when the design matrix
+    is rank deficient.
     """
     solution, _, rank, _ = np.linalg.lstsq(system.h, system.dbar, rcond=None)
     if rank < 4:
@@ -107,6 +144,19 @@ def solve_uls(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
             rank=int(rank),
         )
     return solution[:2], solution[2:]
+
+
+def so2_angles(cos_part: np.ndarray, sin_part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles ``atan2(sin_part, cos_part)`` and their status codes.
+
+    For a 2x2 matrix ``x`` with ``cos_part = x11 + x22`` and
+    ``sin_part = x21 - x12`` this is the angle of the nearest rotation (see
+    ``project_so2``), not reduced to [0, 2*pi). Where both parts are zero
+    every angle ties: the status is ``DEGENERATE_PROJECTION``.
+    """
+    status = np.zeros(cos_part.shape, dtype=np.int64)
+    status[(cos_part == 0.0) & (sin_part == 0.0)] = Status.DEGENERATE_PROJECTION
+    return np.arctan2(sin_part, cos_part), status
 
 
 def project_so2(x: np.ndarray) -> float:
@@ -122,11 +172,10 @@ def project_so2(x: np.ndarray) -> float:
         raise ValueError(f"expected a 2x2 matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("projection input must be finite")
-    cos_part = float(x[0, 0] + x[1, 1])
-    sin_part = float(x[1, 0] - x[0, 1])
-    if cos_part == 0.0 and sin_part == 0.0:
-        raise DegenerateProjectionError("every rotation is equally close; projection undefined")
-    return wrap_angle(math.atan2(sin_part, cos_part))
+    theta, status = so2_angles(x[0, :1] + x[1, 1:], x[1, :1] - x[0, 1:])
+    if status[0]:
+        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
+    return wrap_angle(float(theta[0]))
 
 
 def rotation_from_y(y: np.ndarray) -> np.ndarray:
@@ -134,11 +183,29 @@ def rotation_from_y(y: np.ndarray) -> np.ndarray:
     return (GAMMA @ np.asarray(y, dtype=float)).reshape(2, 2, order="F")
 
 
+def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
+    """Closed-form poses of K problems from their (K, N, M) mean squared ranges.
+
+    One least-squares solve with K right-hand sides, then the SO(2)
+    projection of each ``y``. A problem whose ``y`` is zero gets the
+    ``DEGENERATE_PROJECTION`` status. Raises UnderdeterminedDeploymentError
+    or SingularSystemError when the deployment cannot determine any pose.
+    """
+    rhs = stacked_projected_squared_ranges(deployment, mean_d2)
+    dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors).T
+    y, t = solve_uls(LinearSystem(h=deployment.derived(linear_design), dbar=dbar))
+    x = GAMMA @ y  # (4, K): vec of each unconstrained rotation
+    theta, status = so2_angles(x[0] + x[3], x[1] - x[2])
+    return PoseStack(theta, t.T, status)
+
+
 def uls_pose(batch: RangeBatch) -> tuple[Pose2, float]:
     """Closed-form pose and the wall time it took, in microseconds."""
     start = time.perf_counter()
-    y, t = solve_uls(build_linear_system(batch))
-    pose = Pose2(project_so2(rotation_from_y(y)), t)
+    first = stacked_uls(batch.deployment, batch.mean_d2[np.newaxis])
+    if first.status[0]:
+        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
+    pose = Pose2(first.theta[0], first.t[0])
     return pose, (time.perf_counter() - start) * 1e6
 
 

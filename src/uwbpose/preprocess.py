@@ -4,11 +4,13 @@ Raw range logs carry (timestamp, anchor id, tag id, range) records at a
 nominal frequency. The pipeline rejects spikes with a causal sliding-window
 rule, fits a linear distance-dependent bias against ground truth, estimates
 the noise level from quiescent data, and finally aligns the de-biased
-streams into per-epoch batches ready for the estimators.
+streams into one (epochs, tags, anchors) range array ready for the stacked
+estimators.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Deployment, RangeBatch
+from .core import Deployment
 from .errors import InsufficientDataError, SchemaError
 
 # Additive term of the rejection rule, a generic UWB error bound in meters.
@@ -56,7 +58,10 @@ class RangeLog:
     """Flat record arrays of raw ranging data plus the nominal frequency.
 
     Timestamps must be non-decreasing within each (anchor, tag) stream.
-    ``dropped_negative`` counts records rejected at ingestion.
+    ``dropped_negative`` counts records rejected at ingestion. The stream
+    index is built once, at construction: ``stream_keys`` lists the
+    (anchor, tag) streams in order of first appearance and ``stream_id``
+    gives each record's position in it.
     """
 
     t: np.ndarray
@@ -65,6 +70,9 @@ class RangeLog:
     range_m: np.ndarray
     frequency: float
     dropped_negative: int = 0
+    stream_keys: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    stream_id: np.ndarray = field(init=False, repr=False, compare=False)
+    _stream_records: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -73,28 +81,60 @@ class RangeLog:
             raise ValueError("log columns must have equal length")
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
-        if len(r) and (not np.all(np.isfinite(r)) or np.any(r < 0)):
-            raise ValueError("ranges must be finite and nonnegative")
+        _check_ranges(r)
         t.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "range_m", r)
         object.__setattr__(self, "anchor", tuple(self.anchor))
         object.__setattr__(self, "tag", tuple(self.tag))
-        for key, indices in self.streams().items():
-            ts = t[indices]
-            if np.any(np.diff(ts) < 0):
-                raise SchemaError(f"timestamps decrease within stream {key}")
+
+        # Integer codes per id, then per (anchor, tag) pair, renumbered by
+        # first appearance; a stable sort groups each stream in record order.
+        anchor_code = {a: k for k, a in enumerate(dict.fromkeys(self.anchor))}
+        tag_code = {g: k for k, g in enumerate(dict.fromkeys(self.tag))}
+        pair = np.fromiter(map(anchor_code.__getitem__, self.anchor), dtype=np.intp, count=len(t))
+        pair *= len(tag_code)
+        pair += np.fromiter(map(tag_code.__getitem__, self.tag), dtype=np.intp, count=len(t))
+        _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+        renumber = np.empty(len(first), dtype=np.intp)
+        renumber[np.argsort(first)] = np.arange(len(first))
+        stream_id = renumber[inverse]
+        first = np.sort(first)
+        keys = tuple((self.anchor[k], self.tag[k]) for k in first)
+        order = np.argsort(stream_id, kind="stable")
+        counts = np.bincount(stream_id, minlength=len(keys))
+        records = np.split(order, np.cumsum(counts)[:-1]) if keys else []
+        for indices in records:
+            indices.setflags(write=False)
+        stream_id.setflags(write=False)
+        object.__setattr__(self, "stream_keys", keys)
+        object.__setattr__(self, "stream_id", stream_id)
+        object.__setattr__(self, "_stream_records", tuple(records))
+
+        sorted_t = t[order]
+        decreasing = (np.diff(sorted_t) < 0) & (np.diff(stream_id[order]) == 0)
+        if decreasing.any():
+            key = keys[stream_id[order[int(np.argmax(decreasing))]]]
+            raise SchemaError(f"timestamps decrease within stream {key}")
 
     def __len__(self) -> int:
         return len(self.t)
 
     def streams(self) -> dict[tuple[str, str], np.ndarray]:
         """Indices of each (anchor, tag) stream, in record order."""
-        groups: dict[tuple[str, str], list[int]] = {}
-        for idx, key in enumerate(zip(self.anchor, self.tag)):
-            groups.setdefault(key, []).append(idx)
-        return {key: np.asarray(idx, dtype=int) for key, idx in groups.items()}
+        return dict(zip(self.stream_keys, self._stream_records))
+
+    def _with_ranges(self, range_m: np.ndarray) -> "RangeLog":
+        """The same records with new range values; the stream index is kept."""
+        r = np.array(range_m, dtype=float)
+        if r.shape != self.range_m.shape:
+            raise ValueError("new ranges must match the record count")
+        _check_ranges(r)
+        r.setflags(write=False)
+        log = copy.copy(self)
+        object.__setattr__(log, "range_m", r)
+        return log
 
     @classmethod
     def from_csv(cls, path, frequency: float) -> "RangeLog":
@@ -116,10 +156,16 @@ class RangeLog:
             anchor.append(row["anchor"])
             tag.append(row["tag"])
             rng.append(ri)
+        del rows  # the parsed rows dominate memory; free them before indexing streams
         return cls(
             t=np.asarray(t), anchor=tuple(anchor), tag=tuple(tag),
             range_m=np.asarray(rng), frequency=frequency, dropped_negative=dropped,
         )
+
+
+def _check_ranges(r: np.ndarray) -> None:
+    if len(r) and (not np.all(np.isfinite(r)) or np.any(r < 0)):
+        raise ValueError("ranges must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -345,15 +391,7 @@ def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog,
         mask[indices] = flags
         if flags.any():
             values[indices] = interpolate_flagged(log.t[indices], stream, flags)
-    cleaned = RangeLog(
-        t=log.t,
-        anchor=log.anchor,
-        tag=log.tag,
-        range_m=values,
-        frequency=log.frequency,
-        dropped_negative=log.dropped_negative,
-    )
-    return cleaned, mask
+    return log._with_ranges(values), mask
 
 
 def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment) -> BiasModel:
@@ -373,8 +411,14 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
         )
     positions, yaws = truth.interpolate(log.t[inside])
     dep = named.deployment
-    a_idx = np.asarray([named.anchor_index(a) for a, keep in zip(log.anchor, inside) if keep])
-    t_idx = np.asarray([named.tag_index(t) for t, keep in zip(log.tag, inside) if keep])
+    stream_id = log.stream_id[inside]
+    stream_anchor = np.zeros(len(log.stream_keys), dtype=np.intp)
+    stream_tag = np.zeros(len(log.stream_keys), dtype=np.intp)
+    for k in np.unique(stream_id):
+        anchor_id, tag_id = log.stream_keys[k]
+        stream_anchor[k] = named.anchor_index(anchor_id)
+        stream_tag[k] = named.tag_index(tag_id)
+    a_idx, t_idx = stream_anchor[stream_id], stream_tag[stream_id]
     measured = log.range_m[inside]
 
     cos_y, sin_y = np.cos(yaws), np.sin(yaws)
@@ -432,51 +476,64 @@ class EpochPolicy:
     max_gap_periods: float = 3.0
 
 
+@dataclass(frozen=True)
+class Epochs:
+    """Epochs aligned from a range log: ``times`` (K,) and the de-biased
+    ranges (K, N, M), one repetition per (tag, anchor) pair and epoch."""
+
+    times: np.ndarray
+    ranges: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
 def align_and_batch(
     log: RangeLog,
     bias: BiasModel,
     named: NamedDeployment,
     policy: EpochPolicy = EpochPolicy(),
-) -> list[tuple[float, RangeBatch]]:
-    """De-bias, align, and group the log into per-epoch batches.
+) -> Epochs:
+    """De-bias and align the log onto a common grid of epochs.
 
-    Every (anchor, tag) pair of the deployment must appear in the log.
-    Stream values are linearly interpolated at each epoch time; an epoch is
-    dropped when any stream has a sample gap beyond the policy horizon or
-    does not span the epoch time. Returned batches always contain the full
-    N x M measurement grid with one repetition.
+    Every (anchor, tag) pair of the deployment must appear in the log, or no
+    epoch is emitted. Stream values are linearly interpolated at each epoch
+    time; an epoch is dropped when any stream has a sample gap beyond the
+    policy horizon or does not span the epoch time. Every emitted epoch
+    holds the full N x M measurement grid.
     """
-    for anchor_id in set(log.anchor):
+    for anchor_id in {a for a, _ in log.stream_keys}:
         named.anchor_index(anchor_id)
-    for tag_id in set(log.tag):
+    for tag_id in {t for _, t in log.stream_keys}:
         named.tag_index(tag_id)
 
     dep = named.deployment
+    n, m = dep.num_tags, dep.num_anchors
+    none = Epochs(times=np.zeros(0), ranges=np.zeros((0, n, m)))
     streams = log.streams()
     required = [
         (a, t) for t in named.tag_ids for a in named.anchor_ids
     ]
     if any(key not in streams for key in required):
-        return []
+        return none
 
     rate = policy.rate_hz if policy.rate_hz is not None else log.frequency
     horizon = policy.max_gap_periods / log.frequency
     start = max(log.t[idx][0] for idx in streams.values())
     end = min(log.t[idx][-1] for idx in streams.values())
     if end < start:
-        return []
+        return none
     count = int(np.floor((end - start) * rate)) + 1
     epochs = start + np.arange(count) / rate
 
-    n, m = dep.num_tags, dep.num_anchors
-    grid = np.empty((n, m, count))
+    grid = np.empty((count, n, m))
     ok = np.ones(count, dtype=bool)
     for (anchor_id, tag_id), indices in streams.items():
         i = named.tag_index(tag_id)
         j = named.anchor_index(anchor_id)
         ts = log.t[indices]
         vals = bias.remove(log.range_m[indices], key=(anchor_id, tag_id))
-        grid[i, j] = np.interp(epochs, ts, vals)
+        grid[:, i, j] = np.interp(epochs, ts, vals)
         position = np.searchsorted(ts, epochs)
         left = np.clip(position - 1, 0, len(ts) - 1)
         right = np.clip(position, 0, len(ts) - 1)
@@ -484,8 +541,4 @@ def align_and_batch(
         gap = ts[right] - ts[left]
         ok &= exact | ((position > 0) & (position < len(ts)) & (gap <= horizon))
 
-    return [
-        (float(epochs[e]), RangeBatch(dep, 1, grid[:, :, e][:, :, np.newaxis]))
-        for e in range(count)
-        if ok[e]
-    ]
+    return Epochs(times=epochs[ok], ranges=grid[ok])

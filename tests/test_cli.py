@@ -288,3 +288,73 @@ class TestCalibrate:
         assert code == 0
         summary = list(csv.reader(open(str(out) + ".summary.csv", encoding="utf-8")))
         assert float(summary[1][1]) <= 0.1  # centimeters
+
+
+BAD_NUMERIC_FLAGS = [
+    ("estimate", "--window", "0"),
+    ("estimate", "--freq", "0"),
+    ("estimate", "--freq", "nan"),
+    ("estimate", "--vmax", "0"),
+    ("estimate", "--rate", "-5"),
+    ("estimate", "--rate", "0"),
+    ("estimate", "--max-gap", "-1"),
+    ("estimate", "--yaw-offset-deg", "nan"),
+    ("calibrate", "--window", "0"),
+    ("calibrate", "--freq", "-100"),
+    ("calibrate", "--vmax", "0"),
+]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value", BAD_NUMERIC_FLAGS, ids=[" ".join(case) for case in BAD_NUMERIC_FLAGS]
+    )
+    def test_out_of_range_value_exits_2_without_output(self, tmp_path, capsys, command, flag, value):
+        dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+        out = tmp_path / "o.out"
+        argv = [command, "--ranges", ranges, "--deployment", dep, "--out", str(out), "--truth", truth]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, value])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
+    def test_zero_max_gap_keeps_exactly_aligned_epochs(self, tmp_path):
+        dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+        out = tmp_path / "poses.csv"
+        code = main(
+            ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--max-gap", "0"]
+        )
+        assert code == 0
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert len(rows) == 20 and all(row[5] == "ok" for row in rows)
+
+
+def test_failed_epoch_gets_error_row_and_others_stay_ok(tmp_path):
+    anchors = {"a0": [5.0, 5.0], "a1": [20.0, 0.0], "a2": [0.0, 20.0], "a3": [25.0, 25.0]}
+    tags = {"t0": [5.0, 5.0], "t1": [1.0, 0.0]}
+    dep_path = tmp_path / "deployment.json"
+    dep_path.write_text(json.dumps({"anchors": anchors, "tags": tags, "sigma": 0.1}), encoding="utf-8")
+    named = NamedDeployment.from_json(dep_path)
+    # The middle epoch puts tag t0 exactly on anchor a0; noiseless ranges make
+    # the closed form exact there, so the Gauss-Newton step meets a zero range.
+    poses = [Pose2(0.4, [9.0, 11.0]), Pose2(0.0, [0.0, 0.0]), Pose2(0.5, [9.5, 11.0])]
+    ranges_path = tmp_path / "ranges.csv"
+    with open(ranges_path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "anchor", "tag", "range"])
+        for k, pose in enumerate(poses):
+            clean = predicted_ranges(named.deployment, pose)
+            for i, tag_id in enumerate(named.tag_ids):
+                for m, anchor_id in enumerate(named.anchor_ids):
+                    writer.writerow([k / 100.0, anchor_id, tag_id, repr(float(clean[i, m]))])
+    out = tmp_path / "poses.csv"
+    code = main(["estimate", "--ranges", str(ranges_path), "--deployment", str(dep_path), "--out", str(out)])
+    assert code == 0
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+    assert [row[5] for row in rows] == ["ok", "error:NearSingularityError", "ok"]
+    assert rows[1][:5] == ["0.01", "", "", "", "gn-uls"]
+    for row, pose in ((rows[0], poses[0]), (rows[2], poses[2])):
+        assert float(row[1]) == pytest.approx(pose.t[0], abs=1e-9)
+        assert float(row[3]) == pytest.approx(math.degrees(pose.theta), abs=1e-7)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uwbpose.core import Deployment, Pose2, RangeBatch, rotation_matrix
+from uwbpose.estimators import ESTIMATORS
 from uwbpose.errors import (
     DegenerateProjectionError,
     SingularSystemError,
@@ -84,10 +85,14 @@ class TestBuildLinearSystem:
         with pytest.raises(UnderdeterminedDeploymentError):
             build_linear_system(noiseless_batch(dep, reference_pose()))
 
-    def test_repeats_count_as_anchors(self):
+    @pytest.mark.parametrize("repeat_t", [1, 2, 3])
+    def test_two_anchors_underdetermined_at_any_repeat_count(self, repeat_t):
+        # Repetitions add identical rows, not rank, so the verdict cannot depend on T.
         dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=BODY_TAGS, sigma=0.1)
-        batch = noiseless_batch(dep, reference_pose(), repeat_t=2)
-        assert build_linear_system(batch).m_t == 4
+        batch = noiseless_batch(dep, reference_pose(), repeat_t=repeat_t)
+        for method, estimate in ESTIMATORS.items():
+            with pytest.raises(UnderdeterminedDeploymentError):
+                estimate(batch)
 
     def test_consistency_with_truth_noiseless(self):
         pose = reference_pose()

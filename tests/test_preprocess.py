@@ -289,24 +289,25 @@ class TestAlignAndBatch:
     def test_synchronous_identity_bias_passes_ranges_through(self):
         named = _grid_deployment()
         truth, log = _synthetic_truth_and_log(named, 0.0, 0.0, 0.0, 50, None)
-        batches = align_and_batch(log, BiasModel.identity(), named)
-        assert len(batches) == 50
-        for k, (epoch, batch) in enumerate(batches):
+        epochs = align_and_batch(log, BiasModel.identity(), named)
+        assert len(epochs) == 50
+        assert epochs.ranges.shape == (50, 2, 4)
+        for k, (epoch, ranges) in enumerate(zip(epochs.times, epochs.ranges)):
             assert epoch == pytest.approx(k / 100.0)
             pose = Pose2(truth.yaw[k], [truth.x[k], truth.y[k]])
             np.testing.assert_allclose(
-                batch.d[:, :, 0], predicted_ranges(named.deployment, pose), atol=1e-9
+                ranges, predicted_ranges(named.deployment, pose), atol=1e-9
             )
 
     def test_debias_inverts_injected_bias(self):
         named = _grid_deployment()
         truth, log = _synthetic_truth_and_log(named, 0.02, 0.05, 0.0, 30, None)
         model = BiasModel(alpha=0.02, beta=0.05, sigma=0.01)
-        batches = align_and_batch(log, model, named)
-        for k, (_, batch) in enumerate(batches):
+        epochs = align_and_batch(log, model, named)
+        for k, ranges in enumerate(epochs.ranges):
             pose = Pose2(truth.yaw[k], [truth.x[k], truth.y[k]])
             np.testing.assert_allclose(
-                batch.d[:, :, 0], predicted_ranges(named.deployment, pose), atol=1e-9
+                ranges, predicted_ranges(named.deployment, pose), atol=1e-9
             )
 
     def test_delayed_stream_linearly_interpolated(self):
@@ -329,13 +330,12 @@ class TestAlignAndBatch:
                 else:
                     streams[(anchor_id, tag_id)] = (times, values)
         log = _make_log(streams)
-        batches = align_and_batch(log, BiasModel.identity(), named)
-        epochs = [e for e, _ in batches]
-        assert epochs[0] == pytest.approx(0.005)
+        epochs = align_and_batch(log, BiasModel.identity(), named)
+        assert epochs.times[0] == pytest.approx(0.005)
         delayed_times, delayed_values = streams[("a1", "t1")]
-        for epoch, batch in batches:
+        for epoch, ranges in zip(epochs.times, epochs.ranges):
             expected = np.interp(epoch, delayed_times, delayed_values)
-            assert batch.d[1, 1, 0] == pytest.approx(expected, abs=1e-12)
+            assert ranges[1, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_gap_drops_epochs_never_partial(self):
         named = _grid_deployment()
@@ -353,11 +353,10 @@ class TestAlignAndBatch:
             range_m=log.range_m[keep],
             frequency=log.frequency,
         )
-        batches = align_and_batch(gappy, BiasModel.identity(), named)
-        epochs = np.array([e for e, _ in batches])
-        assert not np.any((epochs > 0.21) & (epochs < 0.34))
-        for _, batch in batches:
-            assert batch.d.shape == (2, 4, 1)
+        epochs = align_and_batch(gappy, BiasModel.identity(), named)
+        assert not np.any((epochs.times > 0.21) & (epochs.times < 0.34))
+        assert epochs.ranges.shape == (len(epochs), 2, 4)
+        assert np.all(np.isfinite(epochs.ranges))
 
     def test_unknown_ids_named_in_error(self):
         named = _grid_deployment()
@@ -370,7 +369,9 @@ class TestAlignAndBatch:
         named = _grid_deployment()
         times = np.arange(10) / 100.0
         log = _make_log({("a0", "t0"): (times, np.full(10, 5.0))})
-        assert align_and_batch(log, BiasModel.identity(), named) == []
+        epochs = align_and_batch(log, BiasModel.identity(), named)
+        assert len(epochs) == 0
+        assert epochs.ranges.shape == (0, 2, 4)
 
 
 class TestLogIngestion:

@@ -1,0 +1,115 @@
+"""Stacked estimation of K problems against a loop of single-problem estimates."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
+from uwbpose.errors import EstimationError, NearSingularityError, Status
+from uwbpose.estimators import ESTIMATORS, estimate_stacked
+from uwbpose.gnrefine import gn_step
+
+from helpers import noisy_batch, random_observable_deployment, random_pose
+
+REFINED = (Method.GN_ULS, Method.GN_DAC)
+
+
+def _looped(batch: RangeBatch, method: Method, gn_steps: int):
+    """Single-problem pose and error type (one of them None)."""
+    try:
+        pose = ESTIMATORS[method](batch).pose
+        for _ in range(gn_steps - 1 if method in REFINED else 0):
+            pose = gn_step(batch, pose)
+    except EstimationError as exc:
+        return None, type(exc)
+    return pose, None
+
+
+def _stack(batches):
+    mean_d = np.stack([batch.mean_d for batch in batches])
+    mean_d2 = np.stack([batch.mean_d2 for batch in batches])
+    return mean_d, mean_d2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    problems=st.integers(1, 40),
+    gn_steps=st.integers(1, 3),
+    repeat_t=st.integers(1, 3),
+)
+def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
+    rng = np.random.default_rng(seed)
+    base = random_observable_deployment(rng)
+    shape = base.sigma.shape
+    dep = Deployment(
+        anchors=base.anchors,
+        tags=base.tags,
+        sigma=rng.uniform(0.02, 0.3, size=shape),
+        dh=rng.uniform(0.2, 2.0, size=shape),
+    )
+    batches = [noisy_batch(dep, random_pose(rng), repeat_t, rng) for _ in range(problems)]
+    mean_d, mean_d2 = _stack(batches)
+    for method in Method:
+        stacked = estimate_stacked(dep, mean_d, mean_d2, method, gn_steps)
+        assert stacked.theta.shape == stacked.status.shape == (problems,)
+        assert stacked.t.shape == (problems, 2)
+        for k, batch in enumerate(batches):
+            pose, error = _looped(batch, method, gn_steps)
+            if error is not None:
+                assert Status(stacked.status[k]).error is error, method
+                assert np.isnan(stacked.theta[k]) and np.all(np.isnan(stacked.t[k]))
+                continue
+            assert stacked.status[k] == Status.OK, method
+            assert abs(math.remainder(stacked.theta[k] - pose.theta, 2 * math.pi)) <= 1e-10, method
+            np.testing.assert_allclose(stacked.t[k], pose.t, rtol=0, atol=1e-10, err_msg=method.value)
+
+
+@pytest.mark.parametrize("method", REFINED)
+def test_tag_on_anchor_fails_only_its_own_problem(method):
+    dep = Deployment(
+        anchors=[[5.0, 5.0], [20.0, 0.0], [0.0, 20.0], [25.0, 25.0]],
+        tags=[[5.0, 5.0], [1.0, 0.0]],
+        sigma=0.1,
+    )
+    rng = np.random.default_rng(7)
+    on_anchor = Pose2(0.0, [0.0, 0.0])  # tag 0 lands exactly on anchor 0
+    batches = [noisy_batch(dep, Pose2(0.3 * k, [8.0 + k, 12.0]), 1, rng) for k in range(5)]
+    batches[2] = RangeBatch(dep, 1, predicted_ranges(dep, on_anchor)[:, :, np.newaxis])
+    with pytest.raises(NearSingularityError) as excinfo:
+        ESTIMATORS[method](batches[2])
+    assert (excinfo.value.tag_index, excinfo.value.anchor_index) == (0, 0)
+
+    stacked = estimate_stacked(dep, *_stack(batches), method)
+    assert stacked.status.tolist() == [0, 0, Status.NEAR_SINGULARITY, 0, 0]
+    assert Status(stacked.status[2]).error is NearSingularityError
+    assert np.isnan(stacked.theta[2])
+    for k in (0, 1, 3, 4):
+        pose = ESTIMATORS[method](batches[k]).pose
+        assert abs(math.remainder(stacked.theta[k] - pose.theta, 2 * math.pi)) <= 1e-10
+        np.testing.assert_allclose(stacked.t[k], pose.t, rtol=0, atol=1e-10)
+
+
+def test_empty_stack():
+    dep = random_observable_deployment(np.random.default_rng(3))
+    empty = np.zeros((0, dep.num_tags, dep.num_anchors))
+    for method in Method:
+        stacked = estimate_stacked(dep, empty, empty, method)
+        assert stacked.theta.shape == stacked.status.shape == (0,)
+        assert stacked.t.shape == (0, 2)
+
+
+def test_rejects_mismatched_moments():
+    dep = random_observable_deployment(np.random.default_rng(4))
+    good = np.ones((2, dep.num_tags, dep.num_anchors))
+    with pytest.raises(ValueError):
+        estimate_stacked(dep, good, good[:, :, :-1], Method.ULS)
+    with pytest.raises(ValueError):
+        estimate_stacked(dep, good, good, Method.GN_ULS, gn_steps=0)
+    bad = good.copy()
+    bad[0, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        estimate_stacked(dep, bad, good, Method.DAC)
