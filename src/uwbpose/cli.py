@@ -62,6 +62,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -94,10 +101,7 @@ def _cmd_simulate(args) -> int:
     if args.trials is not None:
         overrides["trials"] = args.trials
     if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        config = dataclasses.replace(config, **overrides)
 
     result = mc.run_sweep(config, threads=args.threads)
 
@@ -233,9 +237,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep from a scenario file")
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sim.add_argument("--threads", type=int, default=1)
-    sim.add_argument("--trials", type=int, default=None, help="override the scenario trial count")
+    sim.add_argument("--seed", type=_nonnegative_int, default=None, help="override the scenario seed")
+    sim.add_argument(
+        "--threads", type=_positive_int, default=1, help="threads for the per-trial range draws"
+    )
+    sim.add_argument("--trials", type=_positive_int, default=None, help="override the scenario trial count")
     sim.add_argument(
         "--timing",
         action="store_true",
@@ -245,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     crlb_p = sub.add_parser("crlb", help="print the lower bound for a scenario")
     crlb_p.add_argument("--scenario", required=True)
-    crlb_p.add_argument("--repeat-t", dest="repeat_t", type=int, default=None)
+    crlb_p.add_argument("--repeat-t", dest="repeat_t", type=_positive_int, default=None)
     crlb_p.set_defaults(func=_cmd_crlb)
 
     est = sub.add_parser("estimate", help="estimate poses from a range log")

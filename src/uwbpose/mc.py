@@ -1,10 +1,13 @@
 """Monte-Carlo harness: sweeps, RMSE-versus-bound tables, stress tests.
 
-Trials are independent work items. Every trial draws its noise from a
-counter-based generator keyed by (seed, axis index, trial index), and
-aggregation is by trial index, so results are bit-identical for a fixed
-seed regardless of run order or parallelism degree. Wall-clock timings are
-the one exception; they are reported but inherently nondeterministic.
+Every trial draws its noise from a counter-based generator keyed by (seed,
+axis index, trial index) and is reduced at once to its per-pair range
+moments. Each estimator then runs once per axis value over the stacked
+moments of all trials, and aggregation is by trial index, so results are
+bit-identical for a fixed seed regardless of run order or thread count;
+threads only parallelize the draws. Wall-clock timings are the one
+exception: ``mean_time_s`` is the stacked call's wall time divided by the
+trial count, reported but inherently nondeterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .core import (
 )
 from .crlb import constrained_crlb, fisher_info
 from .errors import EstimationError, UnobservableDeploymentError
-from .estimators import ESTIMATORS
+from .estimators import estimate_stacked
 from .preprocess import REJECTION_BOUND_M, flag_stream, interpolate_flagged
 
 
@@ -83,7 +86,9 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McRow:
-    """One aggregated result line for an (axis value, estimator) pair."""
+    """One aggregated result line for an (axis value, estimator) pair. The
+    RMSEs and ``mean_time_s`` are NaN when every trial failed, ``sqrt_crlb``
+    where the bound does not exist at the true pose."""
 
     axis_value: float
     estimator: str
@@ -163,81 +168,76 @@ def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int]:
 
 
 def _run_axis(
-    config: McConfig,
-    axis_index: int,
-    threads: int,
-    labels: list[str],
-    make_batches,
+    config: McConfig, axis_index: int, threads: int, prefixes: tuple[str, ...], make_batches
 ) -> list[McRow]:
     """Run all trials at one axis value and aggregate per estimator label.
 
-    ``make_batches(dep, t, trial, rng)`` returns the list of (label, batch)
-    pairs to estimate in one trial.
+    ``make_batches(dep, t, rng)`` returns one trial's range arrays, one per
+    label prefix in ``prefixes``. Each draw is reduced at once to its
+    per-pair moments; every estimator then runs once per prefix over the
+    stacked moments of all trials.
     """
     dep, t_eff = _axis_setup(config, axis_index)
-    bound = constrained_crlb(
-        fisher_info(dep, t_eff, config.true_pose), config.true_pose
-    ).sqrt_trace
+    pose = config.true_pose
+    try:
+        bound = constrained_crlb(fisher_info(dep, t_eff, pose), pose).sqrt_trace
+    except EstimationError:  # no bound at this pose, e.g. a tag on an anchor
+        bound = float("nan")
 
-    n_lab = len(labels)
     trials = config.trials
-    rot_sq = np.full((n_lab, trials), np.nan)
-    trans_sq = np.full((n_lab, trials), np.nan)
-    times = np.full((n_lab, trials), np.nan)
-    failed = np.zeros((n_lab, trials), dtype=bool)
-    rot_true = config.true_pose.rotation
-    t_true = config.true_pose.t
+    # mean_d and mean_d2 of every prefix's batch in every trial.
+    moments = np.empty((len(prefixes), 2, trials, dep.num_tags, dep.num_anchors))
 
-    # The per-trial work differs between plain sweeps and stress runs, so the
-    # batch construction is injected; estimation and bookkeeping live here.
-    def run_trial(trial: int) -> None:
+    def draw(trial: int) -> None:
         rng = _trial_rng(config.seed, axis_index, trial)
-        for prefix, batch in make_batches(dep, t_eff, trial, rng):
-            for method in config.estimators:
-                label = method.value + prefix
-                row = labels.index(label)
-                start = time.perf_counter()
-                try:
-                    report = ESTIMATORS[method](batch)
-                except EstimationError:
-                    failed[row, trial] = True
-                    continue
-                times[row, trial] = time.perf_counter() - start
-                diff_r = report.pose.rotation - rot_true
-                rot_sq[row, trial] = float(np.sum(diff_r * diff_r))
-                trans_sq[row, trial] = float(np.sum((report.pose.t - t_true) ** 2))
+        for variant, d in enumerate(make_batches(dep, t_eff, rng)):
+            batch = RangeBatch(dep, t_eff, d)
+            moments[variant, :, trial] = batch.mean_d, batch.mean_d2
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(trials)))
+            list(pool.map(draw, range(trials)))
     else:
         for trial in range(trials):
-            run_trial(trial)
+            draw(trial)
 
+    cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
     rows = []
-    for row, label in enumerate(labels):
-        ok = ~failed[row]
-        count = int(ok.sum())
-        if count:
-            rot = float(np.sqrt(np.sum(rot_sq[row][ok]) / count))
-            trans = float(np.sqrt(np.sum(trans_sq[row][ok]) / count))
-            combined = float(np.hypot(rot, trans))
-            mean_time = float(np.sum(times[row][ok]) / count)
-        else:
-            rot = trans = combined = mean_time = float("nan")
-        rows.append(
-            McRow(
-                axis_value=config.axis_values[axis_index],
-                estimator=label,
-                rotation_rmse=rot,
-                translation_rmse=trans,
-                combined_rmse=combined,
-                sqrt_crlb=bound,
-                mean_time_s=mean_time,
-                failures=int(failed[row].sum()),
-                trials=trials,
+    for prefix, (mean_d, mean_d2) in zip(prefixes, moments):
+        for method in config.estimators:
+            start = time.perf_counter()
+            try:
+                poses = estimate_stacked(dep, mean_d, mean_d2, method)
+            except EstimationError:  # the deployment itself fails every trial alike
+                poses = None
+            elapsed = time.perf_counter() - start
+            ok = np.zeros(trials, dtype=bool) if poses is None else poses.status == 0
+            count = int(ok.sum())
+            if count:
+                # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
+                theta = poses.theta[ok]
+                d_cos, d_sin = np.cos(theta) - cos_true, np.sin(theta) - sin_true
+                rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
+                trans_sq = np.sum((poses.t[ok] - pose.t) ** 2, axis=1)
+                rot = float(np.sqrt(np.sum(rot_sq) / count))
+                trans = float(np.sqrt(np.sum(trans_sq) / count))
+                combined = float(np.hypot(rot, trans))
+                mean_time = elapsed / trials
+            else:
+                rot = trans = combined = mean_time = float("nan")
+            rows.append(
+                McRow(
+                    axis_value=config.axis_values[axis_index],
+                    estimator=method.value + prefix,
+                    rotation_rmse=rot,
+                    translation_rmse=trans,
+                    combined_rmse=combined,
+                    sqrt_crlb=bound,
+                    mean_time_s=mean_time,
+                    failures=trials - count,
+                    trials=trials,
+                )
             )
-        )
     return rows
 
 
@@ -265,15 +265,12 @@ def run_sweep(config: McConfig, threads: int = 1) -> McResult:
     if not verdict:
         raise UnobservableDeploymentError(verdict.reason)
 
-    labels = [m.value for m in config.estimators]
-
-    def make_batches(dep, t_eff, trial, rng):
-        d = synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)
-        return [("", RangeBatch(dep, t_eff, d))]
+    def make_batches(dep, t_eff, rng):
+        return [synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)]
 
     rows = []
     for axis_index in range(len(config.axis_values)):
-        rows.extend(_run_axis(config, axis_index, threads, labels, make_batches))
+        rows.extend(_run_axis(config, axis_index, threads, ("",), make_batches))
     return McResult(rows=rows, metadata=_base_metadata(config))
 
 
@@ -301,11 +298,9 @@ def run_outlier_stress(
     if not verdict:
         raise UnobservableDeploymentError(verdict.reason)
 
-    labels = [m.value for m in config.estimators]
-    labels += [m.value + "+filter" for m in config.estimators]
     slack = window * v_max / freq_hz + REJECTION_BOUND_M
 
-    def make_batches(dep, t_eff, trial, rng):
+    def make_batches(dep, t_eff, rng):
         d = synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)
         spiked = d + spike * (rng.random(d.shape) < rate)
         stamps = np.arange(t_eff) / freq_hz
@@ -315,14 +310,11 @@ def run_outlier_stress(
                 flags = flag_stream(filtered[i, m], window, slack)
                 if flags.any():
                     filtered[i, m] = interpolate_flagged(stamps, filtered[i, m], flags)
-        return [
-            ("", RangeBatch(dep, t_eff, spiked)),
-            ("+filter", RangeBatch(dep, t_eff, filtered)),
-        ]
+        return [spiked, filtered]
 
     rows = []
     for axis_index in range(len(config.axis_values)):
-        rows.extend(_run_axis(config, axis_index, threads, labels, make_batches))
+        rows.extend(_run_axis(config, axis_index, threads, ("", "+filter"), make_batches))
     meta = _base_metadata(config)
     meta.update({"spike_m": repr(float(spike)), "spike_rate": repr(float(rate))})
     return McResult(rows=rows, metadata=meta)

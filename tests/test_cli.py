@@ -304,6 +304,16 @@ BAD_NUMERIC_FLAGS = [
     ("calibrate", "--vmax", "0"),
 ]
 
+BAD_SCENARIO_FLAGS = [
+    ("crlb", "--repeat-t", "0"),
+    ("crlb", "--repeat-t", "-2"),
+    ("simulate", "--threads", "0"),
+    ("simulate", "--threads", "-3"),
+    ("simulate", "--trials", "0"),
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--seed", "1.5"),
+]
+
 
 class TestNumericFlags:
     @pytest.mark.parametrize(
@@ -319,6 +329,33 @@ class TestNumericFlags:
         assert not out.exists()
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        BAD_SCENARIO_FLAGS,
+        ids=[" ".join(case) for case in BAD_SCENARIO_FLAGS],
+    )
+    def test_bad_scenario_command_value_exits_2_without_output(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", scenario]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, value])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
+    def test_zero_seed_accepted(self, tmp_path):
+        out = tmp_path / "o.csv"
+        scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
+        argv = ["simulate", "--scenario", scenario, "--out", str(out), "--seed", "0", "--trials", "2"]
+        assert main(argv) == 0
+        assert out.exists()
 
     def test_zero_max_gap_keeps_exactly_aligned_epochs(self, tmp_path):
         dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)

@@ -3,17 +3,22 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
-from uwbpose.core import Deployment, Method
-from uwbpose.errors import UnobservableDeploymentError
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch
+from uwbpose.errors import EstimationError, UnobservableDeploymentError
+from uwbpose.estimators import ESTIMATORS
 from uwbpose.mc import (
     McConfig,
     SweepAxis,
+    _trial_rng,
     run_outlier_stress,
     run_sweep,
+    synthesize_ranges,
     write_csv,
 )
+from uwbpose.preprocess import REJECTION_BOUND_M, flag_stream, interpolate_flagged
 
 from helpers import (
     BODY_TAGS,
@@ -126,6 +131,22 @@ class TestRunSweep:
         row = result.rows[0]
         assert row.failures <= row.trials
         assert row.trials == 50
+
+    def test_tag_on_anchor_fails_only_gauss_newton(self):
+        # Tag 0 lands exactly on anchor 0 (50, 0). Noiseless draws make the
+        # closed forms exact, so every Gauss-Newton step meets a zero range;
+        # the bound does not exist at that pose either.
+        config = _small_config(true_pose=Pose2(0.0, [47.0, 0.0]), noise_scale=0.0, trials=7)
+        for row in run_sweep(config).rows:
+            assert row.trials == 7
+            assert math.isnan(row.sqrt_crlb)
+            if row.estimator.startswith("gn-"):
+                assert row.failures == row.trials
+                assert math.isnan(row.rotation_rmse) and math.isnan(row.translation_rmse)
+                assert math.isnan(row.combined_rmse) and math.isnan(row.mean_time_s)
+            else:
+                assert row.failures == 0
+                assert row.combined_rmse <= 1e-9
 
     def test_metadata_carried(self):
         config = _small_config(metadata={"sigma_slot_mapping": "anchor-major"})
@@ -257,3 +278,105 @@ class TestCsvOutput:
         for line in buf.getvalue().split("\r\n")[1:]:
             if line:
                 assert line.split(",")[6] == ""
+
+
+def _plain_draws(config):
+    def draws(dep, t_eff, rng):
+        return [("", synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale))]
+
+    return draws
+
+
+def _stress_draws(config, spike, rate, window=5, v_max=0.5, freq_hz=100.0):
+    slack = window * v_max / freq_hz + REJECTION_BOUND_M
+
+    def draws(dep, t_eff, rng):
+        d = synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)
+        spiked = d + spike * (rng.random(d.shape) < rate)
+        filtered = spiked.copy()
+        stamps = np.arange(t_eff) / freq_hz
+        for i in range(dep.num_tags):
+            for m in range(dep.num_anchors):
+                flags = flag_stream(filtered[i, m], window, slack)
+                if flags.any():
+                    filtered[i, m] = interpolate_flagged(stamps, filtered[i, m], flags)
+        return [("", spiked), ("+filter", filtered)]
+
+    return draws
+
+
+def _reference_rows(config, draws):
+    """Per-trial reference: one single-problem estimator call per trial,
+    batch and method, aggregated like a sweep row."""
+    rows = []
+    rot_true = config.true_pose.rotation
+    for axis_index, value in enumerate(config.axis_values):
+        t_eff = int(round(value))
+        errors = {}
+        for trial in range(config.trials):
+            rng = _trial_rng(config.seed, axis_index, trial)
+            for prefix, d in draws(config.deployment, t_eff, rng):
+                batch = RangeBatch(config.deployment, t_eff, d)
+                for method in config.estimators:
+                    per_trial = errors.setdefault(method.value + prefix, [])
+                    try:
+                        pose = ESTIMATORS[method](batch).pose
+                    except EstimationError:
+                        per_trial.append(None)
+                        continue
+                    rot_sq = np.sum((pose.rotation - rot_true) ** 2)
+                    per_trial.append((rot_sq, np.sum((pose.t - config.true_pose.t) ** 2)))
+        for label, per_trial in errors.items():
+            ok = [e for e in per_trial if e is not None]
+            rot = math.sqrt(sum(r for r, _ in ok) / len(ok)) if ok else math.nan
+            trans = math.sqrt(sum(t for _, t in ok) / len(ok)) if ok else math.nan
+            failures = len(per_trial) - len(ok)
+            rows.append((value, label, rot, trans, math.hypot(rot, trans), failures))
+    return rows
+
+
+def _assert_rows_match(rows, reference):
+    assert [(r.axis_value, r.estimator, r.failures) for r in rows] == [
+        (value, label, failures) for value, label, *_, failures in reference
+    ]
+    for row, (_, _, rot, trans, combined, _) in zip(rows, reference):
+        got = (row.rotation_rmse, row.translation_rmse, row.combined_rmse)
+        for value, expected in zip(got, (rot, trans, combined)):
+            if math.isnan(expected):
+                assert math.isnan(value)
+            else:
+                assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+class TestStackedMatchesPerTrialLoop:
+    """Sweeps estimate every trial of an axis value in one stacked call; each
+    row must equal a loop of single-problem estimator calls."""
+
+    @pytest.mark.parametrize(
+        "pose, noise_scale",
+        [(reference_pose(), 1.0), (Pose2(0.0, [47.0, 0.0]), 0.0)],
+        ids=["noisy", "tag-on-anchor"],
+    )
+    def test_run_sweep(self, pose, noise_scale):
+        dh = 0.7 if noise_scale else 0.0
+        config = _small_config(
+            deployment=reference_deployment(sigma=0.1, dh=dh),
+            true_pose=pose,
+            noise_scale=noise_scale,
+            axis_values=(1, 10),
+            trials=25,
+            seed=31,
+        )
+        rows = run_sweep(config, threads=2).rows
+        _assert_rows_match(rows, _reference_rows(config, _plain_draws(config)))
+
+    def test_run_outlier_stress(self):
+        config = _small_config(
+            deployment=reference_deployment(sigma=0.1, dh=0.7),
+            axis_values=(1, 10),
+            trials=25,
+            seed=37,
+        )
+        rows = run_outlier_stress(config, spike=1.0, rate=0.1).rows
+        reference = _reference_rows(config, _stress_draws(config, spike=1.0, rate=0.1))
+        _assert_rows_match(rows, reference)
