@@ -8,14 +8,12 @@ Monte-Carlo harness, and a preprocessing pipeline for real range logs.
 
 from .core import (
     Deployment,
-    EstimateReport,
     Method,
     ObservabilityVerdict,
     Pose2,
     PoseStack,
     RangeBatch,
     check_observability,
-    ml_cost,
     predicted_ranges,
     rotation_angle,
     rotation_matrix,
@@ -23,14 +21,7 @@ from .core import (
     wrap_angles,
 )
 from .crlb import CrlbResult, FisherInfo, constrained_crlb, fisher_info
-from .dac import (
-    estimate_dac,
-    fit_pose_from_fixes,
-    localize_tags,
-    stacked_dac,
-    stacked_fit_poses,
-    stacked_localize_tags,
-)
+from .dac import stacked_dac, stacked_fit_poses, stacked_localize_tags
 from .errors import (
     DegenerateGeometryError,
     DegenerateProjectionError,
@@ -44,17 +35,9 @@ from .errors import (
     UnobservableAtPoseError,
     UnobservableDeploymentError,
 )
-from .estimators import ESTIMATORS, estimate_stacked
-from .gnrefine import GnWorkspace, build_gn_workspace, estimate_gn_uls, gn_step, stacked_gn_step
-from .linstage import (
-    LinearSystem,
-    build_linear_system,
-    estimate_uls,
-    project_so2,
-    rotation_from_y,
-    solve_uls,
-    stacked_uls,
-)
+from .estimators import estimate, estimate_stacked
+from .gnrefine import stacked_gn_step
+from .linstage import project_so2, solve_uls, stacked_uls
 from .mc import McConfig, McResult, McRow, SweepAxis, run_outlier_stress, run_sweep, synthesize_ranges
 from .preprocess import (
     BiasModel,

@@ -159,6 +159,7 @@ def _cmd_estimate(args) -> int:
         return EXIT_UNOBSERVABLE
     log = _load_ranges(args)
     bias = BiasModel.from_json_file(args.bias) if args.bias else BiasModel.identity()
+    truth = GroundTruthLog.from_csv(args.truth) if args.truth else None
     policy = EpochPolicy(rate_hz=args.rate, max_gap_periods=args.max_gap)
     epochs = align_and_batch(log, bias, named, policy)
     method = Method(args.method)
@@ -191,8 +192,7 @@ def _cmd_estimate(args) -> int:
     _atomic_write_text(args.out, buffer.getvalue())
     print(f"wrote {len(epochs)} epochs to {args.out} ({int(ok.sum())} ok)")
 
-    if args.truth:
-        truth = GroundTruthLog.from_csv(args.truth)
+    if truth is not None:
         inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
         if not inside.any():
             print("no epochs overlap the ground-truth span", file=sys.stderr)

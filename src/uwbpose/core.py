@@ -223,22 +223,6 @@ class Method(str, enum.Enum):
     GN_DAC = "gn-dac"
 
 
-@dataclass
-class EstimateReport:
-    """Pose estimate plus method tag, diagnostics, and optional covariance.
-
-    ``covariance`` is the 6x6 constrained lower bound evaluated at the
-    estimate, usable as an estimation-covariance approximation.
-    ``timings_us`` holds per-stage wall times in microseconds.
-    """
-
-    pose: Pose2
-    method: Method
-    residual_cost: float
-    covariance: np.ndarray | None = None
-    timings_us: dict[str, float] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class ObservabilityVerdict:
     """Outcome of the deployment observability check.
@@ -298,16 +282,3 @@ def predicted_ranges(deployment: Deployment, pose: Pose2) -> np.ndarray:
     tag_pos = pose.transform(deployment.tags)  # (N, 2)
     diff = deployment.anchors[np.newaxis, :, :] - tag_pos[:, np.newaxis, :]
     return np.sqrt(np.einsum("nmk,nmk->nm", diff, diff) + deployment.dh**2)
-
-
-def ml_cost(batch: RangeBatch, pose: Pose2) -> float:
-    """Weighted squared range-residual objective at a pose.
-
-    Sum over all measurements of ``(d - predicted)^2 / sigma^2``. Zero
-    exactly when the batch is noiseless and the pose is the truth.
-    """
-    pred = predicted_ranges(batch.deployment, pose)
-    squares = np.subtract(batch.d, pred[:, :, np.newaxis])  # the one n-sized buffer
-    np.square(squares, out=squares)
-    weights = 1.0 / batch.deployment.sigma**2
-    return float(np.vdot(squares.sum(axis=2), weights))

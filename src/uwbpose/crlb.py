@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Deployment, Pose2, RangeBatch
+from .core import Deployment, Pose2
 from .errors import NearSingularityError, UnobservableAtPoseError
 
 # Floor on |a - s|^2 + dh^2 in the information denominator (square meters).
@@ -127,12 +127,3 @@ def constrained_crlb(fi: FisherInfo, pose: Pose2) -> CrlbResult:
         rotation_block_trace=float(np.trace(crlb[:4, :4])),
         translation_block_trace=float(np.trace(crlb[4:, 4:])),
     )
-
-
-def estimate_covariance(batch: RangeBatch, pose: Pose2) -> np.ndarray:
-    """6x6 constrained bound for ``batch``'s deployment and repetitions at ``pose``.
-
-    Estimators attach it to their report as a covariance approximation.
-    """
-    fi = fisher_info(batch.deployment, batch.repeat_t, pose)
-    return constrained_crlb(fi, pose).crlb

@@ -7,33 +7,16 @@ fixes. The intermediate localizer here is the projected squared-range
 solver itself, which has the consistency the pose fit needs. K problems that
 share a deployment are localized by one least-squares solve with N * K
 right-hand sides and fitted by one vectorised Procrustes pass
-(``stacked_dac``); the single-problem functions are these with K = 1.
+(``stacked_dac``); one problem is the case K = 1.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .core import (
-    Deployment,
-    EstimateReport,
-    Method,
-    Pose2,
-    PoseStack,
-    RangeBatch,
-    _rank_two,
-    ml_cost,
-)
-from .crlb import estimate_covariance
-from .errors import DegenerateGeometryError, DegenerateProjectionError, SingularSystemError
-from .gnrefine import gn_step
-from .linstage import (
-    DEGENERATE_PROJECTION_MESSAGE,
-    so2_angles,
-    stacked_projected_squared_ranges,
-)
+from .core import Deployment, PoseStack, _rank_two
+from .errors import DegenerateGeometryError, SingularSystemError
+from .linstage import so2_angles, stacked_projected_squared_ranges
 
 
 def _localization_design(deployment: Deployment) -> np.ndarray:
@@ -61,11 +44,6 @@ def stacked_localize_tags(deployment: Deployment, mean_d2: np.ndarray) -> np.nda
     return solution.T.reshape(rhs.shape[0], rhs.shape[1], 2)
 
 
-def localize_tags(batch: RangeBatch) -> np.ndarray:
-    """``stacked_localize_tags`` of one batch, shape (N, 2)."""
-    return stacked_localize_tags(batch.deployment, batch.mean_d2[np.newaxis])[0]
-
-
 def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:
     """Pose of each of K problems that best maps the body-frame tags (N, 2)
     onto the problem's global fixes (K, N, 2).
@@ -89,44 +67,6 @@ def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:
     return PoseStack(theta, mean_fix - rotated.view(float).reshape(-1, 2), status)
 
 
-def fit_pose_from_fixes(fixes, tags_body) -> Pose2:
-    """``stacked_fit_poses`` of one problem; the result beats every candidate pose.
-
-    Raises DegenerateProjectionError when every rotation fits equally well.
-    """
-    positions = np.asarray(fixes, dtype=float)
-    tags = np.asarray(tags_body, dtype=float)
-    if positions.shape != tags.shape or tags.ndim != 2 or tags.shape[1] != 2:
-        raise ValueError("fixes and body tags must both be (N, 2) arrays")
-    fit = stacked_fit_poses(positions[np.newaxis], tags)
-    if fit.status[0]:
-        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
-    return Pose2(fit.theta[0], fit.t[0])
-
-
 def stacked_dac(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
     """Divide-and-conquer poses of K problems from their (K, N, M) mean squared ranges."""
     return stacked_fit_poses(stacked_localize_tags(deployment, mean_d2), deployment.tags)
-
-
-def estimate_dac(
-    batch: RangeBatch, refine: bool = False, with_covariance: bool = False
-) -> EstimateReport:
-    """Divide-and-conquer estimate; ``refine`` adds one Gauss-Newton step."""
-    start = time.perf_counter()
-    first = stacked_dac(batch.deployment, batch.mean_d2[np.newaxis])
-    if first.status[0]:
-        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
-    pose = Pose2(first.theta[0], first.t[0])
-    timings = {"dac_us": (time.perf_counter() - start) * 1e6}
-    if refine:
-        start = time.perf_counter()
-        pose = gn_step(batch, pose)
-        timings["gn_us"] = (time.perf_counter() - start) * 1e6
-    return EstimateReport(
-        pose=pose,
-        method=Method.GN_DAC if refine else Method.DAC,
-        residual_cost=ml_cost(batch, pose),
-        covariance=estimate_covariance(batch, pose) if with_covariance else None,
-        timings_us=timings,
-    )

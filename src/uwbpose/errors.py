@@ -63,9 +63,9 @@ class Status(enum.IntEnum):
     """Outcome of one problem in a stacked estimator call.
 
     Failures shared by every problem of a stack (too few anchors, a
-    rank-deficient linear design, degenerate tags) are raised instead; each
-    nonzero code stands for the error the single-problem estimators raise
-    for that problem.
+    rank-deficient linear design, degenerate tags) are raised instead. Each
+    nonzero code stands for an error class, which ``estimators.estimate``
+    raises for a problem of its own.
     """
 
     OK = 0

@@ -1,23 +1,14 @@
-"""Estimator entry points: one problem per call, or K problems stacked."""
+"""Estimator entry points: K problems stacked, or one problem as K = 1."""
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable
-
 import numpy as np
 
-from .core import Deployment, EstimateReport, Method, PoseStack, wrap_angles
-from .dac import estimate_dac, stacked_dac
-from .gnrefine import estimate_gn_uls, stacked_gn_step
-from .linstage import estimate_uls, stacked_uls
-
-ESTIMATORS: dict[Method, Callable[..., EstimateReport]] = {
-    Method.ULS: estimate_uls,
-    Method.GN_ULS: estimate_gn_uls,
-    Method.DAC: partial(estimate_dac, refine=False),
-    Method.GN_DAC: partial(estimate_dac, refine=True),
-}
+from .core import Deployment, Method, Pose2, PoseStack, RangeBatch, wrap_angles
+from .dac import stacked_dac
+from .errors import Status
+from .gnrefine import stacked_gn_step
+from .linstage import stacked_uls
 
 
 def estimate_stacked(
@@ -32,12 +23,10 @@ def estimate_stacked(
     ``mean_d`` and ``mean_d2`` are the (K, N, M) per-pair means of the
     ranges and of their squares; with one repetition they are the ranges and
     their squares. ``gn_steps`` Gauss-Newton steps refine the ``gn-uls`` and
-    ``gn-dac`` estimates; ``uls`` and ``dac`` take none. Each problem's pose
-    equals what the single-problem estimator returns for it (with its first
-    step followed by ``gn_steps - 1`` calls of ``gn_step``), up to rounding.
-    A problem that estimator would fail gets that error's nonzero
-    ``errors.Status`` code and a NaN pose. Failures of the deployment itself
-    raise, as the single-problem estimators do.
+    ``gn-dac`` estimates; ``uls`` and ``dac`` take none. A problem that
+    fails gets the nonzero ``errors.Status`` code of its error and a NaN
+    pose. Failures of the deployment itself (too few anchors, a
+    rank-deficient design, degenerate tags) raise.
     """
     method = Method(method)
     if gn_steps < 1:
@@ -64,3 +53,18 @@ def estimate_stacked(
         np.where(failed[:, np.newaxis], np.nan, poses.t),
         poses.status,
     )
+
+
+def estimate(batch: RangeBatch, method: Method, gn_steps: int = 1) -> Pose2:
+    """Pose of one problem: ``estimate_stacked`` of ``batch`` alone.
+
+    Raises the error a nonzero status stands for (``Status(code).error``),
+    and whatever ``estimate_stacked`` raises.
+    """
+    poses = estimate_stacked(
+        batch.deployment, batch.mean_d[np.newaxis], batch.mean_d2[np.newaxis], method, gn_steps
+    )
+    code = Status(int(poses.status[0]))
+    if code:
+        raise code.error(f"{Method(method).value}: {code.name.lower().replace('_', ' ')}")
+    return Pose2(poses.theta[0], poses.t[0])

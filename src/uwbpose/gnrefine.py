@@ -9,49 +9,21 @@ pair's Jacobian row, so there is one row per (tag, anchor) pair on the mean
 range; the normal equations are those of all n measurements divided by T.
 K problems that share a deployment take their steps together
 (``stacked_gn_step``): a (K, N * M, 3) stack of weighted Jacobians solved by
-one stacked SVD. ``gn_step`` is that step with K = 1.
+one stacked SVD; one problem is the case K = 1.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    Deployment,
-    EstimateReport,
-    Method,
-    Pose2,
-    PoseStack,
-    RangeBatch,
-    ml_cost,
-)
-from .crlb import estimate_covariance
-from .errors import DegenerateGeometryError, NearSingularityError, Status
-from .linstage import uls_pose
+from .core import Deployment, PoseStack
+from .errors import Status
 
 # Predicted ranges below this floor make the 1/range Jacobian terms blow up;
 # tag-on-anchor coincidence is treated as an explicit failure.
 PROXIMITY_FLOOR_M = 1e-6
 
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class GnWorkspace:
-    """Linearization of the range model at an initial pose.
-
-    ``jacobian`` is (N * M) x 3 with columns (d/dtheta, d/dt1, d/dt2) of the
-    predicted range, ``predicted`` the N * M predicted ranges, and ``weights``
-    the per-pair values 1/sigma^2. Rows are tag-major, one per (tag, anchor)
-    pair, matching ``predicted_ranges(...).reshape(-1)``.
-    """
-
-    jacobian: np.ndarray
-    predicted: np.ndarray
-    weights: np.ndarray
 
 
 def _plane_constants(deployment: Deployment):
@@ -66,7 +38,7 @@ def _plane_constants(deployment: Deployment):
     )
 
 
-def _linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scale):
+def linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scale):
     """Predicted ranges ``g`` (K, N, M) at K poses, the mask of those below
     ``PROXIMITY_FLOOR_M``, and the (K, N, M, 3) (theta, t) Jacobian with
     each pair's row multiplied by ``row_scale``.
@@ -92,28 +64,6 @@ def _linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_sca
     return g, close, jac
 
 
-def build_gn_workspace(batch: RangeBatch, init: Pose2) -> GnWorkspace:
-    """Predicted ranges and their (theta, t) Jacobian at ``init``.
-
-    Raises NearSingularityError, naming the pair, when a predicted range is
-    below ``PROXIMITY_FLOOR_M``.
-    """
-    dep = batch.deployment
-    g, close, jac = _linearize(dep, np.array([init.theta]), init.t[np.newaxis], 1.0)
-    if close.any():
-        i, m = np.argwhere(close[0])[0]
-        raise NearSingularityError(
-            f"predicted range for tag {i}, anchor {m} is below {PROXIMITY_FLOOR_M} m",
-            tag_index=int(i),
-            anchor_index=int(m),
-        )
-    return GnWorkspace(
-        jacobian=jac[0].reshape(-1, 3),
-        predicted=g[0].reshape(-1),
-        weights=(1.0 / dep.sigma**2).reshape(-1),
-    )
-
-
 def stacked_gn_step(
     deployment: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: np.ndarray
 ) -> PoseStack:
@@ -125,10 +75,12 @@ def stacked_gn_step(
     ``eps * max(N * M, 3) * s_max`` treated as zero. A problem gets the
     ``NEAR_SINGULARITY`` status when a predicted range falls below
     ``PROXIMITY_FLOOR_M``, else ``DEGENERATE_GEOMETRY`` when the rank is
-    below 3. Poses of failed problems are finite but meaningless.
+    below 3. Poses of failed problems are finite but meaningless. Scaling
+    every sigma by a common factor leaves the update unchanged, and a
+    noiseless problem evaluated at its true pose is a fixed point.
     """
     root_w = deployment.derived(_plane_constants)[3]
-    g, close, jac = _linearize(deployment, theta, t, root_w)
+    g, close, jac = linearize(deployment, theta, t, root_w)
     k, rows = g.shape[0], g.shape[1] * g.shape[2]
     rw = ((mean_d - g) * root_w).reshape(k, rows, 1)
     u, s, vh = np.linalg.svd(jac.reshape(k, rows, 3), full_matrices=False)
@@ -139,37 +91,3 @@ def stacked_gn_step(
     status[keep.sum(axis=1) < 3] = Status.DEGENERATE_GEOMETRY
     status[close.any(axis=(1, 2))] = Status.NEAR_SINGULARITY
     return PoseStack(theta + update[:, 0], t + update[:, 1:], status)
-
-
-def gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
-    """One weighted Gauss-Newton update of ``init`` on the range residuals.
-
-    Scaling every sigma by a common factor leaves the update unchanged, and
-    a noiseless batch evaluated at the true pose is a fixed point.
-    """
-    step = stacked_gn_step(
-        batch.deployment, batch.mean_d[np.newaxis], np.array([init.theta]), init.t[np.newaxis]
-    )
-    code = int(step.status[0])
-    if code == Status.NEAR_SINGULARITY:
-        build_gn_workspace(batch, init)  # raises, naming the pair
-    if code == Status.DEGENERATE_GEOMETRY:
-        raise DegenerateGeometryError(
-            "Gauss-Newton normal system rank < 3; geometry is degenerate"
-        )
-    return Pose2(step.theta[0], step.t[0])
-
-
-def estimate_gn_uls(batch: RangeBatch, with_covariance: bool = False) -> EstimateReport:
-    """Closed-form estimate refined by one Gauss-Newton step."""
-    first, linstage_us = uls_pose(batch)
-    start = time.perf_counter()
-    pose = gn_step(batch, first)
-    gn_us = (time.perf_counter() - start) * 1e6
-    return EstimateReport(
-        pose=pose,
-        method=Method.GN_ULS,
-        residual_cost=ml_cost(batch, pose),
-        covariance=estimate_covariance(batch, pose) if with_covariance else None,
-        timings_us={"linstage_us": linstage_us, "gn_us": gn_us},
-    )

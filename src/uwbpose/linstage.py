@@ -11,7 +11,7 @@ equations are those of all n measurements divided by T. The solution is
 consistent but unconstrained, so the rotation part is projected onto SO(2).
 The design does not depend on the measurements, so K problems that share a
 deployment are one least-squares solve with K right-hand sides
-(``stacked_uls``); the single-problem functions are that solve with K = 1.
+(``stacked_uls``); one problem is the case K = 1.
 
 The correlated covariance of the projected errors is deliberately discarded;
 no whitened variant is provided.
@@ -19,22 +19,9 @@ no whitened variant is provided.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    Deployment,
-    EstimateReport,
-    Method,
-    Pose2,
-    PoseStack,
-    RangeBatch,
-    ml_cost,
-    wrap_angle,
-)
-from .crlb import estimate_covariance
+from .core import Deployment, PoseStack, wrap_angle
 from .errors import (
     DegenerateProjectionError,
     SingularSystemError,
@@ -56,22 +43,6 @@ GAMMA = np.array(
 # so every row is s1 u + s2 v + w for fixed u, v, w and the design has rank
 # at most 3 < 4, for any number of tags and repetitions.
 MIN_ANCHORS = 3
-
-DEGENERATE_PROJECTION_MESSAGE = "every rotation is equally close; projection undefined"
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Stacked design matrix and projected, debiased squared ranges.
-
-    ``h`` is (N * M) x 4 with columns ordered (y1, y2, t1, t2) and rows
-    tag-major, one per (tag, anchor) pair; ``dbar`` is the matching
-    right-hand side, (N * M,) for one problem or (N * M, K) with one column
-    per problem. Under an observable deployment ``h`` has full column rank.
-    """
-
-    h: np.ndarray
-    dbar: np.ndarray
 
 
 def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray) -> np.ndarray:
@@ -97,13 +68,12 @@ def _squared_range_offset(deployment: Deployment) -> np.ndarray:
     return np.sum(dep.anchors**2, axis=1) + dep.sigma**2 + dep.dh**2
 
 
-def projected_squared_ranges(batch: RangeBatch) -> np.ndarray:
-    """``stacked_projected_squared_ranges`` of one batch, shape (N, M)."""
-    return stacked_projected_squared_ranges(batch.deployment, batch.mean_d2[np.newaxis])[0]
-
-
 def linear_design(deployment: Deployment) -> np.ndarray:
-    """The (N * M) x 4 design ``h`` of the projected squared-range system."""
+    """The (N * M) x 4 design ``h`` of the projected squared-range system.
+
+    Columns are ordered (y1, y2, t1, t2) and rows tag-major, one per (tag,
+    anchor) pair. Under an observable deployment ``h`` has full column rank.
+    """
     # H = [-2 (S^T (x) Abar^T) GAMMA, -2 (1_N (x) Abar^T)] written out per
     # column: with centered anchor coordinates (ax, ay) and tag (s1, s2) the
     # y columns are -2 (s1 ay - s2 ax) and -2 (s1 ax + s2 ay), the imaginary
@@ -120,24 +90,18 @@ def linear_design(deployment: Deployment) -> np.ndarray:
     return h.reshape(-1, 4)
 
 
-def build_linear_system(batch: RangeBatch) -> LinearSystem:
-    """Assemble the projected squared-range system for a batch."""
-    return LinearSystem(
-        h=batch.deployment.derived(linear_design),
-        dbar=projected_squared_ranges(batch).reshape(-1),
-    )
+def solve_uls(h: np.ndarray, dbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares solve of the linear stage ``h @ (y, t) = dbar``.
 
-
-def solve_uls(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares solve of the linear stage.
-
+    ``dbar`` holds the projected squared ranges matching the rows of ``h``,
+    (N * M,) for one problem or (N * M, K) with one column per problem.
     Returns ``(y, t)``, each with a trailing K axis when ``dbar`` has K
     columns; ``y`` is not unit length in general. Uses an orthogonal
     factorization rather than forming the normal equations. Raises
     SingularSystemError carrying the numeric rank when the design matrix
     is rank deficient.
     """
-    solution, _, rank, _ = np.linalg.lstsq(system.h, system.dbar, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(h, dbar, rcond=None)
     if rank < 4:
         raise SingularSystemError(
             f"design matrix rank {rank} < 4; deployment does not determine the pose",
@@ -174,13 +138,8 @@ def project_so2(x: np.ndarray) -> float:
         raise ValueError("projection input must be finite")
     theta, status = so2_angles(x[0, :1] + x[1, 1:], x[1, :1] - x[0, 1:])
     if status[0]:
-        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
+        raise DegenerateProjectionError("every rotation is equally close; projection undefined")
     return wrap_angle(float(theta[0]))
-
-
-def rotation_from_y(y: np.ndarray) -> np.ndarray:
-    """Unconstrained 2x2 rotation estimate from the linear-stage ``y``."""
-    return (GAMMA @ np.asarray(y, dtype=float)).reshape(2, 2, order="F")
 
 
 def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
@@ -193,29 +152,7 @@ def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)
     dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors).T
-    y, t = solve_uls(LinearSystem(h=deployment.derived(linear_design), dbar=dbar))
+    y, t = solve_uls(deployment.derived(linear_design), dbar)
     x = GAMMA @ y  # (4, K): vec of each unconstrained rotation
     theta, status = so2_angles(x[0] + x[3], x[1] - x[2])
     return PoseStack(theta, t.T, status)
-
-
-def uls_pose(batch: RangeBatch) -> tuple[Pose2, float]:
-    """Closed-form pose and the wall time it took, in microseconds."""
-    start = time.perf_counter()
-    first = stacked_uls(batch.deployment, batch.mean_d2[np.newaxis])
-    if first.status[0]:
-        raise DegenerateProjectionError(DEGENERATE_PROJECTION_MESSAGE)
-    pose = Pose2(first.theta[0], first.t[0])
-    return pose, (time.perf_counter() - start) * 1e6
-
-
-def estimate_uls(batch: RangeBatch, with_covariance: bool = False) -> EstimateReport:
-    """Closed-form pose estimate: linear solve plus SO(2) projection."""
-    pose, linstage_us = uls_pose(batch)
-    return EstimateReport(
-        pose=pose,
-        method=Method.ULS,
-        residual_cost=ml_cost(batch, pose),
-        covariance=estimate_covariance(batch, pose) if with_covariance else None,
-        timings_us={"linstage_us": linstage_us},
-    )

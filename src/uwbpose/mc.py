@@ -29,7 +29,7 @@ from .core import (
     predicted_ranges,
 )
 from .crlb import constrained_crlb, fisher_info
-from .errors import EstimationError, UnobservableDeploymentError
+from .errors import EstimationError, Status, UnobservableDeploymentError
 from .estimators import estimate_stacked
 from .preprocess import REJECTION_BOUND_M, flag_stream, interpolate_flagged
 
@@ -169,13 +169,14 @@ def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int]:
 
 def _run_axis(
     config: McConfig, axis_index: int, threads: int, prefixes: tuple[str, ...], make_batches
-) -> list[McRow]:
+) -> tuple[list[McRow], list[str]]:
     """Run all trials at one axis value and aggregate per estimator label.
 
     ``make_batches(dep, t, rng)`` returns one trial's range arrays, one per
     label prefix in ``prefixes``. Each draw is reduced at once to its
     per-pair moments; every estimator then runs once per prefix over the
-    stacked moments of all trials.
+    stacked moments of all trials. Returns the rows and, for each row with
+    failures, an entry ``"<axis value> <label> <Error>=<count> ..."``.
     """
     dep, t_eff = _axis_setup(config, axis_index)
     pose = config.true_pose
@@ -202,17 +203,21 @@ def _run_axis(
             draw(trial)
 
     cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
-    rows = []
+    value = config.axis_values[axis_index]
+    rows, failures = [], []
     for prefix, (mean_d, mean_d2) in zip(prefixes, moments):
         for method in config.estimators:
             start = time.perf_counter()
             try:
                 poses = estimate_stacked(dep, mean_d, mean_d2, method)
-            except EstimationError:  # the deployment itself fails every trial alike
-                poses = None
+            except EstimationError as exc:  # the deployment itself fails every trial alike
+                poses, errors = None, {type(exc).__name__: trials}
             elapsed = time.perf_counter() - start
             ok = np.zeros(trials, dtype=bool) if poses is None else poses.status == 0
             count = int(ok.sum())
+            if poses is not None:
+                codes, counts = np.unique(poses.status[~ok], return_counts=True)
+                errors = {Status(c).error.__name__: n for c, n in zip(codes.tolist(), counts.tolist())}
             if count:
                 # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
                 theta = poses.theta[ok]
@@ -225,9 +230,12 @@ def _run_axis(
                 mean_time = elapsed / trials
             else:
                 rot = trans = combined = mean_time = float("nan")
+            if errors:
+                kinds = " ".join(f"{name}={n}" for name, n in sorted(errors.items()))
+                failures.append(f"{value!r} {method.value + prefix} {kinds}")
             rows.append(
                 McRow(
-                    axis_value=config.axis_values[axis_index],
+                    axis_value=value,
                     estimator=method.value + prefix,
                     rotation_rmse=rot,
                     translation_rmse=trans,
@@ -238,10 +246,20 @@ def _run_axis(
                     trials=trials,
                 )
             )
-    return rows
+    return rows, failures
 
 
-def _base_metadata(config: McConfig) -> dict:
+def _run_axes(config: McConfig, threads: int, prefixes: tuple[str, ...], make_batches) -> McResult:
+    """``_run_axis`` over every axis value, with the sweep's metadata.
+
+    ``failures_by_error`` lists the failure counts per error class of every
+    row with failures, in row order, or is ``none``.
+    """
+    rows, failures = [], []
+    for axis_index in range(len(config.axis_values)):
+        axis_rows, axis_failures = _run_axis(config, axis_index, threads, prefixes, make_batches)
+        rows.extend(axis_rows)
+        failures.extend(axis_failures)
     meta = dict(config.metadata)
     meta.update(
         {
@@ -249,9 +267,10 @@ def _base_metadata(config: McConfig) -> dict:
             "trials": str(config.trials),
             "seed": str(config.seed),
             "combined_rmse": "sqrt(rotation_rmse^2 + translation_rmse^2), comparable to sqrt_crlb",
+            "failures_by_error": "; ".join(failures) or "none",
         }
     )
-    return meta
+    return McResult(rows=rows, metadata=meta)
 
 
 def run_sweep(config: McConfig, threads: int = 1) -> McResult:
@@ -259,7 +278,8 @@ def run_sweep(config: McConfig, threads: int = 1) -> McResult:
 
     Refuses unobservable deployments before running any trial. Per-trial
     estimator failures are recorded, excluded from the RMSE, and reported in
-    the ``failures`` column.
+    the ``failures`` column and, by error class, in the
+    ``failures_by_error`` metadata.
     """
     verdict = check_observability(config.deployment)
     if not verdict:
@@ -268,10 +288,7 @@ def run_sweep(config: McConfig, threads: int = 1) -> McResult:
     def make_batches(dep, t_eff, rng):
         return [synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)]
 
-    rows = []
-    for axis_index in range(len(config.axis_values)):
-        rows.extend(_run_axis(config, axis_index, threads, ("",), make_batches))
-    return McResult(rows=rows, metadata=_base_metadata(config))
+    return _run_axes(config, threads, ("",), make_batches)
 
 
 def run_outlier_stress(
@@ -312,12 +329,9 @@ def run_outlier_stress(
                     filtered[i, m] = interpolate_flagged(stamps, filtered[i, m], flags)
         return [spiked, filtered]
 
-    rows = []
-    for axis_index in range(len(config.axis_values)):
-        rows.extend(_run_axis(config, axis_index, threads, ("", "+filter"), make_batches))
-    meta = _base_metadata(config)
-    meta.update({"spike_m": repr(float(spike)), "spike_rate": repr(float(rate))})
-    return McResult(rows=rows, metadata=meta)
+    result = _run_axes(config, threads, ("", "+filter"), make_batches)
+    result.metadata.update({"spike_m": repr(float(spike)), "spike_rate": repr(float(rate))})
+    return result
 
 
 CSV_HEADER = [

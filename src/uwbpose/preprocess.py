@@ -170,7 +170,11 @@ def _check_ranges(r: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GroundTruthLog:
-    """Timestamped reference poses; yaw stored in radians."""
+    """Timestamped reference poses; yaw stored in radians.
+
+    Raises SchemaError unless there is at least one pose, every value is
+    finite and the timestamps strictly increase.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -178,13 +182,16 @@ class GroundTruthLog:
     yaw: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise SchemaError("ground-truth timestamps must be strictly increasing")
         for name in ("t", "x", "y", "yaw"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise SchemaError(f"ground-truth {name} values must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if len(self.t) == 0:
+            raise SchemaError("ground-truth log has no data rows")
+        if np.any(np.diff(self.t) <= 0):
+            raise SchemaError("ground-truth timestamps must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -200,7 +207,10 @@ class GroundTruthLog:
             except ValueError as exc:
                 raise SchemaError(f"{path}:{line_no}: non-numeric field") from exc
         arr = np.asarray(data, dtype=float).reshape(-1, 4)
-        return cls(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], yaw=np.deg2rad(arr[:, 3]))
+        try:
+            return cls(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], yaw=np.deg2rad(arr[:, 3]))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
     def interpolate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions (K, 2) and yaws (K,) at the requested times.
@@ -303,7 +313,8 @@ class BiasModel:
 
     ``sigma`` is the estimated noise standard deviation; ``per_pair`` holds
     optional (anchor id, tag id) specific coefficients that override the
-    pooled pair.
+    pooled pair. Every coefficient must be finite and every alpha above -1,
+    so that ``remove`` is defined; ValueError otherwise.
     """
 
     alpha: float
@@ -315,6 +326,9 @@ class BiasModel:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        for alpha, beta in [(self.alpha, self.beta), *self.per_pair.values()]:
+            if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1.0):
+                raise ValueError(f"bias coefficients must be finite with alpha > -1, got {alpha}, {beta}")
 
     @classmethod
     def identity(cls, sigma: float = 1.0) -> "BiasModel":

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from uwbpose.core import Deployment, Pose2, RangeBatch, check_observability, predicted_ranges
+from uwbpose.errors import Status
+from uwbpose.gnrefine import stacked_gn_step
 
 CORNER_ANCHORS = np.array([[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]])
 BODY_TAGS = np.array([[3.0, 0.0], [3.0, 3.0]])
@@ -75,3 +77,28 @@ def pose_parameter_vector(pose: Pose2) -> np.ndarray:
 
 def random_pose(rng: np.random.Generator) -> Pose2:
     return Pose2(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(10.0, 40.0, size=2))
+
+
+def ml_cost(batch: RangeBatch, pose: Pose2) -> float:
+    """Weighted squared range-residual objective at a pose.
+
+    Sum over all measurements of ``(d - predicted)^2 / sigma^2``. Zero
+    exactly when the batch is noiseless and the pose is the truth.
+    """
+    pred = predicted_ranges(batch.deployment, pose)
+    squares = np.subtract(batch.d, pred[:, :, np.newaxis])  # the one n-sized buffer
+    np.square(squares, out=squares)
+    weights = 1.0 / batch.deployment.sigma**2
+    return float(np.vdot(squares.sum(axis=2), weights))
+
+
+def one_gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
+    """``stacked_gn_step`` of ``batch`` alone from ``init``; a nonzero status
+    raises its error, as ``estimators.estimate`` does."""
+    step = stacked_gn_step(
+        batch.deployment, batch.mean_d[np.newaxis], np.array([init.theta]), init.t[np.newaxis]
+    )
+    code = Status(int(step.status[0]))
+    if code:
+        raise code.error(code.name)
+    return Pose2(step.theta[0], step.t[0])

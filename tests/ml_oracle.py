@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from uwbpose.core import Pose2, RangeBatch, wrap_angle
-from uwbpose.linstage import estimate_uls
+from uwbpose.core import Method, Pose2, RangeBatch, wrap_angle
+from uwbpose.estimators import estimate
 
 _FD_STEP = 1e-6
 
@@ -55,7 +55,7 @@ def ml_reference_pose(batch: RangeBatch, n_starts: int = 36, max_iter: int = 150
     Each start runs damped Gauss-Newton (backtracking on the full step) until
     the step norm falls below 1e-12 or no decrease is representable.
     """
-    t_init = estimate_uls(batch).pose.t
+    t_init = estimate(batch, Method.ULS).t
     thetas = np.arange(n_starts) * (2.0 * np.pi / n_starts)
     ts = np.tile(t_init, (n_starts, 1))
     costs = _costs(batch, thetas, ts)

@@ -395,3 +395,49 @@ def test_failed_epoch_gets_error_row_and_others_stay_ok(tmp_path):
     for row, pose in ((rows[0], poses[0]), (rows[2], poses[2])):
         assert float(row[1]) == pytest.approx(pose.t[0], abs=1e-9)
         assert float(row[3]) == pytest.approx(math.degrees(pose.theta), abs=1e-7)
+
+
+BAD_TRUTH_ROWS = {
+    "header-only": [],
+    "nan-x": [[0.0, "nan", 2.5, 20.0], [0.01, 4.0, 2.5, 20.0]],
+    "inf-yaw": [[0.0, 4.0, 2.5, 20.0], [0.01, 4.0, 2.5, "inf"]],
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+@pytest.mark.parametrize("case", list(BAD_TRUTH_ROWS))
+def test_bad_truth_file_exits_2_without_output(tmp_path, capsys, command, case):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    with open(truth, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "x", "y", "yaw_deg"])
+        writer.writerows(BAD_TRUTH_ROWS[case])
+    out = tmp_path / "o.out"
+    argv = [command, "--ranges", ranges, "--deployment", dep, "--out", str(out), "--truth", truth]
+    assert main(argv) == 2
+    assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
+    assert "truth" in capsys.readouterr().err
+
+
+BAD_BIAS_MODELS = {
+    "alpha-minus-one": {"alpha": -1.0},
+    "alpha-below-minus-one": {"alpha": -3.0},
+    "alpha-nan": {"alpha": math.nan},
+    "beta-inf": {"beta": math.inf},
+    "per-pair-alpha-minus-one": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": -1.0, "beta": 0.0}]},
+    "per-pair-alpha-nan": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": math.nan, "beta": 0.0}]},
+    "per-pair-beta-nan": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": 0.0, "beta": math.nan}]},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BIAS_MODELS))
+def test_bad_bias_model_exits_2_without_output(tmp_path, capsys, case):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    bias = tmp_path / "bias.json"
+    model = {"alpha": 0.0, "beta": 0.0, "sigma": 0.05, **BAD_BIAS_MODELS[case]}
+    bias.write_text(json.dumps(model), encoding="utf-8")
+    out = tmp_path / "poses.csv"
+    argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--bias", str(bias)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "bias model" in capsys.readouterr().err

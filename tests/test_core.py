@@ -10,7 +10,6 @@ from uwbpose.core import (
     Pose2,
     RangeBatch,
     check_observability,
-    ml_cost,
     predicted_ranges,
     rotation_angle,
     rotation_matrix,
@@ -21,6 +20,7 @@ from helpers import (
     BODY_TAGS,
     COLLINEAR_ANCHORS,
     CORNER_ANCHORS,
+    ml_cost,
     noiseless_batch,
     noisy_batch,
     reference_deployment,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uwbpose.core import Deployment, Pose2
+from uwbpose.core import Deployment, Method, Pose2
 from uwbpose.crlb import (
     constrained_crlb,
     constraint_jacobian,
@@ -13,7 +13,7 @@ from uwbpose.crlb import (
     nullspace_basis,
 )
 from uwbpose.errors import NearSingularityError, UnobservableAtPoseError
-from uwbpose.gnrefine import estimate_gn_uls
+from uwbpose.estimators import estimate
 
 from helpers import (
     BODY_TAGS,
@@ -202,8 +202,8 @@ class TestEmpiricalEfficiency:
         rng = np.random.default_rng(65)
         samples = []
         for _ in range(1000):
-            report = estimate_gn_uls(noisy_batch(dep, pose, 1000, rng))
-            samples.append(pose_parameter_vector(report.pose))
+            estimated = estimate(noisy_batch(dep, pose, 1000, rng), Method.GN_ULS)
+            samples.append(pose_parameter_vector(estimated))
         covariance = np.cov(np.asarray(samples).T)
         ratio = float(np.trace(covariance)) / float(np.trace(bound.crlb))
         assert 0.95 <= ratio <= 1.15

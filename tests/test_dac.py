@@ -5,26 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from uwbpose.core import Deployment, rotation_matrix
-from uwbpose.dac import estimate_dac, fit_pose_from_fixes, localize_tags
-from uwbpose.errors import DegenerateGeometryError, SingularSystemError
-from uwbpose.gnrefine import gn_step
+from uwbpose.core import Deployment, Method, Pose2, rotation_matrix
+from uwbpose.dac import stacked_fit_poses, stacked_localize_tags
+from uwbpose.errors import DegenerateGeometryError, SingularSystemError, Status
+from uwbpose.estimators import estimate
 
 from helpers import (
     BODY_TAGS,
     COLLINEAR_ANCHORS,
     noiseless_batch,
     noisy_batch,
+    one_gn_step,
     reference_deployment,
     reference_pose,
 )
+
+
+def _localize(batch):
+    """Global fix of every tag of one batch, shape (N, 2)."""
+    return stacked_localize_tags(batch.deployment, batch.mean_d2[np.newaxis])[0]
+
+
+def _fit(fixes, tags):
+    """Rigid fit of one problem's (N, 2) fixes to its body-frame tags."""
+    fit = stacked_fit_poses(np.asarray(fixes, dtype=float)[np.newaxis], np.asarray(tags, dtype=float))
+    assert fit.status[0] == Status.OK
+    return Pose2(fit.theta[0], fit.t[0])
 
 
 class TestLocalizeTag:
     def test_noiseless_exact(self):
         dep = reference_deployment()
         pose = reference_pose()
-        fixes = localize_tags(noiseless_batch(dep, pose))
+        fixes = _localize(noiseless_batch(dep, pose))
         expected = pose.transform(dep.tags)
         for i in range(dep.num_tags):
             np.testing.assert_allclose(fixes[i], expected[i], atol=1e-9)
@@ -33,7 +46,7 @@ class TestLocalizeTag:
         dep = Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
         batch = noiseless_batch(dep, reference_pose())
         with pytest.raises(SingularSystemError):
-            localize_tags(batch)
+            _localize(batch)
 
     def test_error_within_monte_carlo_bound(self):
         dep = reference_deployment(sigma=0.1)
@@ -43,15 +56,15 @@ class TestLocalizeTag:
         errors = []
         for _ in range(200):
             batch = noisy_batch(dep, pose, 10_000, rng)
-            errors.append(np.sum((localize_tags(batch)[1] - truth) ** 2))
+            errors.append(np.sum((_localize(batch)[1] - truth) ** 2))
         rmse = math.sqrt(float(np.mean(errors)))
-        fresh = localize_tags(noisy_batch(dep, pose, 10_000, rng))[1]
+        fresh = _localize(noisy_batch(dep, pose, 10_000, rng))[1]
         assert np.linalg.norm(fresh - truth) < 5.0 * rmse
 
     def test_localize_tags_collects_all(self):
         dep = reference_deployment()
         pose = reference_pose()
-        fixes = localize_tags(noiseless_batch(dep, pose))
+        fixes = _localize(noiseless_batch(dep, pose))
         assert fixes.shape == (dep.num_tags, 2)
         np.testing.assert_allclose(fixes, pose.transform(dep.tags), atol=1e-9)
 
@@ -60,7 +73,7 @@ class TestFitPoseFromFixes:
     def test_exact_fixes_recover_pose(self):
         pose = reference_pose()
         fixes = pose.transform(BODY_TAGS)
-        fitted = fit_pose_from_fixes(fixes, BODY_TAGS)
+        fitted = _fit(fixes, BODY_TAGS)
         assert abs(fitted.theta - pose.theta) <= 1e-9
         np.testing.assert_allclose(fitted.t, pose.t, atol=1e-9)
 
@@ -68,7 +81,7 @@ class TestFitPoseFromFixes:
         pose = reference_pose()
         offset = np.array([0.37, -0.81])
         fixes = pose.transform(BODY_TAGS) + offset
-        fitted = fit_pose_from_fixes(fixes, BODY_TAGS)
+        fitted = _fit(fixes, BODY_TAGS)
         assert abs(fitted.theta - pose.theta) <= 1e-9
         np.testing.assert_allclose(fitted.t, pose.t + offset, atol=1e-9)
 
@@ -76,7 +89,7 @@ class TestFitPoseFromFixes:
         rng = np.random.default_rng(52)
         tags = np.array([[3.0, 0.0], [3.0, 3.0], [0.0, 3.0]])
         fixes = rng.uniform(-10, 10, size=(3, 2))
-        fitted = fit_pose_from_fixes(fixes, tags)
+        fitted = _fit(fixes, tags)
 
         def objective(rot, t):
             return float(np.sum((fixes - tags @ rot.T - t) ** 2))
@@ -92,23 +105,23 @@ class TestFitPoseFromFixes:
         rng = np.random.default_rng(53)
         tags = np.array([[3.0, 0.0], [3.0, 3.0], [0.0, 3.0]])
         fixes = rng.uniform(-10, 10, size=(3, 2))
-        base = fit_pose_from_fixes(fixes, tags)
+        base = _fit(fixes, tags)
         for theta in rng.uniform(0, 2 * math.pi, size=10):
             q = rotation_matrix(theta)
-            turned = fit_pose_from_fixes(fixes @ q.T, tags)
+            turned = _fit(fixes @ q.T, tags)
             np.testing.assert_allclose(turned.rotation, q @ base.rotation, atol=1e-9)
             np.testing.assert_allclose(turned.t, q @ base.t, atol=1e-9)
 
     def test_degenerate_tags_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            fit_pose_from_fixes(np.zeros((2, 2)), [[1.0, 1.0], [2.0, 2.0]])
+            _fit(np.zeros((2, 2)), [[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(DegenerateGeometryError):
-            fit_pose_from_fixes(np.zeros((1, 2)), [[1.0, 1.0]])
+            _fit(np.zeros((1, 2)), [[1.0, 1.0]])
 
     def test_accepts_localize_tags_output(self):
         dep = reference_deployment(dh=0.8)
         pose = reference_pose()
-        fitted = fit_pose_from_fixes(localize_tags(noiseless_batch(dep, pose)), dep.tags)
+        fitted = _fit(_localize(noiseless_batch(dep, pose)), dep.tags)
         assert abs(fitted.theta - pose.theta) <= 1e-9
         np.testing.assert_allclose(fitted.t, pose.t, atol=1e-9)
 
@@ -116,25 +129,21 @@ class TestFitPoseFromFixes:
 class TestEstimateDac:
     def test_noiseless_exact(self):
         pose = reference_pose()
-        report = estimate_dac(noiseless_batch(reference_deployment(), pose))
-        assert report.method.value == "dac"
-        assert abs(report.pose.theta - pose.theta) <= 1e-9
-        np.testing.assert_allclose(report.pose.t, pose.t, atol=1e-9)
+        estimated = estimate(noiseless_batch(reference_deployment(), pose), Method.DAC)
+        assert abs(estimated.theta - pose.theta) <= 1e-9
+        np.testing.assert_allclose(estimated.t, pose.t, atol=1e-9)
 
     def test_refined_variant_applies_gn_step(self):
         rng = np.random.default_rng(54)
         batch = noisy_batch(reference_deployment(sigma=0.1), reference_pose(), 50, rng)
-        plain = estimate_dac(batch, refine=False)
-        refined = estimate_dac(batch, refine=True)
-        assert refined.method.value == "gn-dac"
-        expected = gn_step(batch, plain.pose)
-        assert abs(refined.pose.theta - expected.theta) <= 1e-12
-        np.testing.assert_allclose(refined.pose.t, expected.t, atol=1e-12)
-        assert "gn_us" in refined.timings_us
+        plain = estimate(batch, Method.DAC)
+        refined = estimate(batch, Method.GN_DAC)
+        expected = one_gn_step(batch, plain)
+        assert abs(refined.theta - expected.theta) <= 1e-12
+        np.testing.assert_allclose(refined.t, expected.t, atol=1e-12)
 
     def test_refined_dac_matches_refined_uls_accuracy(self):
         from uwbpose.mc import McConfig, SweepAxis, run_sweep
-        from uwbpose.core import Method
 
         from helpers import reference_sigma_matrix
 
@@ -159,10 +168,10 @@ class TestEstimateDac:
             total = 0.0
             trials = 1000
             for _ in range(trials):
-                report = estimate_dac(noisy_batch(dep, pose, repeat_t, rng))
+                estimated = estimate(noisy_batch(dep, pose, repeat_t, rng), Method.DAC)
                 total += float(
-                    np.sum((report.pose.rotation - pose.rotation) ** 2)
-                    + np.sum((report.pose.t - pose.t) ** 2)
+                    np.sum((estimated.rotation - pose.rotation) ** 2)
+                    + np.sum((estimated.t - pose.t) ** 2)
                 )
             rmse[repeat_t] = math.sqrt(total / trials)
         assert 0.4 <= rmse[200] / rmse[50] <= 0.6

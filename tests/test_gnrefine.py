@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from uwbpose.core import Deployment, Pose2, RangeBatch, ml_cost, predicted_ranges
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
 from uwbpose.errors import DegenerateGeometryError, NearSingularityError
-from uwbpose.gnrefine import build_gn_workspace, estimate_gn_uls, gn_step
-from uwbpose.linstage import estimate_uls
+from uwbpose.estimators import estimate
+from uwbpose.gnrefine import linearize
 
 from helpers import (
+    ml_cost,
     noiseless_batch,
     noisy_batch,
+    one_gn_step,
     random_observable_deployment,
     random_pose,
     reference_deployment,
@@ -25,6 +27,12 @@ def _pose_distance(a: Pose2, b: Pose2) -> float:
     return math.sqrt(
         float(np.sum((a.rotation - b.rotation) ** 2) + np.sum((a.t - b.t) ** 2))
     )
+
+
+def _linearized(dep, pose, row_scale=1.0):
+    """Predicted ranges (N * M,) and (theta, t) Jacobian (N * M, 3) at one pose."""
+    g, _, jac = linearize(dep, np.array([pose.theta]), pose.t[np.newaxis], row_scale)
+    return g[0].reshape(-1), jac[0].reshape(-1, 3)
 
 
 def _fd_jacobian(batch, pose, step=1e-6):
@@ -62,9 +70,9 @@ class TestJacobian:
             pose = random_pose(rng)
             batch = noisy_batch(dep, pose, 1, rng)
             init = Pose2(pose.theta + rng.normal(0, 0.05), pose.t + rng.normal(0, 0.2, 2))
-            ws = build_gn_workspace(batch, init)
+            _, jacobian = _linearized(dep, init)
             fd = _fd_jacobian(batch, init)
-            row_err = np.linalg.norm(ws.jacobian - fd, axis=1)
+            row_err = np.linalg.norm(jacobian - fd, axis=1)
             row_scale = np.maximum(np.linalg.norm(fd, axis=1), 1.0)
             assert np.max(row_err / row_scale) <= 1e-6
 
@@ -74,24 +82,26 @@ class TestJacobian:
             sigma=rng.uniform(0.05, 0.3, size=(2, 3)), dh=rng.uniform(0.2, 2.0, size=(2, 3))
         )
         pose = reference_pose()
-        batch = noiseless_batch(dep, pose, repeat_t=3)
-        ws = build_gn_workspace(batch, pose)
+        predicted, jacobian = _linearized(dep, pose)
+        _, weighted = _linearized(dep, pose, row_scale=1.0 / dep.sigma)
         pairs = dep.num_tags * dep.num_anchors
-        assert ws.jacobian.shape == (pairs, 3)
-        assert ws.predicted.shape == ws.weights.shape == (pairs,)
+        assert jacobian.shape == weighted.shape == (pairs, 3)
+        assert predicted.shape == (pairs,)
         expected = predicted_ranges(dep, pose)
         for i in range(dep.num_tags):
             for m in range(dep.num_anchors):
                 row = i * dep.num_anchors + m
-                assert ws.predicted[row] == pytest.approx(expected[i, m], rel=1e-14)
-                assert ws.weights[row] == pytest.approx(1.0 / dep.sigma[i, m] ** 2, rel=1e-14)
+                assert predicted[row] == pytest.approx(expected[i, m], rel=1e-14)
+                np.testing.assert_allclose(
+                    weighted[row], jacobian[row] / dep.sigma[i, m], rtol=1e-14, atol=0.0
+                )
 
 
 class TestGnStep:
     def test_fixed_point_at_truth(self):
         pose = reference_pose()
         batch = noiseless_batch(reference_deployment(), pose, repeat_t=5)
-        refined = gn_step(batch, pose)
+        refined = one_gn_step(batch, pose)
         assert abs(refined.theta - pose.theta) <= 1e-12
         np.testing.assert_allclose(refined.t, pose.t, atol=1e-12)
 
@@ -100,12 +110,12 @@ class TestGnStep:
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
         batch = noisy_batch(dep, pose, 30, rng)
-        init = estimate_uls(batch).pose
-        refined = gn_step(batch, init)
+        init = estimate(batch, Method.ULS)
+        refined = one_gn_step(batch, init)
         dep_scaled = Deployment(
             anchors=dep.anchors, tags=dep.tags, sigma=7.3 * dep.sigma, dh=dep.dh
         )
-        refined_scaled = gn_step(RangeBatch(dep_scaled, batch.repeat_t, batch.d), init)
+        refined_scaled = one_gn_step(RangeBatch(dep_scaled, batch.repeat_t, batch.d), init)
         assert abs(refined.theta - refined_scaled.theta) <= 1e-12
         np.testing.assert_allclose(refined.t, refined_scaled.t, atol=1e-12)
 
@@ -117,15 +127,15 @@ class TestGnStep:
         trials = 1000
         for _ in range(trials):
             batch = noisy_batch(dep, pose, 100, rng)
-            init = estimate_uls(batch).pose
-            refined = gn_step(batch, init)
+            init = estimate(batch, Method.ULS)
+            refined = one_gn_step(batch, init)
             before = ml_cost(batch, init)
             after = ml_cost(batch, refined)
             if after <= before * (1 + 1e-12):
                 improved += 1
         assert improved >= 0.99 * trials
 
-    def test_proximity_floor_names_offender(self):
+    def test_proximity_floor_raises(self):
         dep = Deployment(
             anchors=[[5.0, 5.0], [20.0, 0.0], [0.0, 20.0]],
             tags=[[5.0, 5.0], [1.0, 0.0]],
@@ -133,17 +143,15 @@ class TestGnStep:
         )
         pose = Pose2(0.0, [0.0, 0.0])  # tag 0 lands exactly on anchor 0
         d = np.maximum(predicted_ranges(dep, pose), 1e-3)[:, :, None]
-        with pytest.raises(NearSingularityError) as excinfo:
-            gn_step(RangeBatch(dep, 1, d), pose)
-        assert excinfo.value.tag_index == 0
-        assert excinfo.value.anchor_index == 0
+        with pytest.raises(NearSingularityError):
+            one_gn_step(RangeBatch(dep, 1, d), pose)
 
     def test_degenerate_geometry_raises(self):
         dep = Deployment(anchors=[[10.0, 0.0]], tags=[[1.0, 0.0]], sigma=0.1)
         pose = Pose2(0.0, [0.0, 0.0])
         batch = noiseless_batch(dep, pose, repeat_t=5)
         with pytest.raises(DegenerateGeometryError):
-            gn_step(batch, pose)
+            one_gn_step(batch, pose)
 
 
 class TestAgainstMlOracle:
@@ -155,36 +163,33 @@ class TestAgainstMlOracle:
         gn_gaps, uls_gaps = [], []
         for _ in range(200):
             batch = noisy_batch(dep, pose, 2, rng)
-            uls_pose = estimate_uls(batch).pose
-            gn_pose = gn_step(batch, uls_pose)
+            closed_form = estimate(batch, Method.ULS)
+            gn_pose = estimate(batch, Method.GN_ULS)
             ml_pose = ml_reference_pose(batch)
             gn_gaps.append(_pose_distance(gn_pose, ml_pose))
-            uls_gaps.append(_pose_distance(uls_pose, ml_pose))
+            uls_gaps.append(_pose_distance(closed_form, ml_pose))
         assert np.mean(gn_gaps) <= 0.1 * np.mean(uls_gaps)
 
 
 class TestEstimateGnUls:
     def test_noiseless_exact(self):
         pose = reference_pose()
-        report = estimate_gn_uls(noiseless_batch(reference_deployment(), pose))
-        assert report.method.value == "gn-uls"
-        assert abs(report.pose.theta - pose.theta) <= 1e-9
-        np.testing.assert_allclose(report.pose.t, pose.t, atol=1e-9)
-        assert set(report.timings_us) == {"linstage_us", "gn_us"}
+        estimated = estimate(noiseless_batch(reference_deployment(), pose), Method.GN_ULS)
+        assert abs(estimated.theta - pose.theta) <= 1e-9
+        np.testing.assert_allclose(estimated.t, pose.t, atol=1e-9)
 
     def test_refinement_does_not_exceed_initial_cost(self):
         rng = np.random.default_rng(45)
         batch = noisy_batch(reference_deployment(sigma=0.1), reference_pose(), 200, rng)
-        uls = estimate_uls(batch)
-        gn = estimate_gn_uls(batch)
-        assert gn.residual_cost <= uls.residual_cost * (1 + 1e-12)
+        uls = estimate(batch, Method.ULS)
+        gn = estimate(batch, Method.GN_ULS)
+        assert ml_cost(batch, gn) <= ml_cost(batch, uls) * (1 + 1e-12)
 
     def test_runtime_scales_like_measurement_count(self):
-        # The O(n) work is the moment pass in RangeBatch construction and
-        # the residual objective, so construction is timed with the estimate.
-        # Below a few 1e5 measurements the fixed per-call cost (small solves,
-        # Python overhead) outweighs it, so the sizes are n = 300000 and
-        # 600000. Interleaved medians: wall-clock noise and allocator warm-up
+        # The O(n) work is the moment pass in RangeBatch construction, so
+        # construction is timed with the estimate. Below a few 1e5
+        # measurements the fixed per-call cost (small solves, Python
+        # overhead) outweighs it, so the sizes are n = 300000 and 600000. Interleaved medians: wall-clock noise and allocator warm-up
         # would otherwise swamp the doubling comparison.
         import time
 
@@ -195,7 +200,7 @@ class TestEstimateGnUls:
         large = noisy_batch(dep, pose, 100_000, rng).d
 
         def construct_and_estimate(d):
-            estimate_gn_uls(RangeBatch(dep, d.shape[2], d))
+            estimate(RangeBatch(dep, d.shape[2], d), Method.GN_ULS)
 
         for _ in range(5):
             construct_and_estimate(small)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from uwbpose.core import Deployment, Pose2, RangeBatch, rotation_matrix
-from uwbpose.estimators import ESTIMATORS
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, rotation_matrix
+from uwbpose.crlb import constrained_crlb, fisher_info
+from uwbpose.estimators import estimate
 from uwbpose.errors import (
     DegenerateProjectionError,
     SingularSystemError,
@@ -14,12 +15,10 @@ from uwbpose.errors import (
 )
 from uwbpose.linstage import (
     GAMMA,
-    build_linear_system,
-    estimate_uls,
+    linear_design,
     project_so2,
-    projected_squared_ranges,
-    rotation_from_y,
     solve_uls,
+    stacked_projected_squared_ranges,
 )
 
 from helpers import (
@@ -31,6 +30,16 @@ from helpers import (
     reference_deployment,
     reference_pose,
 )
+
+
+def _projected(batch):
+    """Projected squared ranges of one batch, shape (N, M)."""
+    return stacked_projected_squared_ranges(batch.deployment, batch.mean_d2[np.newaxis])[0]
+
+
+def _system(batch):
+    """Design ``h`` and right-hand side ``dbar`` of one batch's linear stage."""
+    return linear_design(batch.deployment), _projected(batch).reshape(-1)
 
 
 class TestProjector:
@@ -46,9 +55,9 @@ class TestProjector:
 
     def test_annihilates_ones(self):
         batch = self._batch()
-        system = build_linear_system(batch)
-        blocks_h = system.h.reshape(2, 3, 4)
-        blocks_d = system.dbar.reshape(2, 3)
+        h, dbar = _system(batch)
+        blocks_h = h.reshape(2, 3, 4)
+        blocks_d = dbar.reshape(2, 3)
         np.testing.assert_allclose(blocks_h.sum(axis=1), 0.0, atol=1e-12 * np.abs(blocks_h).max())
         np.testing.assert_allclose(blocks_d.sum(axis=1), 0.0, atol=1e-12 * np.abs(blocks_d).max())
 
@@ -57,76 +66,77 @@ class TestProjector:
         dep = batch.deployment
         proj = np.eye(3) - np.full((3, 3), 1.0 / 3)
         raw = np.mean(batch.d**2, axis=2) - np.sum(dep.anchors**2, axis=1) - dep.sigma**2 - dep.dh**2
-        np.testing.assert_allclose(projected_squared_ranges(batch), raw @ proj, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_projected(batch), raw @ proj, rtol=0, atol=1e-9)
 
 
 class TestBuildLinearSystem:
     def test_gamma_reproduces_rotation_stacking(self):
         for theta in (0.0, 0.4, 2.8):
             y = np.array([math.sin(theta), math.cos(theta)])
-            np.testing.assert_allclose(rotation_from_y(y), rotation_matrix(theta), atol=1e-15)
+            rotation = (GAMMA @ y).reshape(2, 2, order="F")
+            np.testing.assert_allclose(rotation, rotation_matrix(theta), atol=1e-15)
 
     def test_full_rank_on_reference_geometry(self):
         batch = noiseless_batch(reference_deployment(), reference_pose())
-        system = build_linear_system(batch)
-        assert system.h.shape == (6, 4)
-        svals = np.linalg.svd(system.h, compute_uv=False)
-        assert np.linalg.matrix_rank(system.h) == 4
+        h, _ = _system(batch)
+        assert h.shape == (6, 4)
+        svals = np.linalg.svd(h, compute_uv=False)
+        assert np.linalg.matrix_rank(h) == 4
         assert svals[-1] > 1e-6 * svals[0]
 
     def test_rank_deficient_for_collinear_anchors(self):
         dep = Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
         batch = noiseless_batch(dep, reference_pose())
-        system = build_linear_system(batch)
-        assert np.linalg.matrix_rank(system.h) < 4
+        h, _ = _system(batch)
+        assert np.linalg.matrix_rank(h) < 4
 
     def test_requires_three_effective_anchors(self):
         dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=BODY_TAGS, sigma=0.1)
         with pytest.raises(UnderdeterminedDeploymentError):
-            build_linear_system(noiseless_batch(dep, reference_pose()))
+            _system(noiseless_batch(dep, reference_pose()))
 
     @pytest.mark.parametrize("repeat_t", [1, 2, 3])
     def test_two_anchors_underdetermined_at_any_repeat_count(self, repeat_t):
         # Repetitions add identical rows, not rank, so the verdict cannot depend on T.
         dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=BODY_TAGS, sigma=0.1)
         batch = noiseless_batch(dep, reference_pose(), repeat_t=repeat_t)
-        for method, estimate in ESTIMATORS.items():
+        for method in Method:
             with pytest.raises(UnderdeterminedDeploymentError):
-                estimate(batch)
+                estimate(batch, method)
 
     def test_consistency_with_truth_noiseless(self):
         pose = reference_pose()
         batch = noiseless_batch(reference_deployment(sigma=0.7), pose)
-        system = build_linear_system(batch)
+        h, dbar = _system(batch)
         x_true = np.concatenate([[math.sin(pose.theta), math.cos(pose.theta)], pose.t])
-        np.testing.assert_allclose(system.h @ x_true, system.dbar, atol=1e-8)
+        np.testing.assert_allclose(h @ x_true, dbar, atol=1e-8)
 
 
 class TestSolveUls:
     def test_noiseless_reference_exact(self):
         pose = reference_pose()
-        y, t = solve_uls(build_linear_system(noiseless_batch(reference_deployment(), pose)))
+        y, t = solve_uls(*_system(noiseless_batch(reference_deployment(), pose)))
         np.testing.assert_allclose(y, [math.sin(pose.theta), math.cos(pose.theta)], atol=1e-9)
         np.testing.assert_allclose(t, [0.0, 25.0], atol=1e-9)
 
     def test_noiseless_identity_pose(self):
         pose = Pose2(0.0, [0.0, 0.0])
-        y, t = solve_uls(build_linear_system(noiseless_batch(reference_deployment(), pose)))
+        y, t = solve_uls(*_system(noiseless_batch(reference_deployment(), pose)))
         np.testing.assert_allclose(y, [0.0, 1.0], atol=1e-9)
         np.testing.assert_allclose(t, [0.0, 0.0], atol=1e-9)
 
     def test_residual_orthogonal_to_design(self):
         rng = np.random.default_rng(21)
         batch = noisy_batch(reference_deployment(), reference_pose(), 50, rng)
-        system = build_linear_system(batch)
-        y, t = solve_uls(system)
-        residual = system.dbar - system.h @ np.concatenate([y, t])
-        assert np.max(np.abs(system.h.T @ residual)) <= 1e-8 * np.linalg.norm(system.dbar)
+        h, dbar = _system(batch)
+        y, t = solve_uls(h, dbar)
+        residual = dbar - h @ np.concatenate([y, t])
+        assert np.max(np.abs(h.T @ residual)) <= 1e-8 * np.linalg.norm(dbar)
 
     def test_collinear_raises_with_rank(self):
         dep = Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
         with pytest.raises(SingularSystemError) as excinfo:
-            solve_uls(build_linear_system(noiseless_batch(dep, reference_pose())))
+            solve_uls(*_system(noiseless_batch(dep, reference_pose())))
         assert excinfo.value.rank < 4
 
     def test_reordering_anchors_leaves_solution(self):
@@ -134,13 +144,13 @@ class TestSolveUls:
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
         batch = noisy_batch(dep, pose, 20, rng)
-        y0, t0 = solve_uls(build_linear_system(batch))
+        y0, t0 = solve_uls(*_system(batch))
         perm = np.array([2, 0, 1])
         dep_p = Deployment(
             anchors=dep.anchors[perm], tags=dep.tags, sigma=dep.sigma[:, perm], dh=dep.dh[:, perm]
         )
         batch_p = RangeBatch(dep_p, batch.repeat_t, batch.d[:, perm, :])
-        y1, t1 = solve_uls(build_linear_system(batch_p))
+        y1, t1 = solve_uls(*_system(batch_p))
         np.testing.assert_allclose(y0, y1, atol=1e-9)
         np.testing.assert_allclose(t0, t1, atol=1e-9)
 
@@ -149,13 +159,13 @@ class TestSolveUls:
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
         batch = noisy_batch(dep, pose, 20, rng)
-        y0, t0 = solve_uls(build_linear_system(batch))
+        y0, t0 = solve_uls(*_system(batch))
         perm = np.array([1, 0])
         dep_p = Deployment(
             anchors=dep.anchors, tags=dep.tags[perm], sigma=dep.sigma[perm], dh=dep.dh[perm]
         )
         batch_p = RangeBatch(dep_p, batch.repeat_t, batch.d[perm])
-        y1, t1 = solve_uls(build_linear_system(batch_p))
+        y1, t1 = solve_uls(*_system(batch_p))
         np.testing.assert_allclose(y0, y1, atol=1e-9)
         np.testing.assert_allclose(t0, t1, atol=1e-9)
 
@@ -167,14 +177,10 @@ class TestSolveUls:
         dep_right = reference_deployment(sigma=0.1)
         batch = noiseless_batch(dep_right, pose)
         dep_uniform_wrong = reference_deployment(sigma=0.5)
-        y_u, t_u = solve_uls(
-            build_linear_system(RangeBatch(dep_uniform_wrong, 1, batch.d))
-        )
+        y_u, t_u = solve_uls(*_system(RangeBatch(dep_uniform_wrong, 1, batch.d)))
         np.testing.assert_allclose(t_u, pose.t, atol=1e-9)
         dep_varying_wrong = reference_deployment(sigma=[0.1, 0.5, 1.0])
-        y_v, t_v = solve_uls(
-            build_linear_system(RangeBatch(dep_varying_wrong, 1, batch.d))
-        )
+        y_v, t_v = solve_uls(*_system(RangeBatch(dep_varying_wrong, 1, batch.d)))
         assert np.linalg.norm(t_v - pose.t) > 1e-6
 
 
@@ -240,7 +246,7 @@ class TestErrorScalingLaws:
             total = 0.0
             for _ in range(trials):
                 batch = noisy_batch(dep, pose, repeat_t, rng)
-                y, t = solve_uls(build_linear_system(batch))
+                y, t = solve_uls(*_system(batch))
                 total += float(np.sum((y - y_true) ** 2) + np.sum((t - pose.t) ** 2))
             rmse[repeat_t] = math.sqrt(total / trials)
         assert 0.4 <= rmse[200] / rmse[50] <= 0.6
@@ -249,12 +255,9 @@ class TestErrorScalingLaws:
 class TestEstimateUls:
     def test_noiseless_exact(self):
         pose = reference_pose()
-        report = estimate_uls(noiseless_batch(reference_deployment(), pose))
-        assert report.method.value == "uls"
-        assert abs(report.pose.theta - pose.theta) <= 1e-9
-        np.testing.assert_allclose(report.pose.t, pose.t, atol=1e-9)
-        assert report.residual_cost >= 0.0
-        assert "linstage_us" in report.timings_us
+        estimated = estimate(noiseless_batch(reference_deployment(), pose), Method.ULS)
+        assert abs(estimated.theta - pose.theta) <= 1e-9
+        np.testing.assert_allclose(estimated.t, pose.t, atol=1e-9)
 
     def test_error_within_monte_carlo_bound(self):
         dep = reference_deployment(sigma=0.1)
@@ -262,29 +265,25 @@ class TestEstimateUls:
         rng = np.random.default_rng(35)
         errors = []
         for _ in range(200):
-            report = estimate_uls(noisy_batch(dep, pose, 10_000, rng))
+            estimated = estimate(noisy_batch(dep, pose, 10_000, rng), Method.ULS)
             errors.append(
-                np.sum((report.pose.rotation - pose.rotation) ** 2)
-                + np.sum((report.pose.t - pose.t) ** 2)
+                np.sum((estimated.rotation - pose.rotation) ** 2)
+                + np.sum((estimated.t - pose.t) ** 2)
             )
         rmse = math.sqrt(float(np.mean(errors)))
-        fresh = estimate_uls(noisy_batch(dep, pose, 10_000, rng))
+        fresh = estimate(noisy_batch(dep, pose, 10_000, rng), Method.ULS)
         fresh_err = math.sqrt(
-            float(
-                np.sum((fresh.pose.rotation - pose.rotation) ** 2)
-                + np.sum((fresh.pose.t - pose.t) ** 2)
-            )
+            float(np.sum((fresh.rotation - pose.rotation) ** 2) + np.sum((fresh.t - pose.t) ** 2))
         )
         assert fresh_err < 3.0 * rmse
 
     def test_collinear_anchors_raise(self):
         dep = Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
         with pytest.raises(SingularSystemError):
-            estimate_uls(noiseless_batch(dep, reference_pose()))
+            estimate(noiseless_batch(dep, reference_pose()), Method.ULS)
 
-    def test_covariance_attached_on_request(self):
-        report = estimate_uls(
-            noiseless_batch(reference_deployment(), reference_pose()), with_covariance=True
-        )
-        assert report.covariance is not None
-        assert report.covariance.shape == (6, 6)
+    def test_covariance_from_bound_at_estimate(self):
+        batch = noiseless_batch(reference_deployment(), reference_pose())
+        estimated = estimate(batch, Method.ULS)
+        fim = fisher_info(batch.deployment, batch.repeat_t, estimated)
+        assert constrained_crlb(fim, estimated).crlb.shape == (6, 6)

@@ -8,10 +8,11 @@ import pytest
 
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch
 from uwbpose.errors import EstimationError, UnobservableDeploymentError
-from uwbpose.estimators import ESTIMATORS
+from uwbpose.estimators import estimate
 from uwbpose.mc import (
     McConfig,
     SweepAxis,
+    _run_axes,
     _trial_rng,
     run_outlier_stress,
     run_sweep,
@@ -88,6 +89,7 @@ class TestRunSweep:
         for row in result.rows:
             assert row.failures == 0
             assert row.combined_rmse <= 1e-9
+        assert result.metadata["failures_by_error"] == "none"
 
     def test_deterministic_across_threads_and_runs(self):
         config = _small_config()
@@ -137,7 +139,13 @@ class TestRunSweep:
         # closed forms exact, so every Gauss-Newton step meets a zero range;
         # the bound does not exist at that pose either.
         config = _small_config(true_pose=Pose2(0.0, [47.0, 0.0]), noise_scale=0.0, trials=7)
-        for row in run_sweep(config).rows:
+        result = run_sweep(config)
+        assert result.metadata["failures_by_error"] == "; ".join(
+            f"{value} {label} NearSingularityError=7"
+            for value in ("5.0", "20.0")
+            for label in ("gn-uls", "gn-dac")
+        )
+        for row in result.rows:
             assert row.trials == 7
             assert math.isnan(row.sqrt_crlb)
             if row.estimator.startswith("gn-"):
@@ -147,6 +155,21 @@ class TestRunSweep:
             else:
                 assert row.failures == 0
                 assert row.combined_rmse <= 1e-9
+
+    def test_deployment_failure_counts_every_trial(self):
+        # Two anchors pass no estimator; run_sweep would refuse the deployment
+        # before any trial, so the axes are run directly.
+        dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=BODY_TAGS, sigma=0.1)
+        config = _small_config(deployment=dep, axis_values=(5,), trials=3)
+
+        def make_batches(dep, t_eff, rng):
+            return [synthesize_ranges(dep, config.true_pose, t_eff, rng)]
+
+        result = _run_axes(config, 1, ("",), make_batches)
+        assert [row.failures for row in result.rows] == [3, 3, 3, 3]
+        assert result.metadata["failures_by_error"] == "; ".join(
+            f"5.0 {method.value} UnderdeterminedDeploymentError=3" for method in config.estimators
+        )
 
     def test_metadata_carried(self):
         config = _small_config(metadata={"sigma_slot_mapping": "anchor-major"})
@@ -306,8 +329,8 @@ def _stress_draws(config, spike, rate, window=5, v_max=0.5, freq_hz=100.0):
 
 
 def _reference_rows(config, draws):
-    """Per-trial reference: one single-problem estimator call per trial,
-    batch and method, aggregated like a sweep row."""
+    """Per-trial reference: one ``estimate`` call per trial, batch and
+    method, aggregated like a sweep row."""
     rows = []
     rot_true = config.true_pose.rotation
     for axis_index, value in enumerate(config.axis_values):
@@ -320,7 +343,7 @@ def _reference_rows(config, draws):
                 for method in config.estimators:
                     per_trial = errors.setdefault(method.value + prefix, [])
                     try:
-                        pose = ESTIMATORS[method](batch).pose
+                        pose = estimate(batch, method)
                     except EstimationError:
                         per_trial.append(None)
                         continue
@@ -350,7 +373,7 @@ def _assert_rows_match(rows, reference):
 
 class TestStackedMatchesPerTrialLoop:
     """Sweeps estimate every trial of an axis value in one stacked call; each
-    row must equal a loop of single-problem estimator calls."""
+    row must equal a loop of one ``estimate`` call per trial."""
 
     @pytest.mark.parametrize(
         "pose, noise_scale",

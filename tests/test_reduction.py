@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbpose.core import Deployment, RangeBatch
-from uwbpose.estimators import ESTIMATORS
+from uwbpose.core import Deployment, Method, RangeBatch
+from uwbpose.estimators import estimate
 
 from helpers import noisy_batch, random_observable_deployment, random_pose
 
@@ -46,7 +46,7 @@ def test_moment_and_raw_paths_agree(seed, repeat_t):
     )
     batch = noisy_batch(dep, random_pose(rng), repeat_t, rng)
     raw = _tiled_raw_batch(batch)
-    for method, estimate in ESTIMATORS.items():
-        reduced, expanded = estimate(batch).pose, estimate(raw).pose
+    for method in Method:
+        reduced, expanded = estimate(batch, method), estimate(raw, method)
         assert abs(math.remainder(reduced.theta - expanded.theta, 2 * math.pi)) <= 1e-10, method
         np.testing.assert_allclose(reduced.t, expanded.t, rtol=0, atol=1e-10, err_msg=method.value)
