@@ -15,12 +15,11 @@ from .core import (
     RangeBatch,
     check_observability,
     predicted_ranges,
-    rotation_angle,
     rotation_matrix,
     wrap_angle,
     wrap_angles,
 )
-from .crlb import CrlbResult, FisherInfo, constrained_crlb, fisher_info
+from .crlb import CrlbResult, constrained_crlb, fisher_info
 from .dac import stacked_dac, stacked_fit_poses, stacked_localize_tags
 from .errors import (
     DegenerateGeometryError,
@@ -38,7 +37,7 @@ from .errors import (
 from .estimators import estimate, estimate_stacked
 from .gnrefine import stacked_gn_step
 from .linstage import project_so2, solve_uls, stacked_uls
-from .mc import McConfig, McResult, McRow, SweepAxis, run_outlier_stress, run_sweep, synthesize_ranges
+from .mc import McConfig, McResult, McRow, SweepAxis, run_sweep, synthesize_ranges
 from .preprocess import (
     BiasModel,
     EpochPolicy,
@@ -48,7 +47,6 @@ from .preprocess import (
     RangeLog,
     align_and_batch,
     calibrate_bias,
-    estimate_sigma,
     reject_outliers,
 )
 

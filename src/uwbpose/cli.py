@@ -55,39 +55,24 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bounded(kind, low=None, above: bool = False):
+    """argparse type for a finite ``kind`` (int or float) that is at least
+    ``low``, or above it with ``above``; any finite value when ``low`` is
+    None. argparse prefixes the message with the flag."""
+    name = "an integer" if kind is int else "a finite number"
+    if low is not None:
+        name += f" {'above' if above else 'at least'} {low}"
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and (low is None or value > low or (value == low and not above)):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {name}, got {text}")
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
-    return value
+    return parse
 
 
 def _cmd_simulate(args) -> int:
@@ -103,7 +88,7 @@ def _cmd_simulate(args) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
 
-    result = mc.run_sweep(config, threads=args.threads)
+    result = mc.run_sweep(config)
 
     buffer = io.StringIO()
     mc.write_csv(result, buffer, include_timing=args.timing)
@@ -233,15 +218,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Planar pose estimation from anchor-to-tag range measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive_int, positive_float = _bounded(int, 1), _bounded(float, 0, above=True)
 
     sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep from a scenario file")
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--seed", type=_nonnegative_int, default=None, help="override the scenario seed")
+    sim.add_argument("--seed", type=_bounded(int, 0), default=None, help="override the scenario seed")
     sim.add_argument(
-        "--threads", type=_positive_int, default=1, help="threads for the per-trial range draws"
+        "--threads",
+        type=positive_int,
+        default=1,
+        help="accepted for compatibility, no effect; draws are serial",
     )
-    sim.add_argument("--trials", type=_positive_int, default=None, help="override the scenario trial count")
+    sim.add_argument("--trials", type=positive_int, default=None, help="override the scenario trial count")
     sim.add_argument(
         "--timing",
         action="store_true",
@@ -251,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     crlb_p = sub.add_parser("crlb", help="print the lower bound for a scenario")
     crlb_p.add_argument("--scenario", required=True)
-    crlb_p.add_argument("--repeat-t", dest="repeat_t", type=_positive_int, default=None)
+    crlb_p.add_argument("--repeat-t", dest="repeat_t", type=positive_int, default=None)
     crlb_p.set_defaults(func=_cmd_crlb)
 
     est = sub.add_parser("estimate", help="estimate poses from a range log")
@@ -261,22 +250,22 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--truth", default=None)
     est.add_argument("--method", choices=[m.value for m in Method], default=Method.GN_ULS.value)
     est.add_argument("--bias", default=None, help="bias model file from the calibrate command")
-    est.add_argument("--yaw-offset-deg", type=_finite_float, default=0.0)
-    est.add_argument("--freq", type=_positive_float, default=100.0, help="ranging frequency in Hz")
-    est.add_argument("--rate", type=_positive_float, default=None, help="estimation rate in Hz")
+    est.add_argument("--yaw-offset-deg", type=_bounded(float), default=0.0)
+    est.add_argument("--freq", type=positive_float, default=100.0, help="ranging frequency in Hz")
+    est.add_argument("--rate", type=positive_float, default=None, help="estimation rate in Hz")
     est.add_argument(
         "--max-gap",
-        type=_nonnegative_float,
+        type=_bounded(float, 0),
         default=3.0,
         help="drop epochs with gaps beyond this many periods",
     )
     est.add_argument(
-        "--vmax", type=_positive_float, default=1.0, help="velocity bound for outlier rejection, m/s"
+        "--vmax", type=positive_float, default=1.0, help="velocity bound for outlier rejection, m/s"
     )
-    est.add_argument("--window", type=_positive_int, default=5, help="outlier rejection window length")
+    est.add_argument("--window", type=positive_int, default=5, help="outlier rejection window length")
     est.add_argument(
         "--gn-iterations",
-        type=_positive_int,
+        type=positive_int,
         default=1,
         help="diagnostic only: Gauss-Newton steps for gn methods, at least 1",
     )
@@ -287,9 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--truth", required=True)
     cal.add_argument("--deployment", required=True)
     cal.add_argument("--out", required=True)
-    cal.add_argument("--freq", type=_positive_float, default=100.0)
-    cal.add_argument("--vmax", type=_positive_float, default=1.0)
-    cal.add_argument("--window", type=_positive_int, default=5)
+    cal.add_argument("--freq", type=positive_float, default=100.0)
+    cal.add_argument("--vmax", type=positive_float, default=1.0)
+    cal.add_argument("--window", type=positive_int, default=5)
     cal.set_defaults(func=_cmd_calibrate)
 
     return parser

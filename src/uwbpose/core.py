@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,12 +51,6 @@ def rotation_matrix(theta: float) -> np.ndarray:
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def rotation_angle(rot: np.ndarray) -> float:
-    """Angle in [0, 2*pi) recovered from a rotation matrix."""
-    rot = np.asarray(rot, dtype=float)
-    return wrap_angle(math.atan2(rot[1, 0], rot[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -154,50 +148,44 @@ class Deployment:
 
 @dataclass(frozen=True)
 class RangeBatch:
-    """One estimation problem's measurements, indexed (tag, anchor, repetition).
+    """One estimation problem's measurements, reduced to per-pair moments.
 
-    Repeated ranging is stored as the third index. ``T`` repetitions of ``M``
-    anchors behave like ``M_T = M * T`` anchors, so ``n = N * M * T``. Every
+    ``d`` is indexed (tag, anchor, repetition). ``T`` repetitions of ``M``
+    anchors behave like ``M * T`` anchors, so ``n = N * M * T``. Every
     estimator depends on the repetitions only through ``T`` and the per-pair
     moments ``mean_d`` and ``mean_d2`` (both (N, M), read-only), which are
-    computed once here. Measurements must be finite; sign is not checked
-    here because synthetic sweeps keep raw Gaussian draws, while real logs
-    reject negative ranges at ingestion.
+    computed once here; the raw ranges are not kept. Measurements must be
+    finite; sign is not checked here because synthetic sweeps keep raw
+    Gaussian draws, while real logs reject negative ranges at ingestion.
     """
 
     deployment: Deployment
     repeat_t: int
-    d: np.ndarray
+    d: InitVar[np.ndarray]
     mean_d: np.ndarray = field(init=False, repr=False, compare=False)
     mean_d2: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, d):
         t = int(self.repeat_t)
         if t < 1:
             raise ValueError("repeat_t must be >= 1")
         expected = (self.deployment.num_tags, self.deployment.num_anchors, t)
-        d = np.asarray(self.d, dtype=float)
+        d = np.asarray(d, dtype=float)
         if d.shape != expected:
             raise ValueError(f"d must have shape {expected}, got {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("measurements must be finite")
-        d = d.copy()
         mean_d = d.mean(axis=2)
         mean_d2 = np.einsum("nmt,nmt->nm", d, d) / t
-        for name, arr in (("d", d), ("mean_d", mean_d), ("mean_d2", mean_d2)):
+        for name, arr in (("mean_d", mean_d), ("mean_d2", mean_d2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "repeat_t", t)
 
     @property
-    def m_t(self) -> int:
-        """Effective anchor count M * T."""
-        return self.deployment.num_anchors * self.repeat_t
-
-    @property
     def n(self) -> int:
         """Total measurement count N * M * T."""
-        return self.deployment.num_tags * self.m_t
+        return self.deployment.num_tags * self.deployment.num_anchors * self.repeat_t
 
 
 class PoseStack(NamedTuple):

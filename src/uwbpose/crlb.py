@@ -4,7 +4,8 @@ The parameter vector is ``Theta = (vec(R), t)`` in R^6. For independent
 Gaussian range noise the information matrix is a sum of rank-one terms built
 from the anchor-to-tag direction vectors; imposing the rotation constraint
 restricts the bound to the orthonormal null space of the constraint
-Jacobian, giving ``CRLB = U (U^T F U)^{-1} U^T``.
+Jacobian, giving ``CRLB = U (U^T F U)^{-1} U^T``. ``fisher_info`` returns
+F as a plain 6x6 array and ``constrained_crlb`` takes it with the pose.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ _IDENTITY_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class FisherInfo:
-    """6x6 information matrix for (vec(R), t), with the pose it was built at."""
-
-    matrix: np.ndarray
-    evaluated_at: Pose2
-
-
-@dataclass(frozen=True)
 class CrlbResult:
     """Constrained lower bound and its trace statistics.
 
@@ -45,8 +38,8 @@ class CrlbResult:
     translation_block_trace: float
 
 
-def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> FisherInfo:
-    """Information matrix for ``repeat_t`` ranging rounds at a given pose.
+def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> np.ndarray:
+    """6x6 information matrix for ``repeat_t`` ranging rounds at a given pose.
 
     Each (tag, anchor) pair contributes
     ``(sbar_i (x) I2) q q^T (sbar_i (x) I2)^T / (sigma^2 (|q|^2 + dh^2))``
@@ -71,8 +64,7 @@ def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> FisherInf
     b = b.transpose(0, 2, 1, 3).reshape(deployment.num_tags, deployment.num_anchors, 6)
     inv_denom = 1.0 / (deployment.sigma**2 * sq_dist)
     f = np.einsum("nma,nmb,nm->ab", b, b, inv_denom) * float(repeat_t)
-    f = 0.5 * (f + f.T)
-    return FisherInfo(matrix=f, evaluated_at=pose)
+    return 0.5 * (f + f.T)
 
 
 def constraint_jacobian(rot: np.ndarray) -> np.ndarray:
@@ -104,8 +96,9 @@ def nullspace_basis(rot: np.ndarray) -> np.ndarray:
     return u
 
 
-def constrained_crlb(fi: FisherInfo, pose: Pose2) -> CrlbResult:
-    """Lower bound on unbiased (vec(R), t) covariance under the rotation constraint."""
+def constrained_crlb(info: np.ndarray, pose: Pose2) -> CrlbResult:
+    """Lower bound on unbiased (vec(R), t) covariance under the rotation
+    constraint, from the 6x6 information matrix ``info`` at ``pose``."""
     rot = pose.rotation
     jac = constraint_jacobian(rot)
     u = nullspace_basis(rot)
@@ -113,7 +106,7 @@ def constrained_crlb(fi: FisherInfo, pose: Pose2) -> CrlbResult:
         raise RuntimeError("null-space basis does not annihilate the constraint Jacobian")
     if np.max(np.abs(u.T @ u - np.eye(3))) > _IDENTITY_CHECK_TOL:
         raise RuntimeError("null-space basis is not orthonormal")
-    reduced = u.T @ fi.matrix @ u
+    reduced = u.T @ info @ u
     svals = np.linalg.svd(reduced, compute_uv=False)
     if svals[-1] <= svals[0] * 1e-12 or svals[0] == 0.0:
         raise UnobservableAtPoseError(

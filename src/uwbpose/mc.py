@@ -1,13 +1,12 @@
-"""Monte-Carlo harness: sweeps, RMSE-versus-bound tables, stress tests.
+"""Monte-Carlo harness: sweeps and RMSE-versus-bound tables.
 
 Every trial draws its noise from a counter-based generator keyed by (seed,
 axis index, trial index) and is reduced at once to its per-pair range
-moments. Each estimator then runs once per axis value over the stacked
-moments of all trials, and aggregation is by trial index, so results are
-bit-identical for a fixed seed regardless of run order or thread count;
-threads only parallelize the draws. Wall-clock timings are the one
-exception: ``mean_time_s`` is the stacked call's wall time divided by the
-trial count, reported but inherently nondeterministic.
+moments; the draws run serially. Each estimator then runs once per axis
+value over the stacked moments of all trials, and aggregation is by trial
+index, so results are bit-identical for a fixed seed. Wall-clock timings are
+the one exception: ``mean_time_s`` is the stacked call's wall time divided
+by the trial count, reported but inherently nondeterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import csv
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +29,6 @@ from .core import (
 from .crlb import constrained_crlb, fisher_info
 from .errors import EstimationError, Status, UnobservableDeploymentError
 from .estimators import estimate_stacked
-from .preprocess import REJECTION_BOUND_M, flag_stream, interpolate_flagged
 
 
 class SweepAxis(str, enum.Enum):
@@ -46,9 +43,11 @@ class SweepAxis(str, enum.Enum):
 class McConfig:
     """Scenario definition for a sweep.
 
-    ``axis_values`` must be positive and increasing. For anchor-count sweeps
-    new anchors are placed uniformly on ``anchor_rect`` and the deployment's
-    sigma and dh must be uniform so they extend to the new anchors.
+    ``axis_values`` must be positive and increasing, and integers for the
+    ``repeat_t`` and ``anchor_count`` axes. For anchor-count sweeps every
+    value must be at least 3, new anchors are placed uniformly on
+    ``anchor_rect`` and the deployment's sigma and dh must be uniform so they
+    extend to the new anchors.
     ``noise_scale`` multiplies the synthesized noise only; estimators keep
     using the deployment's configured sigma (0 gives noiseless batches).
     """
@@ -75,7 +74,16 @@ class McConfig:
             raise ValueError("axis values must be positive")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("axis values must be strictly increasing")
+        if self.axis is not SweepAxis.NOISE_SIGMA and not all(v.is_integer() for v in values):
+            raise ValueError(f"{self.axis.value} axis values must be integers")
+        if self.axis is SweepAxis.ANCHOR_COUNT:
+            if values[0] < 3:
+                raise ValueError("anchor-count sweep values must be >= 3")
+            if np.ptp(self.deployment.sigma) != 0.0 or np.ptp(self.deployment.dh) != 0.0:
+                raise ValueError("anchor-count sweeps require uniform sigma and dh")
         object.__setattr__(self, "axis_values", values)
+        if self.repeat_t < 1:
+            raise ValueError("repeat_t must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -131,21 +139,13 @@ def synthesize_ranges(
 def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int]:
     """Deployment and repetition count effective at one axis value."""
     value = config.axis_values[axis_index]
-    if config.axis is SweepAxis.REPEAT_T:
-        return config.deployment, int(round(value))
-    if config.axis is SweepAxis.NOISE_SIGMA:
-        dep = config.deployment
-        return (
-            Deployment(anchors=dep.anchors, tags=dep.tags, sigma=float(value), dh=dep.dh),
-            config.repeat_t,
-        )
-    # ANCHOR_COUNT: uniform sigma/dh extend to the generated anchors.
     dep = config.deployment
-    target = int(round(value))
-    if target < 3:
-        raise ValueError("anchor-count sweep values must be >= 3")
-    if np.ptp(dep.sigma) != 0.0 or np.ptp(dep.dh) != 0.0:
-        raise ValueError("anchor-count sweeps require uniform sigma and dh")
+    if config.axis is SweepAxis.REPEAT_T:
+        return dep, int(value)
+    if config.axis is SweepAxis.NOISE_SIGMA:
+        return Deployment(anchors=dep.anchors, tags=dep.tags, sigma=value, dh=dep.dh), config.repeat_t
+    # ANCHOR_COUNT: uniform sigma/dh extend to the generated anchors.
+    target = int(value)
     if target <= dep.num_anchors:
         anchors = dep.anchors[:target]
     else:
@@ -167,16 +167,13 @@ def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int]:
     )
 
 
-def _run_axis(
-    config: McConfig, axis_index: int, threads: int, prefixes: tuple[str, ...], make_batches
-) -> tuple[list[McRow], list[str]]:
-    """Run all trials at one axis value and aggregate per estimator label.
+def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]]:
+    """Run all trials at one axis value and aggregate per estimator.
 
-    ``make_batches(dep, t, rng)`` returns one trial's range arrays, one per
-    label prefix in ``prefixes``. Each draw is reduced at once to its
-    per-pair moments; every estimator then runs once per prefix over the
-    stacked moments of all trials. Returns the rows and, for each row with
-    failures, an entry ``"<axis value> <label> <Error>=<count> ..."``.
+    Each trial's draw is reduced at once to its per-pair moments; every
+    estimator then runs once over the stacked moments of all trials.
+    Returns the rows and, for each row with failures, an entry
+    ``"<axis value> <estimator> <Error>=<count> ..."``.
     """
     dep, t_eff = _axis_setup(config, axis_index)
     pose = config.true_pose
@@ -186,78 +183,76 @@ def _run_axis(
         bound = float("nan")
 
     trials = config.trials
-    # mean_d and mean_d2 of every prefix's batch in every trial.
-    moments = np.empty((len(prefixes), 2, trials, dep.num_tags, dep.num_anchors))
-
-    def draw(trial: int) -> None:
+    # mean_d and mean_d2 of every trial's batch.
+    moments = np.empty((2, trials, dep.num_tags, dep.num_anchors))
+    for trial in range(trials):
         rng = _trial_rng(config.seed, axis_index, trial)
-        for variant, d in enumerate(make_batches(dep, t_eff, rng)):
-            batch = RangeBatch(dep, t_eff, d)
-            moments[variant, :, trial] = batch.mean_d, batch.mean_d2
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(draw, range(trials)))
-    else:
-        for trial in range(trials):
-            draw(trial)
+        d = synthesize_ranges(dep, pose, t_eff, rng, config.noise_scale)
+        batch = RangeBatch(dep, t_eff, d)
+        moments[:, trial] = batch.mean_d, batch.mean_d2
+    mean_d, mean_d2 = moments
 
     cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
     value = config.axis_values[axis_index]
     rows, failures = [], []
-    for prefix, (mean_d, mean_d2) in zip(prefixes, moments):
-        for method in config.estimators:
-            start = time.perf_counter()
-            try:
-                poses = estimate_stacked(dep, mean_d, mean_d2, method)
-            except EstimationError as exc:  # the deployment itself fails every trial alike
-                poses, errors = None, {type(exc).__name__: trials}
-            elapsed = time.perf_counter() - start
-            ok = np.zeros(trials, dtype=bool) if poses is None else poses.status == 0
-            count = int(ok.sum())
-            if poses is not None:
-                codes, counts = np.unique(poses.status[~ok], return_counts=True)
-                errors = {Status(c).error.__name__: n for c, n in zip(codes.tolist(), counts.tolist())}
-            if count:
-                # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
-                theta = poses.theta[ok]
-                d_cos, d_sin = np.cos(theta) - cos_true, np.sin(theta) - sin_true
-                rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
-                trans_sq = np.sum((poses.t[ok] - pose.t) ** 2, axis=1)
-                rot = float(np.sqrt(np.sum(rot_sq) / count))
-                trans = float(np.sqrt(np.sum(trans_sq) / count))
-                combined = float(np.hypot(rot, trans))
-                mean_time = elapsed / trials
-            else:
-                rot = trans = combined = mean_time = float("nan")
-            if errors:
-                kinds = " ".join(f"{name}={n}" for name, n in sorted(errors.items()))
-                failures.append(f"{value!r} {method.value + prefix} {kinds}")
-            rows.append(
-                McRow(
-                    axis_value=value,
-                    estimator=method.value + prefix,
-                    rotation_rmse=rot,
-                    translation_rmse=trans,
-                    combined_rmse=combined,
-                    sqrt_crlb=bound,
-                    mean_time_s=mean_time,
-                    failures=trials - count,
-                    trials=trials,
-                )
+    for method in config.estimators:
+        start = time.perf_counter()
+        try:
+            poses = estimate_stacked(dep, mean_d, mean_d2, method)
+        except EstimationError as exc:  # the deployment itself fails every trial alike
+            poses, errors = None, {type(exc).__name__: trials}
+        elapsed = time.perf_counter() - start
+        ok = np.zeros(trials, dtype=bool) if poses is None else poses.status == 0
+        count = int(ok.sum())
+        if poses is not None:
+            codes, counts = np.unique(poses.status[~ok], return_counts=True)
+            errors = {Status(c).error.__name__: n for c, n in zip(codes.tolist(), counts.tolist())}
+        if count:
+            # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
+            theta = poses.theta[ok]
+            d_cos, d_sin = np.cos(theta) - cos_true, np.sin(theta) - sin_true
+            rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
+            trans_sq = np.sum((poses.t[ok] - pose.t) ** 2, axis=1)
+            rot = float(np.sqrt(np.sum(rot_sq) / count))
+            trans = float(np.sqrt(np.sum(trans_sq) / count))
+            combined = float(np.hypot(rot, trans))
+            mean_time = elapsed / trials
+        else:
+            rot = trans = combined = mean_time = float("nan")
+        if errors:
+            kinds = " ".join(f"{name}={n}" for name, n in sorted(errors.items()))
+            failures.append(f"{value!r} {method.value} {kinds}")
+        rows.append(
+            McRow(
+                axis_value=value,
+                estimator=method.value,
+                rotation_rmse=rot,
+                translation_rmse=trans,
+                combined_rmse=combined,
+                sqrt_crlb=bound,
+                mean_time_s=mean_time,
+                failures=trials - count,
+                trials=trials,
             )
+        )
     return rows, failures
 
 
-def _run_axes(config: McConfig, threads: int, prefixes: tuple[str, ...], make_batches) -> McResult:
-    """``_run_axis`` over every axis value, with the sweep's metadata.
+def run_sweep(config: McConfig) -> McResult:
+    """Synthesize, estimate, and aggregate over every axis value.
 
-    ``failures_by_error`` lists the failure counts per error class of every
-    row with failures, in row order, or is ``none``.
+    Refuses unobservable deployments before running any trial. Per-trial
+    estimator failures are recorded, excluded from the RMSE, and reported in
+    the ``failures`` column and, by error class, in the
+    ``failures_by_error`` metadata: one entry per row with failures, in row
+    order, or ``none``.
     """
+    verdict = check_observability(config.deployment)
+    if not verdict:
+        raise UnobservableDeploymentError(verdict.reason)
     rows, failures = [], []
     for axis_index in range(len(config.axis_values)):
-        axis_rows, axis_failures = _run_axis(config, axis_index, threads, prefixes, make_batches)
+        axis_rows, axis_failures = _run_axis(config, axis_index)
         rows.extend(axis_rows)
         failures.extend(axis_failures)
     meta = dict(config.metadata)
@@ -271,67 +266,6 @@ def _run_axes(config: McConfig, threads: int, prefixes: tuple[str, ...], make_ba
         }
     )
     return McResult(rows=rows, metadata=meta)
-
-
-def run_sweep(config: McConfig, threads: int = 1) -> McResult:
-    """Synthesize, estimate, and aggregate over every axis value.
-
-    Refuses unobservable deployments before running any trial. Per-trial
-    estimator failures are recorded, excluded from the RMSE, and reported in
-    the ``failures`` column and, by error class, in the
-    ``failures_by_error`` metadata.
-    """
-    verdict = check_observability(config.deployment)
-    if not verdict:
-        raise UnobservableDeploymentError(verdict.reason)
-
-    def make_batches(dep, t_eff, rng):
-        return [synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)]
-
-    return _run_axes(config, threads, ("",), make_batches)
-
-
-def run_outlier_stress(
-    config: McConfig,
-    spike: float,
-    rate: float,
-    threads: int = 1,
-    window: int = 5,
-    v_max: float = 0.5,
-    freq_hz: float = 100.0,
-) -> McResult:
-    """Sweep with positive range spikes injected at the given rate.
-
-    Every estimator runs twice per trial: on the spiked batch directly and
-    after the sliding-window rejection filter (rows labelled ``+filter``).
-    The filter treats each (tag, anchor) repetition stream as a time series
-    at ``freq_hz``.
-    """
-    if not 0.0 <= rate <= 0.2:
-        raise ValueError("outlier rate must be in [0, 0.2]")
-    if spike < 0.0:
-        raise ValueError("spike must be nonnegative")
-    verdict = check_observability(config.deployment)
-    if not verdict:
-        raise UnobservableDeploymentError(verdict.reason)
-
-    slack = window * v_max / freq_hz + REJECTION_BOUND_M
-
-    def make_batches(dep, t_eff, rng):
-        d = synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)
-        spiked = d + spike * (rng.random(d.shape) < rate)
-        stamps = np.arange(t_eff) / freq_hz
-        filtered = spiked.copy()
-        for i in range(dep.num_tags):
-            for m in range(dep.num_anchors):
-                flags = flag_stream(filtered[i, m], window, slack)
-                if flags.any():
-                    filtered[i, m] = interpolate_flagged(stamps, filtered[i, m], flags)
-        return [spiked, filtered]
-
-    result = _run_axes(config, threads, ("", "+filter"), make_batches)
-    result.metadata.update({"spike_m": repr(float(spike)), "spike_rate": repr(float(rate))})
-    return result
 
 
 CSV_HEADER = [

@@ -2,10 +2,9 @@
 
 Raw range logs carry (timestamp, anchor id, tag id, range) records at a
 nominal frequency. The pipeline rejects spikes with a causal sliding-window
-rule, fits a linear distance-dependent bias against ground truth, estimates
-the noise level from quiescent data, and finally aligns the de-biased
-streams into one (epochs, tags, anchors) range array ready for the stacked
-estimators.
+rule, fits a linear distance-dependent bias against ground truth, and
+finally aligns the de-biased streams into one (epochs, tags, anchors) range
+array ready for the stacked estimators.
 """
 
 from __future__ import annotations
@@ -340,11 +339,6 @@ class BiasModel:
             return self.per_pair[key]
         return self.alpha, self.beta
 
-    def apply(self, true_range, key=None):
-        """Map true ranges to expected measured ranges."""
-        alpha, beta = self.coefficients(key)
-        return np.asarray(true_range, dtype=float) * (1.0 + alpha) + beta
-
     def remove(self, measured, key=None):
         """Invert the linear model: subtract ``alpha*d/(1+alpha) + beta/(1+alpha)``."""
         alpha, beta = self.coefficients(key)
@@ -455,26 +449,6 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
         sigma=rms if rms > 0 else np.finfo(float).tiny,
         residual_rms=rms,
     )
-
-
-def estimate_sigma(log: RangeLog, window: tuple[float, float]) -> float:
-    """Pooled noise standard deviation from a quiescent time window.
-
-    Computes the sample standard deviation per stream and pools them as the
-    root mean square. Every stream must contribute at least 30 samples.
-    """
-    t0, t1 = float(window[0]), float(window[1])
-    variances = []
-    for key, indices in log.streams().items():
-        selected = log.range_m[indices][(log.t[indices] >= t0) & (log.t[indices] <= t1)]
-        if selected.size < 30:
-            raise InsufficientDataError(
-                f"stream {key} has {selected.size} samples in the window, need 30"
-            )
-        variances.append(float(np.var(selected, ddof=1)))
-    if not variances:
-        raise InsufficientDataError("log has no streams")
-    return float(np.sqrt(np.mean(variances)))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,8 @@ def load_scenario(path) -> Scenario:
     true_pose = _parse_pose(raw["true_pose"])
     repeat_t = int(raw.get("repeat_t", 1))
     seed = int(raw.get("seed", 0))
+    if repeat_t < 1:
+        raise SchemaError(f"{path}: repeat_t must be >= 1, got {repeat_t}")
 
     config = None
     if "sweep" in raw:

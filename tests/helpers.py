@@ -27,9 +27,27 @@ def reference_pose() -> Pose2:
     return Pose2(np.deg2rad(60.0), [0.0, 25.0])
 
 
+def noiseless_ranges(dep: Deployment, pose: Pose2, repeat_t: int = 1) -> np.ndarray:
+    """Noise-free (N, M, T) ranges: the predicted ranges, repeated."""
+    return np.repeat(predicted_ranges(dep, pose)[:, :, None], repeat_t, axis=2)
+
+
 def noiseless_batch(dep: Deployment, pose: Pose2, repeat_t: int = 1) -> RangeBatch:
+    return RangeBatch(dep, repeat_t, noiseless_ranges(dep, pose, repeat_t))
+
+
+def noisy_ranges(
+    dep: Deployment,
+    pose: Pose2,
+    repeat_t: int,
+    rng: np.random.Generator,
+    noise_scale: float = 1.0,
+) -> np.ndarray:
+    """(N, M, T) ranges with independent Gaussian noise of deviation sigma."""
     clean = predicted_ranges(dep, pose)
-    return RangeBatch(dep, repeat_t, np.repeat(clean[:, :, None], repeat_t, axis=2))
+    shape = (dep.num_tags, dep.num_anchors, repeat_t)
+    noise = noise_scale * dep.sigma[:, :, None] * rng.standard_normal(shape)
+    return clean[:, :, None] + noise
 
 
 def noisy_batch(
@@ -39,10 +57,7 @@ def noisy_batch(
     rng: np.random.Generator,
     noise_scale: float = 1.0,
 ) -> RangeBatch:
-    clean = predicted_ranges(dep, pose)
-    shape = (dep.num_tags, dep.num_anchors, repeat_t)
-    noise = noise_scale * dep.sigma[:, :, None] * rng.standard_normal(shape)
-    return RangeBatch(dep, repeat_t, clean[:, :, None] + noise)
+    return RangeBatch(dep, repeat_t, noisy_ranges(dep, pose, repeat_t, rng, noise_scale))
 
 
 def random_observable_deployment(
@@ -79,16 +94,16 @@ def random_pose(rng: np.random.Generator) -> Pose2:
     return Pose2(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(10.0, 40.0, size=2))
 
 
-def ml_cost(batch: RangeBatch, pose: Pose2) -> float:
-    """Weighted squared range-residual objective at a pose.
+def ml_cost(dep: Deployment, d: np.ndarray, pose: Pose2) -> float:
+    """Weighted squared range-residual objective of raw (N, M, T) ranges.
 
     Sum over all measurements of ``(d - predicted)^2 / sigma^2``. Zero
-    exactly when the batch is noiseless and the pose is the truth.
+    exactly when the ranges are noiseless and the pose is the truth.
     """
-    pred = predicted_ranges(batch.deployment, pose)
-    squares = np.subtract(batch.d, pred[:, :, np.newaxis])  # the one n-sized buffer
+    pred = predicted_ranges(dep, pose)
+    squares = np.subtract(d, pred[:, :, np.newaxis])  # the one n-sized buffer
     np.square(squares, out=squares)
-    weights = 1.0 / batch.deployment.sigma**2
+    weights = 1.0 / dep.sigma**2
     return float(np.vdot(squares.sum(axis=2), weights))
 
 

@@ -13,22 +13,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from uwbpose.core import Method, Pose2, RangeBatch, wrap_angle
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, wrap_angle
 from uwbpose.estimators import estimate
 
 _FD_STEP = 1e-6
 
 
-def _weighted_residuals(batch: RangeBatch, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Residuals (d - predicted)/sigma for a batch of candidate poses.
+def _weighted_residuals(
+    dep: Deployment, d: np.ndarray, thetas: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """Residuals (d - predicted)/sigma of raw (N, M, T) ranges for a batch of
+    candidate poses.
 
     ``thetas`` is (S,), ``ts`` is (S, 2); returns (S, n).
     """
-    dep = batch.deployment
-    t_rep = batch.repeat_t
+    t_rep = d.shape[2]
     # Every raw measurement as its own column, rep * M + m, with the anchor,
     # sigma and dh it was taken with.
-    measured = batch.d.transpose(0, 2, 1).reshape(dep.num_tags, -1)
+    measured = d.transpose(0, 2, 1).reshape(dep.num_tags, -1)
     sigma = np.tile(dep.sigma, (1, t_rep))
     dh = np.tile(dep.dh, (1, t_rep))
     anchors = np.tile(dep.anchors, (t_rep, 1))
@@ -43,22 +45,25 @@ def _weighted_residuals(batch: RangeBatch, thetas: np.ndarray, ts: np.ndarray) -
     return residuals.reshape(residuals.shape[0], -1)
 
 
-def _costs(batch: RangeBatch, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    r = _weighted_residuals(batch, thetas, ts)
+def _costs(dep: Deployment, d: np.ndarray, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    r = _weighted_residuals(dep, d, thetas, ts)
     return np.einsum("sn,sn->s", r, r)
 
 
-def ml_reference_pose(batch: RangeBatch, n_starts: int = 36, max_iter: int = 150) -> Pose2:
-    """Best local minimum of the weighted range objective over many starts.
+def ml_reference_pose(
+    dep: Deployment, d: np.ndarray, n_starts: int = 36, max_iter: int = 150
+) -> Pose2:
+    """Best local minimum of the weighted range objective of raw (N, M, T)
+    ranges ``d`` over many starts.
 
     Seeds: evenly spaced angles crossed with the closed-form translation.
     Each start runs damped Gauss-Newton (backtracking on the full step) until
     the step norm falls below 1e-12 or no decrease is representable.
     """
-    t_init = estimate(batch, Method.ULS).t
+    t_init = estimate(RangeBatch(dep, d.shape[2], d), Method.ULS).t
     thetas = np.arange(n_starts) * (2.0 * np.pi / n_starts)
     ts = np.tile(t_init, (n_starts, 1))
-    costs = _costs(batch, thetas, ts)
+    costs = _costs(dep, d, thetas, ts)
     active = np.ones(n_starts, dtype=bool)
 
     for _ in range(max_iter):
@@ -66,15 +71,15 @@ def ml_reference_pose(batch: RangeBatch, n_starts: int = 36, max_iter: int = 150
             break
         idx = np.where(active)[0]
         th_a, ts_a = thetas[idx], ts[idx]
-        r0 = _weighted_residuals(batch, th_a, ts_a)
+        r0 = _weighted_residuals(dep, d, th_a, ts_a)
         jac = np.empty((idx.size, r0.shape[1], 3))
         for p in range(3):
             d_th = _FD_STEP if p == 0 else 0.0
             d_t = np.zeros(2)
             if p > 0:
                 d_t[p - 1] = _FD_STEP
-            r_plus = _weighted_residuals(batch, th_a + d_th, ts_a + d_t)
-            r_minus = _weighted_residuals(batch, th_a - d_th, ts_a - d_t)
+            r_plus = _weighted_residuals(dep, d, th_a + d_th, ts_a + d_t)
+            r_minus = _weighted_residuals(dep, d, th_a - d_th, ts_a - d_t)
             jac[:, :, p] = (r_plus - r_minus) / (2.0 * _FD_STEP)
         # J is the residual Jacobian, so minimizing |r0 + J delta| gives
         # delta = -(J^T J)^{-1} J^T r0.
@@ -100,7 +105,7 @@ def ml_reference_pose(batch: RangeBatch, n_starts: int = 36, max_iter: int = 150
                 break
             cand_th = th_a[trying] + alpha[trying] * delta[trying, 0]
             cand_ts = ts_a[trying] + alpha[trying, None] * delta[trying, 1:]
-            cand_cost = _costs(batch, cand_th, cand_ts)
+            cand_cost = _costs(dep, d, cand_th, cand_ts)
             better = cand_cost < costs[idx[trying]]
             rows = np.where(trying)[0]
             good_rows = rows[better]

@@ -441,3 +441,36 @@ def test_bad_bias_model_exits_2_without_output(tmp_path, capsys, case):
     assert main(argv) == 2
     assert not out.exists()
     assert "bias model" in capsys.readouterr().err
+
+
+# Each case changes SCENARIO_SMALL: a dict value updates that section, any
+# other value replaces the key.
+BAD_SWEEP_SCENARIOS = {
+    "anchor-count-2": ("simulate", {"sweep": {"axis": "anchor_count", "values": [2, 4]}}),
+    "anchor-count-per-anchor-sigma": (
+        "simulate",
+        {"deployment": {"sigma": [0.1, 0.2, 0.3]}, "sweep": {"axis": "anchor_count", "values": [4]}},
+    ),
+    "repeat-t-rounds-to-zero": ("simulate", {"sweep": {"values": [0.4, 5]}}),
+    "repeat-t-fraction": ("simulate", {"sweep": {"values": [3.5]}}),
+    "top-level-repeat-t-zero": ("crlb", {"repeat_t": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SWEEP_SCENARIOS))
+def test_bad_sweep_scenario_exits_2_without_output(tmp_path, capsys, case):
+    command, changes = BAD_SWEEP_SCENARIOS[case]
+    payload = json.loads(json.dumps(SCENARIO_SMALL))
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            payload[key].update(value)
+        else:
+            payload[key] = value
+    out = tmp_path / "o.csv"
+    argv = [command, "--scenario", _write_scenario(tmp_path, payload)]
+    if command == "simulate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err

@@ -11,7 +11,6 @@ from uwbpose.core import (
     RangeBatch,
     check_observability,
     predicted_ranges,
-    rotation_angle,
     rotation_matrix,
     wrap_angle,
 )
@@ -22,7 +21,8 @@ from helpers import (
     CORNER_ANCHORS,
     ml_cost,
     noiseless_batch,
-    noisy_batch,
+    noiseless_ranges,
+    noisy_ranges,
     reference_deployment,
     reference_pose,
 )
@@ -68,7 +68,8 @@ class TestRotationMatrix:
     def test_angle_round_trip(self):
         rng = np.random.default_rng(7)
         for theta in rng.uniform(0, 2 * math.pi, size=50):
-            assert rotation_angle(rotation_matrix(theta)) == pytest.approx(theta, abs=1e-12)
+            rot = rotation_matrix(theta)
+            assert wrap_angle(math.atan2(rot[1, 0], rot[0, 0])) == pytest.approx(theta, abs=1e-12)
 
 
 class TestPose2:
@@ -117,7 +118,6 @@ class TestDeployment:
 class TestRangeBatch:
     def test_counts(self):
         batch = noiseless_batch(reference_deployment(), reference_pose(), repeat_t=4)
-        assert batch.m_t == 12
         assert batch.n == 24
 
     def test_rejects_wrong_shape(self):
@@ -134,11 +134,12 @@ class TestRangeBatch:
     def test_moments_match_explicit_loops(self):
         rng = np.random.default_rng(15)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.4, size=(2, 3)))
-        batch = noisy_batch(dep, reference_pose(), repeat_t=5, rng=rng)
+        d = noisy_ranges(dep, reference_pose(), 5, rng)
+        batch = RangeBatch(dep, 5, d)
         assert batch.mean_d.shape == batch.mean_d2.shape == (2, 3)
         for i in range(dep.num_tags):
             for m in range(dep.num_anchors):
-                samples = [float(batch.d[i, m, rep]) for rep in range(batch.repeat_t)]
+                samples = [float(d[i, m, rep]) for rep in range(batch.repeat_t)]
                 mean_d = sum(samples) / len(samples)
                 mean_d2 = sum(x * x for x in samples) / len(samples)
                 assert batch.mean_d[i, m] == pytest.approx(mean_d, rel=1e-14)
@@ -190,20 +191,20 @@ class TestMlCost:
         for _ in range(10):
             sigma = rng.uniform(0.01, 2.0, size=(2, 3))
             dep = reference_deployment(sigma=sigma)
-            batch = noiseless_batch(dep, pose, repeat_t=int(rng.integers(1, 4)))
-            assert ml_cost(batch, pose) == 0.0
+            d = noiseless_ranges(dep, pose, repeat_t=int(rng.integers(1, 4)))
+            assert ml_cost(dep, d, pose) == 0.0
 
     def test_positive_at_perturbed_pose(self):
         pose = reference_pose()
-        batch = noiseless_batch(reference_deployment(), pose)
+        dep = reference_deployment()
         off = Pose2(pose.theta + 0.01, pose.t + [0.02, -0.01])
-        assert ml_cost(batch, off) > 0.0
+        assert ml_cost(dep, noiseless_ranges(dep, pose), off) > 0.0
 
     def test_matches_per_term_summation(self):
         rng = np.random.default_rng(13)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.4, size=(2, 3)), dh=rng.uniform(0, 1, size=(2, 3)))
         pose = reference_pose()
-        batch = noisy_batch(dep, pose, repeat_t=2, rng=rng)
+        d = noisy_ranges(dep, pose, 2, rng)
         probe = Pose2(pose.theta + 0.05, pose.t + [0.3, -0.2])
         rot = probe.rotation
         expected = 0.0
@@ -213,9 +214,9 @@ class TestMlCost:
                 dist = math.sqrt(
                     float(np.sum((dep.anchors[m] - tag_global) ** 2)) + dep.dh[i, m] ** 2
                 )
-                for rep in range(batch.repeat_t):
-                    expected += (batch.d[i, m, rep] - dist) ** 2 / dep.sigma[i, m] ** 2
-        assert ml_cost(batch, probe) == pytest.approx(expected, rel=1e-12)
+                for rep in range(d.shape[2]):
+                    expected += (d[i, m, rep] - dist) ** 2 / dep.sigma[i, m] ** 2
+        assert ml_cost(dep, d, probe) == pytest.approx(expected, rel=1e-12)
 
 
 def test_predicted_ranges_include_height_offsets():

@@ -45,14 +45,14 @@ class TestFisherInfo:
     def test_linear_in_repetitions(self):
         dep = reference_deployment()
         pose = reference_pose()
-        f1 = fisher_info(dep, 1, pose).matrix
-        f2 = fisher_info(dep, 2, pose).matrix
+        f1 = fisher_info(dep, 1, pose)
+        f2 = fisher_info(dep, 2, pose)
         np.testing.assert_allclose(f2, 2.0 * f1, rtol=1e-12)
 
     def test_symmetric_positive_semidefinite(self):
         rng = np.random.default_rng(61)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
-        f = fisher_info(dep, 3, reference_pose()).matrix
+        f = fisher_info(dep, 3, reference_pose())
         assert np.max(np.abs(f - f.T)) <= 1e-10 * np.max(np.abs(f))
         eigvals = np.linalg.eigvalsh(f)
         assert eigvals.min() >= -1e-10 * np.abs(eigvals).max()
@@ -60,7 +60,7 @@ class TestFisherInfo:
     def test_matches_fd_hessian_of_expected_nll(self):
         dep = reference_deployment(sigma=0.1)
         pose = reference_pose()
-        f = fisher_info(dep, 1, pose).matrix
+        f = fisher_info(dep, 1, pose)
 
         rng = np.random.default_rng(62)
         clean_diff = dep.anchors[None, :, :] - pose.transform(dep.tags)[:, None, :]
@@ -96,24 +96,24 @@ class TestFisherInfo:
     def test_global_origin_shift_leaves_information(self):
         dep = reference_deployment()
         pose = reference_pose()
-        f0 = fisher_info(dep, 1, pose).matrix
+        f0 = fisher_info(dep, 1, pose)
         shift = np.array([-13.0, 42.0])
         dep_shifted = Deployment(
             anchors=dep.anchors + shift, tags=dep.tags, sigma=dep.sigma, dh=dep.dh
         )
-        f1 = fisher_info(dep_shifted, 1, Pose2(pose.theta, pose.t + shift)).matrix
+        f1 = fisher_info(dep_shifted, 1, Pose2(pose.theta, pose.t + shift))
         np.testing.assert_allclose(f1, f0, rtol=1e-10)
 
     def test_body_origin_shift_changes_information(self):
         dep = reference_deployment()
         pose = reference_pose()
-        f0 = fisher_info(dep, 1, pose).matrix
+        f0 = fisher_info(dep, 1, pose)
         shift = np.array([1.0, -2.0])
         dep_shifted = Deployment(
             anchors=dep.anchors, tags=dep.tags - shift, sigma=dep.sigma, dh=dep.dh
         )
         pose_shifted = Pose2(pose.theta, pose.t + pose.rotation @ shift)
-        f1 = fisher_info(dep_shifted, 1, pose_shifted).matrix
+        f1 = fisher_info(dep_shifted, 1, pose_shifted)
         assert not np.allclose(f1, f0, rtol=1e-6)
 
     def test_coincident_anchor_and_tag_rejected(self):
@@ -122,8 +122,8 @@ class TestFisherInfo:
             fisher_info(dep, 1, Pose2(0.0, [0.0, 0.0]))
 
     def test_height_offsets_enter_denominator(self):
-        flat = fisher_info(reference_deployment(), 1, reference_pose()).matrix
-        lifted = fisher_info(reference_deployment(dh=2.0), 1, reference_pose()).matrix
+        flat = fisher_info(reference_deployment(), 1, reference_pose())
+        lifted = fisher_info(reference_deployment(dh=2.0), 1, reference_pose())
         assert np.trace(lifted) < np.trace(flat)
 
 

@@ -14,6 +14,7 @@ from helpers import (
     ml_cost,
     noiseless_batch,
     noisy_batch,
+    noisy_ranges,
     one_gn_step,
     random_observable_deployment,
     random_pose,
@@ -109,13 +110,14 @@ class TestGnStep:
         rng = np.random.default_rng(42)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
-        batch = noisy_batch(dep, pose, 30, rng)
+        d = noisy_ranges(dep, pose, 30, rng)
+        batch = RangeBatch(dep, 30, d)
         init = estimate(batch, Method.ULS)
         refined = one_gn_step(batch, init)
         dep_scaled = Deployment(
             anchors=dep.anchors, tags=dep.tags, sigma=7.3 * dep.sigma, dh=dep.dh
         )
-        refined_scaled = one_gn_step(RangeBatch(dep_scaled, batch.repeat_t, batch.d), init)
+        refined_scaled = one_gn_step(RangeBatch(dep_scaled, 30, d), init)
         assert abs(refined.theta - refined_scaled.theta) <= 1e-12
         np.testing.assert_allclose(refined.t, refined_scaled.t, atol=1e-12)
 
@@ -126,11 +128,12 @@ class TestGnStep:
         improved = 0
         trials = 1000
         for _ in range(trials):
-            batch = noisy_batch(dep, pose, 100, rng)
+            d = noisy_ranges(dep, pose, 100, rng)
+            batch = RangeBatch(dep, 100, d)
             init = estimate(batch, Method.ULS)
             refined = one_gn_step(batch, init)
-            before = ml_cost(batch, init)
-            after = ml_cost(batch, refined)
+            before = ml_cost(dep, d, init)
+            after = ml_cost(dep, d, refined)
             if after <= before * (1 + 1e-12):
                 improved += 1
         assert improved >= 0.99 * trials
@@ -162,10 +165,11 @@ class TestAgainstMlOracle:
         pose = reference_pose()
         gn_gaps, uls_gaps = [], []
         for _ in range(200):
-            batch = noisy_batch(dep, pose, 2, rng)
+            d = noisy_ranges(dep, pose, 2, rng)
+            batch = RangeBatch(dep, 2, d)
             closed_form = estimate(batch, Method.ULS)
             gn_pose = estimate(batch, Method.GN_ULS)
-            ml_pose = ml_reference_pose(batch)
+            ml_pose = ml_reference_pose(dep, d)
             gn_gaps.append(_pose_distance(gn_pose, ml_pose))
             uls_gaps.append(_pose_distance(closed_form, ml_pose))
         assert np.mean(gn_gaps) <= 0.1 * np.mean(uls_gaps)
@@ -180,10 +184,12 @@ class TestEstimateGnUls:
 
     def test_refinement_does_not_exceed_initial_cost(self):
         rng = np.random.default_rng(45)
-        batch = noisy_batch(reference_deployment(sigma=0.1), reference_pose(), 200, rng)
+        dep = reference_deployment(sigma=0.1)
+        d = noisy_ranges(dep, reference_pose(), 200, rng)
+        batch = RangeBatch(dep, 200, d)
         uls = estimate(batch, Method.ULS)
         gn = estimate(batch, Method.GN_ULS)
-        assert ml_cost(batch, gn) <= ml_cost(batch, uls) * (1 + 1e-12)
+        assert ml_cost(dep, d, gn) <= ml_cost(dep, d, uls) * (1 + 1e-12)
 
     def test_runtime_scales_like_measurement_count(self):
         # The O(n) work is the moment pass in RangeBatch construction, so
@@ -196,8 +202,8 @@ class TestEstimateGnUls:
         rng = np.random.default_rng(46)
         dep = reference_deployment(sigma=0.1)
         pose = reference_pose()
-        small = noisy_batch(dep, pose, 50_000, rng).d
-        large = noisy_batch(dep, pose, 100_000, rng).d
+        small = noisy_ranges(dep, pose, 50_000, rng)
+        large = noisy_ranges(dep, pose, 100_000, rng)
 
         def construct_and_estimate(d):
             estimate(RangeBatch(dep, d.shape[2], d), Method.GN_ULS)

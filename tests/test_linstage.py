@@ -27,6 +27,8 @@ from helpers import (
     CORNER_ANCHORS,
     noiseless_batch,
     noisy_batch,
+    noiseless_ranges,
+    noisy_ranges,
     reference_deployment,
     reference_pose,
 )
@@ -51,10 +53,11 @@ class TestProjector:
         dep = reference_deployment(
             sigma=rng.uniform(0.05, 0.3, size=shape), dh=rng.uniform(0.0, 1.0, size=shape)
         )
-        return noisy_batch(dep, reference_pose(), 7, rng)
+        d = noisy_ranges(dep, reference_pose(), 7, rng)
+        return RangeBatch(dep, 7, d), d
 
     def test_annihilates_ones(self):
-        batch = self._batch()
+        batch, _ = self._batch()
         h, dbar = _system(batch)
         blocks_h = h.reshape(2, 3, 4)
         blocks_d = dbar.reshape(2, 3)
@@ -62,10 +65,10 @@ class TestProjector:
         np.testing.assert_allclose(blocks_d.sum(axis=1), 0.0, atol=1e-12 * np.abs(blocks_d).max())
 
     def test_matches_explicit_projector(self):
-        batch = self._batch()
+        batch, d = self._batch()
         dep = batch.deployment
         proj = np.eye(3) - np.full((3, 3), 1.0 / 3)
-        raw = np.mean(batch.d**2, axis=2) - np.sum(dep.anchors**2, axis=1) - dep.sigma**2 - dep.dh**2
+        raw = np.mean(d**2, axis=2) - np.sum(dep.anchors**2, axis=1) - dep.sigma**2 - dep.dh**2
         np.testing.assert_allclose(_projected(batch), raw @ proj, rtol=0, atol=1e-9)
 
 
@@ -143,13 +146,13 @@ class TestSolveUls:
         rng = np.random.default_rng(22)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
-        batch = noisy_batch(dep, pose, 20, rng)
-        y0, t0 = solve_uls(*_system(batch))
+        d = noisy_ranges(dep, pose, 20, rng)
+        y0, t0 = solve_uls(*_system(RangeBatch(dep, 20, d)))
         perm = np.array([2, 0, 1])
         dep_p = Deployment(
             anchors=dep.anchors[perm], tags=dep.tags, sigma=dep.sigma[:, perm], dh=dep.dh[:, perm]
         )
-        batch_p = RangeBatch(dep_p, batch.repeat_t, batch.d[:, perm, :])
+        batch_p = RangeBatch(dep_p, 20, d[:, perm, :])
         y1, t1 = solve_uls(*_system(batch_p))
         np.testing.assert_allclose(y0, y1, atol=1e-9)
         np.testing.assert_allclose(t0, t1, atol=1e-9)
@@ -158,13 +161,13 @@ class TestSolveUls:
         rng = np.random.default_rng(23)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
-        batch = noisy_batch(dep, pose, 20, rng)
-        y0, t0 = solve_uls(*_system(batch))
+        d = noisy_ranges(dep, pose, 20, rng)
+        y0, t0 = solve_uls(*_system(RangeBatch(dep, 20, d)))
         perm = np.array([1, 0])
         dep_p = Deployment(
             anchors=dep.anchors, tags=dep.tags[perm], sigma=dep.sigma[perm], dh=dep.dh[perm]
         )
-        batch_p = RangeBatch(dep_p, batch.repeat_t, batch.d[perm])
+        batch_p = RangeBatch(dep_p, 20, d[perm])
         y1, t1 = solve_uls(*_system(batch_p))
         np.testing.assert_allclose(y0, y1, atol=1e-9)
         np.testing.assert_allclose(t0, t1, atol=1e-9)
@@ -175,12 +178,12 @@ class TestSolveUls:
         # under a mis-specified noise level.
         pose = reference_pose()
         dep_right = reference_deployment(sigma=0.1)
-        batch = noiseless_batch(dep_right, pose)
+        d = noiseless_ranges(dep_right, pose)
         dep_uniform_wrong = reference_deployment(sigma=0.5)
-        y_u, t_u = solve_uls(*_system(RangeBatch(dep_uniform_wrong, 1, batch.d)))
+        y_u, t_u = solve_uls(*_system(RangeBatch(dep_uniform_wrong, 1, d)))
         np.testing.assert_allclose(t_u, pose.t, atol=1e-9)
         dep_varying_wrong = reference_deployment(sigma=[0.1, 0.5, 1.0])
-        y_v, t_v = solve_uls(*_system(RangeBatch(dep_varying_wrong, 1, batch.d)))
+        y_v, t_v = solve_uls(*_system(RangeBatch(dep_varying_wrong, 1, d)))
         assert np.linalg.norm(t_v - pose.t) > 1e-6
 
 

@@ -16,20 +16,21 @@ from hypothesis import strategies as st
 from uwbpose.core import Deployment, Method, RangeBatch
 from uwbpose.estimators import estimate
 
-from helpers import noisy_batch, random_observable_deployment, random_pose
+from helpers import noisy_ranges, random_observable_deployment, random_pose
 
 
-def _tiled_raw_batch(batch: RangeBatch) -> RangeBatch:
-    """T = 1 batch over the deployment with every anchor repeated T times."""
-    dep, t_rep = batch.deployment, batch.repeat_t
+def _tiled_raw_batch(dep: Deployment, d: np.ndarray) -> RangeBatch:
+    """T = 1 batch of the raw (N, M, T) ranges ``d`` over the deployment with
+    every anchor repeated T times."""
+    t_rep = d.shape[2]
     tiled = Deployment(
         anchors=np.tile(dep.anchors, (t_rep, 1)),
         tags=dep.tags,
         sigma=np.tile(dep.sigma, (1, t_rep)),
         dh=np.tile(dep.dh, (1, t_rep)),
     )
-    d = batch.d.transpose(0, 2, 1).reshape(dep.num_tags, -1, 1)  # column rep * M + m
-    return RangeBatch(tiled, 1, d)
+    columns = d.transpose(0, 2, 1).reshape(dep.num_tags, -1, 1)  # column rep * M + m
+    return RangeBatch(tiled, 1, columns)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -44,8 +45,9 @@ def test_moment_and_raw_paths_agree(seed, repeat_t):
         sigma=rng.uniform(0.02, 0.3, size=shape),
         dh=rng.uniform(0.2, 2.0, size=shape),
     )
-    batch = noisy_batch(dep, random_pose(rng), repeat_t, rng)
-    raw = _tiled_raw_batch(batch)
+    d = noisy_ranges(dep, random_pose(rng), repeat_t, rng)
+    batch = RangeBatch(dep, repeat_t, d)
+    raw = _tiled_raw_batch(dep, d)
     for method in Method:
         reduced, expanded = estimate(batch, method), estimate(raw, method)
         assert abs(math.remainder(reduced.theta - expanded.theta, 2 * math.pi)) <= 1e-10, method
