@@ -36,11 +36,10 @@ from .errors import (
 )
 from .estimators import estimate, estimate_stacked
 from .gnrefine import stacked_gn_step
-from .linstage import project_so2, solve_uls, stacked_uls
+from .linstage import solve_uls, stacked_uls
 from .mc import McConfig, McResult, McRow, SweepAxis, run_sweep, synthesize_ranges
 from .preprocess import (
     BiasModel,
-    EpochPolicy,
     Epochs,
     GroundTruthLog,
     NamedDeployment,

@@ -26,7 +26,6 @@ from .errors import EstimationError, SchemaError, Status, UnobservableDeployment
 from .estimators import estimate_stacked
 from .preprocess import (
     BiasModel,
-    EpochPolicy,
     GroundTruthLog,
     NamedDeployment,
     RangeLog,
@@ -145,8 +144,7 @@ def _cmd_estimate(args) -> int:
     log = _load_ranges(args)
     bias = BiasModel.from_json_file(args.bias) if args.bias else BiasModel.identity()
     truth = GroundTruthLog.from_csv(args.truth) if args.truth else None
-    policy = EpochPolicy(rate_hz=args.rate, max_gap_periods=args.max_gap)
-    epochs = align_and_batch(log, bias, named, policy)
+    epochs = align_and_batch(log, bias, named, rate_hz=args.rate, max_gap_periods=args.max_gap)
     method = Method(args.method)
 
     count = len(epochs)

@@ -3,8 +3,10 @@
 Coordinates are planar and metric. Anchors live in a fixed global frame,
 tags in the body frame of the rigid object being localized, and a pose
 maps body coordinates into the global frame via ``R(theta) @ s + t``.
-Every type here is immutable after construction and every operation is a
-pure function, so instances can be shared freely across threads.
+Every type here is immutable after construction, holds no cache, and every
+operation is a pure function, so instances can be shared freely across
+threads. Estimators recompute what they derive from a deployment (designs,
+offsets, weights) on each call; that work is O(N * M).
 """
 
 from __future__ import annotations
@@ -25,16 +27,13 @@ COLLINEARITY_RTOL = 1e-9
 
 def wrap_angle(theta: float) -> float:
     """Map an angle to the canonical interval [0, 2*pi)."""
-    wrapped = math.fmod(float(theta), TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    if wrapped >= TWO_PI:  # rounding of tiny negatives
-        wrapped = 0.0
-    return wrapped
+    return float(wrap_angles(np.array([float(theta)]))[0])
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Elementwise ``wrap_angle`` of an array, with the same arithmetic."""
+    """Map each angle of an array to [0, 2*pi): the remainder of ``fmod`` by
+    2*pi, shifted up by 2*pi where negative, with 0 where rounding of a tiny
+    negative reaches 2*pi. ``wrap_angle`` is its scalar form."""
     wrapped = np.fmod(theta, TWO_PI)
     np.add(wrapped, TWO_PI, out=wrapped, where=wrapped < 0.0)
     wrapped[wrapped >= TWO_PI] = 0.0
@@ -96,7 +95,6 @@ class Deployment:
     tags: np.ndarray
     sigma: np.ndarray = 1.0
     dh: np.ndarray = 0.0
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         anchors = np.asarray(self.anchors, dtype=float)
@@ -128,22 +126,6 @@ class Deployment:
     @property
     def num_tags(self) -> int:
         return self.tags.shape[0]
-
-    def derived(self, fn):
-        """``fn(self)``, computed on first use and then kept.
-
-        The deployment is immutable, so whatever a pure function computes
-        from it alone can be reused by every later problem on it. Arrays in
-        the result (or in a tuple result) are made read-only.
-        """
-        try:
-            return self._derived[fn]
-        except KeyError:
-            value = fn(self)
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
-            return self._derived.setdefault(fn, value)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ def stacked_localize_tags(deployment: Deployment, mean_d2: np.ndarray) -> np.nda
     together.
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)  # (K, N, M)
-    design = deployment.derived(_localization_design)
+    design = _localization_design(deployment)
     solution, _, rank, _ = np.linalg.lstsq(design, rhs.reshape(-1, len(design)).T, rcond=None)
     if rank < 2:
         raise SingularSystemError(

@@ -26,18 +26,6 @@ PROXIMITY_FLOOR_M = 1e-6
 _EPS = np.finfo(float).eps
 
 
-def _plane_constants(deployment: Deployment):
-    """Anchors (M,) and tags (N,) as complex numbers x + iy, dh^2 and the
-    per-pair root weights 1/sigma."""
-    dep = deployment
-    return (
-        dep.anchors[:, 0] + 1j * dep.anchors[:, 1],
-        dep.tags[:, 0] + 1j * dep.tags[:, 1],
-        dep.dh**2,
-        1.0 / dep.sigma,
-    )
-
-
 def linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scale):
     """Predicted ranges ``g`` (K, N, M) at K poses, the mask of those below
     ``PROXIMITY_FLOOR_M``, and the (K, N, M, 3) (theta, t) Jacobian with
@@ -51,10 +39,11 @@ def linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scal
     floor are divided by 1 in place of ``g``, so that every entry stays
     finite.
     """
-    anchors, tags, dh2, _ = deployment.derived(_plane_constants)
+    anchors = deployment.anchors[:, 0] + 1j * deployment.anchors[:, 1]
+    tags = deployment.tags[:, 0] + 1j * deployment.tags[:, 1]
     rotated = np.exp(1j * theta)[:, np.newaxis] * tags  # R s, (K, N)
     f = anchors - (rotated + (t[:, 0] + 1j * t[:, 1])[:, np.newaxis])[:, :, np.newaxis]
-    g = np.sqrt(f.real**2 + f.imag**2 + dh2)
+    g = np.sqrt(f.real**2 + f.imag**2 + deployment.dh**2)
     close = g < PROXIMITY_FLOOR_M
     scale = -row_scale / np.where(close, 1.0, g)
     jac = np.empty(g.shape + (3,))
@@ -79,7 +68,7 @@ def stacked_gn_step(
     every sigma by a common factor leaves the update unchanged, and a
     noiseless problem evaluated at its true pose is a fixed point.
     """
-    root_w = deployment.derived(_plane_constants)[3]
+    root_w = 1.0 / deployment.sigma
     g, close, jac = linearize(deployment, theta, t, root_w)
     k, rows = g.shape[0], g.shape[1] * g.shape[2]
     rw = ((mean_d - g) * root_w).reshape(k, rows, 1)

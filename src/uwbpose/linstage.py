@@ -5,10 +5,13 @@ per tag, a linear relation in ``(vec(R), t)`` plus a quadratic nuisance term
 that is constant across anchors. Projecting onto the orthogonal complement
 of the all-ones vector removes the nuisance, leaving a least-squares
 problem in ``(y, t)``, with ``y = (sin theta, cos theta)`` entering through
-``vec(R) = GAMMA @ y``. Repetitions add identical design rows, so there is
+``vec(R) = Gamma y``, where ``Gamma = [[0, 1], [1, 0], [-1, 0], [0, 1]]``
+stacks ``R`` column-major. Repetitions add identical design rows, so there is
 one row per (tag, anchor) pair on the mean squared range; the normal
 equations are those of all n measurements divided by T. The solution is
-consistent but unconstrained, so the rotation part is projected onto SO(2).
+consistent but unconstrained, so the rotation part is projected onto SO(2):
+the nearest rotation to ``x = Gamma y`` has the angle
+``atan2(x21 - x12, x11 + x22) = atan2(2 y1, 2 y2) = atan2(y1, y2)``.
 The design does not depend on the measurements, so K problems that share a
 deployment are one least-squares solve with K right-hand sides
 (``stacked_uls``); one problem is the case K = 1.
@@ -21,23 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Deployment, PoseStack, wrap_angle
-from .errors import (
-    DegenerateProjectionError,
-    SingularSystemError,
-    Status,
-    UnderdeterminedDeploymentError,
-)
-
-# vec(R(theta)) = GAMMA @ [sin(theta), cos(theta)], column-major stacking.
-GAMMA = np.array(
-    [
-        [0.0, 1.0],
-        [1.0, 0.0],
-        [-1.0, 0.0],
-        [0.0, 1.0],
-    ]
-)
+from .core import Deployment, PoseStack
+from .errors import SingularSystemError, Status, UnderdeterminedDeploymentError
 
 # With two anchors a tag's two centered rows are negatives of each other,
 # so every row is s1 u + s2 v + w for fixed u, v, w and the design has rank
@@ -58,7 +46,7 @@ def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray
         raise UnderdeterminedDeploymentError(
             f"need at least {MIN_ANCHORS} anchors, got {deployment.num_anchors}"
         )
-    rhs = mean_d2 - deployment.derived(_squared_range_offset)
+    rhs = mean_d2 - _squared_range_offset(deployment)
     return rhs - rhs.mean(axis=2, keepdims=True)
 
 
@@ -74,7 +62,7 @@ def linear_design(deployment: Deployment) -> np.ndarray:
     Columns are ordered (y1, y2, t1, t2) and rows tag-major, one per (tag,
     anchor) pair. Under an observable deployment ``h`` has full column rank.
     """
-    # H = [-2 (S^T (x) Abar^T) GAMMA, -2 (1_N (x) Abar^T)] written out per
+    # H = [-2 (S^T (x) Abar^T) Gamma, -2 (1_N (x) Abar^T)] written out per
     # column: with centered anchor coordinates (ax, ay) and tag (s1, s2) the
     # y columns are -2 (s1 ay - s2 ax) and -2 (s1 ax + s2 ay), the imaginary
     # and real parts of conj(s) * (-2 abar) with plane vectors as complex numbers.
@@ -114,32 +102,15 @@ def so2_angles(cos_part: np.ndarray, sin_part: np.ndarray) -> tuple[np.ndarray, 
     """Angles ``atan2(sin_part, cos_part)`` and their status codes.
 
     For a 2x2 matrix ``x`` with ``cos_part = x11 + x22`` and
-    ``sin_part = x21 - x12`` this is the angle of the nearest rotation (see
-    ``project_so2``), not reduced to [0, 2*pi). Where both parts are zero
-    every angle ties: the status is ``DEGENERATE_PROJECTION``.
+    ``sin_part = x21 - x12`` this is the angle of the rotation nearest to
+    ``x`` in Frobenius norm, not reduced to [0, 2*pi): ``|x - R(theta)|^2``
+    is smallest where ``tr(R(theta)^T x) = cos(theta) cos_part +
+    sin(theta) sin_part`` is largest. Where both parts are zero every angle
+    ties: the status is ``DEGENERATE_PROJECTION``.
     """
     status = np.zeros(cos_part.shape, dtype=np.int64)
     status[(cos_part == 0.0) & (sin_part == 0.0)] = Status.DEGENERATE_PROJECTION
     return np.arctan2(sin_part, cos_part), status
-
-
-def project_so2(x: np.ndarray) -> float:
-    """Angle of the rotation matrix closest to ``x`` in Frobenius norm.
-
-    ``|x - R(theta)|^2`` is smallest where ``tr(R(theta)^T x)
-    = cos(theta) (x11 + x22) + sin(theta) (x21 - x12)`` is largest, at
-    ``atan2(x21 - x12, x11 + x22)``. When both terms are zero every angle
-    ties, and the input is rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("projection input must be finite")
-    theta, status = so2_angles(x[0, :1] + x[1, 1:], x[1, :1] - x[0, 1:])
-    if status[0]:
-        raise DegenerateProjectionError("every rotation is equally close; projection undefined")
-    return wrap_angle(float(theta[0]))
 
 
 def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
@@ -152,7 +123,6 @@ def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)
     dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors).T
-    y, t = solve_uls(deployment.derived(linear_design), dbar)
-    x = GAMMA @ y  # (4, K): vec of each unconstrained rotation
-    theta, status = so2_angles(x[0] + x[3], x[1] - x[2])
+    y, t = solve_uls(linear_design(deployment), dbar)
+    theta, status = so2_angles(y[1], y[0])
     return PoseStack(theta, t.T, status)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -268,38 +268,18 @@ def run_sweep(config: McConfig) -> McResult:
     return McResult(rows=rows, metadata=meta)
 
 
-CSV_HEADER = [
-    "axis_value",
-    "estimator",
-    "rotation_rmse",
-    "translation_rmse",
-    "combined_rmse",
-    "sqrt_crlb",
-    "mean_time_s",
-    "failures",
-    "trials",
-]
-
-
 def write_csv(result: McResult, stream, include_timing: bool = True) -> None:
     """Write rows as RFC-4180 CSV (header, CRLF, '.' decimal, UTF-8).
 
-    With ``include_timing`` off the nondeterministic wall-time column is
-    left empty so that equal seeds produce byte-identical files.
+    The columns are ``McRow``'s fields in order; floats are written with
+    ``repr``. With ``include_timing`` off the nondeterministic wall-time
+    column is left empty so that equal seeds produce byte-identical files.
     """
+    names = [f.name for f in fields(McRow)]
     writer = csv.writer(stream)
-    writer.writerow(CSV_HEADER)
+    writer.writerow(names)
     for row in result.rows:
-        writer.writerow(
-            [
-                repr(row.axis_value),
-                row.estimator,
-                repr(row.rotation_rmse),
-                repr(row.translation_rmse),
-                repr(row.combined_rmse),
-                repr(row.sqrt_crlb),
-                repr(row.mean_time_s) if include_timing else "",
-                row.failures,
-                row.trials,
-            ]
-        )
+        cells = [getattr(row, name) for name in names]
+        if not include_timing:
+            cells[names.index("mean_time_s")] = ""
+        writer.writerow([repr(cell) if isinstance(cell, float) else cell for cell in cells])

@@ -452,19 +452,6 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
 
 
 @dataclass(frozen=True)
-class EpochPolicy:
-    """How streams are resampled onto a common estimation grid.
-
-    ``rate_hz`` defaults to the log frequency. Epochs whose nearest samples
-    in any stream are more than ``max_gap_periods`` log periods apart are
-    dropped rather than emitted as partial batches.
-    """
-
-    rate_hz: float | None = None
-    max_gap_periods: float = 3.0
-
-
-@dataclass(frozen=True)
 class Epochs:
     """Epochs aligned from a range log: ``times`` (K,) and the de-biased
     ranges (K, N, M), one repetition per (tag, anchor) pair and epoch."""
@@ -480,15 +467,19 @@ def align_and_batch(
     log: RangeLog,
     bias: BiasModel,
     named: NamedDeployment,
-    policy: EpochPolicy = EpochPolicy(),
+    *,
+    rate_hz: float | None = None,
+    max_gap_periods: float = 3.0,
 ) -> Epochs:
-    """De-bias and align the log onto a common grid of epochs.
+    """De-bias and align the log onto a grid of epochs at ``rate_hz``, by
+    default the log frequency.
 
     Every (anchor, tag) pair of the deployment must appear in the log, or no
     epoch is emitted. Stream values are linearly interpolated at each epoch
-    time; an epoch is dropped when any stream has a sample gap beyond the
-    policy horizon or does not span the epoch time. Every emitted epoch
-    holds the full N x M measurement grid.
+    time; an epoch is dropped when any stream does not span the epoch time
+    or has nearest samples more than ``max_gap_periods`` log periods apart,
+    rather than emitted as a partial batch. Every emitted epoch holds the
+    full N x M measurement grid.
     """
     for anchor_id in {a for a, _ in log.stream_keys}:
         named.anchor_index(anchor_id)
@@ -505,8 +496,8 @@ def align_and_batch(
     if any(key not in streams for key in required):
         return none
 
-    rate = policy.rate_hz if policy.rate_hz is not None else log.frequency
-    horizon = policy.max_gap_periods / log.frequency
+    rate = rate_hz if rate_hz is not None else log.frequency
+    horizon = max_gap_periods / log.frequency
     start = max(log.t[idx][0] for idx in streams.values())
     end = min(log.t[idx][-1] for idx in streams.values())
     if end < start:

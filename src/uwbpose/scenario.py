@@ -52,6 +52,16 @@ def _require_keys(section: dict, allowed: set, required: set, where: str) -> Non
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _integer(value, key: str, low: int, where: str) -> int:
+    """The value of ``key`` as an int of at least ``low``. JSON integers and
+    integral floats qualify; booleans, strings, fractions, NaN and
+    infinities do not."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < low:
+        raise SchemaError(f"{where}: {key} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _parse_sigma(raw, n_tags: int, n_anchors: int, metadata: dict):
     """Sigma forms: scalar, (N, M) nested list, per-anchor list of length M,
     or a flat list of length N*M assigned to pairs in anchor-major order."""
@@ -109,10 +119,8 @@ def load_scenario(path) -> Scenario:
     metadata: dict = {}
     deployment = _parse_deployment(raw["deployment"], metadata)
     true_pose = _parse_pose(raw["true_pose"])
-    repeat_t = int(raw.get("repeat_t", 1))
-    seed = int(raw.get("seed", 0))
-    if repeat_t < 1:
-        raise SchemaError(f"{path}: repeat_t must be >= 1, got {repeat_t}")
+    repeat_t = _integer(raw.get("repeat_t", 1), "repeat_t", 1, path)
+    seed = _integer(raw.get("seed", 0), "seed", 0, path)
 
     config = None
     if "sweep" in raw:
@@ -129,16 +137,18 @@ def load_scenario(path) -> Scenario:
         except ValueError as exc:
             raise SchemaError(f"sweep.estimators: {exc}") from exc
         rect = sweep.get("anchor_rect", [[0.0, 0.0], [50.0, 50.0]])
+        trials = _integer(sweep["trials"], "trials", 1, "sweep")
+        sweep_repeat_t = _integer(sweep.get("repeat_t", repeat_t), "repeat_t", 1, "sweep")
         try:
             config = McConfig(
                 deployment=deployment,
                 true_pose=true_pose,
                 axis=axis,
                 axis_values=tuple(sweep["values"]),
-                trials=int(sweep["trials"]),
+                trials=trials,
                 seed=seed,
                 estimators=estimators,
-                repeat_t=int(sweep.get("repeat_t", repeat_t)),
+                repeat_t=sweep_repeat_t,
                 anchor_rect=((float(rect[0][0]), float(rect[0][1])), (float(rect[1][0]), float(rect[1][1]))),
                 noise_scale=float(sweep.get("noise_scale", 1.0)),
                 metadata=dict(metadata),

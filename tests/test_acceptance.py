@@ -19,7 +19,7 @@ import uwbpose as up
 from uwbpose.crlb import constrained_crlb, constraint_jacobian, fisher_info, nullspace_basis
 from uwbpose.estimators import estimate
 from uwbpose.gnrefine import linearize
-from uwbpose.linstage import project_so2
+from uwbpose.linstage import so2_angles
 from uwbpose.mc import McConfig, SweepAxis, run_sweep
 from uwbpose.preprocess import calibrate_bias, flag_stream
 
@@ -176,10 +176,12 @@ def test_c05_projection_beats_dense_grid():
     worst_slack, worst_gap_ratio = 0.0, 0.0
     for _ in range(1000):
         x = rng.normal(0.0, 1.0, size=(2, 2)) * rng.uniform(0.1, 10.0)
-        theta_hat = project_so2(x)
-        cost_hat = float(np.sum((x - up.rotation_matrix(theta_hat)) ** 2))
         alpha = x[0, 0] + x[1, 1]
         beta = x[1, 0] - x[0, 1]
+        # The projection stacked_uls and stacked_fit_poses run.
+        theta_hat, status = so2_angles(np.array([alpha]), np.array([beta]))
+        assert status[0] == up.Status.OK
+        cost_hat = float(np.sum((x - up.rotation_matrix(theta_hat[0])) ** 2))
         best = grid[int(np.argmax(alpha * cos_g + beta * sin_g))]
         cost_grid = float(np.sum((x - up.rotation_matrix(best)) ** 2))
         bound = 2.0 * math.pi * 1e-6 * math.sqrt(2.0) * float(np.linalg.norm(x))

@@ -443,8 +443,8 @@ def test_bad_bias_model_exits_2_without_output(tmp_path, capsys, case):
     assert "bias model" in capsys.readouterr().err
 
 
-# Each case changes SCENARIO_SMALL: a dict value updates that section, any
-# other value replaces the key.
+# Each case changes SCENARIO_SMALL: a dict value updates that section, None
+# removes the key, and any other value replaces it.
 BAD_SWEEP_SCENARIOS = {
     "anchor-count-2": ("simulate", {"sweep": {"axis": "anchor_count", "values": [2, 4]}}),
     "anchor-count-per-anchor-sigma": (
@@ -454,6 +454,26 @@ BAD_SWEEP_SCENARIOS = {
     "repeat-t-rounds-to-zero": ("simulate", {"sweep": {"values": [0.4, 5]}}),
     "repeat-t-fraction": ("simulate", {"sweep": {"values": [3.5]}}),
     "top-level-repeat-t-zero": ("crlb", {"repeat_t": 0}),
+    # Integers are JSON integers or integral floats, never bools, strings,
+    # fractions or non-finite values, and never rounded.
+    "crlb-repeat-t-string": ("crlb", {"sweep": None, "repeat_t": "x"}),
+    "crlb-repeat-t-fraction": ("crlb", {"sweep": None, "repeat_t": 2.5}),
+    "crlb-repeat-t-bool": ("crlb", {"sweep": None, "repeat_t": True}),
+    "crlb-repeat-t-inf": ("crlb", {"sweep": None, "repeat_t": math.inf}),
+    "crlb-seed-string": ("crlb", {"sweep": None, "seed": "x"}),
+    "crlb-seed-fraction": ("crlb", {"sweep": None, "seed": 1.5}),
+    "crlb-seed-negative": ("crlb", {"sweep": None, "seed": -1}),
+    "seed-string": ("simulate", {"seed": "x"}),
+    "seed-fraction": ("simulate", {"seed": 1.5}),
+    "trials-fraction": ("simulate", {"sweep": {"trials": 2.5}}),
+    "trials-string": ("simulate", {"sweep": {"trials": "25"}}),
+    "trials-bool": ("simulate", {"sweep": {"trials": True}}),
+    "trials-nan": ("simulate", {"sweep": {"trials": math.nan}}),
+    "sweep-repeat-t-fraction": (
+        "simulate",
+        {"sweep": {"axis": "noise_sigma", "values": [0.1, 0.2], "repeat_t": 2.5}},
+    ),
+    "sweep-repeat-t-string": ("simulate", {"sweep": {"repeat_t": "x"}}),
 }
 
 
@@ -464,6 +484,8 @@ def test_bad_sweep_scenario_exits_2_without_output(tmp_path, capsys, case):
     for key, value in changes.items():
         if isinstance(value, dict):
             payload[key].update(value)
+        elif value is None:
+            del payload[key]
         else:
             payload[key] = value
     out = tmp_path / "o.csv"

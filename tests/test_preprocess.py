@@ -9,7 +9,6 @@ from uwbpose.core import Deployment, Pose2, predicted_ranges
 from uwbpose.errors import InsufficientDataError, SchemaError
 from uwbpose.preprocess import (
     BiasModel,
-    EpochPolicy,
     GroundTruthLog,
     NamedDeployment,
     RangeLog,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
 from uwbpose.errors import EstimationError, NearSingularityError, Status
 from uwbpose.estimators import estimate, estimate_stacked
 
@@ -31,14 +31,9 @@ def _stack(batches):
     return mean_d, mean_d2
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    problems=st.integers(1, 40),
-    gn_steps=st.integers(1, 3),
-    repeat_t=st.integers(1, 3),
-)
-def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
+def _random_problems(seed: int, problems: int, repeat_t: int):
+    """A random observable deployment with per-pair sigma and dh, and noisy
+    batches of ``problems`` random poses on it."""
     rng = np.random.default_rng(seed)
     base = random_observable_deployment(rng)
     shape = base.sigma.shape
@@ -48,7 +43,23 @@ def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
         sigma=rng.uniform(0.02, 0.3, size=shape),
         dh=rng.uniform(0.2, 2.0, size=shape),
     )
-    batches = [noisy_batch(dep, random_pose(rng), repeat_t, rng) for _ in range(problems)]
+    return dep, [noisy_batch(dep, random_pose(rng), repeat_t, rng) for _ in range(problems)]
+
+
+def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Absolute difference of angles, modulo 2*pi."""
+    return np.abs(np.angle(np.exp(1j * (a - b))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    problems=st.integers(1, 40),
+    gn_steps=st.integers(1, 3),
+    repeat_t=st.integers(1, 3),
+)
+def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
+    dep, batches = _random_problems(seed, problems, repeat_t)
     mean_d, mean_d2 = _stack(batches)
     for method in Method:
         stacked = estimate_stacked(dep, mean_d, mean_d2, method, gn_steps)
@@ -63,6 +74,62 @@ def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
             assert stacked.status[k] == Status.OK, method
             assert abs(math.remainder(stacked.theta[k] - pose.theta, 2 * math.pi)) <= 1e-10, method
             np.testing.assert_allclose(stacked.t[k], pose.t, rtol=0, atol=1e-10, err_msg=method.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    problems=st.integers(1, 10),
+    repeat_t=st.integers(1, 3),
+    phi=st.floats(-math.pi, math.pi),
+    shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+)
+def test_rigid_motion_of_the_frame_moves_every_estimate(seed, problems, repeat_t, phi, shift):
+    # Anchors and true poses move together, so the ranges stay the same.
+    dep, batches = _random_problems(seed, problems, repeat_t)
+    rot = rotation_matrix(phi)
+    moved = Deployment(anchors=dep.anchors @ rot.T + shift, tags=dep.tags, sigma=dep.sigma, dh=dep.dh)
+    extent = float(np.ptp(dep.anchors, axis=0).max())
+    moments = _stack(batches)
+    for method in Method:
+        base = estimate_stacked(dep, *moments, method)
+        other = estimate_stacked(moved, *moments, method)
+        np.testing.assert_array_equal(other.status, base.status, err_msg=method.value)
+        ok = base.status == Status.OK
+        assert np.all(_angle_gap(other.theta[ok], base.theta[ok] + phi) <= 1e-9), method
+        np.testing.assert_allclose(
+            other.t[ok], base.t[ok] @ rot.T + shift, rtol=0, atol=1e-9 * extent, err_msg=method.value
+        )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    problems=st.integers(1, 10),
+    repeat_t=st.integers(1, 3),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+def test_permuting_anchors_and_tags_leaves_every_estimate(seed, problems, repeat_t, order_seed):
+    dep, batches = _random_problems(seed, problems, repeat_t)
+    order = np.random.default_rng(order_seed)
+    tag_order = order.permutation(dep.num_tags)
+    anchor_order = order.permutation(dep.num_anchors)
+    pairs = np.ix_(tag_order, anchor_order)
+    permuted = Deployment(
+        anchors=dep.anchors[anchor_order],
+        tags=dep.tags[tag_order],
+        sigma=dep.sigma[pairs],
+        dh=dep.dh[pairs],
+    )
+    extent = float(np.ptp(dep.anchors, axis=0).max())
+    mean_d, mean_d2 = _stack(batches)
+    for method in Method:
+        base = estimate_stacked(dep, mean_d, mean_d2, method)
+        other = estimate_stacked(permuted, mean_d[:, pairs[0], pairs[1]], mean_d2[:, pairs[0], pairs[1]], method)
+        np.testing.assert_array_equal(other.status, base.status, err_msg=method.value)
+        ok = base.status == Status.OK
+        assert np.all(_angle_gap(other.theta[ok], base.theta[ok]) <= 1e-9), method
+        np.testing.assert_allclose(other.t[ok], base.t[ok], rtol=0, atol=1e-9 * extent, err_msg=method.value)
 
 
 @pytest.mark.parametrize("method", REFINED)
