@@ -137,7 +137,7 @@ class RangeBatch:
     estimator depends on the repetitions only through ``T`` and the per-pair
     moments ``mean_d`` and ``mean_d2`` (both (N, M), read-only), which are
     computed once here; the raw ranges are not kept. Measurements must be
-    finite; sign is not checked here because synthetic sweeps keep raw
+    finite; sign is not checked here because synthetic ranges are raw
     Gaussian draws, while real logs reject negative ranges at ingestion.
     """
 

@@ -1,34 +1,39 @@
 """Monte-Carlo harness: sweeps and RMSE-versus-bound tables.
 
-Every trial draws its noise from a counter-based generator keyed by (seed,
-axis index, trial index) and is reduced at once to its per-pair range
-moments; the draws run serially. Each estimator then runs once per axis
-value over the stacked moments of all trials, and aggregation is by trial
-index, so results are bit-identical for a fixed seed. Wall-clock timings are
-the one exception: ``mean_time_s`` is the stacked call's wall time divided
-by the trial count, reported but inherently nondeterministic.
+Each axis value draws the per-pair range moments of all its trials at once,
+without the ranges themselves (``_axis_setup``), from one counter-based
+generator keyed by (seed, axis index). Each estimator then runs once per
+axis value over the stacked moments of all trials, and aggregation is by
+trial index, so results are bit-identical for a fixed seed. Wall-clock
+timings are the one exception: ``mean_time_s`` is the stacked call's wall
+time divided by the trial count, reported but inherently nondeterministic.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import (
-    Deployment,
-    Method,
-    Pose2,
-    RangeBatch,
-    check_observability,
-    predicted_ranges,
-)
+from .core import Deployment, Method, Pose2, check_observability, predicted_ranges
 from .crlb import constrained_crlb, fisher_info
 from .errors import EstimationError, Status, UnobservableDeploymentError
 from .estimators import estimate_stacked
+
+
+def integer_at_least(value, name: str, low: int) -> int:
+    """``value`` as an int of at least ``low``. Integers and integral floats
+    qualify; booleans, strings, fractions, NaN and infinities raise
+    ValueError, naming ``name``."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 class SweepAxis(str, enum.Enum):
@@ -82,12 +87,8 @@ class McConfig:
             if np.ptp(self.deployment.sigma) != 0.0 or np.ptp(self.deployment.dh) != 0.0:
                 raise ValueError("anchor-count sweeps require uniform sigma and dh")
         object.__setattr__(self, "axis_values", values)
-        if self.repeat_t < 1:
-            raise ValueError("repeat_t must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, low in (("repeat_t", 1), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer_at_least(getattr(self, name), name, low))
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
 
@@ -117,9 +118,8 @@ class McResult:
     metadata: dict
 
 
-def _trial_rng(seed: int, axis_index: int, trial: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(axis_index, trial))
-    return np.random.Generator(np.random.Philox(seq))
+def _philox(seed: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def synthesize_ranges(
@@ -136,46 +136,46 @@ def synthesize_ranges(
     return clean[:, :, np.newaxis] + noise_scale * deployment.sigma[:, :, np.newaxis] * noise
 
 
-def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int]:
-    """Deployment and repetition count effective at one axis value."""
+def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int, np.ndarray, np.ndarray]:
+    """Deployment, repetition count and the per-pair moments ``mean_d`` and
+    ``mean_d2``, each (trials, N, M), of every trial at one axis value. The
+    stream (seed, axis index) places the extra anchors of an anchor-count
+    axis, and the stream (seed, axis index, 1) draws the moments.
+
+    The ranges themselves are never drawn. With iid Gaussian noise of scale
+    ``s``, a pair's mean range and the variance ``mean_d2 - mean_d**2`` are
+    independent, with laws N(g, s²/T) and s² χ²(T-1) / T (Cochran's
+    theorem), and χ²(k) is twice a Gamma(k/2) variate. At T = 1 the
+    variance is exactly 0.
+    """
     value = config.axis_values[axis_index]
-    dep = config.deployment
+    dep, t_eff = config.deployment, config.repeat_t
     if config.axis is SweepAxis.REPEAT_T:
-        return dep, int(value)
-    if config.axis is SweepAxis.NOISE_SIGMA:
-        return Deployment(anchors=dep.anchors, tags=dep.tags, sigma=value, dh=dep.dh), config.repeat_t
-    # ANCHOR_COUNT: uniform sigma/dh extend to the generated anchors.
-    target = int(value)
-    if target <= dep.num_anchors:
-        anchors = dep.anchors[:target]
-    else:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=int(config.seed), spawn_key=(axis_index,)))
-        )
-        (x0, y0), (x1, y1) = config.anchor_rect
-        extra = rng.random((target - dep.num_anchors, 2))
-        extra = np.array([x0, y0]) + extra * np.array([x1 - x0, y1 - y0])
-        anchors = np.vstack([dep.anchors, extra])
-    return (
-        Deployment(
-            anchors=anchors,
-            tags=dep.tags,
-            sigma=float(dep.sigma.flat[0]),
-            dh=float(dep.dh.flat[0]),
-        ),
-        config.repeat_t,
-    )
+        t_eff = int(value)
+    elif config.axis is SweepAxis.NOISE_SIGMA:
+        dep = Deployment(anchors=dep.anchors, tags=dep.tags, sigma=value, dh=dep.dh)
+    else:  # ANCHOR_COUNT: uniform sigma/dh extend to the generated anchors.
+        target = int(value)
+        low, high = np.array(config.anchor_rect)
+        extra = _philox(config.seed, axis_index).uniform(low, high, (max(target - dep.num_anchors, 0), 2))
+        anchors = np.vstack([dep.anchors[:target], extra])
+        dep = Deployment(anchors=anchors, tags=dep.tags, sigma=float(dep.sigma.flat[0]), dh=float(dep.dh.flat[0]))
+    rng = _philox(config.seed, axis_index, 1)
+    scale = config.noise_scale * dep.sigma
+    shape = (config.trials, dep.num_tags, dep.num_anchors)
+    mean_d = predicted_ranges(dep, config.true_pose) + scale * rng.standard_normal(shape) / math.sqrt(t_eff)
+    spread = rng.standard_gamma((t_eff - 1) / 2.0, shape)
+    return dep, t_eff, mean_d, mean_d * mean_d + (2.0 / t_eff) * scale * scale * spread
 
 
 def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]]:
     """Run all trials at one axis value and aggregate per estimator.
 
-    Each trial's draw is reduced at once to its per-pair moments; every
-    estimator then runs once over the stacked moments of all trials.
-    Returns the rows and, for each row with failures, an entry
-    ``"<axis value> <estimator> <Error>=<count> ..."``.
+    Every estimator runs once over the moments of all trials, drawn at once
+    by ``_axis_setup``. Returns the rows and, for each row with failures, an
+    entry ``"<axis value> <estimator> <Error>=<count> ..."``.
     """
-    dep, t_eff = _axis_setup(config, axis_index)
+    dep, t_eff, mean_d, mean_d2 = _axis_setup(config, axis_index)
     pose = config.true_pose
     try:
         bound = constrained_crlb(fisher_info(dep, t_eff, pose), pose).sqrt_trace
@@ -183,15 +183,6 @@ def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]
         bound = float("nan")
 
     trials = config.trials
-    # mean_d and mean_d2 of every trial's batch.
-    moments = np.empty((2, trials, dep.num_tags, dep.num_anchors))
-    for trial in range(trials):
-        rng = _trial_rng(config.seed, axis_index, trial)
-        d = synthesize_ranges(dep, pose, t_eff, rng, config.noise_scale)
-        batch = RangeBatch(dep, t_eff, d)
-        moments[:, trial] = batch.mean_d, batch.mean_d2
-    mean_d, mean_d2 = moments
-
     cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
     value = config.axis_values[axis_index]
     rows, failures = [], []

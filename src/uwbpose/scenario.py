@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Deployment, Method, Pose2
 from .errors import SchemaError
-from .mc import McConfig, SweepAxis
+from .mc import McConfig, SweepAxis, integer_at_least
 
 _TOP_KEYS = {"deployment", "true_pose", "sweep", "repeat_t", "seed"}
 _DEPLOYMENT_KEYS = {"anchors", "tags", "sigma", "dh"}
@@ -53,13 +53,12 @@ def _require_keys(section: dict, allowed: set, required: set, where: str) -> Non
 
 
 def _integer(value, key: str, low: int, where: str) -> int:
-    """The value of ``key`` as an int of at least ``low``. JSON integers and
-    integral floats qualify; booleans, strings, fractions, NaN and
-    infinities do not."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < low:
-        raise SchemaError(f"{where}: {key} must be an integer >= {low}, got {value!r}")
-    return int(value)
+    """The value of ``key`` checked by ``mc.integer_at_least``; a failure is
+    a SchemaError that names ``where``."""
+    try:
+        return integer_at_least(value, key, low)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _parse_sigma(raw, n_tags: int, n_anchors: int, metadata: dict):

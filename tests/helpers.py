@@ -85,6 +85,21 @@ def random_observable_deployment(
             return dep
 
 
+def random_problems(seed: int, problems: int, repeat_t: int) -> tuple[Deployment, list[RangeBatch]]:
+    """A random observable deployment with per-pair sigma and dh, and noisy
+    batches of ``problems`` random poses on it."""
+    rng = np.random.default_rng(seed)
+    base = random_observable_deployment(rng)
+    shape = base.sigma.shape
+    dep = Deployment(
+        anchors=base.anchors,
+        tags=base.tags,
+        sigma=rng.uniform(0.02, 0.3, size=shape),
+        dh=rng.uniform(0.2, 2.0, size=shape),
+    )
+    return dep, [noisy_batch(dep, random_pose(rng), repeat_t, rng) for _ in range(problems)]
+
+
 def pose_parameter_vector(pose: Pose2) -> np.ndarray:
     """(vec(R), t) as a 6-vector, column-major rotation stacking."""
     return np.concatenate([pose.rotation.reshape(4, order="F"), pose.t])

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
-from uwbpose.errors import DegenerateGeometryError, NearSingularityError
-from uwbpose.estimators import estimate
-from uwbpose.gnrefine import linearize
+from uwbpose.errors import DegenerateGeometryError, NearSingularityError, Status
+from uwbpose.estimators import estimate, estimate_stacked
+from uwbpose.gnrefine import linearize, stacked_gn_step
 
 from helpers import (
     ml_cost,
@@ -18,6 +20,7 @@ from helpers import (
     one_gn_step,
     random_observable_deployment,
     random_pose,
+    random_problems,
     reference_deployment,
     reference_pose,
 )
@@ -106,7 +109,34 @@ class TestGnStep:
         assert abs(refined.theta - pose.theta) <= 1e-12
         np.testing.assert_allclose(refined.t, pose.t, atol=1e-12)
 
-    def test_common_sigma_scaling_cancels(self):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        problems=st.integers(1, 10),
+        repeat_t=st.integers(1, 30),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_common_sigma_scaling_cancels(self, seed, problems, repeat_t, scale):
+        # Scaling every sigma alike scales every Gauss-Newton weight alike.
+        # The linear stages do move, since E[d^2] = g^2 + sigma^2, so the
+        # scaled step starts where estimate_stacked starts its own step.
+        dep, batches = random_problems(seed, problems, repeat_t)
+        scaled = Deployment(anchors=dep.anchors, tags=dep.tags, sigma=scale * dep.sigma, dh=dep.dh)
+        mean_d = np.stack([batch.mean_d for batch in batches])
+        mean_d2 = np.stack([batch.mean_d2 for batch in batches])
+        for first, refined in ((Method.ULS, Method.GN_ULS), (Method.DAC, Method.GN_DAC)):
+            start = estimate_stacked(dep, mean_d, mean_d2, first)
+            started = start.status == Status.OK
+            base = estimate_stacked(dep, mean_d, mean_d2, refined)
+            other = stacked_gn_step(scaled, mean_d[started], start.theta[started], start.t[started])
+            np.testing.assert_array_equal(other.status, base.status[started], err_msg=refined.value)
+            ok = other.status == Status.OK
+            theta, t = base.theta[started][ok], base.t[started][ok]
+            gap = np.abs(np.angle(np.exp(1j * (other.theta[ok] - theta))))
+            assert np.all(gap <= 1e-12), refined
+            np.testing.assert_allclose(other.t[ok], t, rtol=0, atol=1e-12, err_msg=refined.value)
+
+    def test_common_sigma_scaling_cancels_at_reference_pose(self):
         rng = np.random.default_rng(42)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()

@@ -1,4 +1,5 @@
-"""Monte-Carlo harness: determinism, bound respect, spike robustness, CSV."""
+"""Monte-Carlo harness: moment draws, determinism, bound respect, spike
+robustness, CSV."""
 
 import io
 import math
@@ -6,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from uwbpose.core import Deployment, Method, Pose2, RangeBatch
-from uwbpose.errors import EstimationError, UnobservableDeploymentError
-from uwbpose.estimators import estimate
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
+from uwbpose.errors import UnobservableDeploymentError
+from uwbpose.estimators import estimate_stacked
 from uwbpose.mc import (
     McConfig,
     SweepAxis,
-    _trial_rng,
+    _axis_setup,
     run_sweep,
     synthesize_ranges,
     write_csv,
@@ -73,12 +74,98 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _small_config(trials=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("trials", math.inf),
+            ("trials", 0),
+            ("repeat_t", 2.5),
+            ("repeat_t", math.nan),
+            ("repeat_t", "3"),
+            ("seed", 1.5),
+            ("seed", "7"),
+            ("seed", -1),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _small_config(**{name: value})
+
+    def test_integral_values_become_ints(self):
+        config = _small_config(
+            trials=5.0, repeat_t=np.int64(3), seed=7.0, axis=SweepAxis.NOISE_SIGMA, axis_values=(0.1,)
+        )
+        for name, expected in (("trials", 5), ("repeat_t", 3), ("seed", 7)):
+            value = getattr(config, name)
+            assert type(value) is int and value == expected
+        result = run_sweep(config)
+        assert result.metadata["seed"] == "7" and result.rows[0].trials == 5
+
     def test_unobservable_refused_before_trials(self):
         config = _small_config(
             deployment=Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
         )
         with pytest.raises(UnobservableDeploymentError):
             run_sweep(config)
+
+
+class TestMomentDraws:
+    """A sweep draws each trial's per-pair moments, not its ranges. For iid
+    Gaussian noise of deviation s they are independent, with mean_d ~
+    N(g, s²/T) and mean_d2 - mean_d² ~ s² χ²(T-1) / T."""
+
+    TRIALS = 20000
+
+    @pytest.mark.parametrize("repeat_t", [1, 2, 10, 1000])
+    def test_moments_follow_their_laws(self, repeat_t):
+        config = _small_config(
+            deployment=reference_deployment(sigma=reference_sigma_matrix(), dh=0.7),
+            axis_values=(repeat_t,),
+            trials=self.TRIALS,
+            seed=5,
+        )
+        dep, t_eff, mean_d, mean_d2 = _axis_setup(config, 0)
+        assert t_eff == repeat_t and mean_d.shape == (self.TRIALS, 2, 3)
+        n = self.TRIALS
+        g, s2 = predicted_ranges(dep, config.true_pose), dep.sigma**2
+
+        # Per pair: sample mean and variance of mean_d within 5 standard errors.
+        var_mean = s2 / repeat_t
+        assert np.all(np.abs(mean_d.mean(axis=0) - g) <= 5 * np.sqrt(var_mean / n))
+        assert np.all(np.abs(mean_d.var(axis=0, ddof=1) - var_mean) <= 5 * var_mean * math.sqrt(2 / (n - 1)))
+
+        spread = mean_d2 - mean_d**2
+        if repeat_t == 1:
+            np.testing.assert_array_equal(spread, 0.0)
+            return
+        k = repeat_t - 1
+        expected_mean = s2 * k / repeat_t
+        expected_var = 2 * s2**2 * k / repeat_t**2
+        # The sample variance of a χ²(k) variate has excess kurtosis 12 / k.
+        se_var = expected_var * math.sqrt(2 / (n - 1) + 12 / (k * n))
+        assert np.all(np.abs(spread.mean(axis=0) - expected_mean) <= 5 * np.sqrt(expected_var / n))
+        assert np.all(np.abs(spread.var(axis=0, ddof=1) - expected_var) <= 5 * se_var)
+
+        centred_d = mean_d - mean_d.mean(axis=0)
+        centred_s = spread - spread.mean(axis=0)
+        corr = (centred_d * centred_s).sum(axis=0) / np.sqrt(
+            (centred_d**2).sum(axis=0) * (centred_s**2).sum(axis=0)
+        )
+        assert np.all(np.abs(corr) <= 5 / math.sqrt(n - 1))
+
+    @pytest.mark.parametrize("repeat_t", [1, 10])
+    def test_zero_noise_scale_gives_the_clean_moments(self, repeat_t):
+        config = _small_config(
+            deployment=reference_deployment(sigma=reference_sigma_matrix(), dh=0.7),
+            axis_values=(repeat_t,),
+            noise_scale=0.0,
+        )
+        dep, _, mean_d, mean_d2 = _axis_setup(config, 0)
+        g = predicted_ranges(dep, config.true_pose)
+        np.testing.assert_array_equal(mean_d, np.broadcast_to(g, mean_d.shape))
+        np.testing.assert_array_equal(mean_d2, np.broadcast_to(g * g, mean_d2.shape))
 
 
 class TestRunSweep:
@@ -298,17 +385,29 @@ class TestCsvOutput:
                 assert line.split(",")[6] == ""
 
 
-def _plain_draws(config):
-    def draws(dep, t_eff, rng):
-        return [("", synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale))]
+def _trial_rng(seed, axis_index, trial):
+    """Raw-draw stream of one trial, keyed by (seed, axis index, trial index)."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(axis_index, trial))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def _sweep_draws(config):
+    """Each trial's moment slice of the draw the sweep makes at an axis value."""
+
+    def draws(axis_index):
+        dep, _, mean_d, mean_d2 = _axis_setup(config, axis_index)
+        return dep, ([("", mean_d[k], mean_d2[k])] for k in range(config.trials))
 
     return draws
 
 
 def _stress_draws(config, spike, rate, window=5, v_max=0.5, freq_hz=100.0):
+    """Per trial, the moments of raw ranges with positive spikes, unlabelled,
+    and of the same ranges after the sliding-window rejection rule
+    (``+filter``)."""
     slack = window * v_max / freq_hz + REJECTION_BOUND_M
 
-    def draws(dep, t_eff, rng):
+    def trial(dep, t_eff, rng):
         d = synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)
         spiked = d + spike * (rng.random(d.shape) < rate)
         filtered = spiked.copy()
@@ -318,32 +417,34 @@ def _stress_draws(config, spike, rate, window=5, v_max=0.5, freq_hz=100.0):
                 flags = flag_stream(filtered[i, m], window, slack)
                 if flags.any():
                     filtered[i, m] = interpolate_flagged(stamps, filtered[i, m], flags)
-        return [("", spiked), ("+filter", filtered)]
+        batches = (("", RangeBatch(dep, t_eff, spiked)), ("+filter", RangeBatch(dep, t_eff, filtered)))
+        return [(prefix, batch.mean_d, batch.mean_d2) for prefix, batch in batches]
+
+    def draws(axis_index):
+        dep, t_eff = _axis_setup(config, axis_index)[:2]
+        return dep, (trial(dep, t_eff, _trial_rng(config.seed, axis_index, k)) for k in range(config.trials))
 
     return draws
 
 
 def _reference_rows(config, draws):
-    """Per-trial reference: one ``estimate`` call per trial, batch and
-    method, aggregated like a sweep row."""
+    """Per-trial reference: one K = 1 ``estimate_stacked`` call per trial,
+    moment set and method, aggregated like a sweep row."""
     rows = []
     rot_true = config.true_pose.rotation
     for axis_index, value in enumerate(config.axis_values):
-        t_eff = int(round(value))
+        dep, trials = draws(axis_index)
         errors = {}
-        for trial in range(config.trials):
-            rng = _trial_rng(config.seed, axis_index, trial)
-            for prefix, d in draws(config.deployment, t_eff, rng):
-                batch = RangeBatch(config.deployment, t_eff, d)
+        for moments in trials:
+            for prefix, mean_d, mean_d2 in moments:
                 for method in config.estimators:
+                    poses = estimate_stacked(dep, mean_d[np.newaxis], mean_d2[np.newaxis], method)
                     per_trial = errors.setdefault(method.value + prefix, [])
-                    try:
-                        pose = estimate(batch, method)
-                    except EstimationError:
+                    if poses.status[0]:
                         per_trial.append(None)
                         continue
-                    rot_sq = np.sum((pose.rotation - rot_true) ** 2)
-                    per_trial.append((rot_sq, np.sum((pose.t - config.true_pose.t) ** 2)))
+                    rot_sq = np.sum((rotation_matrix(poses.theta[0]) - rot_true) ** 2)
+                    per_trial.append((rot_sq, np.sum((poses.t[0] - config.true_pose.t) ** 2)))
         for label, per_trial in errors.items():
             ok = [e for e in per_trial if e is not None]
             rot = math.sqrt(sum(r for r, _ in ok) / len(ok)) if ok else math.nan
@@ -366,24 +467,45 @@ def _assert_rows_match(rows, reference):
                 assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
+def _philox(seed, *key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
 class TestStackedMatchesPerTrialLoop:
     """Sweeps estimate every trial of an axis value in one stacked call; each
-    row must equal a loop of one ``estimate`` call per trial."""
+    row must equal a loop of one K = 1 call per trial on that trial's moment
+    slice of the same draw."""
 
     @pytest.mark.parametrize(
-        "pose, noise_scale",
-        [(reference_pose(), 1.0), (Pose2(0.0, [47.0, 0.0]), 0.0)],
-        ids=["noisy", "tag-on-anchor"],
+        "overrides",
+        [
+            dict(deployment=reference_deployment(sigma=0.1, dh=0.7)),
+            dict(true_pose=Pose2(0.0, [47.0, 0.0]), noise_scale=0.0),
+            dict(
+                deployment=reference_deployment(sigma=0.1, dh=0.7),
+                axis=SweepAxis.ANCHOR_COUNT,
+                axis_values=(3, 5),
+                repeat_t=10,
+            ),
+        ],
+        ids=["noisy", "tag-on-anchor", "anchor-count"],
     )
-    def test_run_sweep(self, pose, noise_scale):
-        dh = 0.7 if noise_scale else 0.0
-        config = _small_config(
-            deployment=reference_deployment(sigma=0.1, dh=dh),
-            true_pose=pose,
-            noise_scale=noise_scale,
-            axis_values=(1, 10),
-            trials=25,
-            seed=31,
-        )
+    def test_run_sweep(self, overrides):
+        config = _small_config(**{"axis_values": (1, 10), "trials": 25, "seed": 31, **overrides})
         rows = run_sweep(config).rows
-        _assert_rows_match(rows, _reference_rows(config, _plain_draws(config)))
+        _assert_rows_match(rows, _reference_rows(config, _sweep_draws(config)))
+
+    def test_noise_is_not_the_anchor_placement_stream(self):
+        # Two extra anchors come from the stream (seed, axis index); the
+        # noise of the same axis value must come from another stream.
+        config = _small_config(axis=SweepAxis.ANCHOR_COUNT, axis_values=(5,), repeat_t=10, trials=25, seed=31)
+        dep, t_eff, mean_d, _ = _axis_setup(config, 0)
+        anchor_stream = _philox(config.seed, 0)
+        (x0, y0), (x1, y1) = config.anchor_rect
+        placed = np.array([x0, y0]) + anchor_stream.random((2, 2)) * np.array([x1 - x0, y1 - y0])
+        np.testing.assert_array_equal(dep.anchors[3:], placed)
+
+        z = (mean_d - predicted_ranges(dep, config.true_pose)) * math.sqrt(t_eff) / dep.sigma
+        np.testing.assert_allclose(z, _philox(config.seed, 0, 1).standard_normal(z.shape), rtol=0, atol=1e-9)
+        for reused in (_philox(config.seed, 0).standard_normal(z.shape), anchor_stream.standard_normal(z.shape)):
+            assert not np.allclose(z, reused, rtol=0, atol=1e-3)

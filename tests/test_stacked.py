@@ -11,7 +11,7 @@ from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
 from uwbpose.errors import EstimationError, NearSingularityError, Status
 from uwbpose.estimators import estimate, estimate_stacked
 
-from helpers import noisy_batch, random_observable_deployment, random_pose
+from helpers import noisy_batch, random_observable_deployment, random_problems
 
 REFINED = (Method.GN_ULS, Method.GN_DAC)
 
@@ -31,21 +31,6 @@ def _stack(batches):
     return mean_d, mean_d2
 
 
-def _random_problems(seed: int, problems: int, repeat_t: int):
-    """A random observable deployment with per-pair sigma and dh, and noisy
-    batches of ``problems`` random poses on it."""
-    rng = np.random.default_rng(seed)
-    base = random_observable_deployment(rng)
-    shape = base.sigma.shape
-    dep = Deployment(
-        anchors=base.anchors,
-        tags=base.tags,
-        sigma=rng.uniform(0.02, 0.3, size=shape),
-        dh=rng.uniform(0.2, 2.0, size=shape),
-    )
-    return dep, [noisy_batch(dep, random_pose(rng), repeat_t, rng) for _ in range(problems)]
-
-
 def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Absolute difference of angles, modulo 2*pi."""
     return np.abs(np.angle(np.exp(1j * (a - b))))
@@ -59,7 +44,7 @@ def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     repeat_t=st.integers(1, 3),
 )
 def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
-    dep, batches = _random_problems(seed, problems, repeat_t)
+    dep, batches = random_problems(seed, problems, repeat_t)
     mean_d, mean_d2 = _stack(batches)
     for method in Method:
         stacked = estimate_stacked(dep, mean_d, mean_d2, method, gn_steps)
@@ -86,7 +71,7 @@ def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
 )
 def test_rigid_motion_of_the_frame_moves_every_estimate(seed, problems, repeat_t, phi, shift):
     # Anchors and true poses move together, so the ranges stay the same.
-    dep, batches = _random_problems(seed, problems, repeat_t)
+    dep, batches = random_problems(seed, problems, repeat_t)
     rot = rotation_matrix(phi)
     moved = Deployment(anchors=dep.anchors @ rot.T + shift, tags=dep.tags, sigma=dep.sigma, dh=dep.dh)
     extent = float(np.ptp(dep.anchors, axis=0).max())
@@ -110,7 +95,7 @@ def test_rigid_motion_of_the_frame_moves_every_estimate(seed, problems, repeat_t
     order_seed=st.integers(0, 2**32 - 1),
 )
 def test_permuting_anchors_and_tags_leaves_every_estimate(seed, problems, repeat_t, order_seed):
-    dep, batches = _random_problems(seed, problems, repeat_t)
+    dep, batches = random_problems(seed, problems, repeat_t)
     order = np.random.default_rng(order_seed)
     tag_order = order.permutation(dep.num_tags)
     anchor_order = order.permutation(dep.num_anchors)
