@@ -130,8 +130,11 @@ def _cmd_crlb(args) -> int:
 def _load_ranges(args) -> RangeLog:
     log = RangeLog.from_csv(args.ranges, frequency=args.freq)
     cleaned, mask = reject_outliers(log, window=args.window, v_max=args.vmax)
-    if mask.any():
-        print(f"rejected {int(mask.sum())} outlier samples", file=sys.stderr)
+    print(
+        f"{args.ranges}: {len(log) + log.dropped_negative} records read, "
+        f"{log.dropped_negative} negative dropped, {int(mask.sum())} outliers rejected",
+        file=sys.stderr,
+    )
     return cleaned
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -56,11 +58,12 @@ def interpolate_flagged(times: np.ndarray, values: np.ndarray, flags: np.ndarray
 class RangeLog:
     """Flat record arrays of raw ranging data plus the nominal frequency.
 
-    Timestamps must be non-decreasing within each (anchor, tag) stream.
-    ``dropped_negative`` counts records rejected at ingestion. The stream
-    index is built once, at construction: ``stream_keys`` lists the
-    (anchor, tag) streams in order of first appearance and ``stream_id``
-    gives each record's position in it.
+    Columns of unequal length, non-finite timestamps or ranges, negative
+    ranges and timestamps that decrease within an (anchor, tag) stream
+    raise SchemaError. ``dropped_negative`` counts records rejected at
+    ingestion. The stream index is built once, at construction:
+    ``stream_keys`` lists the streams in order of first appearance and
+    ``stream_id`` gives each record's position in it.
     """
 
     t: np.ndarray
@@ -77,9 +80,11 @@ class RangeLog:
         t = np.asarray(self.t, dtype=float)
         r = np.asarray(self.range_m, dtype=float)
         if not (len(t) == len(self.anchor) == len(self.tag) == len(r)):
-            raise ValueError("log columns must have equal length")
-        if self.frequency <= 0:
+            raise SchemaError("log columns must have equal length")
+        if not self.frequency > 0:
             raise ValueError("frequency must be positive")
+        if not np.all(np.isfinite(t)):
+            raise SchemaError("timestamps must be finite")
         _check_ranges(r)
         t.setflags(write=False)
         r.setflags(write=False)
@@ -138,33 +143,19 @@ class RangeLog:
     @classmethod
     def from_csv(cls, path, frequency: float) -> "RangeLog":
         """Load ``t,anchor,tag,range`` CSV; negative ranges are dropped."""
-        rows = _read_csv_rows(path, ["t", "anchor", "tag", "range"])
-        t, anchor, tag, rng = [], [], [], []
-        dropped = 0
-        for line_no, row in rows:
-            try:
-                ti, ri = float(row["t"]), float(row["range"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line_no}: non-numeric field") from exc
-            if not (math.isfinite(ti) and math.isfinite(ri)):
-                raise SchemaError(f"{path}:{line_no}: non-finite field")
-            if ri < 0:
-                dropped += 1
-                continue
-            t.append(ti)
-            anchor.append(row["anchor"])
-            tag.append(row["tag"])
-            rng.append(ri)
-        del rows  # the parsed rows dominate memory; free them before indexing streams
+        (t, anchor, tag, rng), lines = _read_columns(path, ["t", "anchor", "tag", "range"])
+        t, r = _floats(path, lines, t, rng, finite=True)
+        keep = r >= 0
+        anchor, tag = (list(compress(ids, keep.tolist())) for ids in (anchor, tag))
         return cls(
-            t=np.asarray(t), anchor=tuple(anchor), tag=tuple(tag),
-            range_m=np.asarray(rng), frequency=frequency, dropped_negative=dropped,
+            t=t[keep], anchor=anchor, tag=tag, range_m=r[keep],
+            frequency=frequency, dropped_negative=len(keep) - int(keep.sum()),
         )
 
 
 def _check_ranges(r: np.ndarray) -> None:
     if len(r) and (not np.all(np.isfinite(r)) or np.any(r < 0)):
-        raise ValueError("ranges must be finite and nonnegative")
+        raise SchemaError("ranges must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -198,16 +189,10 @@ class GroundTruthLog:
     @classmethod
     def from_csv(cls, path) -> "GroundTruthLog":
         """Load ``t,x,y,yaw_deg`` CSV."""
-        rows = _read_csv_rows(path, ["t", "x", "y", "yaw_deg"])
-        data = []
-        for line_no, row in rows:
-            try:
-                data.append([float(row[k]) for k in ("t", "x", "y", "yaw_deg")])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line_no}: non-numeric field") from exc
-        arr = np.asarray(data, dtype=float).reshape(-1, 4)
+        columns, lines = _read_columns(path, ["t", "x", "y", "yaw_deg"])
+        t, x, y, yaw_deg = _floats(path, lines, *columns, finite=False)
         try:
-            return cls(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], yaw=np.deg2rad(arr[:, 3]))
+            return cls(t=t, x=x, y=y, yaw=np.deg2rad(yaw_deg))
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from None
 
@@ -225,27 +210,63 @@ class GroundTruthLog:
         return np.column_stack([xs, ys]), yaw
 
 
-def _read_csv_rows(path, expected_header: list[str]):
+def _read_columns(path, header: list[str]) -> tuple[list[list[str]], np.ndarray]:
+    """The data columns of a UTF-8 CSV file with ``header`` as lists of
+    strings, and the line of each row: its ``csv.reader`` record number, so
+    blank lines count. Blank lines are skipped. Text without quotes or
+    carriage returns is split with ``str.split``, as ``csv.reader`` would."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header required") from None
-        if header != expected_header:
-            raise SchemaError(f"{path}: header must be {','.join(expected_header)}")
-        out = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise SchemaError(f"{path}:{line_no}: expected {len(expected_header)} fields")
-            out.append((line_no, dict(zip(expected_header, row))))
-    return out
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    quoted = '"' in text or "\r" in text
+    if quoted:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    else:
+        records = text.split("\n")
+        if not records[-1]:
+            records.pop()  # the text after the last newline
+    if not records:
+        raise SchemaError(f"{path}: empty file, header required")
+    head = records.pop(0)
+    if [h.strip() for h in (head if quoted else head.split(","))] != header:
+        raise SchemaError(f"{path}: header must be {','.join(header)}")
+    k, n = len(header), len(records)
+    # A record holds k fields; an unquoted line, k - 1 commas. Blank ones do not.
+    widths = map(len, records) if quoted else map(str.count, records, repeat(",", n))
+    keep = np.fromiter(widths, np.intp, n) == (k if quoted else k - 1)
+    lines = np.arange(2, n + 2)
+    if not keep.all():
+        for i in np.flatnonzero(~keep).tolist():
+            if records[i]:
+                raise SchemaError(f"{path}:{i + 2}: expected {k} fields")
+        records, lines = list(compress(records, keep.tolist())), lines[keep]
+    if quoted:
+        fields = list(chain.from_iterable(records))
+    else:
+        fields = ",".join(records).split(",") if records else []
+    return [fields[j::k] for j in range(k)], lines
+
+
+def _floats(path, lines: np.ndarray, *columns, finite: bool) -> list[np.ndarray]:
+    """The string ``columns`` as float arrays; SchemaError names the first
+    line with a non-numeric field, or with ``finite`` a non-finite one."""
+    try:
+        arrays = [np.fromiter(map(float, col), float, len(lines)) for col in columns]
+    except ValueError:
+        arrays = None
+    if arrays is None or finite and not np.isfinite(arrays).all():
+        for line, row in zip(lines.tolist(), zip(*columns)):
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                raise SchemaError(f"{path}:{line}: non-numeric field") from None
+            if finite and not all(map(math.isfinite, values)):
+                raise SchemaError(f"{path}:{line}: non-finite field")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -282,7 +303,7 @@ class NamedDeployment:
         try:
             with open(path, encoding="utf-8") as handle:
                 raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
             raise SchemaError(f"cannot read deployment {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}: deployment must be a JSON object")

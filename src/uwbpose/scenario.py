@@ -109,7 +109,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: scenario must be a JSON object")

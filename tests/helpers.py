@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 
 from uwbpose.core import Deployment, Pose2, RangeBatch, check_observability, predicted_ranges
-from uwbpose.errors import Status
+from uwbpose.errors import SchemaError, Status
 from uwbpose.gnrefine import stacked_gn_step
+from uwbpose.preprocess import GroundTruthLog, RangeLog
 
 CORNER_ANCHORS = np.array([[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]])
 BODY_TAGS = np.array([[3.0, 0.0], [3.0, 3.0]])
@@ -132,3 +136,77 @@ def one_gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
     if code:
         raise code.error(code.name)
     return Pose2(step.theta[0], step.t[0])
+
+
+# Row-wise CSV reference: one csv.reader record and one dict per row, with
+# the conversion done field by field. It is the oracle of the column reader
+# in uwbpose.preprocess and shares no code with it.
+
+
+def reference_csv_rows(path, expected_header: list[str]) -> list[tuple[int, dict]]:
+    """(line, {column: field}) per data row; a line is a csv.reader record number."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, header required") from None
+        if header != expected_header:
+            raise SchemaError(f"{path}: header must be {','.join(expected_header)}")
+        out = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected_header):
+                raise SchemaError(f"{path}:{line_no}: expected {len(expected_header)} fields")
+            out.append((line_no, dict(zip(expected_header, row))))
+    return out
+
+
+def reference_columns(path, header: list[str]) -> tuple[list[list[str]], list[int]]:
+    """The rows of ``reference_csv_rows`` as columns, and their lines."""
+    rows = reference_csv_rows(path, header)
+    return [[row[name] for _, row in rows] for name in header], [line for line, _ in rows]
+
+
+def reference_range_log(path, frequency: float) -> RangeLog:
+    rows = reference_csv_rows(path, ["t", "anchor", "tag", "range"])
+    t, anchor, tag, rng = [], [], [], []
+    dropped = 0
+    for line_no, row in rows:
+        try:
+            ti, ri = float(row["t"]), float(row["range"])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{line_no}: non-numeric field") from exc
+        if not (math.isfinite(ti) and math.isfinite(ri)):
+            raise SchemaError(f"{path}:{line_no}: non-finite field")
+        if ri < 0:
+            dropped += 1
+            continue
+        t.append(ti)
+        anchor.append(row["anchor"])
+        tag.append(row["tag"])
+        rng.append(ri)
+    return RangeLog(
+        t=np.asarray(t), anchor=tuple(anchor), tag=tuple(tag),
+        range_m=np.asarray(rng), frequency=frequency, dropped_negative=dropped,
+    )
+
+
+def reference_truth_log(path) -> GroundTruthLog:
+    rows = reference_csv_rows(path, ["t", "x", "y", "yaw_deg"])
+    data = []
+    for line_no, row in rows:
+        try:
+            data.append([float(row[k]) for k in ("t", "x", "y", "yaw_deg")])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{line_no}: non-numeric field") from exc
+    arr = np.asarray(data, dtype=float).reshape(-1, 4)
+    try:
+        return GroundTruthLog(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], yaw=np.deg2rad(arr[:, 3]))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

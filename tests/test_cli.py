@@ -496,3 +496,59 @@ def test_bad_sweep_scenario_exits_2_without_output(tmp_path, capsys, case):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+NON_UTF8_CASES = [
+    ("ranges", "estimate"),
+    ("ranges", "calibrate"),
+    ("truth", "estimate"),
+    ("truth", "calibrate"),
+    ("deployment", "estimate"),
+    ("deployment", "calibrate"),
+    ("scenario", "crlb"),
+    ("scenario", "simulate"),
+]
+
+
+@pytest.mark.parametrize("kind, command", NON_UTF8_CASES, ids=["-".join(case) for case in NON_UTF8_CASES])
+def test_non_utf8_file_exits_2_without_output(tmp_path, capsys, kind, command):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
+    path = {"ranges": ranges, "truth": truth, "deployment": dep, "scenario": scenario}[kind]
+    with open(path, "ab") as handle:
+        handle.write(b"\xff\n")
+    out = tmp_path / "o.out"
+    argv = {
+        "estimate": ["--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)],
+        "calibrate": ["--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)],
+        "crlb": ["--scenario", scenario],
+        "simulate": ["--scenario", scenario, "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_ingestion_accounting_goes_to_stderr(tmp_path, capsys, command):
+    samples = 60
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=samples)
+    with open(ranges, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    # Rows run epoch-major over 3 tags x 8 anchors. Four 2 m spikes, each in
+    # its own stream and past the first rejection window, and three negative
+    # records (dropped before the stream check, so their time does not matter).
+    for epoch, pair in [(20, 0), (30, 5), (40, 11), (50, 23)]:
+        row = rows[1 + 24 * epoch + pair]
+        row[3] = repr(float(row[3]) + 2.0)
+    rows += [["0.1", "a0", "t0", "-1.0"], ["0.2", "a3", "t1", "-0.5"], ["0.3", "a7", "t2", "-2"]]
+    with open(ranges, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    out = tmp_path / "o.out"
+    argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
+    assert main(argv) == 0
+    stdout, err = capsys.readouterr()
+    line = f"{ranges}: {24 * samples + 3} records read, 3 negative dropped, 4 outliers rejected"
+    assert err.splitlines() == [line]
+    assert "records read" not in stdout

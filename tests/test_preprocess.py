@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_columns, reference_range_log, reference_truth_log
 from uwbpose.core import Deployment, Pose2, predicted_ranges
 from uwbpose.errors import InsufficientDataError, SchemaError
 from uwbpose.preprocess import (
@@ -12,6 +15,7 @@ from uwbpose.preprocess import (
     GroundTruthLog,
     NamedDeployment,
     RangeLog,
+    _read_columns,
     align_and_batch,
     calibrate_bias,
     flag_stream,
@@ -369,6 +373,51 @@ class TestLogIngestion:
                 frequency=100.0,
             )
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"t": [0.0, 0.1]}, "equal length"),
+            ({"anchor": ("a0",) * 4}, "equal length"),
+            ({"range_m": [1.0, 1.0]}, "equal length"),
+            ({"t": [0.0, math.nan, 0.2]}, "timestamps must be finite"),
+            ({"t": [math.nan, 0.1, 0.2]}, "timestamps must be finite"),
+            ({"t": [0.0, 0.1, math.inf]}, "timestamps must be finite"),
+            ({"range_m": [1.0, math.nan, 1.0]}, "ranges must be finite"),
+            ({"range_m": [1.0, -math.inf, 1.0]}, "ranges must be finite"),
+            ({"range_m": [1.0, -0.5, 1.0]}, "nonnegative"),
+            ({"t": [0.0, 0.2, 0.1]}, "timestamps decrease"),
+        ],
+    )
+    def test_every_column_fault_is_a_schema_error(self, change, message):
+        columns = {
+            "t": [0.0, 0.1, 0.2], "anchor": ("a0",) * 3, "tag": ("t0",) * 3, "range_m": [1.0] * 3,
+        }
+        with pytest.raises(SchemaError, match=message):
+            RangeLog(**{**columns, **change}, frequency=100.0)
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan])
+    def test_bad_frequency_is_a_parameter_error(self, frequency):
+        with pytest.raises(ValueError) as info:
+            RangeLog(t=[0.0], anchor=("a0",), tag=("t0",), range_m=[1.0], frequency=frequency)
+        assert not isinstance(info.value, SchemaError)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.0,a0,t0,1.0\n\n0.1,a0,t0,x\n", "4: non-numeric field"),
+            ("0.0,a0,t0,nan\n0.1,a0,t0,x\n", "2: non-finite field"),
+            ("0.0,a0,t0,1.0\n0.1,a0,t0\n", "3: expected 4 fields"),
+            ('0.0,"a\n0",t0,1.0\n0.1,a0,t0,-inf\n', "3: non-finite field"),
+            ("0.0,a0,t0,1.0\r\n\r\n0.1,a0,t0,1e400\r\n", "4: non-finite field"),
+        ],
+    )
+    def test_errors_name_the_record_line(self, tmp_path, body, message):
+        path = tmp_path / "ranges.csv"
+        path.write_bytes(("t,anchor,tag,range\n" + body).encode("utf-8"))
+        with pytest.raises(SchemaError) as info:
+            RangeLog.from_csv(path, frequency=100.0)
+        assert str(info.value) == f"{path}:{message}"
+
     def test_ground_truth_csv_parses_degrees(self, tmp_path):
         path = tmp_path / "truth.csv"
         path.write_text("t,x,y,yaw_deg\n0.0,1.0,2.0,90.0\n1.0,2.0,3.0,180.0\n", encoding="utf-8")
@@ -387,3 +436,102 @@ class TestLogIngestion:
         )
         _, yaw = truth.interpolate(np.array([0.5]))
         assert math.degrees(yaw[0]) % 360 == pytest.approx(0.0, abs=1e-9)
+
+
+# Generated CSV logs for the column reader. "Plain" logs have no quote and no
+# carriage return, so the reader splits them with str.split; the others take
+# its csv.reader branch. Both must agree with the row-wise reference reader.
+SCHEMAS = {"range": ["t", "anchor", "tag", "range"], "truth": ["t", "x", "y", "yaw_deg"]}
+GOOD_NUMBERS = ["0", "1.5", " 2.25 ", "7e-3", "12", "-0.0", "-3", "0.125"]
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "abc", "", "1_0", "0x1"]
+PLAIN_IDS = ["a0", "t1", " a 1 ", "", "x y", "p\x0cq", "u\u2028v"]  # str.splitlines breaks the last two
+QUOTED_IDS = ['"a,1"', '"a\n1"', '"q""x"', '"x"y', '" s "']
+
+
+@st.composite
+def csv_logs(draw, schema: str) -> str:
+    header = SCHEMAS[schema]
+    plain = draw(st.booleans())
+    bad_numbers, bad_shapes = (draw(st.integers(0, 2)) == 2 for _ in range(2))
+    numbers = GOOD_NUMBERS + (BAD_NUMBERS if bad_numbers else [])
+    ids = PLAIN_IDS + ([] if plain else QUOTED_IDS)
+    ends = ["\n"] if plain else ["\n", "\r\n", "\r"]
+    kinds = ["row"] * 4 + ["blank"] + (["short", "long"] if bad_shapes else [])
+    head = draw(st.sampled_from([",".join(header)] * 8 + [" , ".join(header), ",".join(header[:3]), ""]))
+    lines = [head]
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+            continue
+        t = repr(0.01 * i) if draw(st.integers(0, 4)) else draw(st.sampled_from(numbers))
+        if schema == "range":
+            fields = [t, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), draw(st.sampled_from(numbers))]
+        else:
+            fields = [t] + [draw(st.sampled_from(numbers)) for _ in range(3)]
+        if kind == "short":
+            fields.pop(draw(st.integers(0, 3)))
+        elif kind == "long":
+            fields.append(draw(st.sampled_from(numbers)))
+        lines.append(",".join(fields))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last line
+    return "" if draw(st.integers(0, 19)) == 19 else text
+
+
+def _outcome(load, *args):
+    try:
+        return "ok", load(*args)
+    except SchemaError as exc:
+        return "error", str(exc)
+
+
+def _log_fields(log) -> tuple:
+    if isinstance(log, RangeLog):
+        return log.t.tobytes(), log.anchor, log.tag, log.range_m.tobytes(), log.dropped_negative
+    return tuple(getattr(log, name).tobytes() for name in ("t", "x", "y", "yaw"))
+
+
+def _assert_readers_agree(path, schema: str) -> None:
+    header = SCHEMAS[schema]
+    status, got = _outcome(_read_columns, path, header)
+    ref_status, want = _outcome(reference_columns, path, header)
+    assert status == ref_status
+    if status == "ok":
+        assert [list(column) for column in got[0]] == want[0]
+        assert got[1].tolist() == want[1]
+    else:
+        assert got == want
+
+    if schema == "range":
+        got, want = _outcome(RangeLog.from_csv, path, 100.0), _outcome(reference_range_log, path, 100.0)
+    else:
+        got, want = _outcome(GroundTruthLog.from_csv, path), _outcome(reference_truth_log, path)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert _log_fields(got[1]) == _log_fields(want[1])
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("schema", list(SCHEMAS))
+@settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_column_reader_matches_row_reader(tmp_path, schema, data):
+    path = tmp_path / f"{schema}.csv"
+    path.write_bytes(data.draw(csv_logs(schema)).encode("utf-8"))
+    _assert_readers_agree(path, schema)
+
+
+@pytest.mark.parametrize("schema", list(SCHEMAS))
+@pytest.mark.parametrize(
+    "text", ["", "\n", "\r\n", "HEADER", "HEADER\n", "HEADER\n\n", "\nHEADER\n", "HEADER\r\n\r\n"]
+)
+def test_column_reader_matches_row_reader_on_empty_logs(tmp_path, schema, text):
+    path = tmp_path / f"{schema}.csv"
+    path.write_bytes(text.replace("HEADER", ",".join(SCHEMAS[schema])).encode("utf-8"))
+    _assert_readers_agree(path, schema)
