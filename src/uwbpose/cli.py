@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -177,6 +178,9 @@ def _cmd_estimate(args) -> int:
         writer.writerow([repr(epoch_time), *fields, method.value, status])
     _atomic_write_text(args.out, buffer.getvalue())
     print(f"wrote {len(epochs)} epochs to {args.out} ({int(ok.sum())} ok)")
+    failed = Counter(status.removeprefix("error:") for status in statuses if status != "ok")
+    kinds = " ".join(f"{name}={n}" for name, n in sorted(failed.items()))
+    print(f"failures_by_error: {kinds or 'none'}", file=sys.stderr)
 
     if truth is not None:
         inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])

@@ -3,13 +3,13 @@
 A single step from any root-n-consistent initial pose already attains the
 accuracy of the full maximum-likelihood minimizer asymptotically, so exactly
 one iteration is the library default. The step linearizes the predicted
-ranges in (theta, t) around the initial pose and solves the weighted normal
-problem through an orthogonal factorization. Repetitions share their
-pair's Jacobian row, so there is one row per (tag, anchor) pair on the mean
-range; the normal equations are those of all n measurements divided by T.
-K problems that share a deployment take their steps together
-(``stacked_gn_step``): a (K, N * M, 3) stack of weighted Jacobians solved by
-one stacked SVD; one problem is the case K = 1.
+ranges in (theta, t) around the initial pose and solves the weighted
+normal equations in closed form. Repetitions share their pair's Jacobian
+row, so there is one row per (tag, anchor) pair on the mean range; the
+normal equations are those of all n measurements divided by T. K problems
+that share a deployment take their steps together (``stacked_gn_step``):
+their 3 x 3 normal matrices come from one stacked product and are solved by
+their adjugates, elementwise over K; one problem is the case K = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .errors import Status
 # tag-on-anchor coincidence is treated as an explicit failure.
 PROXIMITY_FLOOR_M = 1e-6
 
-_EPS = np.finfo(float).eps
+# A normal matrix scaled to unit diagonal whose determinant is at most this
+# is rank-deficient; see stacked_gn_step.
+RANK_TOL = 1e-10
 
 
 def linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scale):
@@ -59,24 +61,53 @@ def stacked_gn_step(
     """One weighted Gauss-Newton update of each of K poses on its problem's
     (K, N, M) mean ranges; the angles are not reduced to [0, 2*pi).
 
-    Each problem is solved as ``lstsq`` would solve it: by the SVD of its
-    weighted Jacobian, with singular values at most
-    ``eps * max(N * M, 3) * s_max`` treated as zero. A problem gets the
-    ``NEAR_SINGULARITY`` status when a predicted range falls below
-    ``PROXIMITY_FLOOR_M``, else ``DEGENERATE_GEOMETRY`` when the rank is
-    below 3. Poses of failed problems are finite but meaningless. Scaling
-    every sigma by a common factor leaves the update unchanged, and a
-    noiseless problem evaluated at its true pose is a fixed point.
+    Each problem solves its normal equations ``A u = b``, with
+    ``A = J^T J`` and ``b = J^T r`` for the weighted Jacobian ``J`` and
+    residual ``r``. ``A`` is first scaled to unit diagonal, ``D A D`` with
+    ``D = diag(A)^(-1/2)``, so that the rank test does not depend on the
+    units of theta (rad) and t (m); the scaled system is solved by its
+    adjugate. Its eigenvalues sum to 3, so the largest is at least 1 and the
+    two largest multiply to at most 2.25. A determinant at most
+    ``RANK_TOL`` therefore means a smallest eigenvalue at most
+    ``sqrt(RANK_TOL)`` = 1e-5; one above it means a smallest eigenvalue
+    above ``RANK_TOL / 2.25``, a condition number below 7e10, and a
+    relative error of the solve of at most about that times eps, 1.5e-5.
+    Forming ``A`` squares the condition number of ``J``, so the solve is
+    corrected once, ``u += A^-1 J^T (r - J u)``, which brings the error of
+    the update near that of an orthogonal factorization of ``J``.
+
+    A problem gets the ``NEAR_SINGULARITY`` status when a predicted range
+    falls below ``PROXIMITY_FLOOR_M``, else ``DEGENERATE_GEOMETRY`` when a
+    Jacobian column is zero or the scaled determinant is at most
+    ``RANK_TOL``. Poses of failed problems are finite but meaningless.
+    Scaling every sigma by a common factor leaves the update unchanged, and
+    a noiseless problem evaluated at its true pose is a fixed point.
     """
     root_w = 1.0 / deployment.sigma
     g, close, jac = linearize(deployment, theta, t, root_w)
     k, rows = g.shape[0], g.shape[1] * g.shape[2]
+    jac = jac.reshape(k, rows, 3)
+    jac_t = jac.transpose(0, 2, 1)
     rw = ((mean_d - g) * root_w).reshape(k, rows, 1)
-    u, s, vh = np.linalg.svd(jac.reshape(k, rows, 3), full_matrices=False)
-    keep = s > (_EPS * max(rows, 3)) * s[:, :1]
-    coef = np.divide((u.transpose(0, 2, 1) @ rw)[:, :, 0], s, out=np.zeros(s.shape), where=keep)
-    update = (coef[:, np.newaxis, :] @ vh)[:, 0]
+    a = jac_t @ jac
+    diag = a.diagonal(axis1=1, axis2=2)
+    zero = diag == 0.0
+    scale = 1.0 / np.sqrt(np.where(zero, 1.0, diag))
+    outer = scale[:, :, np.newaxis] * scale[:, np.newaxis, :]
+    a *= outer
+    # Cofactors of the scaled matrix [[1, p, q], [p, 1, r], [q, r, 1]].
+    p, q, r = a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]
+    c00, c11, c22 = 1.0 - r * r, 1.0 - q * q, 1.0 - p * p
+    c01, c02, c12 = q * r - p, p * r - q, p * q - r
+    det = c00 + p * c01 + q * c02
+    solved = ~zero.any(axis=1) & (det > RANK_TOL)
+    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1).reshape(k, 3, 3)
+    inv_det = np.divide(1.0, det, out=np.zeros(k), where=solved)
+    inv_a = adj * (outer * inv_det[:, np.newaxis, np.newaxis])  # D adj(D A D) D / det; 0 if failed
+    update = inv_a @ (jac_t @ rw)
+    update += inv_a @ (jac_t @ (rw - jac @ update))
+    update = update[:, :, 0]
     status = np.zeros(k, dtype=np.int64)
-    status[keep.sum(axis=1) < 3] = Status.DEGENERATE_GEOMETRY
+    status[~solved] = Status.DEGENERATE_GEOMETRY
     status[close.any(axis=(1, 2))] = Status.NEAR_SINGULARITY
     return PoseStack(theta + update[:, 0], t + update[:, 1:], status)

@@ -224,7 +224,10 @@ def _read_columns(path, header: list[str]) -> tuple[list[list[str]], np.ndarray]
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     quoted = '"' in text or "\r" in text
     if quoted:
-        records = list(csv.reader(io.StringIO(text, newline="")))
+        try:
+            records = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise SchemaError(f"{path}: {exc}") from None
     else:
         records = text.split("\n")
         if not records[-1]:

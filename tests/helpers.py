@@ -138,6 +138,30 @@ def one_gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
     return Pose2(step.theta[0], step.t[0])
 
 
+def lstsq_gn_update(dep: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(K, 3) Gauss-Newton updates (dtheta, dt) of K problems, each solved by
+    ``np.linalg.lstsq`` on its weighted Jacobian and residual.
+
+    The Jacobian is built pair by pair from ``g = sqrt(|a - R s - t|^2 + dh^2)``
+    and shares no code with ``uwbpose.gnrefine``.
+    """
+    updates = []
+    for k in range(len(theta)):
+        c, s = math.cos(theta[k]), math.sin(theta[k])
+        rows, residuals = [], []
+        for i, (sx, sy) in enumerate(dep.tags):
+            px, py = c * sx - s * sy + t[k, 0], s * sx + c * sy + t[k, 1]
+            dpx, dpy = -s * sx - c * sy, c * sx - s * sy  # d(R s)/dtheta
+            for m, (ax, ay) in enumerate(dep.anchors):
+                fx, fy = ax - px, ay - py
+                g = math.sqrt(fx * fx + fy * fy + dep.dh[i, m] ** 2)
+                w = 1.0 / dep.sigma[i, m]
+                rows.append([-w * (fx * dpx + fy * dpy) / g, -w * fx / g, -w * fy / g])
+                residuals.append(w * (mean_d[k, i, m] - g))
+        updates.append(np.linalg.lstsq(np.array(rows), np.array(residuals), rcond=None)[0])
+    return np.array(updates).reshape(len(theta), 3)
+
+
 # Row-wise CSV reference: one csv.reader record and one dict per row, with
 # the conversion done field by field. It is the oracle of the column reader
 # in uwbpose.preprocess and shares no code with it.

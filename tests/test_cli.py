@@ -368,7 +368,7 @@ class TestNumericFlags:
         assert len(rows) == 20 and all(row[5] == "ok" for row in rows)
 
 
-def test_failed_epoch_gets_error_row_and_others_stay_ok(tmp_path):
+def test_failed_epoch_gets_error_row_and_others_stay_ok(tmp_path, capsys):
     anchors = {"a0": [5.0, 5.0], "a1": [20.0, 0.0], "a2": [0.0, 20.0], "a3": [25.0, 25.0]}
     tags = {"t0": [5.0, 5.0], "t1": [1.0, 0.0]}
     dep_path = tmp_path / "deployment.json"
@@ -392,6 +392,7 @@ def test_failed_epoch_gets_error_row_and_others_stay_ok(tmp_path):
     rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
     assert [row[5] for row in rows] == ["ok", "error:NearSingularityError", "ok"]
     assert rows[1][:5] == ["0.01", "", "", "", "gn-uls"]
+    assert capsys.readouterr().err.splitlines()[-1] == "failures_by_error: NearSingularityError=1"
     for row, pose in ((rows[0], poses[0]), (rows[2], poses[2])):
         assert float(row[1]) == pytest.approx(pose.t[0], abs=1e-9)
         assert float(row[3]) == pytest.approx(math.degrees(pose.theta), abs=1e-7)
@@ -531,6 +532,21 @@ def test_non_utf8_file_exits_2_without_output(tmp_path, capsys, kind, command):
 
 
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_oversized_quoted_field_exits_2_without_output(tmp_path, capsys, command):
+    # The fixture's CRLF line ends send the file through csv.reader, whose
+    # field size limit is 131072 characters.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    with open(ranges, "a", encoding="utf-8", newline="") as handle:
+        handle.write(f"0.5,{'a' * 200_000},t0,1.0\r\n")
+    out = tmp_path / "o.out"
+    argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
+    err = capsys.readouterr().err
+    assert f"error: {ranges}: field larger than field limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
 def test_ingestion_accounting_goes_to_stderr(tmp_path, capsys, command):
     samples = 60
     dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=samples)
@@ -550,5 +566,6 @@ def test_ingestion_accounting_goes_to_stderr(tmp_path, capsys, command):
     assert main(argv) == 0
     stdout, err = capsys.readouterr()
     line = f"{ranges}: {24 * samples + 3} records read, 3 negative dropped, 4 outliers rejected"
-    assert err.splitlines() == [line]
-    assert "records read" not in stdout
+    failures = ["failures_by_error: none"] if command == "estimate" else []
+    assert err.splitlines() == [line, *failures]
+    assert "records read" not in stdout and "failures_by_error" not in stdout

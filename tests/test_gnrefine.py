@@ -13,6 +13,8 @@ from uwbpose.estimators import estimate, estimate_stacked
 from uwbpose.gnrefine import linearize, stacked_gn_step
 
 from helpers import (
+    CORNER_ANCHORS,
+    lstsq_gn_update,
     ml_cost,
     noiseless_batch,
     noisy_batch,
@@ -185,6 +187,116 @@ class TestGnStep:
         batch = noiseless_batch(dep, pose, repeat_t=5)
         with pytest.raises(DegenerateGeometryError):
             one_gn_step(batch, pose)
+
+
+def _perturbed_problems(dep, poses, rng):
+    """Noisy (K, N, M) mean ranges of ``poses`` (T = 1) and start poses
+    perturbed from the truth, as (mean_d, theta, t)."""
+    mean_d = np.stack([noisy_batch(dep, pose, 1, rng).mean_d for pose in poses])
+    theta = np.array([pose.theta for pose in poses]) + rng.normal(0.0, 0.05, len(poses))
+    t = np.array([pose.t for pose in poses]) + rng.normal(0.0, 0.5, (len(poses), 2))
+    return mean_d, theta, t
+
+
+def _assert_matches_lstsq(step, dep, mean_d, theta, t):
+    """Every update of ``step`` from (theta, t) is within 1e-10, relative,
+    of the per-problem ``lstsq`` update."""
+    expected = lstsq_gn_update(dep, mean_d, theta, t)
+    gap = np.linalg.norm(np.column_stack([step.theta - theta, step.t - t]) - expected, axis=1)
+    assert np.all(gap <= 1e-10 * np.linalg.norm(expected, axis=1))
+
+
+class TestAgainstLstsq:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), problems=st.integers(1, 10), with_height=st.booleans())
+    def test_step_matches_per_problem_lstsq(self, seed, problems, with_height):
+        rng = np.random.default_rng(seed)
+        base = random_observable_deployment(rng)
+        shape = base.sigma.shape
+        dep = Deployment(
+            anchors=base.anchors,
+            tags=base.tags,
+            sigma=rng.uniform(0.02, 0.3, size=shape),
+            dh=rng.uniform(0.2, 2.0, size=shape) if with_height else 0.0,
+        )
+        mean_d, theta, t = _perturbed_problems(dep, [random_pose(rng) for _ in range(problems)], rng)
+        step = stacked_gn_step(dep, mean_d, theta, t)
+        assert np.all(step.status == Status.OK)
+        _assert_matches_lstsq(step, dep, mean_d, theta, t)
+
+    def test_ill_conditioned_step_matches_lstsq(self):
+        # Anchors 3 mm apart seen from 100 m: the scaled normal matrices have
+        # condition numbers up to about 3e7, so the solve alone errs by about
+        # 3e-9; the correction with the residual of J brings it under 1e-10.
+        rng = np.random.default_rng(51)
+        spread = 0.003
+        anchors = 100.0 * np.array([[1.0, 0.0]]) + spread * np.array(
+            [[0.0, 0.0], [0.0, 1.0], [1.0, -1.0], [-1.0, 0.5]]
+        )
+        dep = Deployment(anchors=anchors, tags=[[0.5, 0.0], [0.0, 0.5], [-0.3, -0.2]], sigma=0.05)
+        poses = [Pose2(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-5.0, 5.0, 2)) for _ in range(20)]
+        mean_d, theta, t = _perturbed_problems(dep, poses, rng)
+        step = stacked_gn_step(dep, mean_d, theta, t)
+        assert np.all(step.status == Status.OK)
+        _assert_matches_lstsq(step, dep, mean_d, theta, t)
+
+
+class TestRankDeficiency:
+    @pytest.mark.parametrize("with_height", [False, True])
+    def test_tags_at_the_body_origin(self, with_height):
+        # Turning the body about its origin moves no tag: the theta column is
+        # exactly zero and the two t columns have rank 2.
+        rng = np.random.default_rng(48)
+        anchors = np.vstack([CORNER_ANCHORS, [[-10.0, -5.0]]])
+        dh = rng.uniform(0.2, 2.0, size=(2, 4)) if with_height else 0.0
+        dep = Deployment(anchors=anchors, tags=np.zeros((2, 2)), sigma=0.1, dh=dh)
+        mean_d, theta, t = _perturbed_problems(dep, [random_pose(rng) for _ in range(5)], rng)
+        _, _, jac = linearize(dep, theta, t, 1.0)
+        assert np.all(jac[..., 0] == 0.0)
+        assert all(np.linalg.matrix_rank(j.reshape(-1, 3)) == 2 for j in jac)
+        step = stacked_gn_step(dep, mean_d, theta, t)
+        np.testing.assert_array_equal(step.status, Status.DEGENERATE_GEOMETRY)
+        assert np.all(np.isfinite(step.theta)) and np.all(np.isfinite(step.t))
+
+    def test_one_tag_off_the_body_origin(self):
+        # With one tag, turning the body is a translation of that tag: the
+        # theta column is a combination of the t columns, none of them zero.
+        rng = np.random.default_rng(49)
+        anchors = np.vstack([CORNER_ANCHORS, [[-10.0, -5.0]]])
+        dep = Deployment(anchors=anchors, tags=[[2.0, 1.0]], sigma=rng.uniform(0.05, 0.3, (1, 4)))
+        mean_d, theta, t = _perturbed_problems(dep, [random_pose(rng) for _ in range(5)], rng)
+        _, _, jac = linearize(dep, theta, t, 1.0)
+        assert np.all(np.abs(jac).max(axis=(1, 2)) > 0.1)
+        assert all(np.linalg.matrix_rank(j.reshape(-1, 3)) == 2 for j in jac)
+        step = stacked_gn_step(dep, mean_d, theta, t)
+        np.testing.assert_array_equal(step.status, Status.DEGENERATE_GEOMETRY)
+        assert np.all(np.isfinite(step.theta)) and np.all(np.isfinite(step.t))
+
+    def test_degenerate_problems_leave_the_rest_of_the_stack_alone(self):
+        # The problems of a stack share a deployment, so only the pose can
+        # make some of them degenerate. With collinear anchors and both tags
+        # on the body's x axis, a pose that puts the tags on the anchors'
+        # line zeroes the theta (and y) columns; any other pose is full rank.
+        rng = np.random.default_rng(50)
+        dep = Deployment(
+            anchors=[[0.0, 0.0], [10.0, 0.0], [25.0, 0.0]], tags=[[1.0, 0.0], [-2.0, 0.0]], sigma=0.1
+        )
+        mean_d, theta, t = _perturbed_problems(dep, [random_pose(rng) for _ in range(4)], rng)
+        mean_d = np.concatenate([mean_d, np.full((2, 2, 3), 5.0)])
+        theta = np.concatenate([theta, [0.0, 0.0]])
+        t = np.concatenate([t, [[4.0, 0.0], [17.0, 0.0]]])  # tags on the anchors' line
+        order = np.array([0, 4, 1, 2, 5, 3])
+        mean_d, theta, t, on_line = mean_d[order], theta[order], t[order], order >= 4
+        _, _, jac = linearize(dep, theta, t, 1.0)
+        assert np.all(jac[on_line][..., 0] == 0.0)
+        step = stacked_gn_step(dep, mean_d, theta, t)
+        expected = np.where(on_line, Status.DEGENERATE_GEOMETRY, Status.OK)
+        np.testing.assert_array_equal(step.status, expected)
+        alone = stacked_gn_step(dep, mean_d[~on_line], theta[~on_line], t[~on_line])
+        np.testing.assert_array_equal(step.theta[~on_line], alone.theta)
+        np.testing.assert_array_equal(step.t[~on_line], alone.t)
+        _assert_matches_lstsq(alone, dep, mean_d[~on_line], theta[~on_line], t[~on_line])
+        assert np.all(np.isfinite(step.theta)) and np.all(np.isfinite(step.t))
 
 
 class TestAgainstMlOracle:

@@ -11,7 +11,13 @@ from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
 from uwbpose.errors import EstimationError, NearSingularityError, Status
 from uwbpose.estimators import estimate, estimate_stacked
 
-from helpers import noisy_batch, random_observable_deployment, random_problems
+from helpers import (
+    noiseless_batch,
+    noisy_batch,
+    random_observable_deployment,
+    random_pose,
+    random_problems,
+)
 
 REFINED = (Method.GN_ULS, Method.GN_DAC)
 
@@ -115,6 +121,24 @@ def test_permuting_anchors_and_tags_leaves_every_estimate(seed, problems, repeat
         ok = base.status == Status.OK
         assert np.all(_angle_gap(other.theta[ok], base.theta[ok]) <= 1e-9), method
         np.testing.assert_allclose(other.t[ok], base.t[ok], rtol=0, atol=1e-9 * extent, err_msg=method.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), problems=st.integers(1, 10), repeat_t=st.integers(1, 3))
+def test_every_method_is_exact_at_zero_noise_with_random_heights(seed, problems, repeat_t):
+    rng = np.random.default_rng(seed)
+    base = random_observable_deployment(rng)
+    dh = rng.uniform(0.2, 2.0, size=base.sigma.shape)
+    dep = Deployment(anchors=base.anchors, tags=base.tags, sigma=base.sigma, dh=dh)
+    poses = [random_pose(rng) for _ in range(problems)]
+    theta = np.array([pose.theta for pose in poses])
+    t = np.array([pose.t for pose in poses])
+    moments = _stack([noiseless_batch(dep, pose, repeat_t) for pose in poses])
+    for method in Method:
+        stacked = estimate_stacked(dep, *moments, method)
+        np.testing.assert_array_equal(stacked.status, Status.OK, err_msg=method.value)
+        assert np.all(_angle_gap(stacked.theta, theta) <= 1e-8), method
+        np.testing.assert_allclose(stacked.t, t, rtol=0, atol=1e-8, err_msg=method.value)
 
 
 @pytest.mark.parametrize("method", REFINED)
