@@ -162,21 +162,18 @@ def _cmd_estimate(args) -> int:
     else:
         t_xy = poses.t
         yaw_deg = np.degrees(wrap_angles(poses.theta + math.radians(args.yaw_offset_deg)))
-        statuses = [
-            "ok" if code == Status.OK else f"error:{Status(code).error.__name__}"
-            for code in poses.status.tolist()
-        ]
+        names = {code: "ok" if code == Status.OK else f"error:{code.error.__name__}" for code in Status}
+        statuses = [names[code] for code in poses.status.tolist()]
     ok = np.array([status == "ok" for status in statuses], dtype=bool)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["t", "x", "y", "yaw_deg", "method", "status"])
+    # The rows csv.writer would write: reprs and fixed identifiers need no quotes.
+    lines, label = ["t,x,y,yaw_deg,method,status\r\n"], method.value
     for epoch_time, (x, y), yaw, status in zip(
         epochs.times.tolist(), t_xy.tolist(), yaw_deg.tolist(), statuses
     ):
-        fields = [repr(x), repr(y), repr(yaw)] if status == "ok" else ["", "", ""]
-        writer.writerow([repr(epoch_time), *fields, method.value, status])
-    _atomic_write_text(args.out, buffer.getvalue())
+        lines.append(f"{epoch_time!r},{x!r},{y!r},{yaw!r},{label},{status}\r\n" if status == "ok"
+                     else f"{epoch_time!r},,,,{label},{status}\r\n")
+    _atomic_write_text(args.out, "".join(lines))
     print(f"wrote {len(epochs)} epochs to {args.out} ({int(ok.sum())} ok)")
     failed = Counter(status.removeprefix("error:") for status in statuses if status != "ok")
     kinds = " ".join(f"{name}={n}" for name, n in sorted(failed.items()))

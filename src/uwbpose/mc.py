@@ -48,13 +48,14 @@ class SweepAxis(str, enum.Enum):
 class McConfig:
     """Scenario definition for a sweep.
 
-    ``axis_values`` must be positive and increasing, and integers for the
-    ``repeat_t`` and ``anchor_count`` axes. For anchor-count sweeps every
-    value must be at least 3, new anchors are placed uniformly on
+    ``axis_values`` must be positive, finite and increasing, and integers
+    for the ``repeat_t`` and ``anchor_count`` axes. For anchor-count sweeps
+    every value must be at least 3, new anchors are placed uniformly on
     ``anchor_rect`` and the deployment's sigma and dh must be uniform so they
-    extend to the new anchors.
-    ``noise_scale`` multiplies the synthesized noise only; estimators keep
-    using the deployment's configured sigma (0 gives noiseless batches).
+    extend to the new anchors. ``anchor_rect`` must be finite with low <
+    high on both axes, and ``estimators`` non-empty. ``noise_scale``, finite
+    and >= 0, multiplies the synthesized noise only; estimators keep using
+    the deployment's configured sigma (0 gives noiseless batches).
     """
 
     deployment: Deployment
@@ -74,9 +75,11 @@ class McConfig:
         object.__setattr__(
             self, "estimators", tuple(Method(e) for e in self.estimators)
         )
+        if not self.estimators:
+            raise ValueError("at least one estimator required")
         values = tuple(float(v) for v in self.axis_values)
-        if len(values) == 0 or any(v <= 0 for v in values):
-            raise ValueError("axis values must be positive")
+        if len(values) == 0 or not all(0 < v < math.inf for v in values):
+            raise ValueError("axis values must be positive and finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("axis values must be strictly increasing")
         if self.axis is not SweepAxis.NOISE_SIGMA and not all(v.is_integer() for v in values):
@@ -89,8 +92,11 @@ class McConfig:
         object.__setattr__(self, "axis_values", values)
         for name, low in (("repeat_t", 1), ("trials", 1), ("seed", 0)):
             object.__setattr__(self, name, integer_at_least(getattr(self, name), name, low))
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
+        (x0, y0), (x1, y1) = self.anchor_rect
+        if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
+            raise ValueError(f"anchor_rect must be finite with low < high on both axes, got {self.anchor_rect!r}")
 
 
 @dataclass(frozen=True)

@@ -31,15 +31,18 @@ def flag_stream(values: np.ndarray, window: int, slack: float) -> np.ndarray:
 
     Sample ``t`` is flagged when it exceeds the minimum of the previous
     ``window`` raw samples by more than ``slack``. The first ``window``
-    samples are never flagged.
+    samples are never flagged. The minimum is exact, from doubling spans.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     flags = np.zeros(n, dtype=bool)
     if n <= window:
         return flags
-    windows = np.lib.stride_tricks.sliding_window_view(values, window)
-    prev_min = windows[: n - window].min(axis=1)
+    low, span = values, 1  # low[i] = min(values[i : i + span])
+    while 2 * span <= window:
+        low = np.minimum(low[:-span], low[span:])
+        span *= 2
+    prev_min = np.minimum(low[: n - window], low[window - span : n - span])
     flags[window:] = values[window:] > prev_min + slack
     return flags
 
@@ -93,19 +96,15 @@ class RangeLog:
         object.__setattr__(self, "anchor", tuple(self.anchor))
         object.__setattr__(self, "tag", tuple(self.tag))
 
-        # Integer codes per id, then per (anchor, tag) pair, renumbered by
-        # first appearance; a stable sort groups each stream in record order.
-        anchor_code = {a: k for k, a in enumerate(dict.fromkeys(self.anchor))}
-        tag_code = {g: k for k, g in enumerate(dict.fromkeys(self.tag))}
-        pair = np.fromiter(map(anchor_code.__getitem__, self.anchor), dtype=np.intp, count=len(t))
-        pair *= len(tag_code)
-        pair += np.fromiter(map(tag_code.__getitem__, self.tag), dtype=np.intp, count=len(t))
-        _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-        renumber = np.empty(len(first), dtype=np.intp)
-        renumber[np.argsort(first)] = np.arange(len(first))
-        stream_id = renumber[inverse]
-        first = np.sort(first)
-        keys = tuple((self.anchor[k], self.tag[k]) for k in first)
+        # ``first`` is the index of the first record of each record's (anchor,
+        # tag) pair; renumbered by first appearance, it is the stream id. A
+        # stable sort groups each stream in record order.
+        firsts: dict = {}
+        first = np.fromiter(map(firsts.setdefault, zip(self.anchor, self.tag), range(len(t))), np.intp, len(t))
+        renumber = np.zeros(len(t), dtype=np.intp)
+        renumber[list(firsts.values())] = np.arange(len(firsts))
+        stream_id = renumber[first]
+        keys = tuple(firsts)
         order = np.argsort(stream_id, kind="stable")
         counts = np.bincount(stream_id, minlength=len(keys))
         records = np.split(order, np.cumsum(counts)[:-1]) if keys else []
@@ -142,11 +141,12 @@ class RangeLog:
 
     @classmethod
     def from_csv(cls, path, frequency: float) -> "RangeLog":
-        """Load ``t,anchor,tag,range`` CSV; negative ranges are dropped."""
-        (t, anchor, tag, rng), lines = _read_columns(path, ["t", "anchor", "tag", "range"])
-        t, r = _floats(path, lines, t, rng, finite=True)
+        """Load ``t,anchor,tag,range`` CSV with ``_read_table``; negative ranges are dropped."""
+        columns = [("t", float), ("anchor", object), ("tag", object), ("range", float)]
+        t, anchor, tag, r = _read_table(path, columns, finite=True)
         keep = r >= 0
-        anchor, tag = (list(compress(ids, keep.tolist())) for ids in (anchor, tag))
+        if not keep.all():
+            anchor, tag = (list(compress(ids, keep.tolist())) for ids in (anchor, tag))
         return cls(
             t=t[keep], anchor=anchor, tag=tag, range_m=r[keep],
             frequency=frequency, dropped_negative=len(keep) - int(keep.sum()),
@@ -189,8 +189,7 @@ class GroundTruthLog:
     @classmethod
     def from_csv(cls, path) -> "GroundTruthLog":
         """Load ``t,x,y,yaw_deg`` CSV."""
-        columns, lines = _read_columns(path, ["t", "x", "y", "yaw_deg"])
-        t, x, y, yaw_deg = _floats(path, lines, *columns, finite=False)
+        t, x, y, yaw_deg = _read_table(path, [(name, float) for name in ("t", "x", "y", "yaw_deg")], finite=False)
         try:
             return cls(t=t, x=x, y=y, yaw=np.deg2rad(yaw_deg))
         except SchemaError as exc:
@@ -210,11 +209,13 @@ class GroundTruthLog:
         return np.column_stack([xs, ys]), yaw
 
 
-def _read_columns(path, header: list[str]) -> tuple[list[list[str]], np.ndarray]:
-    """The data columns of a UTF-8 CSV file with ``header`` as lists of
-    strings, and the line of each row: its ``csv.reader`` record number, so
-    blank lines count. Blank lines are skipped. Text without quotes or
-    carriage returns is split with ``str.split``, as ``csv.reader`` would."""
+def _read_table(path, columns: list, finite: bool) -> list:
+    """The (name, float or object) ``columns`` of a UTF-8 CSV file with that
+    header, as float arrays and lists of str. One ``np.loadtxt`` call parses
+    text with a data row and no ``"``, ``\\r`` or \\x1c-\\x1f (which ``loadtxt``
+    strips around numbers and ``float()`` does not). Text it refuses, or with
+    ``finite`` a non-finite number, goes to ``_read_columns`` and ``_floats``,
+    which accept what ``float()`` does or raise SchemaError at the line."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
@@ -222,6 +223,27 @@ def _read_columns(path, header: list[str]) -> tuple[list[list[str]], np.ndarray]
         raise SchemaError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    header, numeric = [name for name, _ in columns], [kind is float for _, kind in columns]
+    head, _, body = text.partition("\n")
+    plain = not any(c in text for c in '"\r\x1c\x1d\x1e\x1f') and body.lstrip()
+    if plain and [h.strip() for h in head.split(",")] == header:
+        try:
+            table = np.loadtxt(io.StringIO(body), columns, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            if not finite or np.isfinite([table[name] for name in compress(header, numeric)]).all():
+                return [table[name] if num else table[name].tolist() for name, num in zip(header, numeric)]
+    fields, lines = _read_columns(path, text, header)
+    floats = iter(_floats(path, lines, *compress(fields, numeric), finite=finite))
+    return [next(floats) if num else column for column, num in zip(fields, numeric)]
+
+
+def _read_columns(path, text: str, header: list[str]) -> tuple[list[list[str]], np.ndarray]:
+    """The data columns of CSV ``text`` (from ``path``) with ``header`` as
+    lists of strings, and the line of each row: its ``csv.reader`` record
+    number, so blank lines count. Blank lines are skipped. Text without
+    quotes or carriage returns is split with ``str.split``, as csv would."""
     quoted = '"' in text or "\r" in text
     if quoted:
         try:
@@ -446,7 +468,7 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
     stream_id = log.stream_id[inside]
     stream_anchor = np.zeros(len(log.stream_keys), dtype=np.intp)
     stream_tag = np.zeros(len(log.stream_keys), dtype=np.intp)
-    for k in np.unique(stream_id):
+    for k in np.flatnonzero(np.bincount(stream_id, minlength=len(log.stream_keys))):
         anchor_id, tag_id = log.stream_keys[k]
         stream_anchor[k] = named.anchor_index(anchor_id)
         stream_tag[k] = named.tag_index(tag_id)

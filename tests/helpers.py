@@ -162,6 +162,18 @@ def lstsq_gn_update(dep: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: n
     return np.array(updates).reshape(len(theta), 3)
 
 
+def reference_flag_stream(values: np.ndarray, window: int, slack: float) -> np.ndarray:
+    """The spike rule by a sliding-window minimum: oracle of
+    ``uwbpose.preprocess.flag_stream``."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    flags = np.zeros(n, dtype=bool)
+    if n > window:
+        prev_min = np.lib.stride_tricks.sliding_window_view(values, window)[: n - window].min(axis=1)
+        flags[window:] = values[window:] > prev_min + slack
+    return flags
+
+
 # Row-wise CSV reference: one csv.reader record and one dict per row, with
 # the conversion done field by field. It is the oracle of the column reader
 # in uwbpose.preprocess and shares no code with it.

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, determinism, atomic outputs."""
 
 import csv
+import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import uwbpose
 from uwbpose.cli import main
 from uwbpose.core import Deployment, Pose2, predicted_ranges
 from uwbpose.preprocess import NamedDeployment
@@ -393,6 +399,14 @@ def test_failed_epoch_gets_error_row_and_others_stay_ok(tmp_path, capsys):
     assert [row[5] for row in rows] == ["ok", "error:NearSingularityError", "ok"]
     assert rows[1][:5] == ["0.01", "", "", "", "gn-uls"]
     assert capsys.readouterr().err.splitlines()[-1] == "failures_by_error: NearSingularityError=1"
+    # Byte for byte what csv.writer writes from the repr of each float.
+    reference = io.StringIO()
+    writer = csv.writer(reference)
+    writer.writerow(["t", "x", "y", "yaw_deg", "method", "status"])
+    for row in rows:
+        fields = [repr(float(v)) for v in row[1:4]] if row[5] == "ok" else ["", "", ""]
+        writer.writerow([repr(float(row[0])), *fields, row[4], row[5]])
+    assert out.read_bytes() == reference.getvalue().encode("utf-8")
     for row, pose in ((rows[0], poses[0]), (rows[2], poses[2])):
         assert float(row[1]) == pytest.approx(pose.t[0], abs=1e-9)
         assert float(row[3]) == pytest.approx(math.degrees(pose.theta), abs=1e-7)
@@ -475,6 +489,19 @@ BAD_SWEEP_SCENARIOS = {
         {"sweep": {"axis": "noise_sigma", "values": [0.1, 0.2], "repeat_t": 2.5}},
     ),
     "sweep-repeat-t-string": ("simulate", {"sweep": {"repeat_t": "x"}}),
+    "noise-scale-nan": ("simulate", {"sweep": {"noise_scale": math.nan}}),
+    "noise-scale-inf": ("simulate", {"sweep": {"noise_scale": math.inf}}),
+    "noise-sigma-value-nan": ("simulate", {"sweep": {"axis": "noise_sigma", "values": [0.1, math.nan]}}),
+    "noise-sigma-value-inf": ("simulate", {"sweep": {"axis": "noise_sigma", "values": [0.1, math.inf]}}),
+    "anchor-rect-nan": (
+        "simulate",
+        {"sweep": {"axis": "anchor_count", "values": [4], "anchor_rect": [[0.0, 0.0], [math.nan, 50.0]]}},
+    ),
+    "anchor-rect-inverted": (
+        "simulate",
+        {"sweep": {"axis": "anchor_count", "values": [4], "anchor_rect": [[0.0, 50.0], [50.0, 0.0]]}},
+    ),
+    "no-estimators": ("simulate", {"sweep": {"estimators": []}}),
 }
 
 
@@ -544,6 +571,41 @@ def test_oversized_quoted_field_exits_2_without_output(tmp_path, capsys, command
     assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
     err = capsys.readouterr().err
     assert f"error: {ranges}: field larger than field limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_oversized_field_in_lf_log_loads(tmp_path, command):
+    # Without quotes or carriage returns no csv.reader limit applies.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    long_id = "a" * 200_000
+    payload = json.loads(pathlib.Path(dep).read_text(encoding="utf-8"))
+    payload["anchors"][long_id] = payload["anchors"].pop("a0")
+    pathlib.Path(dep).write_text(json.dumps(payload), encoding="utf-8")
+    text = pathlib.Path(ranges).read_text(encoding="utf-8").replace("\r\n", "\n")
+    pathlib.Path(ranges).write_text(text.replace(",a0,", f",{long_id},"), encoding="utf-8")
+    out = tmp_path / "o.out"
+    argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.exists()
+
+
+def test_replay_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs several ms to import; a plain np.unique pulls it in.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    files = ["--ranges", ranges, "--deployment", dep, "--truth", truth]
+    bias, poses = str(tmp_path / "bias.json"), str(tmp_path / "poses.csv")
+    script = (
+        "import sys\n"
+        "from uwbpose.cli import main\n"
+        f"assert main(['calibrate', *{files!r}, '--out', {bias!r}]) == 0\n"
+        f"assert main(['estimate', *{files!r}, '--bias', {bias!r}, '--out', {poses!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(uwbpose.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
