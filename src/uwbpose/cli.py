@@ -165,6 +165,17 @@ def _cmd_estimate(args) -> int:
         names = {code: "ok" if code == Status.OK else f"error:{code.error.__name__}" for code in Status}
         statuses = [names[code] for code in poses.status.tolist()]
     ok = np.array([status == "ok" for status in statuses], dtype=bool)
+    if truth is not None:  # scored before anything is written, so a failure leaves no output
+        inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
+        if not inside.any():
+            print("no epochs overlap the ground-truth span", file=sys.stderr)
+            return EXIT_RUNTIME
+        positions, yaws = truth.interpolate(epochs.times[inside])
+        est_xy = t_xy[inside]
+        est_yaw = np.radians(yaw_deg[inside])
+        yaw_err = np.degrees(np.arctan2(np.sin(est_yaw - yaws), np.cos(est_yaw - yaws)))
+        pos_rmse_cm = float(np.sqrt(np.mean(np.sum((est_xy - positions) ** 2, axis=1)))) * 100.0
+        rot_rmse_deg = float(np.sqrt(np.mean(yaw_err**2)))
 
     # The rows csv.writer would write: reprs and fixed identifiers need no quotes.
     lines, label = ["t,x,y,yaw_deg,method,status\r\n"], method.value
@@ -180,16 +191,6 @@ def _cmd_estimate(args) -> int:
     print(f"failures_by_error: {kinds or 'none'}", file=sys.stderr)
 
     if truth is not None:
-        inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
-        if not inside.any():
-            print("no epochs overlap the ground-truth span", file=sys.stderr)
-            return EXIT_RUNTIME
-        positions, yaws = truth.interpolate(epochs.times[inside])
-        est_xy = t_xy[inside]
-        est_yaw = np.radians(yaw_deg[inside])
-        yaw_err = np.degrees(np.arctan2(np.sin(est_yaw - yaws), np.cos(est_yaw - yaws)))
-        pos_rmse_cm = float(np.sqrt(np.mean(np.sum((est_xy - positions) ** 2, axis=1)))) * 100.0
-        rot_rmse_deg = float(np.sqrt(np.mean(yaw_err**2)))
         print("method  position_rmse_cm  rotation_rmse_deg")
         print(f"{method.value:>6}  {pos_rmse_cm:>16.3f}  {rot_rmse_deg:>17.3f}")
         summary = io.StringIO()

@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 from itertools import chain, compress, repeat
 
 import numpy as np
@@ -61,17 +62,17 @@ def interpolate_flagged(times: np.ndarray, values: np.ndarray, flags: np.ndarray
 class RangeLog:
     """Flat record arrays of raw ranging data plus the nominal frequency.
 
-    Columns of unequal length, non-finite timestamps or ranges, negative
-    ranges and timestamps that decrease within an (anchor, tag) stream
-    raise SchemaError. ``dropped_negative`` counts records rejected at
-    ingestion. The stream index is built once, at construction:
-    ``stream_keys`` lists the streams in order of first appearance and
-    ``stream_id`` gives each record's position in it.
+    The per-record ids ``anchor`` and ``tag`` (str, or Latin-1 byte arrays
+    as ``from_csv`` reads them) are not stored: ``stream_keys`` lists the
+    (anchor, tag) streams by first appearance, and record i's ids are
+    ``stream_keys[stream_id[i]]``. Unequal column lengths, non-finite values,
+    negative ranges and timestamps that decrease within a stream raise
+    SchemaError. ``dropped_negative`` counts records rejected at ingestion.
     """
 
     t: np.ndarray
-    anchor: tuple[str, ...]
-    tag: tuple[str, ...]
+    anchor: InitVar[Sequence[str] | np.ndarray]
+    tag: InitVar[Sequence[str] | np.ndarray]
     range_m: np.ndarray
     frequency: float
     dropped_negative: int = 0
@@ -79,10 +80,11 @@ class RangeLog:
     stream_id: np.ndarray = field(init=False, repr=False, compare=False)
     _stream_records: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, anchor, tag):
         t = np.asarray(self.t, dtype=float)
         r = np.asarray(self.range_m, dtype=float)
-        if not (len(t) == len(self.anchor) == len(self.tag) == len(r)):
+        n = len(t)
+        if not (n == len(anchor) == len(tag) == len(r)):
             raise SchemaError("log columns must have equal length")
         if not self.frequency > 0:
             raise ValueError("frequency must be positive")
@@ -93,32 +95,35 @@ class RangeLog:
         r.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "range_m", r)
-        object.__setattr__(self, "anchor", tuple(self.anchor))
-        object.__setattr__(self, "tag", tuple(self.tag))
 
-        # ``first`` is the index of the first record of each record's (anchor,
-        # tag) pair; renumbered by first appearance, it is the stream id. A
-        # stable sort groups each stream in record order.
-        firsts: dict = {}
-        first = np.fromiter(map(firsts.setdefault, zip(self.anchor, self.tag), range(len(t))), np.intp, len(t))
-        renumber = np.zeros(len(t), dtype=np.intp)
-        renumber[list(firsts.values())] = np.arange(len(firsts))
-        stream_id = renumber[first]
-        keys = tuple(firsts)
-        order = np.argsort(stream_id, kind="stable")
-        counts = np.bincount(stream_id, minlength=len(keys))
-        records = np.split(order, np.cumsum(counts)[:-1]) if keys else []
-        for indices in records:
-            indices.setflags(write=False)
+        # Sort keys that tell streams apart: the nonzero 8-byte words of byte
+        # ids, or else the index of each record's first (anchor, tag) record.
+        # A stable sort groups each stream in record order; the streams are
+        # then numbered by their first record.
+        if byte_ids := all(getattr(ids, "dtype", np.dtype(object)).kind == "S" for ids in (anchor, tag)):
+            padded = (np.ascontiguousarray(ids, f"S{-(-ids.itemsize // 8) * 8}")[:, None] for ids in (anchor, tag))
+            keys = [word for ids in padded for word in ids.view(np.uint64).T if word.any()] or [np.zeros(n, np.intp)]
+        else:
+            anchor, tag, firsts = tuple(anchor), tuple(tag), {}
+            keys = [np.fromiter(map(firsts.setdefault, zip(anchor, tag), range(n)), np.intp, n)]
+        order = np.lexsort(keys)
+        order.setflags(write=False)  # and so are its views, the stream records
+        bounds = np.flatnonzero(np.any([np.diff(key[order]) != 0 for key in keys], axis=0)) + 1
+        records = sorted(np.split(order, bounds), key=lambda indices: indices[0]) if n else []
+        pairs = [(anchor[indices[0]], tag[indices[0]]) for indices in records]
+        stream_keys = tuple((a.decode("latin-1"), g.decode("latin-1")) for a, g in pairs) if byte_ids else tuple(pairs)
+        grouped = np.repeat(np.arange(len(records)), [len(indices) for indices in records])
+        order = np.concatenate(records) if records else order
+        stream_id = np.empty(n, dtype=np.intp)
+        stream_id[order] = grouped
         stream_id.setflags(write=False)
-        object.__setattr__(self, "stream_keys", keys)
+        object.__setattr__(self, "stream_keys", stream_keys)
         object.__setattr__(self, "stream_id", stream_id)
         object.__setattr__(self, "_stream_records", tuple(records))
 
-        sorted_t = t[order]
-        decreasing = (np.diff(sorted_t) < 0) & (np.diff(stream_id[order]) == 0)
+        decreasing = (np.diff(t[order]) < 0) & (np.diff(grouped) == 0)
         if decreasing.any():
-            key = keys[stream_id[order[int(np.argmax(decreasing))]]]
+            key = stream_keys[grouped[int(np.argmax(decreasing))]]
             raise SchemaError(f"timestamps decrease within stream {key}")
 
     def __len__(self) -> int:
@@ -142,11 +147,11 @@ class RangeLog:
     @classmethod
     def from_csv(cls, path, frequency: float) -> "RangeLog":
         """Load ``t,anchor,tag,range`` CSV with ``_read_table``; negative ranges are dropped."""
-        columns = [("t", float), ("anchor", object), ("tag", object), ("range", float)]
+        columns = [("t", float), ("anchor", "S32"), ("tag", "S32"), ("range", float)]
         t, anchor, tag, r = _read_table(path, columns, finite=True)
         keep = r >= 0
         if not keep.all():
-            anchor, tag = (list(compress(ids, keep.tolist())) for ids in (anchor, tag))
+            anchor, tag = anchor[keep], tag[keep]
         return cls(
             t=t[keep], anchor=anchor, tag=tag, range_m=r[keep],
             frequency=frequency, dropped_negative=len(keep) - int(keep.sum()),
@@ -210,12 +215,14 @@ class GroundTruthLog:
 
 
 def _read_table(path, columns: list, finite: bool) -> list:
-    """The (name, float or object) ``columns`` of a UTF-8 CSV file with that
-    header, as float arrays and lists of str. One ``np.loadtxt`` call parses
-    text with a data row and no ``"``, ``\\r`` or \\x1c-\\x1f (which ``loadtxt``
-    strips around numbers and ``float()`` does not). Text it refuses, or with
-    ``finite`` a non-finite number, goes to ``_read_columns`` and ``_floats``,
-    which accept what ``float()`` does or raise SchemaError at the line."""
+    """The (name, float or bytes dtype) ``columns`` of a UTF-8 CSV file with
+    that header, as float arrays and Latin-1 byte or str arrays. One ``np.loadtxt``
+    call parses text with a data row and no ``"``, ``\\r``, \\x00 (which byte
+    arrays drop) or \\x1c-\\x1f (which ``loadtxt`` strips around numbers and
+    ``float()`` does not). Text it refuses, with ``finite`` a non-finite
+    number, or with a text field that fills its width goes to
+    ``_read_columns`` and ``_floats``, which accept what ``float()`` does or
+    raise SchemaError at the line."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
@@ -225,18 +232,20 @@ def _read_table(path, columns: list, finite: bool) -> list:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     header, numeric = [name for name, _ in columns], [kind is float for _, kind in columns]
     head, _, body = text.partition("\n")
-    plain = not any(c in text for c in '"\r\x1c\x1d\x1e\x1f') and body.lstrip()
+    plain = not any(c in text for c in '\x00"\r\x1c\x1d\x1e\x1f') and body.lstrip()
     if plain and [h.strip() for h in head.split(",")] == header:
         try:
             table = np.loadtxt(io.StringIO(body), columns, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             pass
         else:
-            if not finite or np.isfinite([table[name] for name in compress(header, numeric)]).all():
-                return [table[name] if num else table[name].tolist() for name, num in zip(header, numeric)]
+            out = [table[name] if num else np.ascontiguousarray(table[name]) for name, num in zip(header, numeric)]
+            full = any(c.view(np.uint8)[c.itemsize - 1::c.itemsize].any() for c in out if c.dtype.kind == "S")  # cut?
+            if not full and (not finite or np.isfinite(list(compress(out, numeric))).all()):
+                return out
     fields, lines = _read_columns(path, text, header)
     floats = iter(_floats(path, lines, *compress(fields, numeric), finite=finite))
-    return [next(floats) if num else column for column, num in zip(fields, numeric)]
+    return [next(floats) if num else np.array(column, dtype=object) for column, num in zip(fields, numeric)]
 
 
 def _read_columns(path, text: str, header: list[str]) -> tuple[list[list[str]], np.ndarray]:

@@ -10,7 +10,7 @@ import numpy as np
 from uwbpose.core import Deployment, Pose2, RangeBatch, check_observability, predicted_ranges
 from uwbpose.errors import SchemaError, Status
 from uwbpose.gnrefine import stacked_gn_step
-from uwbpose.preprocess import GroundTruthLog, RangeLog
+from uwbpose.preprocess import GroundTruthLog
 
 CORNER_ANCHORS = np.array([[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]])
 BODY_TAGS = np.array([[3.0, 0.0], [3.0, 3.0]])
@@ -209,7 +209,27 @@ def reference_columns(path, header: list[str]) -> tuple[list[list[str]], list[in
     return [[row[name] for _, row in rows] for name in header], [line for line, _ in rows]
 
 
-def reference_range_log(path, frequency: float) -> RangeLog:
+def reference_stream_index(t, anchor, tag) -> tuple[tuple, np.ndarray, dict]:
+    """(stream_keys, stream_id, streams()) of a ``RangeLog`` with these
+    per-record columns, by one dict pass over the (anchor, tag) pairs: oracle
+    of the stream index in ``uwbpose.preprocess``. Raises the SchemaError
+    ``RangeLog`` raises for timestamps that decrease within a stream."""
+    streams: dict = {}
+    for i, key in enumerate(zip(anchor, tag)):
+        streams.setdefault(key, []).append(i)
+    keys = tuple(streams)
+    stream_id = np.zeros(len(t), dtype=np.intp)
+    for k, indices in enumerate(streams.values()):
+        stream_id[indices] = k
+    for key, indices in streams.items():
+        if np.any(np.diff(np.asarray(t, dtype=float)[indices]) < 0):
+            raise SchemaError(f"timestamps decrease within stream {key}")
+    return keys, stream_id, {key: np.array(indices) for key, indices in streams.items()}
+
+
+def reference_range_log(path) -> tuple:
+    """(t, anchor, tag, range, dropped negatives) of a range CSV, per record,
+    with the errors of ``RangeLog.from_csv``."""
     rows = reference_csv_rows(path, ["t", "anchor", "tag", "range"])
     t, anchor, tag, rng = [], [], [], []
     dropped = 0
@@ -227,10 +247,8 @@ def reference_range_log(path, frequency: float) -> RangeLog:
         anchor.append(row["anchor"])
         tag.append(row["tag"])
         rng.append(ri)
-    return RangeLog(
-        t=np.asarray(t), anchor=tuple(anchor), tag=tuple(tag),
-        range_m=np.asarray(rng), frequency=frequency, dropped_negative=dropped,
-    )
+    reference_stream_index(t, anchor, tag)
+    return np.asarray(t, dtype=float), anchor, tag, np.asarray(rng, dtype=float), dropped
 
 
 def reference_truth_log(path) -> GroundTruthLog:

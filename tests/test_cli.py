@@ -434,6 +434,20 @@ def test_bad_truth_file_exits_2_without_output(tmp_path, capsys, command, case):
     assert "truth" in capsys.readouterr().err
 
 
+def test_truth_without_overlap_exits_1_without_output(tmp_path, capsys):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    with open(truth, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    with open(truth, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([rows[0], *([float(row[0]) + 100.0, *row[1:]] for row in rows[1:])])
+    out = tmp_path / "o.out"
+    argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--truth", truth]
+    assert main(argv) == 1
+    assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
+    stdout, err = capsys.readouterr()
+    assert "wrote" not in stdout and "no epochs overlap the ground-truth span" in err
+
+
 BAD_BIAS_MODELS = {
     "alpha-minus-one": {"alpha": -1.0},
     "alpha-below-minus-one": {"alpha": -3.0},

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_columns, reference_flag_stream, reference_range_log, reference_truth_log
+from helpers import (
+    reference_columns,
+    reference_flag_stream,
+    reference_range_log,
+    reference_stream_index,
+    reference_truth_log,
+)
 from uwbpose import preprocess
 from uwbpose.core import Deployment, Pose2, predicted_ranges
 from uwbpose.errors import InsufficientDataError, SchemaError
@@ -126,7 +132,7 @@ class TestRejectOutliers:
         spiky[30] += 2.0
         log = _make_log({("a0", "t0"): (times, clean), ("a1", "t0"): (times, spiky)})
         _, mask = reject_outliers(log, window=5, v_max=0.5)
-        flagged = [(log.anchor[i], log.tag[i]) for i in np.where(mask)[0]]
+        flagged = [log.stream_keys[k] for k in log.stream_id[mask]]
         assert flagged == [("a1", "t0")]
 
     def test_empty_log_passes_through(self):
@@ -236,8 +242,9 @@ class TestCalibrateBias:
         dep = named.deployment
         count = len(log)
         positions, yaws = truth.interpolate(log.t)
-        a_idx = np.array([named.anchor_index(a) for a in log.anchor])
-        t_idx = np.array([named.tag_index(g) for g in log.tag])
+        ids = [log.stream_keys[k] for k in log.stream_id]
+        a_idx = np.array([named.anchor_index(a) for a, _ in ids])
+        t_idx = np.array([named.tag_index(g) for _, g in ids])
         cos_y, sin_y = np.cos(yaws), np.sin(yaws)
         tags = dep.tags[t_idx]
         gx = cos_y * tags[:, 0] - sin_y * tags[:, 1] + positions[:, 0]
@@ -344,16 +351,12 @@ class TestAlignAndBatch:
     def test_gap_drops_epochs_never_partial(self):
         named = _grid_deployment()
         _, log = _synthetic_truth_and_log(named, 0.0, 0.0, 0.0, 60, None)
-        keep = ~(
-            (np.array(log.anchor) == "a1")
-            & (np.array(log.tag) == "t0")
-            & (log.t > 0.2)
-            & (log.t < 0.35)
-        )
+        ids = [log.stream_keys[k] for k in log.stream_id]
+        keep = ~(np.array([key == ("a1", "t0") for key in ids]) & (log.t > 0.2) & (log.t < 0.35))
         gappy = RangeLog(
             t=log.t[keep],
-            anchor=tuple(np.array(log.anchor)[keep]),
-            tag=tuple(np.array(log.tag)[keep]),
+            anchor=[a for (a, _), kept in zip(ids, keep) if kept],
+            tag=[g for (_, g), kept in zip(ids, keep) if kept],
             range_m=log.range_m[keep],
             frequency=log.frequency,
         )
@@ -483,7 +486,14 @@ GOOD_NUMBERS = ["0", "1.5", " 2.25 ", "7e-3", "12", "-0.0", "-0", "-3", "0.125",
 # float() accepts these and loadtxt does not, so they take the exact reader.
 FLOAT_ONLY_NUMBERS = ["1_0", "\u0661\u0662", "\uff15", "\u2003\u0663"]
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "abc", "", "0x1", "\x1c1.5", "2\x1c", "\x1f3\x1f"]
-PLAIN_IDS = ["a0", "t1", " a 1 ", "", "x y", "p\x0cq", "u\u2028v"]  # str.splitlines breaks the last two
+# Ids that send a plain log to the exact reader: no Latin-1 code, a \x00
+# (which byte arrays drop), or 32 bytes or more (which may be cut to 32).
+EXACT_IDS = ["u\u2028v", "\u4e2d", "\U0001F600", "a\x00", "\x00", "0123456789abcdefghijklmnopqrstuv", "-" * 33]
+# Ids loadtxt reads as Latin-1 bytes; str.splitlines breaks "p\x0cq" and "x\x85y".
+# LONG_IDS span 16-31 bytes, e.g. a 64-bit address in hex.
+LONG_IDS = ["DECA000000000001", "0xDECA000000000001", "0123456789abcdefghijklmnopqrstu"]
+LOADTXT_IDS = ["a0", "t\u00b9", " \u00e0 1 ", "", "x y", "p\x0cq", "\u00e9", "\xa0x\xa0", "x\x85y", "abcdefgh"]
+LOADTXT_IDS += LONG_IDS
 QUOTED_IDS = ['"a,1"', '"a\n1"', '"q""x"', '"x"y', '" s "']
 SPACES = [" ", "\t", "\x0c", "\u2003", "\x1c"]
 
@@ -492,10 +502,16 @@ SPACES = [" ", "\t", "\x0c", "\u2003", "\x1c"]
 def csv_logs(draw, schema: str) -> str:
     header = SCHEMAS[schema]
     plain = draw(st.booleans())
-    bad_numbers, bad_shapes = (draw(st.integers(0, 2)) == 2 for _ in range(2))
-    numbers = GOOD_NUMBERS + (FLOAT_ONLY_NUMBERS if draw(st.booleans()) else [])
+    # Half the plain range logs are clean: only numbers and row shapes that
+    # loadtxt reads, so their ids pick the reader. The other logs are drawn
+    # with the odds of bad numbers and shapes that all logs had before.
+    clean = schema == "range" and plain and draw(st.booleans())
+    bad_numbers, bad_shapes = (not clean and draw(st.integers(0, 2)) == 2 for _ in range(2))
+    numbers = GOOD_NUMBERS + (FLOAT_ONLY_NUMBERS if not clean and draw(st.booleans()) else [])
     numbers += BAD_NUMBERS if bad_numbers else []
-    ids = PLAIN_IDS + ([] if plain else QUOTED_IDS)
+    if schema == "range":  # 1-5 ids, and in a log that is not plain every quoted id
+        ids = draw(st.lists(st.sampled_from(LOADTXT_IDS), min_size=1, max_size=3, unique=True))
+        ids += draw(st.lists(st.sampled_from(EXACT_IDS), max_size=2, unique=True)) + ([] if plain else QUOTED_IDS)
     ends = ["\n"] if plain else ["\n", "\r\n", "\r"]
     kinds = ["row"] * 4 + ["blank"] + (["short", "long", "space"] if bad_shapes else [])
     head = draw(st.sampled_from([",".join(header)] * 8 + [" , ".join(header), ",".join(header[:3]), ""]))
@@ -530,8 +546,25 @@ def _outcome(load, *args):
 
 def _log_fields(log) -> tuple:
     if isinstance(log, RangeLog):
-        return log.t.tobytes(), log.anchor, log.tag, log.range_m.tobytes(), log.dropped_negative
+        ids = [log.stream_keys[k] for k in log.stream_id]
+        return log.t.tobytes(), ids, log.range_m.tobytes(), log.dropped_negative
+    if isinstance(log, tuple):  # the columns of reference_range_log
+        t, anchor, tag, range_m, dropped = log
+        return t.tobytes(), list(zip(anchor, tag)), range_m.tobytes(), dropped
     return tuple(getattr(log, name).tobytes() for name in ("t", "x", "y", "yaw"))
+
+
+def _byte_path_edges(text: str, outcome: str) -> set[str]:
+    """The edges of the byte-column reader that an accepted range log shows:
+    a Latin-1 id or an id of 16-31 bytes read by ``loadtxt``, or a plain log
+    with only numbers ``loadtxt`` reads that an id sends to the exact reader."""
+    plain = not any(c in text for c in '"\r\x1c\x1d\x1e\x1f_\u0661\u0662\u0663\uff15')
+    edges = {
+        "loadtxt: Latin-1 id": outcome == "loadtxt" and any("\x80" <= c <= "\xff" for c in text),
+        "loadtxt: id of 16-31 bytes": outcome == "loadtxt" and any(i in text for i in LONG_IDS),
+        "exact: plain log with such an id": outcome == "exact" and plain and any(i in text for i in EXACT_IDS),
+    }
+    return {edge for edge, seen in edges.items() if seen}
 
 
 def _assert_readers_agree(path, schema: str) -> str:
@@ -554,7 +587,7 @@ def _assert_readers_agree(path, schema: str) -> str:
     ):
         warnings.simplefilter("error")  # e.g. loadtxt's warning on a file without data
         if schema == "range":
-            got, want = _outcome(RangeLog.from_csv, path, 100.0), _outcome(reference_range_log, path, 100.0)
+            got, want = _outcome(RangeLog.from_csv, path, 100.0), _outcome(reference_range_log, path)
         else:
             got, want = _outcome(GroundTruthLog.from_csv, path), _outcome(reference_truth_log, path)
     assert got[0] == want[0]
@@ -569,15 +602,20 @@ def _assert_readers_agree(path, schema: str) -> str:
 def test_column_reader_matches_row_reader(tmp_path, schema):
     outcomes = set()
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    # A quarter of the range logs are clean; 4/3 the examples keep as many
+    # logs with bad numbers or shapes as the truth logs get.
+    @settings(max_examples=200 if schema == "range" else 150, deadline=None, derandomize=True)
     @given(data=st.data())
     def check(data):
         path = tmp_path / f"{schema}.csv"
-        path.write_bytes(data.draw(csv_logs(schema)).encode("utf-8"))
-        outcomes.add(_assert_readers_agree(path, schema))
+        text = data.draw(csv_logs(schema))
+        path.write_bytes(text.encode("utf-8"))
+        outcome = _assert_readers_agree(path, schema)
+        outcomes.update({outcome} | _byte_path_edges(text, outcome))
 
     check()
-    assert outcomes == {"loadtxt", "exact", "error"}
+    edges = {"loadtxt: Latin-1 id", "loadtxt: id of 16-31 bytes", "exact: plain log with such an id"}
+    assert outcomes == {"loadtxt", "exact", "error", *(edges if schema == "range" else ())}
 
 
 @pytest.mark.parametrize("schema", list(SCHEMAS))
@@ -588,3 +626,67 @@ def test_column_reader_matches_row_reader_on_empty_logs(tmp_path, schema, text):
     path = tmp_path / f"{schema}.csv"
     path.write_bytes(text.replace("HEADER", ",".join(SCHEMAS[schema])).encode("utf-8"))
     _assert_readers_agree(path, schema)
+
+
+# Ids for the stream index: some differ only by a trailing \x00 or only
+# past their first 8 or 24 bytes, and one has no Latin-1 code. BYTE_IDS are
+# those a byte array holds.
+LONG = "DECA0000" * 3
+INDEX_IDS = ["a0", "a0\x00", "", "\x00", "\u4e2d", "anchor-0", "anchor-00", "anchor-01", "anchor-0\u00e9"]
+INDEX_IDS += [LONG, LONG + "1"]
+BYTE_IDS = {"a0", "", "anchor-0", "anchor-00", "anchor-01", "anchor-0\u00e9", LONG, LONG + "1"}
+
+
+def _stream_index(t, anchor, tag) -> tuple:
+    log = RangeLog(t=t, anchor=anchor, tag=tag, range_m=np.ones(len(t)), frequency=100.0)
+    return log.stream_keys, log.stream_id.tolist(), {key: v.tolist() for key, v in log.streams().items()}
+
+
+def test_stream_index_matches_dict_oracle():
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        # Up to 12 streams over a few ids, each of 1-5 records, interleaved at
+        # random; in half the logs timestamps also step back.
+        pick = st.sampled_from(data.draw(st.lists(st.sampled_from(INDEX_IDS), min_size=1, max_size=4, unique=True)))
+        keys = data.draw(st.lists(st.tuples(pick, pick), max_size=12, unique=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        labels = rng.permutation(np.repeat(np.arange(len(keys)), rng.integers(1, 6, len(keys))))
+        t = np.cumsum(rng.choice([1.0, 0.0, -1.0] if rng.random() < 0.5 else [1.0, 0.0], labels.size))
+        anchor, tag = tuple(keys[k][0] for k in labels), tuple(keys[k][1] for k in labels)
+
+        status, want = _outcome(reference_stream_index, t, anchor, tag)
+        if status == "ok":
+            keys_want, id_want, streams_want = want
+            want = keys_want, id_want.tolist(), {key: v.tolist() for key, v in streams_want.items()}
+        assert _outcome(_stream_index, t, anchor, tag) == (status, want)
+        # The same log with the byte arrays from_csv makes, and with arrays
+        # just wide enough for each column, where they hold its ids.
+        as_bytes = set(anchor + tag) <= BYTE_IDS
+        for width in ("S32", "S") if as_bytes else ():
+            byte_ids = [np.array([i.encode("latin-1") for i in ids], width) for ids in (anchor, tag)]
+            assert _outcome(_stream_index, t, *byte_ids) == (status, want)
+        outcomes.add((status, as_bytes))
+
+    check()
+    assert outcomes == {("ok", True), ("ok", False), ("error", True), ("error", False)}
+
+
+@pytest.mark.parametrize("anchor", ["a{}", "DECA{:012X}", "0x{:029X}"])
+def test_benchmark_shaped_log_takes_the_loadtxt_path(tmp_path, anchor):
+    # ASCII ids in 12 interleaved streams, as in the log-replay benchmark:
+    # short ones, 64-bit addresses in hex and ids of 31 bytes. The exact
+    # reader would give the same log, only slower.
+    anchors = [anchor.format(m) for m in range(4)]
+    records = [(k, i, m) for k in range(50) for i in range(3) for m in range(4)]
+    rows = [f"{k / 100!r},{anchors[m]},t{i},{5.0 + 0.01 * k + m!r}" for k, i, m in records]
+    path = tmp_path / "ranges.csv"
+    path.write_text("t,anchor,tag,range\n" + "\n".join(rows) + f"\n0.5,{anchors[0]},t0,-1.0\n", encoding="utf-8")
+    with mock.patch.object(preprocess, "_read_columns", wraps=preprocess._read_columns) as exact:
+        log = RangeLog.from_csv(path, frequency=100.0)
+    assert not exact.called
+    assert log.stream_keys == tuple((anchors[m], f"t{i}") for i in range(3) for m in range(4))
+    assert log.stream_id.tolist() == list(range(12)) * 50
+    assert (len(log), log.dropped_negative) == (600, 1)
