@@ -152,11 +152,12 @@ def _cmd_estimate(args) -> int:
     method = Method(args.method)
 
     count = len(epochs)
+    squares = epochs.ranges**2
+    if not np.all(np.isfinite(squares)):
+        raise EstimationError("de-biased ranges overflow when squared")
     t_xy, yaw_deg = np.full((count, 2), np.nan), np.full(count, np.nan)
     try:
-        poses = estimate_stacked(
-            named.deployment, epochs.ranges, epochs.ranges**2, method, args.gn_iterations
-        )
+        poses = estimate_stacked(named.deployment, epochs.ranges, squares, method)
     except EstimationError as exc:  # the deployment itself fails every epoch alike
         statuses = [f"error:{type(exc).__name__}"] * count
     else:
@@ -266,12 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vmax", type=positive_float, default=1.0, help="velocity bound for outlier rejection, m/s"
     )
     est.add_argument("--window", type=positive_int, default=5, help="outlier rejection window length")
-    est.add_argument(
-        "--gn-iterations",
-        type=positive_int,
-        default=1,
-        help="diagnostic only: Gauss-Newton steps for gn methods, at least 1",
-    )
     est.set_defaults(func=_cmd_estimate)
 
     cal = sub.add_parser("calibrate", help="fit the linear range-bias model")

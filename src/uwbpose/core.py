@@ -193,8 +193,7 @@ class Method(str, enum.Enum):
     GN_DAC = "gn-dac"
 
 
-@dataclass(frozen=True)
-class ObservabilityVerdict:
+class ObservabilityVerdict(NamedTuple):
     """Outcome of the deployment observability check.
 
     ``anchors_ok`` requires at least three non-collinear anchors;

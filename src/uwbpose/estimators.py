@@ -16,21 +16,18 @@ def estimate_stacked(
     mean_d: np.ndarray,
     mean_d2: np.ndarray,
     method: Method,
-    gn_steps: int = 1,
 ) -> PoseStack:
     """Poses of K problems that share ``deployment``, estimated together.
 
     ``mean_d`` and ``mean_d2`` are the (K, N, M) per-pair means of the
     ranges and of their squares; with one repetition they are the ranges and
-    their squares. ``gn_steps`` Gauss-Newton steps refine the ``gn-uls`` and
+    their squares. One Gauss-Newton step refines the ``gn-uls`` and
     ``gn-dac`` estimates; ``uls`` and ``dac`` take none. A problem that
     fails gets the nonzero ``errors.Status`` code of its error and a NaN
     pose. Failures of the deployment itself (too few anchors, a
     rank-deficient design, degenerate tags) raise.
     """
     method = Method(method)
-    if gn_steps < 1:
-        raise ValueError(f"gn_steps must be at least 1, got {gn_steps}")
     shape = (deployment.num_tags, deployment.num_anchors)
     mean_d = np.asarray(mean_d, dtype=float)
     mean_d2 = np.asarray(mean_d2, dtype=float)
@@ -44,9 +41,8 @@ def estimate_stacked(
     else:
         poses = stacked_uls(deployment, mean_d2)
     if method in (Method.GN_ULS, Method.GN_DAC):
-        for _ in range(gn_steps):
-            step = stacked_gn_step(deployment, mean_d, poses.theta, poses.t)
-            poses = step._replace(status=np.where(poses.status != 0, poses.status, step.status))
+        step = stacked_gn_step(deployment, mean_d, poses.theta, poses.t)
+        poses = step._replace(status=np.where(poses.status != 0, poses.status, step.status))
     failed = poses.status != 0
     return PoseStack(
         np.where(failed, np.nan, wrap_angles(poses.theta)),
@@ -55,15 +51,13 @@ def estimate_stacked(
     )
 
 
-def estimate(batch: RangeBatch, method: Method, gn_steps: int = 1) -> Pose2:
+def estimate(batch: RangeBatch, method: Method) -> Pose2:
     """Pose of one problem: ``estimate_stacked`` of ``batch`` alone.
 
     Raises the error a nonzero status stands for (``Status(code).error``),
     and whatever ``estimate_stacked`` raises.
     """
-    poses = estimate_stacked(
-        batch.deployment, batch.mean_d[np.newaxis], batch.mean_d2[np.newaxis], method, gn_steps
-    )
+    poses = estimate_stacked(batch.deployment, batch.mean_d[np.newaxis], batch.mean_d2[np.newaxis], method)
     code = Status(int(poses.status[0]))
     if code:
         raise code.error(f"{Method(method).value}: {code.name.lower().replace('_', ' ')}")

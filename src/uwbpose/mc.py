@@ -16,7 +16,8 @@ import enum
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +100,7 @@ class McConfig:
             raise ValueError(f"anchor_rect must be finite with low < high on both axes, got {self.anchor_rect!r}")
 
 
-@dataclass(frozen=True)
-class McRow:
+class McRow(NamedTuple):
     """One aggregated result line for an (axis value, estimator) pair. The
     RMSEs and ``mean_time_s`` are NaN when every trial failed, ``sqrt_crlb``
     where the bound does not exist at the true pose."""
@@ -116,8 +116,7 @@ class McRow:
     trials: int
 
 
-@dataclass
-class McResult:
+class McResult(NamedTuple):
     """Sweep output rows plus provenance metadata."""
 
     rows: list[McRow]
@@ -182,6 +181,9 @@ def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]
     entry ``"<axis value> <estimator> <Error>=<count> ..."``.
     """
     dep, t_eff, mean_d, mean_d2 = _axis_setup(config, axis_index)
+    value = config.axis_values[axis_index]
+    if not np.all(np.isfinite(mean_d2)):  # mean_d2 >= mean_d**2: any non-finite moment shows here
+        raise EstimationError(f"{config.axis.value} {value!r}: range moments overflow")
     pose = config.true_pose
     try:
         bound = constrained_crlb(fisher_info(dep, t_eff, pose), pose).sqrt_trace
@@ -190,7 +192,6 @@ def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]
 
     trials = config.trials
     cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
-    value = config.axis_values[axis_index]
     rows, failures = [], []
     for method in config.estimators:
         start = time.perf_counter()
@@ -272,11 +273,10 @@ def write_csv(result: McResult, stream, include_timing: bool = True) -> None:
     ``repr``. With ``include_timing`` off the nondeterministic wall-time
     column is left empty so that equal seeds produce byte-identical files.
     """
-    names = [f.name for f in fields(McRow)]
     writer = csv.writer(stream)
-    writer.writerow(names)
+    writer.writerow(McRow._fields)
     for row in result.rows:
-        cells = [getattr(row, name) for name in names]
+        cells = list(row)
         if not include_timing:
-            cells[names.index("mean_time_s")] = ""
+            cells[McRow._fields.index("mean_time_s")] = ""
         writer.writerow([repr(cell) if isinstance(cell, float) else cell for cell in cells])

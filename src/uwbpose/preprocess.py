@@ -417,6 +417,8 @@ class BiasModel:
         try:
             with open(path, encoding="utf-8") as handle:
                 raw = json.load(handle)
+            if not isinstance(raw, dict):
+                raise TypeError("not a JSON object")
             per_pair = {
                 (entry["anchor"], entry["tag"]): (float(entry["alpha"]), float(entry["beta"]))
                 for entry in raw.get("per_pair", [])
@@ -534,7 +536,8 @@ def align_and_batch(
     time; an epoch is dropped when any stream does not span the epoch time
     or has nearest samples more than ``max_gap_periods`` log periods apart,
     rather than emitted as a partial batch. Every emitted epoch holds the
-    full N x M measurement grid.
+    full N x M measurement grid. A grid of more epochs than the log has
+    records is a SchemaError.
     """
     for anchor_id in {a for a, _ in log.stream_keys}:
         named.anchor_index(anchor_id)
@@ -557,7 +560,12 @@ def align_and_batch(
     end = min(log.t[idx][-1] for idx in streams.values())
     if end < start:
         return none
-    count = int(np.floor((end - start) * rate)) + 1
+    span = float(end - start) * rate  # a Python float: inf, not an int overflow, when too large
+    if span >= len(log):
+        raise SchemaError(
+            f"rate {rate:g} Hz needs {np.floor(span) + 1:.6g} epochs, more than the {len(log)} log records"
+        )
+    count = int(span) + 1
     epochs = start + np.arange(count) / rate
 
     grid = np.empty((count, n, m))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +31,18 @@ _SWEEP_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Parsed scenario: geometry, truth, and an optional sweep config."""
 
     deployment: Deployment
     true_pose: Pose2
     repeat_t: int
-    seed: int
     config: McConfig | None
-    metadata: dict
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
+def _require_keys(section, allowed: set, required: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise SchemaError(f"{where}: must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
@@ -85,14 +84,14 @@ def _parse_sigma(raw, n_tags: int, n_anchors: int, metadata: dict):
 
 def _parse_deployment(raw: dict, metadata: dict) -> Deployment:
     _require_keys(raw, _DEPLOYMENT_KEYS, {"anchors", "tags"}, "deployment")
-    tags = np.asarray(raw["tags"], dtype=float)
-    anchors = np.asarray(raw["anchors"], dtype=float)
-    if anchors.ndim != 2 or tags.ndim != 2:
-        raise SchemaError("deployment.anchors and deployment.tags must be lists of [x, y]")
-    sigma = _parse_sigma(raw.get("sigma", 1.0), tags.shape[0], anchors.shape[0], metadata)
     try:
+        tags = np.asarray(raw["tags"], dtype=float)
+        anchors = np.asarray(raw["anchors"], dtype=float)
+        if anchors.ndim != 2 or tags.ndim != 2:
+            raise SchemaError("deployment.anchors and deployment.tags must be lists of [x, y]")
+        sigma = _parse_sigma(raw.get("sigma", 1.0), tags.shape[0], anchors.shape[0], metadata)
         return Deployment(anchors=anchors, tags=tags, sigma=sigma, dh=raw.get("dh", 0.0))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"deployment: {exc}") from exc
 
 
@@ -111,8 +110,6 @@ def load_scenario(path) -> Scenario:
             raw = json.load(handle)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: scenario must be a JSON object")
     _require_keys(raw, _TOP_KEYS, {"deployment", "true_pose"}, str(path))
 
     metadata: dict = {}
@@ -133,7 +130,7 @@ def load_scenario(path) -> Scenario:
             ) from None
         try:
             estimators = tuple(Method(e) for e in sweep.get("estimators", [m.value for m in Method]))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"sweep.estimators: {exc}") from exc
         rect = sweep.get("anchor_rect", [[0.0, 0.0], [50.0, 50.0]])
         trials = _integer(sweep["trials"], "trials", 1, "sweep")
@@ -152,14 +149,7 @@ def load_scenario(path) -> Scenario:
                 noise_scale=float(sweep.get("noise_scale", 1.0)),
                 metadata=dict(metadata),
             )
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, LookupError) as exc:
             raise SchemaError(f"sweep: {exc}") from exc
 
-    return Scenario(
-        deployment=deployment,
-        true_pose=true_pose,
-        repeat_t=repeat_t,
-        seed=seed,
-        config=config,
-        metadata=metadata,
-    )
+    return Scenario(deployment, true_pose, repeat_t, config)

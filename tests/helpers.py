@@ -109,6 +109,19 @@ def pose_parameter_vector(pose: Pose2) -> np.ndarray:
     return np.concatenate([pose.rotation.reshape(4, order="F"), pose.t])
 
 
+def constraint_jacobian(rot: np.ndarray) -> np.ndarray:
+    """Jacobian of the three local SO(2) constraints with respect to
+    (vec(R), t): the column norms and orthogonality of ``R = [y1 y2]``.
+    The oracle for ``crlb.nullspace_basis``, which it must annihilate."""
+    y1, y2 = rot[:, 0], rot[:, 1]
+    jac = np.zeros((3, 6))
+    jac[0, 0:2] = 2.0 * y1
+    jac[1, 0:2] = y2
+    jac[1, 2:4] = y1
+    jac[2, 2:4] = 2.0 * y2
+    return jac
+
+
 def random_pose(rng: np.random.Generator) -> Pose2:
     return Pose2(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(10.0, 40.0, size=2))
 

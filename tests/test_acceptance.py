@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import uwbpose as up
-from uwbpose.crlb import constrained_crlb, constraint_jacobian, fisher_info, nullspace_basis
+from uwbpose.crlb import constrained_crlb, fisher_info, nullspace_basis
 from uwbpose.estimators import estimate
 from uwbpose.gnrefine import linearize
 from uwbpose.linstage import so2_angles
@@ -25,6 +25,7 @@ from uwbpose.preprocess import calibrate_bias, flag_stream
 
 from conftest import record_acceptance
 from helpers import (
+    constraint_jacobian,
     noiseless_batch,
     noisy_batch,
     noisy_ranges,

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, atomic outputs."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,9 +9,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwbpose
 from uwbpose.cli import main
@@ -251,18 +255,27 @@ class TestEstimate:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("iterations", ["0", "-1"])
-    def test_gn_iterations_below_one_exits_2_without_output(self, tmp_path, capsys, iterations):
+
+    # The grid may not hold more epochs than the log has records; these rates
+    # are refused before any grid is built, however large it would be.
+    @pytest.mark.parametrize("samples, rate", [(240, "1e300"), (240, "1e308"), (20, "1e4")])
+    def test_rate_beyond_the_log_exits_2_without_output(self, tmp_path, capsys, samples, rate):
+        dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=samples)
+        out = tmp_path / "o.csv"
+        argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--rate", rate]
+        assert main(argv) == 2
+        assert not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"rate {float(rate):g} Hz" in err and "Traceback" not in err
+        if rate == "1e4":  # 20 samples of 24 pairs over 0.19 s
+            assert "needs 1901 epochs, more than the 480 log records" in err
+
+    def test_rate_within_the_log_runs(self, tmp_path):
         dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
         out = tmp_path / "o.csv"
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out),
-                 "--gn-iterations", iterations]
-            )
-        assert excinfo.value.code == 2
-        assert not out.exists()
-        assert "--gn-iterations" in capsys.readouterr().err
+        argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--rate", "100"]
+        assert main(argv) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 20
 
 
 class TestCalibrate:
@@ -459,6 +472,19 @@ BAD_BIAS_MODELS = {
 }
 
 
+@pytest.mark.parametrize("content", ["[1]", "5"])
+def test_bias_model_not_an_object_exits_2_without_output(tmp_path, capsys, content):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    bias = tmp_path / "bias.json"
+    bias.write_text(content, encoding="utf-8")
+    out = tmp_path / "poses.csv"
+    argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--bias", str(bias)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "cannot read bias model" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", list(BAD_BIAS_MODELS))
 def test_bad_bias_model_exits_2_without_output(tmp_path, capsys, case):
     dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
@@ -516,6 +542,23 @@ BAD_SWEEP_SCENARIOS = {
         {"sweep": {"axis": "anchor_count", "values": [4], "anchor_rect": [[0.0, 50.0], [50.0, 0.0]]}},
     ),
     "no-estimators": ("simulate", {"sweep": {"estimators": []}}),
+    # Every section is a JSON object and every coordinate list numeric and
+    # rectangular.
+    "deployment-number": ("crlb", {"deployment": 5}),
+    "deployment-number-simulate": ("simulate", {"deployment": 5}),
+    "true-pose-number": ("crlb", {"true_pose": 5}),
+    "true-pose-number-simulate": ("simulate", {"true_pose": 5}),
+    "sweep-number": ("simulate", {"sweep": 5}),
+    "anchor-rect-object": ("simulate", {"sweep": {"axis": "anchor_count", "values": [4], "anchor_rect": {}}}),
+    "estimators-number": ("simulate", {"sweep": {"estimators": 5}}),
+    "anchors-non-numeric": ("crlb", {"deployment": {"anchors": [["x", 1], [3, 3]]}}),
+    "anchors-ragged": ("simulate", {"deployment": {"anchors": [[3, 0], [3]]}}),
+    "anchors-string": ("crlb", {"deployment": {"anchors": "abc"}}),
+    "tags-non-numeric": ("simulate", {"deployment": {"tags": [["x", 1], [3, 3]]}}),
+    "tags-ragged": ("crlb", {"deployment": {"tags": [[3, 0], [3]]}}),
+    "tags-string": ("simulate", {"deployment": {"tags": "abc"}}),
+    "sigma-nested-non-numeric": ("crlb", {"deployment": {"sigma": [["x", 0.1, 0.1], [0.1, 0.1, 0.1]]}}),
+    "sigma-flat-non-numeric": ("simulate", {"deployment": {"sigma": ["x", 0.1, 0.1]}}),
 }
 
 
@@ -538,6 +581,38 @@ def test_bad_sweep_scenario_exits_2_without_output(tmp_path, capsys, case):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+# Finite numbers whose ranges or information overflow a float are a runtime
+# failure, reported before any output is written.
+OVERFLOWING_INPUTS = {
+    "crlb-pose-far-away": ("crlb", {"true_pose": {"theta_deg": 60.0, "t": [1e308, 25.0]}}),
+    "simulate-pose-far-away": ("simulate", {"true_pose": {"theta_deg": 60.0, "t": [1e308, 25.0]}}),
+    "simulate-sigma-huge": ("simulate", {"deployment": {"sigma": 1e308}}),
+    "estimate-bias-beta-huge": ("estimate", {"beta": 1e308}),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING_INPUTS))
+def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
+    command, changes = OVERFLOWING_INPUTS[case]
+    out = tmp_path / "o.csv"
+    if command == "estimate":
+        dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+        bias = tmp_path / "bias.json"
+        bias.write_text(json.dumps({"alpha": 0.0, "beta": 0.0, "sigma": 0.05, **changes}), encoding="utf-8")
+        argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--bias", str(bias)]
+    else:
+        payload = json.loads(json.dumps(SCENARIO_SMALL))
+        for key, value in changes.items():
+            payload[key].update(value)
+        argv = [command, "--scenario", _write_scenario(tmp_path, payload)]
+    if command != "crlb":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Traceback" not in err
 
 
 NON_UTF8_CASES = [
@@ -645,3 +720,87 @@ def test_ingestion_accounting_goes_to_stderr(tmp_path, capsys, command):
     failures = ["failures_by_error: none"] if command == "estimate" else []
     assert err.splitlines() == [line, *failures]
     assert "records read" not in stdout and "failures_by_error" not in stdout
+
+
+# In-process fuzz of the JSON inputs: one section or leaf of a valid document
+# is replaced by one of FUZZ_VALUES. Keys that size memory take only values
+# that cannot start a large allocation.
+FUZZ_VALUES = (5, "x", [], [1], {}, None, True, math.nan, -1, 1e308)
+SIZING_KEYS = {"trials", "repeat_t", "values"}
+SIZING_VALUES = ("x", [], [1], {}, None, -1)
+VALID_BIAS = {
+    "alpha": 0.01,
+    "beta": 0.02,
+    "sigma": 0.05,
+    "residual_rms": 0.05,
+    "per_pair": [{"anchor": "a0", "tag": "t0", "alpha": 0.0, "beta": 0.0}],
+}
+
+
+def _json_paths(node, prefix=()):
+    """Every section and leaf of a JSON document, the whole document first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _json_paths(child, (*prefix, key))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+FUZZ_TARGETS = [
+    *((command, path) for command in ("crlb", "simulate") for path in _json_paths(SCENARIO_SMALL)),
+    *(("estimate", path) for path in _json_paths(VALID_BIAS)),
+]
+
+
+@st.composite
+def _fuzz_cases(draw):
+    command, path = draw(st.sampled_from(FUZZ_TARGETS))
+    values = SIZING_VALUES if command != "estimate" and SIZING_KEYS & set(path) else FUZZ_VALUES
+    return command, path, draw(st.sampled_from(values))
+
+
+@pytest.fixture(scope="module")
+def replay_files(tmp_path_factory):
+    dep, _, ranges = _write_replay_files(tmp_path_factory.mktemp("replay"), rng=None, samples=20)
+    return dep, ranges
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_fuzz_cases())
+def test_malformed_json_exits_with_a_documented_code(replay_files, case):
+    command, path, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        out = tmp / "out.csv"
+        if command == "estimate":
+            dep, ranges = replay_files
+            bias = tmp / "bias.json"
+            bias.write_text(json.dumps(_replaced(VALID_BIAS, path, value)), encoding="utf-8")
+            argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--bias", str(bias), "--out", str(out)]
+        else:
+            argv = [command, "--scenario", _write_scenario(tmp, _replaced(SCENARIO_SMALL, path, value))]
+            if command == "simulate":
+                argv += ["--out", str(out)]
+        inputs = set(tmp.iterdir())
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing a value
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert set(tmp.iterdir()) - inputs == ({out} if code == 0 and command != "crlb" else set())

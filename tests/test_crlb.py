@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from uwbpose.core import Deployment, Method, Pose2
-from uwbpose.crlb import (
-    constrained_crlb,
-    constraint_jacobian,
-    fisher_info,
-    nullspace_basis,
-)
+from uwbpose.crlb import constrained_crlb, fisher_info, nullspace_basis
 from uwbpose.errors import NearSingularityError, UnobservableAtPoseError
 from uwbpose.estimators import estimate
 
 from helpers import (
     BODY_TAGS,
     CORNER_ANCHORS,
+    constraint_jacobian,
     noisy_batch,
     pose_parameter_vector,
     reference_deployment,

@@ -22,10 +22,10 @@ from helpers import (
 REFINED = (Method.GN_ULS, Method.GN_DAC)
 
 
-def _looped(batch: RangeBatch, method: Method, gn_steps: int):
+def _looped(batch: RangeBatch, method: Method):
     """Single-problem pose and error type (one of them None)."""
     try:
-        pose = estimate(batch, method, gn_steps)
+        pose = estimate(batch, method)
     except EstimationError as exc:
         return None, type(exc)
     return pose, None
@@ -46,18 +46,17 @@ def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @given(
     seed=st.integers(0, 2**32 - 1),
     problems=st.integers(1, 40),
-    gn_steps=st.integers(1, 3),
     repeat_t=st.integers(1, 3),
 )
-def test_stacked_equals_single_problem_loop(seed, problems, gn_steps, repeat_t):
+def test_stacked_equals_single_problem_loop(seed, problems, repeat_t):
     dep, batches = random_problems(seed, problems, repeat_t)
     mean_d, mean_d2 = _stack(batches)
     for method in Method:
-        stacked = estimate_stacked(dep, mean_d, mean_d2, method, gn_steps)
+        stacked = estimate_stacked(dep, mean_d, mean_d2, method)
         assert stacked.theta.shape == stacked.status.shape == (problems,)
         assert stacked.t.shape == (problems, 2)
         for k, batch in enumerate(batches):
-            pose, error = _looped(batch, method, gn_steps)
+            pose, error = _looped(batch, method)
             if error is not None:
                 assert Status(stacked.status[k]).error is error, method
                 assert np.isnan(stacked.theta[k]) and np.all(np.isnan(stacked.t[k]))
@@ -179,8 +178,6 @@ def test_rejects_mismatched_moments():
     good = np.ones((2, dep.num_tags, dep.num_anchors))
     with pytest.raises(ValueError):
         estimate_stacked(dep, good, good[:, :, :-1], Method.ULS)
-    with pytest.raises(ValueError):
-        estimate_stacked(dep, good, good, Method.GN_ULS, gn_steps=0)
     bad = good.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
