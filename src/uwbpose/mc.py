@@ -1,8 +1,12 @@
 """Monte-Carlo harness: sweeps and RMSE-versus-bound tables.
 
 Each axis value draws the per-pair range moments of all its trials at once,
-without the ranges themselves (``_axis_setup``), from one counter-based
-generator keyed by (seed, axis index). Each estimator then runs once per
+without the ranges themselves (``_axis_setup``), from the standard library's
+Mersenne Twister keyed by (seed, axis index). Its 64-bit words become
+normals by Box and Muller (1958) and Gamma variates by Marsaglia and Tsang
+(ACM TOMS 26(3), 2000) in numpy, so a sweep never imports ``numpy.random``
+(sweep numbers changed once, in distribution only, when these replaced a
+Philox generator). Each estimator then runs once per
 axis value over the stacked moments of all trials, and aggregation is by
 trial index, so results are bit-identical for a fixed seed. Wall-clock
 timings are the one exception: ``mean_time_s`` is the stacked call's wall
@@ -15,6 +19,7 @@ import csv
 import enum
 import math
 import numbers
+import random
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -123,8 +128,40 @@ class McResult(NamedTuple):
     metadata: dict
 
 
-def _philox(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+def _uniform(rng: random.Random, shape) -> np.ndarray:
+    """Uniforms on (0, 1]: the top 53 bits of each 64-bit word, plus one."""
+    n = math.prod(shape)
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+    return (((words >> 11) + 1) * 2.0**-53).reshape(shape)
+
+
+def _normal(rng: random.Random, shape) -> np.ndarray:
+    """Standard normals by Box-Muller, both of each pair used."""
+    n = math.prod(shape)
+    u = _uniform(rng, (2, (n + 1) // 2))
+    radius, angle = np.sqrt(-2.0 * np.log(u[0])), 2.0 * math.pi * u[1]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(shape)
+
+
+def _gamma(rng: random.Random, k: float, shape) -> np.ndarray:
+    """Gamma(k) variates by Marsaglia-Tsang, redrawing only the rejected
+    entries; for k < 1, Gamma(k + 1) times U^(1/k). Exact zeros at k = 0."""
+    if k == 0:
+        return np.zeros(shape)
+    d = k + (k < 1) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(math.prod(shape))
+    todo = np.arange(out.size)
+    while todo.size:
+        x, u = _normal(rng, todo.shape), _uniform(rng, todo.shape)
+        v = (1.0 + c * x) ** 3
+        ok = v > 0
+        ok[ok] = np.log(u[ok]) < 0.5 * x[ok] ** 2 + d - d * v[ok] + d * np.log(v[ok])
+        out[todo[ok]] = d * v[ok]
+        todo = todo[~ok]
+    if k < 1:
+        out *= _uniform(rng, out.shape) ** (1.0 / k)
+    return out.reshape(shape)
 
 
 def synthesize_ranges(
@@ -162,14 +199,15 @@ def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int, np.
     else:  # ANCHOR_COUNT: uniform sigma/dh extend to the generated anchors.
         target = int(value)
         low, high = np.array(config.anchor_rect)
-        extra = _philox(config.seed, axis_index).uniform(low, high, (max(target - dep.num_anchors, 0), 2))
+        u = _uniform(random.Random(f"{config.seed}:{axis_index}"), (max(target - dep.num_anchors, 0), 2))
+        extra = low + (high - low) * (1.0 - u)
         anchors = np.vstack([dep.anchors[:target], extra])
         dep = Deployment(anchors=anchors, tags=dep.tags, sigma=float(dep.sigma.flat[0]), dh=float(dep.dh.flat[0]))
-    rng = _philox(config.seed, axis_index, 1)
+    rng = random.Random(f"{config.seed}:{axis_index}:1")
     scale = config.noise_scale * dep.sigma
     shape = (config.trials, dep.num_tags, dep.num_anchors)
-    mean_d = predicted_ranges(dep, config.true_pose) + scale * rng.standard_normal(shape) / math.sqrt(t_eff)
-    spread = rng.standard_gamma((t_eff - 1) / 2.0, shape)
+    mean_d = predicted_ranges(dep, config.true_pose) + scale * _normal(rng, shape) / math.sqrt(t_eff)
+    spread = _gamma(rng, (t_eff - 1) / 2.0, shape)
     return dep, t_eff, mean_d, mean_d * mean_d + (2.0 / t_eff) * scale * scale * spread
 
 

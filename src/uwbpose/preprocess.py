@@ -21,7 +21,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from .core import Deployment
-from .errors import InsufficientDataError, SchemaError
+from .errors import EstimationError, InsufficientDataError, SchemaError
 
 # Additive term of the rejection rule, a generic UWB error bound in meters.
 REJECTION_BOUND_M = 0.1
@@ -465,7 +465,7 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
     True ranges come from ground-truth poses interpolated at the log
     timestamps; records outside the ground-truth time span are ignored.
     Run outlier rejection first. Raises when fewer than 10 usable samples
-    overlap.
+    overlap, or when a true range overflows a float.
     """
     if len(log) == 0:
         raise InsufficientDataError("empty range log")
@@ -495,6 +495,8 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
     true_range = np.sqrt(
         (anchors[:, 0] - tag_global_x) ** 2 + (anchors[:, 1] - tag_global_y) ** 2 + dh**2
     )
+    if not np.all(np.isfinite(true_range)):
+        raise EstimationError("true ranges overflow; check the deployment and ground-truth coordinates")
 
     design = np.column_stack([true_range, np.ones_like(true_range)])
     coeffs, _, _, _ = np.linalg.lstsq(design, measured - true_range, rcond=None)

@@ -277,3 +277,16 @@ def reference_truth_log(path) -> GroundTruthLog:
         return GroundTruthLog(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], yaw=np.deg2rad(arr[:, 3]))
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+def ks_2samp_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """Asymptotic p-value of the two-sample Kolmogorov-Smirnov statistic
+    (Press et al., Numerical Recipes, 3rd ed., section 14.3.3)."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    stat = np.max(np.abs(np.searchsorted(a, grid, "right") / a.size - np.searchsorted(b, grid, "right") / b.size))
+    en = math.sqrt(a.size * b.size / (a.size + b.size))
+    lam = (en + 0.12 + 0.11 / en) * stat
+    if lam < 0.2:  # the series converges slowly here; the p-value is 1 to 12 digits
+        return 1.0
+    return min(1.0, 2.0 * sum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 101)))

@@ -615,6 +615,18 @@ def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
     assert "overflow" in err and "Traceback" not in err
 
 
+def test_calibrate_with_overflowing_true_ranges_exits_1_without_output(tmp_path, capsys):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    payload = json.loads(pathlib.Path(dep).read_text(encoding="utf-8"))
+    payload["anchors"]["a0"] = [1e308, 0.0]
+    pathlib.Path(dep).write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "bias.json"
+    assert main(["calibrate", "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error: true ranges overflow" in err and "Traceback" not in err
+
+
 NON_UTF8_CASES = [
     ("ranges", "estimate"),
     ("ranges", "calibrate"),
@@ -678,6 +690,16 @@ def test_oversized_field_in_lf_log_loads(tmp_path, command):
     assert out.exists()
 
 
+def _last_line_in_fresh_interpreter(script):
+    """The last line ``script`` prints in a new interpreter importing this
+    ``uwbpose``."""
+    src = str(pathlib.Path(uwbpose.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_replay_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs several ms to import; a plain np.unique pulls it in.
     dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
@@ -690,11 +712,27 @@ def test_replay_does_not_import_numpy_ma(tmp_path):
         f"assert main(['estimate', *{files!r}, '--bias', {bias!r}, '--out', {poses!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(pathlib.Path(uwbpose.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert _last_line_in_fresh_interpreter(script) == "False"
+
+
+def test_simulate_does_not_import_numpy_random(tmp_path):
+    # numpy.random costs about 14 ms to import; sweeps draw from the
+    # standard library's generator instead. Both sweeps reach every sampler:
+    # Gamma shapes 2 and 9.5, and 0.5 with placed anchors.
+    anchor_sweep = {"axis": "anchor_count", "values": [3, 5], "repeat_t": 2, "trials": 5, "estimators": ["uls"]}
+    scenarios = [
+        _write_scenario(tmp_path, SCENARIO_SMALL),
+        _write_scenario(tmp_path, {**SCENARIO_SMALL, "sweep": anchor_sweep}, name="anchors.json"),
+    ]
+    out = str(tmp_path / "sweep.csv")
+    script = (
+        "import sys\n"
+        "from uwbpose.cli import main\n"
+        f"for scenario in {scenarios!r}:\n"
+        f"    assert main(['simulate', '--scenario', scenario, '--out', {out!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _last_line_in_fresh_interpreter(script) == "False"
 
 
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
@@ -774,10 +812,25 @@ def _fuzz_cases(draw):
     return command, path, draw(st.sampled_from(values))
 
 
+DEPLOYMENT_FUZZ_PATHS = [(), ("anchors",), ("tags",), ("sigma",), ("dh",), ("anchors", "a0", 0)]
+
+
 @pytest.fixture(scope="module")
 def replay_files(tmp_path_factory):
-    dep, _, ranges = _write_replay_files(tmp_path_factory.mktemp("replay"), rng=None, samples=20)
-    return dep, ranges
+    return _write_replay_files(tmp_path_factory.mktemp("replay"), rng=None, samples=20)
+
+
+def _assert_documented_exit(argv, tmp, out, writes_output):
+    """``main(argv)`` returns 0-3 (argparse's ``SystemExit`` counts) and
+    leaves ``out`` in ``tmp`` only on success of a command that writes it."""
+    inputs = set(tmp.iterdir())
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a value
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert set(tmp.iterdir()) - inputs == ({out} if code == 0 and writes_output else set())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -788,7 +841,7 @@ def test_malformed_json_exits_with_a_documented_code(replay_files, case):
         tmp = pathlib.Path(tmp)
         out = tmp / "out.csv"
         if command == "estimate":
-            dep, ranges = replay_files
+            dep, _, ranges = replay_files
             bias = tmp / "bias.json"
             bias.write_text(json.dumps(_replaced(VALID_BIAS, path, value)), encoding="utf-8")
             argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--bias", str(bias), "--out", str(out)]
@@ -796,11 +849,25 @@ def test_malformed_json_exits_with_a_documented_code(replay_files, case):
             argv = [command, "--scenario", _write_scenario(tmp, _replaced(SCENARIO_SMALL, path, value))]
             if command == "simulate":
                 argv += ["--out", str(out)]
-        inputs = set(tmp.iterdir())
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refusing a value
-                code = exc.code
-        assert code in (0, 1, 2, 3)
-        assert set(tmp.iterdir()) - inputs == ({out} if code == 0 and command != "crlb" else set())
+        _assert_documented_exit(argv, tmp, out, command != "crlb")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["calibrate", "estimate"]),
+    path=st.sampled_from(DEPLOYMENT_FUZZ_PATHS),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+def test_malformed_deployment_exits_with_a_documented_code(replay_files, command, path, value):
+    # The replay deployment with its default dh written out, then one of its
+    # sections or leaves, or the whole document, replaced.
+    dep, truth, ranges = replay_files
+    valid = {**json.loads(pathlib.Path(dep).read_text(encoding="utf-8")), "dh": 0.0}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        out = tmp / "out.csv"
+        fuzzed = _write_scenario(tmp, _replaced(valid, path, value), name="deployment.json")
+        argv = [command, "--ranges", ranges, "--deployment", fuzzed, "--out", str(out)]
+        if command == "calibrate":
+            argv += ["--truth", truth]
+        _assert_documented_exit(argv, tmp, out, True)

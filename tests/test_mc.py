@@ -3,6 +3,7 @@ robustness, CSV."""
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from uwbpose.mc import (
     McConfig,
     SweepAxis,
     _axis_setup,
+    _gamma,
+    _normal,
+    _uniform,
     run_sweep,
     synthesize_ranges,
     write_csv,
@@ -25,6 +29,7 @@ from helpers import (
     BODY_TAGS_3,
     COLLINEAR_ANCHORS,
     CORNER_ANCHORS,
+    ks_2samp_pvalue,
     reference_deployment,
     reference_pose,
     reference_sigma_matrix,
@@ -166,6 +171,37 @@ class TestMomentDraws:
         g = predicted_ranges(dep, config.true_pose)
         np.testing.assert_array_equal(mean_d, np.broadcast_to(g, mean_d.shape))
         np.testing.assert_array_equal(mean_d2, np.broadcast_to(g * g, mean_d2.shape))
+
+
+class TestSamplers:
+    """The sweep's own samplers, drawn from the standard library's Mersenne
+    Twister, against numpy.random as an independent oracle (two-sample
+    Kolmogorov-Smirnov at fixed seeds)."""
+
+    DRAWS = 100_000
+
+    def test_normals_match_numpy(self):
+        z = _normal(random.Random("normal"), (self.DRAWS,))
+        assert ks_2samp_pvalue(z, np.random.default_rng(1).standard_normal(self.DRAWS)) > 1e-3
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 4.5, 499.5, 4999.5])
+    def test_gamma_matches_numpy(self, k):
+        g = _gamma(random.Random(f"gamma {k}"), k, (self.DRAWS,))
+        assert ks_2samp_pvalue(g, np.random.default_rng(2).standard_gamma(k, self.DRAWS)) > 1e-3
+
+    def test_gamma_of_shape_zero_is_exact_zeros(self):
+        np.testing.assert_array_equal(_gamma(random.Random("zero"), 0.0, (4, 2, 3)), np.zeros((4, 2, 3)))
+
+    def test_uniforms_lie_in_the_half_open_unit_interval(self):
+        u = _uniform(random.Random("uniform"), (self.DRAWS,))
+        assert 0.0 < u.min() and u.max() <= 1.0
+        assert _uniform(random.Random("uniform"), (0, 2)).shape == (0, 2)
+
+    @pytest.mark.parametrize("sampler", [_uniform, _normal, lambda rng, shape: _gamma(rng, 0.5, shape)])
+    def test_equal_keys_give_equal_draws(self, sampler):
+        first, second, other = (sampler(random.Random(key), (7, 3)) for key in ("5:1:1", "5:1:1", "5:1"))
+        np.testing.assert_array_equal(first, second)
+        assert not np.any(first == other)
 
 
 class TestRunSweep:
@@ -467,10 +503,6 @@ def _assert_rows_match(rows, reference):
                 assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
-def _philox(seed, *key):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
-
-
 class TestStackedMatchesPerTrialLoop:
     """Sweeps estimate every trial of an axis value in one stacked call; each
     row must equal a loop of one K = 1 call per trial on that trial's moment
@@ -500,12 +532,12 @@ class TestStackedMatchesPerTrialLoop:
         # noise of the same axis value must come from another stream.
         config = _small_config(axis=SweepAxis.ANCHOR_COUNT, axis_values=(5,), repeat_t=10, trials=25, seed=31)
         dep, t_eff, mean_d, _ = _axis_setup(config, 0)
-        anchor_stream = _philox(config.seed, 0)
+        anchor_stream = random.Random(f"{config.seed}:0")
         (x0, y0), (x1, y1) = config.anchor_rect
-        placed = np.array([x0, y0]) + anchor_stream.random((2, 2)) * np.array([x1 - x0, y1 - y0])
+        placed = np.array([x0, y0]) + np.array([x1 - x0, y1 - y0]) * (1.0 - _uniform(anchor_stream, (2, 2)))
         np.testing.assert_array_equal(dep.anchors[3:], placed)
 
         z = (mean_d - predicted_ranges(dep, config.true_pose)) * math.sqrt(t_eff) / dep.sigma
-        np.testing.assert_allclose(z, _philox(config.seed, 0, 1).standard_normal(z.shape), rtol=0, atol=1e-9)
-        for reused in (_philox(config.seed, 0).standard_normal(z.shape), anchor_stream.standard_normal(z.shape)):
+        np.testing.assert_allclose(z, _normal(random.Random(f"{config.seed}:0:1"), z.shape), rtol=0, atol=1e-9)
+        for reused in (_normal(random.Random(f"{config.seed}:0"), z.shape), _normal(anchor_stream, z.shape)):
             assert not np.allclose(z, reused, rtol=0, atol=1e-3)
