@@ -34,10 +34,10 @@ from .errors import (
     UnobservableAtPoseError,
     UnobservableDeploymentError,
 )
-from .estimators import estimate, estimate_stacked
+from .estimators import estimate, estimate_methods, estimate_stacked
 from .gnrefine import stacked_gn_step
 from .linstage import solve_uls, stacked_uls
-from .mc import McConfig, McResult, McRow, SweepAxis, run_sweep, synthesize_ranges
+from .mc import McConfig, McResult, McRow, SweepAxis, run_sweep
 from .preprocess import (
     BiasModel,
     Epochs,

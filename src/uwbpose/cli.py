@@ -152,7 +152,8 @@ def _cmd_estimate(args) -> int:
     method = Method(args.method)
 
     count = len(epochs)
-    squares = epochs.ranges**2
+    with np.errstate(over="ignore"):  # checked below
+        squares = epochs.ranges**2
     if not np.all(np.isfinite(squares)):
         raise EstimationError("de-biased ranges overflow when squared")
     t_xy, yaw_deg = np.full((count, 2), np.nan), np.full(count, np.nan)

@@ -57,10 +57,11 @@ def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> np.ndarra
         )
     sbar = np.column_stack([deployment.tags, np.ones(deployment.num_tags)])  # (N, 3)
     # b[i, m] = sbar_i (x) q[i, m], flattened to 6 components.
-    b = sbar[:, :, np.newaxis, np.newaxis] * q[:, np.newaxis, :, :]  # (N, 3, M, 2)
-    b = b.transpose(0, 2, 1, 3).reshape(deployment.num_tags, deployment.num_anchors, 6)
-    inv_denom = 1.0 / (deployment.sigma**2 * sq_dist)
-    f = np.einsum("nma,nmb,nm->ab", b, b, inv_denom) * float(repeat_t)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        b = sbar[:, :, np.newaxis, np.newaxis] * q[:, np.newaxis, :, :]  # (N, 3, M, 2)
+        b = b.transpose(0, 2, 1, 3).reshape(deployment.num_tags, deployment.num_anchors, 6)
+        inv_denom = 1.0 / (deployment.sigma**2 * sq_dist)
+        f = np.einsum("nma,nmb,nm->ab", b, b, inv_denom) * float(repeat_t)
     if not np.all(np.isfinite(f)):
         raise EstimationError("information matrix overflows at this pose")
     return 0.5 * (f + f.T)

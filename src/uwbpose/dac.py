@@ -6,8 +6,8 @@ unknowns. A closed-form rigid fit then recovers the pose from the tag
 fixes. The intermediate localizer here is the projected squared-range
 solver itself, which has the consistency the pose fit needs. K problems that
 share a deployment are localized by one least-squares solve with N * K
-right-hand sides and fitted by one vectorised Procrustes pass
-(``stacked_dac``); one problem is the case K = 1.
+right-hand sides, on a design factored once, and fitted by one vectorised
+Procrustes pass (``stacked_dac``); one problem is the case K = 1.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Deployment, PoseStack, _rank_two
-from .errors import DegenerateGeometryError, SingularSystemError
-from .linstage import so2_angles, stacked_projected_squared_ranges
+from .errors import DegenerateGeometryError
+from .linstage import least_squares, so2_angles, stacked_projected_squared_ranges
 
 
 def _localization_design(deployment: Deployment) -> np.ndarray:
@@ -32,16 +32,11 @@ def stacked_localize_tags(deployment: Deployment, mean_d2: np.ndarray) -> np.nda
     Solves the centered linear systems ``-2 Abar^T s_i = dbar_i`` obtained by
     squaring, debiasing, and projecting each tag's measurements. All tags of
     all problems share the design, so one least-squares call solves them
-    together.
+    together, on one factorization of the design (``least_squares``); a
+    rank below 2, from collinear anchors, raises SingularSystemError.
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)  # (K, N, M)
-    design = _localization_design(deployment)
-    solution, _, rank, _ = np.linalg.lstsq(design, rhs.reshape(-1, len(design)).T, rcond=None)
-    if rank < 2:
-        raise SingularSystemError(
-            f"tag localization rank {rank} < 2; anchors are collinear", rank=int(rank)
-        )
-    return solution.T.reshape(rhs.shape[0], rhs.shape[1], 2)
+    return least_squares(_localization_design(deployment), rhs, "tag localization")
 
 
 def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:

@@ -45,7 +45,8 @@ def linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scal
     tags = deployment.tags[:, 0] + 1j * deployment.tags[:, 1]
     rotated = np.exp(1j * theta)[:, np.newaxis] * tags  # R s, (K, N)
     f = anchors - (rotated + (t[:, 0] + 1j * t[:, 1])[:, np.newaxis])[:, :, np.newaxis]
-    g = np.sqrt(f.real**2 + f.imag**2 + deployment.dh**2)
+    with np.errstate(over="ignore"):  # an overflowing range gives g = inf and a zero row
+        g = np.sqrt(f.real**2 + f.imag**2 + deployment.dh**2)
     close = g < PROXIMITY_FLOOR_M
     scale = -row_scale / np.where(close, 1.0, g)
     jac = np.empty(g.shape + (3,))
@@ -87,7 +88,7 @@ def stacked_gn_step(
     g, close, jac = linearize(deployment, theta, t, root_w)
     k, rows = g.shape[0], g.shape[1] * g.shape[2]
     jac = jac.reshape(k, rows, 3)
-    jac_t = jac.transpose(0, 2, 1)
+    jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))  # stacked matmul is slow on the strided view
     rw = ((mean_d - g) * root_w).reshape(k, rows, 1)
     a = jac_t @ jac
     diag = a.diagonal(axis1=1, axis2=2)

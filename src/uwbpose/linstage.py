@@ -14,7 +14,7 @@ the nearest rotation to ``x = Gamma y`` has the angle
 ``atan2(x21 - x12, x11 + x22) = atan2(2 y1, 2 y2) = atan2(y1, y2)``.
 The design does not depend on the measurements, so K problems that share a
 deployment are one least-squares solve with K right-hand sides
-(``stacked_uls``); one problem is the case K = 1.
+(``stacked_uls``) on a design factored once; one problem is the case K = 1.
 
 The correlated covariance of the projected errors is deliberately discarded;
 no whitened variant is provided.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Deployment, PoseStack
-from .errors import SingularSystemError, Status, UnderdeterminedDeploymentError
+from .errors import EstimationError, SingularSystemError, Status, UnderdeterminedDeploymentError
 
 # With two anchors a tag's two centered rows are negatives of each other,
 # so every row is s1 u + s2 v + w for fixed u, v, w and the design has rank
@@ -51,9 +51,13 @@ def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray
 
 
 def _squared_range_offset(deployment: Deployment) -> np.ndarray:
-    """``|a|^2 + sigma^2 + dh^2`` per (tag, anchor) pair, shape (N, M)."""
-    dep = deployment
-    return np.sum(dep.anchors**2, axis=1) + dep.sigma**2 + dep.dh**2
+    """``|a|^2 + sigma^2 + dh^2`` per (tag, anchor) pair, shape (N, M);
+    raises EstimationError when it overflows."""
+    with np.errstate(over="ignore"):  # checked below
+        offset = np.sum(deployment.anchors**2, axis=1) + deployment.sigma**2 + deployment.dh**2
+    if not np.all(np.isfinite(offset)):
+        raise EstimationError("squared anchor coordinates, sigma or dh overflow")
+    return offset
 
 
 def linear_design(deployment: Deployment) -> np.ndarray:
@@ -78,23 +82,31 @@ def linear_design(deployment: Deployment) -> np.ndarray:
     return h.reshape(-1, 4)
 
 
-def solve_uls(h: np.ndarray, dbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares solve of the linear stage ``h @ (y, t) = dbar``.
-
-    ``dbar`` holds the projected squared ranges matching the rows of ``h``,
-    (N * M,) for one problem or (N * M, K) with one column per problem.
-    Returns ``(y, t)``, each with a trailing K axis when ``dbar`` has K
-    columns; ``y`` is not unit length in general. Uses an orthogonal
-    factorization rather than forming the normal equations. Raises
-    SingularSystemError carrying the numeric rank when the design matrix
-    is rank deficient.
-    """
-    solution, _, rank, _ = np.linalg.lstsq(h, dbar, rcond=None)
-    if rank < 4:
+def least_squares(design: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solutions of ``design @ x = b`` for each ``b`` along the last axis of
+    ``rhs``, from one SVD of the design, with ``np.linalg.lstsq``'s default
+    rank cutoff ``s > s_max * max(design.shape) * eps``; a deficient rank
+    raises SingularSystemError naming ``what``. ``np.einsum`` applies the
+    pseudo-inverse in the same order for any number of right-hand sides, so
+    a stack equals a loop of single solves bit for bit; a BLAS product does
+    not."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * max(design.shape) * np.finfo(float).eps))
+    if rank < design.shape[1]:
         raise SingularSystemError(
-            f"design matrix rank {rank} < 4; deployment does not determine the pose",
-            rank=int(rank),
+            f"{what} rank {rank} < {design.shape[1]}; deployment does not determine the pose", rank=rank
         )
+    return np.einsum("...n,pn->...p", rhs, (vt.T / s) @ u.T)
+
+
+def solve_uls(h: np.ndarray, dbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares solve of the linear stage ``h @ (y, t) = dbar`` by
+    ``least_squares``. ``dbar`` holds the projected squared ranges matching
+    the rows of ``h``, (N * M,) for one problem or (N * M, K) with one
+    column per problem. Returns ``(y, t)``, each with a trailing K axis when
+    ``dbar`` has K columns; ``y`` is not unit length in general.
+    """
+    solution = least_squares(h, dbar.T, "design matrix").T
     return solution[:2], solution[2:]
 
 

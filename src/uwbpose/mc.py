@@ -6,11 +6,12 @@ Mersenne Twister keyed by (seed, axis index). Its 64-bit words become
 normals by Box and Muller (1958) and Gamma variates by Marsaglia and Tsang
 (ACM TOMS 26(3), 2000) in numpy, so a sweep never imports ``numpy.random``
 (sweep numbers changed once, in distribution only, when these replaced a
-Philox generator). Each estimator then runs once per
-axis value over the stacked moments of all trials, and aggregation is by
-trial index, so results are bit-identical for a fixed seed. Wall-clock
-timings are the one exception: ``mean_time_s`` is the stacked call's wall
-time divided by the trial count, reported but inherently nondeterministic.
+Philox generator). One ``estimate_methods`` call per axis value then runs
+each stage once over all trials for all the estimators that start from it,
+and aggregation is by trial index, so results are bit-identical for a fixed
+seed. Wall-clock timings are the one exception: ``mean_time_s``, the time of
+the stages an estimator used (``gn-uls`` includes its ULS stage) divided by
+the trial count, is reported but inherently nondeterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import enum
 import math
 import numbers
 import random
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ import numpy as np
 from .core import Deployment, Method, Pose2, check_observability, predicted_ranges
 from .crlb import constrained_crlb, fisher_info
 from .errors import EstimationError, Status, UnobservableDeploymentError
-from .estimators import estimate_stacked
+from .estimators import estimate_methods
 
 
 def integer_at_least(value, name: str, low: int) -> int:
@@ -164,20 +164,6 @@ def _gamma(rng: random.Random, k: float, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def synthesize_ranges(
-    deployment: Deployment,
-    pose: Pose2,
-    repeat_t: int,
-    rng: np.random.Generator,
-    noise_scale: float = 1.0,
-) -> np.ndarray:
-    """Draw (N, M, T) range measurements with independent Gaussian noise."""
-    clean = predicted_ranges(deployment, pose)
-    shape = (deployment.num_tags, deployment.num_anchors, repeat_t)
-    noise = rng.standard_normal(shape)
-    return clean[:, :, np.newaxis] + noise_scale * deployment.sigma[:, :, np.newaxis] * noise
-
-
 def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int, np.ndarray, np.ndarray]:
     """Deployment, repetition count and the per-pair moments ``mean_d`` and
     ``mean_d2``, each (trials, N, M), of every trial at one axis value. The
@@ -206,17 +192,19 @@ def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int, np.
     rng = random.Random(f"{config.seed}:{axis_index}:1")
     scale = config.noise_scale * dep.sigma
     shape = (config.trials, dep.num_tags, dep.num_anchors)
-    mean_d = predicted_ranges(dep, config.true_pose) + scale * _normal(rng, shape) / math.sqrt(t_eff)
-    spread = _gamma(rng, (t_eff - 1) / 2.0, shape)
-    return dep, t_eff, mean_d, mean_d * mean_d + (2.0 / t_eff) * scale * scale * spread
+    normal, spread = _normal(rng, shape), _gamma(rng, (t_eff - 1) / 2.0, shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # _run_axis refuses non-finite moments
+        mean_d = predicted_ranges(dep, config.true_pose) + scale * normal / math.sqrt(t_eff)
+        return dep, t_eff, mean_d, mean_d * mean_d + (2.0 / t_eff) * scale * scale * spread
 
 
 def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]]:
     """Run all trials at one axis value and aggregate per estimator.
 
-    Every estimator runs once over the moments of all trials, drawn at once
-    by ``_axis_setup``. Returns the rows and, for each row with failures, an
-    entry ``"<axis value> <estimator> <Error>=<count> ..."``.
+    One ``estimate_methods`` call on the moments of all trials, drawn at
+    once by ``_axis_setup``, runs the ULS and DAC stages once each. Returns
+    the rows and, for each row with failures, an entry
+    ``"<axis value> <estimator> <Error>=<count> ..."``.
     """
     dep, t_eff, mean_d, mean_d2 = _axis_setup(config, axis_index)
     value = config.axis_values[axis_index]
@@ -230,19 +218,17 @@ def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]
 
     trials = config.trials
     cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
+    results = estimate_methods(dep, mean_d, mean_d2, config.estimators)
     rows, failures = [], []
     for method in config.estimators:
-        start = time.perf_counter()
-        try:
-            poses = estimate_stacked(dep, mean_d, mean_d2, method)
-        except EstimationError as exc:  # the deployment itself fails every trial alike
-            poses, errors = None, {type(exc).__name__: trials}
-        elapsed = time.perf_counter() - start
-        ok = np.zeros(trials, dtype=bool) if poses is None else poses.status == 0
-        count = int(ok.sum())
-        if poses is not None:
+        poses, elapsed = results[method]
+        if isinstance(poses, EstimationError):  # the deployment itself fails every trial alike
+            ok, errors = np.zeros(trials, dtype=bool), {type(poses).__name__: trials}
+        else:
+            ok = poses.status == 0
             codes, counts = np.unique(poses.status[~ok], return_counts=True)
             errors = {Status(c).error.__name__: n for c, n in zip(codes.tolist(), counts.tolist())}
+        count = int(ok.sum())
         if count:
             # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
             theta = poses.theta[ok]

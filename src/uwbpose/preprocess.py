@@ -492,9 +492,8 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
     tag_global_y = sin_y * tags[:, 0] + cos_y * tags[:, 1] + positions[:, 1]
     anchors = dep.anchors[a_idx]
     dh = dep.dh[t_idx, a_idx]
-    true_range = np.sqrt(
-        (anchors[:, 0] - tag_global_x) ** 2 + (anchors[:, 1] - tag_global_y) ** 2 + dh**2
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        true_range = np.sqrt((anchors[:, 0] - tag_global_x) ** 2 + (anchors[:, 1] - tag_global_y) ** 2 + dh**2)
     if not np.all(np.isfinite(true_range)):
         raise EstimationError("true ranges overflow; check the deployment and ground-truth coordinates")
 

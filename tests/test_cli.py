@@ -593,6 +593,7 @@ OVERFLOWING_INPUTS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(OVERFLOWING_INPUTS))
 def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
     command, changes = OVERFLOWING_INPUTS[case]
@@ -615,6 +616,7 @@ def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
     assert "overflow" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_calibrate_with_overflowing_true_ranges_exits_1_without_output(tmp_path, capsys):
     dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
     payload = json.loads(pathlib.Path(dep).read_text(encoding="utf-8"))

@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch, rotation_matrix, wrap_angle
 from uwbpose.crlb import constrained_crlb, fisher_info
+from uwbpose.dac import stacked_localize_tags
 from uwbpose.estimators import estimate
 from uwbpose.errors import SingularSystemError, Status, UnderdeterminedDeploymentError
 from uwbpose.linstage import (
+    least_squares,
     linear_design,
     so2_angles,
     solve_uls,
     stacked_projected_squared_ranges,
+    stacked_uls,
 )
 
 from helpers import (
@@ -24,6 +29,7 @@ from helpers import (
     noisy_batch,
     noiseless_ranges,
     noisy_ranges,
+    random_observable_deployment,
     reference_deployment,
     reference_pose,
 )
@@ -188,6 +194,56 @@ def _angle(x: np.ndarray) -> float:
     theta, status = _project(x)
     assert status == Status.OK
     return theta
+
+
+def _stage_designs(dep):
+    """The ULS design and the DAC localization design ``-2 Abar``."""
+    centered = dep.anchors - dep.anchors.mean(axis=0)
+    return linear_design(dep), -2.0 * centered
+
+
+class TestLeastSquares:
+    """The shared solve against ``np.linalg.lstsq`` as the oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        problems=st.integers(1, 30),
+        squash=st.sampled_from([1.0, 1e-2, 1e-4]),
+    )
+    def test_matches_lstsq_on_random_and_near_collinear_layouts(self, seed, problems, squash):
+        # ``squash`` pulls the anchors toward a random line through their
+        # centroid; at 1e-4 the layout is nearly collinear.
+        rng = np.random.default_rng(seed)
+        base = random_observable_deployment(rng)
+        direction = np.exp(1j * rng.uniform(0.0, np.pi))
+        direction = np.array([direction.real, direction.imag])
+        normal = np.array([-direction[1], direction[0]])
+        centered = base.anchors - base.anchors.mean(axis=0)
+        anchors = base.anchors.mean(axis=0) + np.outer(centered @ direction, direction)
+        anchors += squash * np.outer(centered @ normal, normal)
+        dep = Deployment(anchors=anchors, tags=base.tags, sigma=base.sigma)
+        for design in _stage_designs(dep):
+            rhs = rng.normal(scale=100.0, size=(problems, len(design)))
+            expected = np.linalg.lstsq(design, rhs.T, rcond=None)[0].T
+            got = least_squares(design, rhs, "design")
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+            np.testing.assert_array_equal(least_squares(design, rhs[0], "design"), got[0])
+
+    @pytest.mark.parametrize(
+        "anchors",
+        [COLLINEAR_ANCHORS, [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]], [[0.0, 1.0], [1.0, 3.0], [2.0, 5.0], [5.0, 11.0]]],
+        ids=["x-axis", "diagonal", "slope-2"],
+    )
+    def test_collinear_anchors_raise_lstsq_rank(self, anchors):
+        dep = Deployment(anchors=anchors, tags=BODY_TAGS, sigma=0.1)
+        mean_d2 = noiseless_batch(dep, reference_pose()).mean_d2[np.newaxis]
+        for stage, design in zip((stacked_uls, stacked_localize_tags), _stage_designs(dep)):
+            with pytest.raises(SingularSystemError) as excinfo:
+                stage(dep, mean_d2)
+            rank = np.linalg.lstsq(design, np.zeros(len(design)), rcond=None)[2]
+            assert rank < design.shape[1]
+            assert excinfo.value.rank == rank
 
 
 class TestProjectSo2:

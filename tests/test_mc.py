@@ -1,6 +1,7 @@
 """Monte-Carlo harness: moment draws, determinism, bound respect, spike
 robustness, CSV."""
 
+import collections
 import io
 import math
 import random
@@ -8,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from uwbpose import estimators
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
 from uwbpose.errors import UnobservableDeploymentError
 from uwbpose.estimators import estimate_stacked
@@ -19,7 +21,6 @@ from uwbpose.mc import (
     _normal,
     _uniform,
     run_sweep,
-    synthesize_ranges,
     write_csv,
 )
 from uwbpose.preprocess import REJECTION_BOUND_M, flag_stream, interpolate_flagged
@@ -30,6 +31,7 @@ from helpers import (
     COLLINEAR_ANCHORS,
     CORNER_ANCHORS,
     ks_2samp_pvalue,
+    noisy_ranges,
     reference_deployment,
     reference_pose,
     reference_sigma_matrix,
@@ -444,7 +446,7 @@ def _stress_draws(config, spike, rate, window=5, v_max=0.5, freq_hz=100.0):
     slack = window * v_max / freq_hz + REJECTION_BOUND_M
 
     def trial(dep, t_eff, rng):
-        d = synthesize_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)
+        d = noisy_ranges(dep, config.true_pose, t_eff, rng, config.noise_scale)
         spiked = d + spike * (rng.random(d.shape) < rate)
         filtered = spiked.copy()
         stamps = np.arange(t_eff) / freq_hz
@@ -501,6 +503,22 @@ def _assert_rows_match(rows, reference):
                 assert math.isnan(value)
             else:
                 assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_four_method_sweep_runs_each_stage_once_per_axis_value(monkeypatch):
+    calls = collections.Counter()
+    for name in ("stacked_uls", "stacked_dac"):
+
+        def counted(*args, _name=name, _stage=getattr(estimators, name)):
+            calls[_name] += 1
+            return _stage(*args)
+
+        monkeypatch.setattr(estimators, name, counted)
+    config = _small_config(axis_values=(1, 5, 20))
+    assert set(config.estimators) == set(Method)
+    rows = run_sweep(config).rows
+    assert calls == {"stacked_uls": 3, "stacked_dac": 3}
+    assert len(rows) == 12 and all(0.0 < row.mean_time_s < math.inf for row in rows)
 
 
 class TestStackedMatchesPerTrialLoop:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
-from uwbpose.errors import EstimationError, NearSingularityError, Status
-from uwbpose.estimators import estimate, estimate_stacked
+from uwbpose.errors import DegenerateGeometryError, EstimationError, NearSingularityError, Status
+from uwbpose.estimators import estimate, estimate_methods, estimate_stacked
 
 from helpers import (
     noiseless_batch,
@@ -17,6 +17,8 @@ from helpers import (
     random_observable_deployment,
     random_pose,
     random_problems,
+    reference_deployment,
+    reference_pose,
 )
 
 REFINED = (Method.GN_ULS, Method.GN_DAC)
@@ -64,6 +66,53 @@ def test_stacked_equals_single_problem_loop(seed, problems, repeat_t):
             assert stacked.status[k] == Status.OK, method
             assert abs(math.remainder(stacked.theta[k] - pose.theta, 2 * math.pi)) <= 1e-10, method
             np.testing.assert_allclose(stacked.t[k], pose.t, rtol=0, atol=1e-10, err_msg=method.value)
+
+
+def _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d2):
+    """Every method of one ``estimate_methods`` call, against
+    ``estimate_stacked`` of that method alone, bit for bit."""
+    results = estimate_methods(dep, mean_d, mean_d2, list(Method))
+    assert list(results) == list(Method)
+    for method, (poses, seconds) in results.items():
+        assert 0.0 <= seconds < math.inf
+        try:
+            alone = estimate_stacked(dep, mean_d, mean_d2, method)
+        except EstimationError as exc:
+            assert type(poses) is type(exc) and str(poses) == str(exc), method
+            continue
+        for got, expected in zip(poses, alone):
+            np.testing.assert_array_equal(got, expected, err_msg=method.value)
+    return results
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), problems=st.integers(0, 30), repeat_t=st.integers(1, 3))
+def test_methods_together_equal_each_method_alone(seed, problems, repeat_t):
+    dep, batches = random_problems(seed, max(problems, 1), repeat_t)
+    mean_d, mean_d2 = _stack(batches[:problems]) if problems else (np.empty((0,) + dep.sigma.shape),) * 2
+    _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d2)
+
+
+def test_stage_error_reaches_only_the_methods_of_that_stage():
+    # Tags collinear with the body origin leave the ULS design full rank,
+    # but the divide-and-conquer pose fit cannot fix a rotation.
+    dep = Deployment(anchors=[[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]], tags=[[1.0, 0.0], [2.0, 0.0]], sigma=0.1)
+    mean_d = predicted_ranges(dep, Pose2(1.0, [10.0, 20.0]))[np.newaxis]
+    results = _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d**2)
+    for method in (Method.ULS, Method.GN_ULS):
+        assert np.all(results[method][0].status == Status.OK), method
+    for method in (Method.DAC, Method.GN_DAC):
+        assert isinstance(results[method][0], DegenerateGeometryError), method
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_height_fails_every_method():
+    # dh**2 overflows the squared-range offset of both closed-form stages;
+    # no method may report a NaN pose as OK.
+    mean_d = predicted_ranges(reference_deployment(), reference_pose())[np.newaxis]
+    results = estimate_methods(reference_deployment(dh=1e308), mean_d, mean_d**2, list(Method))
+    for method, (poses, _) in results.items():
+        assert type(poses) is EstimationError and "overflow" in str(poses), method
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
