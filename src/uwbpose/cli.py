@@ -79,16 +79,8 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.config is None:
         raise SchemaError(f"{args.scenario}: scenario has no sweep section")
-    config = scenario.config
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-
-    result = mc.run_sweep(config)
+    overrides = {name: getattr(args, name) for name in ("seed", "trials") if getattr(args, name) is not None}
+    result = mc.run_sweep(dataclasses.replace(scenario.config, **overrides) if overrides else scenario.config)
 
     buffer = io.StringIO()
     mc.write_csv(result, buffer, include_timing=args.timing)
@@ -173,10 +165,12 @@ def _cmd_estimate(args) -> int:
             print("no epochs overlap the ground-truth span", file=sys.stderr)
             return EXIT_RUNTIME
         positions, yaws = truth.interpolate(epochs.times[inside])
-        est_xy = t_xy[inside]
         est_yaw = np.radians(yaw_deg[inside])
         yaw_err = np.degrees(np.arctan2(np.sin(est_yaw - yaws), np.cos(est_yaw - yaws)))
-        pos_rmse_cm = float(np.sqrt(np.mean(np.sum((est_xy - positions) ** 2, axis=1)))) * 100.0
+        with np.errstate(over="ignore"):  # checked below
+            pos_rmse_cm = float(np.sqrt(np.mean(np.sum((t_xy[inside] - positions) ** 2, axis=1)))) * 100.0
+        if not math.isfinite(pos_rmse_cm):
+            raise EstimationError("position errors against the ground truth overflow")
         rot_rmse_deg = float(np.sqrt(np.mean(yaw_err**2)))
 
     # The rows csv.writer would write: reprs and fixed identifiers need no quotes.
@@ -209,10 +203,8 @@ def _cmd_calibrate(args) -> int:
     truth = GroundTruthLog.from_csv(args.truth)
     model = calibrate_bias(log, truth, named)
     _atomic_write_text(args.out, model.to_json() + "\n")
-    print(f"alpha: {model.alpha:.9g}")
-    print(f"beta: {model.beta:.9g}")
-    print(f"sigma: {model.sigma:.9g}")
-    print(f"residual_rms: {model.residual_rms:.9g}")
+    for name in ("alpha", "beta", "sigma", "residual_rms"):
+        print(f"{name}: {getattr(model, name):.9g}")
     print(f"wrote model to {args.out}")
     return EXIT_OK
 
@@ -248,15 +240,21 @@ def _build_parser() -> argparse.ArgumentParser:
     crlb_p.add_argument("--repeat-t", dest="repeat_t", type=positive_int, default=None)
     crlb_p.set_defaults(func=_cmd_crlb)
 
-    est = sub.add_parser("estimate", help="estimate poses from a range log")
-    est.add_argument("--ranges", required=True)
-    est.add_argument("--deployment", required=True)
-    est.add_argument("--out", required=True)
+    replay = argparse.ArgumentParser(add_help=False)  # the flags estimate and calibrate share
+    replay.add_argument("--ranges", required=True, help="range log CSV: t,anchor,tag,range")
+    replay.add_argument("--deployment", required=True, help="deployment JSON with anchor and tag ids")
+    replay.add_argument("--out", required=True)
+    replay.add_argument("--freq", type=positive_float, default=100.0, help="ranging frequency in Hz")
+    replay.add_argument(
+        "--vmax", type=positive_float, default=1.0, help="velocity bound for outlier rejection, m/s"
+    )
+    replay.add_argument("--window", type=positive_int, default=5, help="outlier rejection window length")
+
+    est = sub.add_parser("estimate", parents=[replay], help="estimate poses from a range log")
     est.add_argument("--truth", default=None)
     est.add_argument("--method", choices=[m.value for m in Method], default=Method.GN_ULS.value)
     est.add_argument("--bias", default=None, help="bias model file from the calibrate command")
     est.add_argument("--yaw-offset-deg", type=_bounded(float), default=0.0)
-    est.add_argument("--freq", type=positive_float, default=100.0, help="ranging frequency in Hz")
     est.add_argument("--rate", type=positive_float, default=None, help="estimation rate in Hz")
     est.add_argument(
         "--max-gap",
@@ -264,20 +262,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=3.0,
         help="drop epochs with gaps beyond this many periods",
     )
-    est.add_argument(
-        "--vmax", type=positive_float, default=1.0, help="velocity bound for outlier rejection, m/s"
-    )
-    est.add_argument("--window", type=positive_int, default=5, help="outlier rejection window length")
     est.set_defaults(func=_cmd_estimate)
 
-    cal = sub.add_parser("calibrate", help="fit the linear range-bias model")
-    cal.add_argument("--ranges", required=True)
+    cal = sub.add_parser("calibrate", parents=[replay], help="fit the linear range-bias model")
     cal.add_argument("--truth", required=True)
-    cal.add_argument("--deployment", required=True)
-    cal.add_argument("--out", required=True)
-    cal.add_argument("--freq", type=positive_float, default=100.0)
-    cal.add_argument("--vmax", type=positive_float, default=1.0)
-    cal.add_argument("--window", type=positive_int, default=5)
     cal.set_defaults(func=_cmd_calibrate)
 
     return parser

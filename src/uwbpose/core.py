@@ -87,8 +87,9 @@ class Deployment:
     """Anchor/tag geometry plus per-pair noise levels and height offsets.
 
     ``anchors`` is (M, 2) in the global frame, ``tags`` is (N, 2) in the
-    body frame. ``sigma`` and ``dh`` broadcast to (N, M): scalars apply to
-    every pair, an (M,) vector applies per anchor.
+    body frame. ``sigma`` and ``dh`` are numbers (else TypeError: no strings,
+    booleans or None) that broadcast to (N, M): scalars apply to every pair,
+    an (M,) vector applies per anchor, an (N, M) array per pair.
     """
 
     anchors: np.ndarray
@@ -107,8 +108,11 @@ class Deployment:
             raise ValueError("anchor and tag coordinates must be finite")
         shape = (tags.shape[0], anchors.shape[0])
         try:
-            sigma = np.broadcast_to(np.asarray(self.sigma, dtype=float), shape).copy()
-            dh = np.broadcast_to(np.asarray(self.dh, dtype=float), shape).copy()
+            sigma, dh = np.asarray(self.sigma), np.asarray(self.dh)
+            if sigma.dtype.kind not in "iuf" or dh.dtype.kind not in "iuf":
+                raise TypeError("sigma and dh must be numbers or lists of numbers")
+            sigma = np.broadcast_to(sigma.astype(float), shape).copy()
+            dh = np.broadcast_to(dh.astype(float), shape).copy()
         except ValueError as exc:
             raise ValueError(f"sigma/dh must broadcast to {shape}") from exc
         if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):

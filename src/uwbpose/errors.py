@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the per-problem status
-codes of the stacked estimator kernels that stand for some of them."""
+"""Exception types shared across the package, the per-problem status
+codes of the stacked estimator kernels that stand for some of them, and
+the reader and key check of every JSON input file."""
 
 import enum
+import json
 
 
 class EstimationError(Exception):
@@ -57,6 +59,35 @@ class InsufficientDataError(EstimationError):
 
 class SchemaError(Exception):
     """Malformed external input: scenario, log, deployment, or model file."""
+
+
+def read_json(path, what: str):
+    """The JSON document in ``path``. SchemaError, naming ``what``, when the
+    file cannot be read or parsed, or holds ``true`` or ``false`` anywhere:
+    no field of any input file is boolean."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            nodes = [json.load(handle)]
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
+    for node in nodes:  # grows as it goes: every value of the document
+        if isinstance(node, bool):
+            raise SchemaError(f"{what} {path}: true and false are not values of any field")
+        nodes.extend(node.values() if isinstance(node, dict) else node if isinstance(node, list) else ())
+    return nodes[0]
+
+
+def require_keys(section, allowed: set, required: set, where: str) -> None:
+    """SchemaError, naming ``where``, unless ``section`` is a JSON object
+    with every ``required`` key and no key beyond ``allowed``."""
+    if not isinstance(section, dict):
+        raise SchemaError(f"{where}: must be a JSON object")
+    unknown = set(section) - allowed
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(section)
+    if missing:
+        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
 class Status(enum.IntEnum):

@@ -47,7 +47,8 @@ def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray
             f"need at least {MIN_ANCHORS} anchors, got {deployment.num_anchors}"
         )
     rhs = mean_d2 - _squared_range_offset(deployment)
-    return rhs - rhs.mean(axis=2, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at so2_angles
+        return rhs - rhs.mean(axis=2, keepdims=True)
 
 
 def _squared_range_offset(deployment: Deployment) -> np.ndarray:
@@ -118,10 +119,12 @@ def so2_angles(cos_part: np.ndarray, sin_part: np.ndarray) -> tuple[np.ndarray, 
     ``x`` in Frobenius norm, not reduced to [0, 2*pi): ``|x - R(theta)|^2``
     is smallest where ``tr(R(theta)^T x) = cos(theta) cos_part +
     sin(theta) sin_part`` is largest. Where both parts are zero every angle
-    ties: the status is ``DEGENERATE_PROJECTION``.
+    ties, and where either is not finite (the stage overflowed) none is
+    defined: the status is ``DEGENERATE_PROJECTION``.
     """
     status = np.zeros(cos_part.shape, dtype=np.int64)
-    status[(cos_part == 0.0) & (sin_part == 0.0)] = Status.DEGENERATE_PROJECTION
+    undefined = ((cos_part == 0.0) & (sin_part == 0.0)) | ~(np.isfinite(cos_part) & np.isfinite(sin_part))
+    status[undefined] = Status.DEGENERATE_PROJECTION
     return np.arctan2(sin_part, cos_part), status
 
 

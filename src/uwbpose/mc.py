@@ -42,6 +42,11 @@ def integer_at_least(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _finite_number(value) -> bool:
+    """True for a finite real number that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class SweepAxis(str, enum.Enum):
     """What a sweep varies: ranging repetitions, anchor count, or noise level."""
 
@@ -52,16 +57,17 @@ class SweepAxis(str, enum.Enum):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Scenario definition for a sweep.
+    """Scenario definition for a sweep; a ValueError names the field that
+    breaks a rule. ``axis`` and ``estimators`` (non-empty) may be names.
 
     ``axis_values`` must be positive, finite and increasing, and integers
     for the ``repeat_t`` and ``anchor_count`` axes. For anchor-count sweeps
     every value must be at least 3, new anchors are placed uniformly on
     ``anchor_rect`` and the deployment's sigma and dh must be uniform so they
-    extend to the new anchors. ``anchor_rect`` must be finite with low <
-    high on both axes, and ``estimators`` non-empty. ``noise_scale``, finite
-    and >= 0, multiplies the synthesized noise only; estimators keep using
-    the deployment's configured sigma (0 gives noiseless batches).
+    extend to the new anchors. ``anchor_rect`` must be numbers, finite with
+    low < high on both axes. ``noise_scale``, a finite number >= 0,
+    multiplies the synthesized noise only; estimators keep using the
+    deployment's configured sigma (0 gives noiseless batches).
     """
 
     deployment: Deployment
@@ -77,14 +83,22 @@ class McConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", SweepAxis(self.axis))
-        object.__setattr__(
-            self, "estimators", tuple(Method(e) for e in self.estimators)
-        )
-        if not self.estimators:
-            raise ValueError("at least one estimator required")
-        values = tuple(float(v) for v in self.axis_values)
-        if len(values) == 0 or not all(0 < v < math.inf for v in values):
+        try:
+            object.__setattr__(self, "axis", SweepAxis(self.axis))
+        except ValueError:
+            raise ValueError(f"axis must be one of {[a.value for a in SweepAxis]}, got {self.axis!r}") from None
+        try:
+            estimators = tuple(map(Method, self.estimators))
+        except (TypeError, ValueError):  # not a list, or an unknown name
+            estimators = ()
+        if not estimators:
+            raise ValueError(f"estimators must be a non-empty list of {[m.value for m in Method]}, got {self.estimators!r}")
+        object.__setattr__(self, "estimators", estimators)
+        try:
+            values = tuple(map(float, self.axis_values))
+        except (TypeError, ValueError):
+            values = ()
+        if not (values and all(0 < v < math.inf for v in values)):
             raise ValueError("axis values must be positive and finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("axis values must be strictly increasing")
@@ -98,11 +112,15 @@ class McConfig:
         object.__setattr__(self, "axis_values", values)
         for name, low in (("repeat_t", 1), ("trials", 1), ("seed", 0)):
             object.__setattr__(self, name, integer_at_least(getattr(self, name), name, low))
-        if not 0 <= self.noise_scale < math.inf:
-            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
-        (x0, y0), (x1, y1) = self.anchor_rect
-        if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
-            raise ValueError(f"anchor_rect must be finite with low < high on both axes, got {self.anchor_rect!r}")
+        if not (_finite_number(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
+        try:
+            (x0, y0), (x1, y1) = self.anchor_rect
+        except (TypeError, ValueError):  # not two pairs
+            x0 = y0 = x1 = y1 = None
+        if not (all(map(_finite_number, (x0, y0, x1, y1))) and x0 < x1 and y0 < y1):
+            raise ValueError(f"anchor_rect must be [[x0, y0], [x1, y1]] with low < high, got {self.anchor_rect!r}")
+        object.__setattr__(self, "anchor_rect", ((float(x0), float(y0)), (float(x1), float(y1))))
 
 
 class McRow(NamedTuple):

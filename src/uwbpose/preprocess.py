@@ -21,7 +21,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from .core import Deployment
-from .errors import EstimationError, InsufficientDataError, SchemaError
+from .errors import EstimationError, InsufficientDataError, SchemaError, read_json, require_keys
 
 # Additive term of the rejection rule, a generic UWB error bound in meters.
 REJECTION_BOUND_M = 0.1
@@ -305,60 +305,48 @@ def _floats(path, lines: np.ndarray, *columns, finite: bool) -> list[np.ndarray]
 
 @dataclass(frozen=True)
 class NamedDeployment:
-    """Deployment whose anchors and tags carry the string ids used in logs."""
+    """Deployment whose anchors and tags carry the string ids used in logs:
+    one distinct id per anchor and per tag, or ValueError."""
 
     deployment: Deployment
     anchor_ids: tuple[str, ...]
     tag_ids: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.anchor_ids) != self.deployment.num_anchors:
-            raise ValueError("one id per anchor required")
-        if len(self.tag_ids) != self.deployment.num_tags:
-            raise ValueError("one id per tag required")
-        object.__setattr__(self, "anchor_ids", tuple(self.anchor_ids))
-        object.__setattr__(self, "tag_ids", tuple(self.tag_ids))
+        for kind, count in (("anchor", self.deployment.num_anchors), ("tag", self.deployment.num_tags)):
+            ids = tuple(getattr(self, f"{kind}_ids"))
+            if len(ids) != count or len(set(ids)) != count:
+                raise ValueError(f"one distinct id per {kind} required, got {ids!r}")
+            object.__setattr__(self, f"{kind}_ids", ids)
 
-    def anchor_index(self, anchor_id: str) -> int:
-        try:
-            return self.anchor_ids.index(anchor_id)
-        except ValueError:
-            raise SchemaError(f"unknown anchor id {anchor_id!r}") from None
-
-    def tag_index(self, tag_id: str) -> int:
-        try:
-            return self.tag_ids.index(tag_id)
-        except ValueError:
-            raise SchemaError(f"unknown tag id {tag_id!r}") from None
+    def slots(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Tag and anchor indices of each (anchor id, tag id) stream key, in
+        order; SchemaError names the first unknown id, its anchor first."""
+        anchors = {anchor_id: j for j, anchor_id in enumerate(self.anchor_ids)}
+        tags = {tag_id: i for i, tag_id in enumerate(self.tag_ids)}
+        slots = []
+        for anchor_id, tag_id in keys:
+            if anchor_id not in anchors:
+                raise SchemaError(f"unknown anchor id {anchor_id!r}")
+            if tag_id not in tags:
+                raise SchemaError(f"unknown tag id {tag_id!r}")
+            slots.append((tags[tag_id], anchors[anchor_id]))
+        return tuple(np.array(slots, dtype=np.intp).reshape(-1, 2).T)
 
     @classmethod
     def from_json(cls, path) -> "NamedDeployment":
         """Load ``{"anchors": {id: [x, y]}, "tags": {...}, "sigma": ..., "dh": ...}``."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-            raise SchemaError(f"cannot read deployment {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}: deployment must be a JSON object")
-        unknown = set(raw) - {"anchors", "tags", "sigma", "dh"}
-        if unknown:
-            raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+        raw = read_json(path, "deployment")
+        require_keys(raw, {"anchors", "tags", "sigma", "dh"}, {"anchors", "tags"}, str(path))
         for key in ("anchors", "tags"):
-            if key not in raw or not isinstance(raw[key], dict) or not raw[key]:
+            if not isinstance(raw[key], dict) or not raw[key]:
                 raise SchemaError(f"{path}: {key!r} must be a non-empty object")
-        anchor_ids = tuple(raw["anchors"])
-        tag_ids = tuple(raw["tags"])
+        anchors, tags = raw["anchors"], raw["tags"]
         try:
-            deployment = Deployment(
-                anchors=[raw["anchors"][a] for a in anchor_ids],
-                tags=[raw["tags"][t] for t in tag_ids],
-                sigma=raw.get("sigma", 1.0),
-                dh=raw.get("dh", 0.0),
-            )
+            deployment = Deployment([*anchors.values()], [*tags.values()], raw.get("sigma", 1.0), raw.get("dh", 0.0))
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-        return cls(deployment=deployment, anchor_ids=anchor_ids, tag_ids=tag_ids)
+        return cls(deployment=deployment, anchor_ids=tuple(anchors), tag_ids=tuple(tags))
 
 
 @dataclass(frozen=True)
@@ -378,8 +366,8 @@ class BiasModel:
     per_pair: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         for alpha, beta in [(self.alpha, self.beta), *self.per_pair.values()]:
             if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1.0):
                 raise ValueError(f"bias coefficients must be finite with alpha > -1, got {alpha}, {beta}")
@@ -414,9 +402,8 @@ class BiasModel:
 
     @classmethod
     def from_json_file(cls, path) -> "BiasModel":
+        raw = read_json(path, "bias model")
         try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
             if not isinstance(raw, dict):
                 raise TypeError("not a JSON object")
             per_pair = {
@@ -430,7 +417,7 @@ class BiasModel:
                 residual_rms=float(raw.get("residual_rms", 0.0)),
                 per_pair=per_pair,
             )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"cannot read bias model {path}: {exc}") from exc
 
 
@@ -463,9 +450,11 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
     """Fit the linear bias of measured versus true range by ordinary LS.
 
     True ranges come from ground-truth poses interpolated at the log
-    timestamps; records outside the ground-truth time span are ignored.
-    Run outlier rejection first. Raises when fewer than 10 usable samples
-    overlap, or when a true range overflows a float.
+    timestamps; records outside the ground-truth time span are ignored, and
+    so are the ids of streams with none inside (``NamedDeployment.slots``).
+    Run outlier rejection first. Raises EstimationError when fewer than 10
+    usable samples overlap, when a true range overflows a float, or when the
+    fit is no valid model (``BiasModel``).
     """
     if len(log) == 0:
         raise InsufficientDataError("empty range log")
@@ -477,12 +466,9 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
     positions, yaws = truth.interpolate(log.t[inside])
     dep = named.deployment
     stream_id = log.stream_id[inside]
-    stream_anchor = np.zeros(len(log.stream_keys), dtype=np.intp)
-    stream_tag = np.zeros(len(log.stream_keys), dtype=np.intp)
-    for k in np.flatnonzero(np.bincount(stream_id, minlength=len(log.stream_keys))):
-        anchor_id, tag_id = log.stream_keys[k]
-        stream_anchor[k] = named.anchor_index(anchor_id)
-        stream_tag[k] = named.tag_index(tag_id)
+    used = np.flatnonzero(np.bincount(stream_id, minlength=len(log.stream_keys)))
+    stream_tag, stream_anchor = np.zeros((2, len(log.stream_keys)), dtype=np.intp)
+    stream_tag[used], stream_anchor[used] = named.slots([log.stream_keys[k] for k in used])
     a_idx, t_idx = stream_anchor[stream_id], stream_tag[stream_id]
     measured = log.range_m[inside]
 
@@ -498,15 +484,14 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
         raise EstimationError("true ranges overflow; check the deployment and ground-truth coordinates")
 
     design = np.column_stack([true_range, np.ones_like(true_range)])
-    coeffs, _, _, _ = np.linalg.lstsq(design, measured - true_range, rcond=None)
-    residual = measured - true_range - design @ coeffs
-    rms = float(np.sqrt(np.mean(residual**2)))
-    return BiasModel(
-        alpha=float(coeffs[0]),
-        beta=float(coeffs[1]),
-        sigma=rms if rms > 0 else np.finfo(float).tiny,
-        residual_rms=rms,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # BiasModel checks the fit
+        coeffs, _, _, _ = np.linalg.lstsq(design, measured - true_range, rcond=None)
+        residual = measured - true_range - design @ coeffs
+        rms = float(np.sqrt(np.mean(residual**2)))
+    try:
+        return BiasModel(float(coeffs[0]), float(coeffs[1]), rms if rms > 0 else np.finfo(float).tiny, rms)
+    except ValueError as exc:  # e.g. alpha <= -1 from ranges that do not grow with the true ones
+        raise EstimationError(f"calibration gives no valid bias model: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -532,6 +517,8 @@ def align_and_batch(
     """De-bias and align the log onto a grid of epochs at ``rate_hz``, by
     default the log frequency.
 
+    Every stream id must name an anchor or tag of ``named``, or SchemaError
+    names the first unknown one in stream order (``NamedDeployment.slots``).
     Every (anchor, tag) pair of the deployment must appear in the log, or no
     epoch is emitted. Stream values are linearly interpolated at each epoch
     time; an epoch is dropped when any stream does not span the epoch time
@@ -540,20 +527,14 @@ def align_and_batch(
     full N x M measurement grid. A grid of more epochs than the log has
     records is a SchemaError.
     """
-    for anchor_id in {a for a, _ in log.stream_keys}:
-        named.anchor_index(anchor_id)
-    for tag_id in {t for _, t in log.stream_keys}:
-        named.tag_index(tag_id)
-
+    tag_slot, anchor_slot = named.slots(log.stream_keys)
     dep = named.deployment
     n, m = dep.num_tags, dep.num_anchors
     none = Epochs(times=np.zeros(0), ranges=np.zeros((0, n, m)))
-    streams = log.streams()
-    required = [
-        (a, t) for t in named.tag_ids for a in named.anchor_ids
-    ]
-    if any(key not in streams for key in required):
+    # Distinct streams of known, distinct ids fill all N x M slots iff there are N * M.
+    if len(log.stream_keys) < n * m:
         return none
+    streams = log.streams()
 
     rate = rate_hz if rate_hz is not None else log.frequency
     horizon = max_gap_periods / log.frequency
@@ -571,11 +552,9 @@ def align_and_batch(
 
     grid = np.empty((count, n, m))
     ok = np.ones(count, dtype=bool)
-    for (anchor_id, tag_id), indices in streams.items():
-        i = named.tag_index(tag_id)
-        j = named.anchor_index(anchor_id)
+    for (key, indices), i, j in zip(streams.items(), tag_slot, anchor_slot):
         ts = log.t[indices]
-        vals = bias.remove(log.range_m[indices], key=(anchor_id, tag_id))
+        vals = bias.remove(log.range_m[indices], key=key)
         grid[:, i, j] = np.interp(epochs, ts, vals)
         position = np.searchsorted(ts, epochs)
         left = np.clip(position - 1, 0, len(ts) - 1)

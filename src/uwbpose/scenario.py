@@ -2,20 +2,22 @@
 
 A scenario describes a deployment, the true pose, and optionally a sweep
 section. Unknown keys are rejected so typos fail loudly instead of being
-silently ignored. See the repository README for the schema.
+silently ignored. Values go unchanged to the types that check them
+(``Deployment``, ``Pose2``, ``McConfig``), except a flat N*M ``sigma``
+list, a form only scenarios have. See the repository README for the schema.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Deployment, Method, Pose2
-from .errors import SchemaError
-from .mc import McConfig, SweepAxis, integer_at_least
+from .core import Deployment, Pose2
+from .errors import SchemaError, read_json, require_keys
+from .mc import McConfig, integer_at_least
 
 _TOP_KEYS = {"deployment", "true_pose", "sweep", "repeat_t", "seed"}
 _DEPLOYMENT_KEYS = {"anchors", "tags", "sigma", "dh"}
@@ -40,63 +42,31 @@ class Scenario(NamedTuple):
     config: McConfig | None
 
 
-def _require_keys(section, allowed: set, required: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise SchemaError(f"{where}: must be a JSON object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _integer(value, key: str, low: int, where: str) -> int:
-    """The value of ``key`` checked by ``mc.integer_at_least``; a failure is
-    a SchemaError that names ``where``."""
-    try:
-        return integer_at_least(value, key, low)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-
-
 def _parse_sigma(raw, n_tags: int, n_anchors: int, metadata: dict):
-    """Sigma forms: scalar, (N, M) nested list, per-anchor list of length M,
-    or a flat list of length N*M assigned to pairs in anchor-major order."""
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if not isinstance(raw, list):
-        raise SchemaError("deployment.sigma must be a number or list")
-    if raw and isinstance(raw[0], list):
-        return np.asarray(raw, dtype=float)
-    flat = np.asarray(raw, dtype=float)
-    if flat.size == n_anchors:
-        return flat
-    if flat.size == n_tags * n_anchors:
-        metadata["sigma_slot_mapping"] = (
-            "flat sigma list assigned anchor-major, tag-minor (assumption)"
-        )
-        return flat.reshape(n_anchors, n_tags).T
-    raise SchemaError(
-        f"deployment.sigma list must have length {n_anchors} or {n_tags * n_anchors}"
-    )
+    """A flat list of sigmas, the one form only scenarios have: per anchor
+    when of length M, unchanged, or of length N*M, assigned to pairs in
+    anchor-major order and recorded in ``metadata``; any other length is a
+    SchemaError. Other values go to ``Deployment`` unchanged, which checks them."""
+    if not isinstance(raw, list) or any(isinstance(value, list) for value in raw) or len(raw) == n_anchors:
+        return raw
+    if len(raw) != n_tags * n_anchors:
+        raise SchemaError(f"deployment.sigma list must have length {n_anchors} or {n_tags * n_anchors}")
+    metadata["sigma_slot_mapping"] = "flat sigma list assigned anchor-major, tag-minor (assumption)"
+    return np.asarray(raw).reshape(n_anchors, n_tags).T
 
 
 def _parse_deployment(raw: dict, metadata: dict) -> Deployment:
-    _require_keys(raw, _DEPLOYMENT_KEYS, {"anchors", "tags"}, "deployment")
-    try:
-        tags = np.asarray(raw["tags"], dtype=float)
-        anchors = np.asarray(raw["anchors"], dtype=float)
-        if anchors.ndim != 2 or tags.ndim != 2:
-            raise SchemaError("deployment.anchors and deployment.tags must be lists of [x, y]")
-        sigma = _parse_sigma(raw.get("sigma", 1.0), tags.shape[0], anchors.shape[0], metadata)
-        return Deployment(anchors=anchors, tags=tags, sigma=sigma, dh=raw.get("dh", 0.0))
+    require_keys(raw, _DEPLOYMENT_KEYS, {"anchors", "tags"}, "deployment")
+    try:  # the geometry first, so that the sigma forms can be told apart by N and M
+        deployment = Deployment(anchors=raw["anchors"], tags=raw["tags"], dh=raw.get("dh", 0.0))
+        sigma = _parse_sigma(raw.get("sigma", 1.0), deployment.num_tags, deployment.num_anchors, metadata)
+        return dataclasses.replace(deployment, sigma=sigma)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"deployment: {exc}") from exc
 
 
 def _parse_pose(raw: dict) -> Pose2:
-    _require_keys(raw, _POSE_KEYS, _POSE_KEYS, "true_pose")
+    require_keys(raw, _POSE_KEYS, _POSE_KEYS, "true_pose")
     try:
         return Pose2(math.radians(float(raw["theta_deg"])), raw["t"])
     except (TypeError, ValueError) as exc:
@@ -105,51 +75,36 @@ def _parse_pose(raw: dict) -> Pose2:
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-        raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    _require_keys(raw, _TOP_KEYS, {"deployment", "true_pose"}, str(path))
+    raw = read_json(path, "scenario")
+    require_keys(raw, _TOP_KEYS, {"deployment", "true_pose"}, str(path))
 
     metadata: dict = {}
     deployment = _parse_deployment(raw["deployment"], metadata)
     true_pose = _parse_pose(raw["true_pose"])
-    repeat_t = _integer(raw.get("repeat_t", 1), "repeat_t", 1, path)
-    seed = _integer(raw.get("seed", 0), "seed", 0, path)
+    try:
+        repeat_t = integer_at_least(raw.get("repeat_t", 1), "repeat_t", 1)
+        seed = integer_at_least(raw.get("seed", 0), "seed", 0)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
     config = None
     if "sweep" in raw:
         sweep = raw["sweep"]
-        _require_keys(sweep, _SWEEP_KEYS, {"axis", "values", "trials"}, "sweep")
-        try:
-            axis = SweepAxis(sweep["axis"])
-        except ValueError:
-            raise SchemaError(
-                f"sweep.axis must be one of {[a.value for a in SweepAxis]}"
-            ) from None
-        try:
-            estimators = tuple(Method(e) for e in sweep.get("estimators", [m.value for m in Method]))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"sweep.estimators: {exc}") from exc
-        rect = sweep.get("anchor_rect", [[0.0, 0.0], [50.0, 50.0]])
-        trials = _integer(sweep["trials"], "trials", 1, "sweep")
-        sweep_repeat_t = _integer(sweep.get("repeat_t", repeat_t), "repeat_t", 1, "sweep")
+        require_keys(sweep, _SWEEP_KEYS, {"axis", "values", "trials"}, "sweep")
+        optional = {key: sweep[key] for key in ("estimators", "anchor_rect", "noise_scale") if key in sweep}
         try:
             config = McConfig(
                 deployment=deployment,
                 true_pose=true_pose,
-                axis=axis,
-                axis_values=tuple(sweep["values"]),
-                trials=trials,
+                axis=sweep["axis"],
+                axis_values=sweep["values"],
+                trials=sweep["trials"],
                 seed=seed,
-                estimators=estimators,
-                repeat_t=sweep_repeat_t,
-                anchor_rect=((float(rect[0][0]), float(rect[0][1])), (float(rect[1][0]), float(rect[1][1]))),
-                noise_scale=float(sweep.get("noise_scale", 1.0)),
+                repeat_t=sweep.get("repeat_t", repeat_t),
                 metadata=dict(metadata),
+                **optional,
             )
-        except (TypeError, ValueError, LookupError) as exc:
-            raise SchemaError(f"sweep: {exc}") from exc
+        except ValueError as exc:
+            raise SchemaError(f"sweep: {exc}") from None
 
     return Scenario(deployment, true_pose, repeat_t, config)

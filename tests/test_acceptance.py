@@ -364,8 +364,8 @@ def test_c11_calibration_recovery():
     noisy = calibrate_bias(log_n, truth_n, named)
     positions, yaws = truth_n.interpolate(log_n.t)
     ids = [log_n.stream_keys[k] for k in log_n.stream_id]
-    a_idx = np.array([named.anchor_index(a) for a, _ in ids])
-    t_idx = np.array([named.tag_index(t) for _, t in ids])
+    a_idx = np.array([named.anchor_ids.index(a) for a, _ in ids])
+    t_idx = np.array([named.tag_ids.index(t) for _, t in ids])
     tags = named.deployment.tags[t_idx]
     gx = np.cos(yaws) * tags[:, 0] - np.sin(yaws) * tags[:, 1] + positions[:, 0]
     gy = np.sin(yaws) * tags[:, 0] + np.cos(yaws) * tags[:, 1] + positions[:, 1]

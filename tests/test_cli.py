@@ -13,11 +13,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwbpose
-from uwbpose.cli import main
+from uwbpose.cli import _build_parser, main
 from uwbpose.core import Deployment, Pose2, predicted_ranges
 from uwbpose.preprocess import NamedDeployment
 
@@ -322,6 +322,15 @@ BAD_NUMERIC_FLAGS = [
     ("calibrate", "--freq", "-100"),
     ("calibrate", "--vmax", "0"),
 ]
+# The flags estimate and calibrate share take the same values under both.
+SHARED_BAD_VALUES = [
+    ("--window", "0"), ("--window", "-3"), ("--window", "1.5"), ("--freq", "0"), ("--freq", "nan"),
+    ("--freq", "-100"), ("--freq", "inf"), ("--vmax", "0"), ("--vmax", "-1"), ("--vmax", "x"),
+]
+BAD_NUMERIC_FLAGS += [
+    (command, flag, value) for flag, value in SHARED_BAD_VALUES for command in ("estimate", "calibrate")
+    if (command, flag, value) not in BAD_NUMERIC_FLAGS
+]
 
 BAD_SCENARIO_FLAGS = [
     ("crlb", "--repeat-t", "0"),
@@ -368,6 +377,25 @@ class TestNumericFlags:
         assert not out.exists()
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    def test_shared_flags_have_the_same_defaults_under_both_commands(self):
+        parser = _build_parser()
+        files = ["--ranges", "r.csv", "--deployment", "d.json", "--out", "o"]
+        estimate = vars(parser.parse_args(["estimate", *files]))
+        calibrate = vars(parser.parse_args(["calibrate", *files, "--truth", "t.csv"]))
+        shared = ("ranges", "deployment", "out", "freq", "vmax", "window")
+        assert {name: estimate[name] for name in shared} == {name: calibrate[name] for name in shared}
+        assert (estimate["freq"], estimate["vmax"], estimate["window"]) == (100.0, 1.0, 5)
+
+    @pytest.mark.parametrize("command", ["estimate", "calibrate"])
+    @pytest.mark.parametrize("missing", ["--ranges", "--deployment", "--out"])
+    def test_shared_file_flags_are_required_under_both_commands(self, capsys, command, missing):
+        argv = {"--ranges": "r.csv", "--deployment": "d.json", "--out": "o", "--truth": "t.csv"}
+        del argv[missing]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *(item for pair in argv.items() for item in pair)])
+        assert excinfo.value.code == 2
+        assert missing in capsys.readouterr().err
 
     def test_zero_seed_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -559,6 +587,13 @@ BAD_SWEEP_SCENARIOS = {
     "tags-string": ("simulate", {"deployment": {"tags": "abc"}}),
     "sigma-nested-non-numeric": ("crlb", {"deployment": {"sigma": [["x", 0.1, 0.1], [0.1, 0.1, 0.1]]}}),
     "sigma-flat-non-numeric": ("simulate", {"deployment": {"sigma": ["x", 0.1, 0.1]}}),
+    # A flat sigma list has M or N * M entries, and sigma and dh are numbers.
+    "sigma-flat-length-one": ("crlb", {"deployment": {"sigma": [0.1]}}),
+    "sigma-flat-length-four": ("simulate", {"deployment": {"sigma": [0.1] * 4}}),
+    "sigma-numeric-string": ("crlb", {"deployment": {"sigma": "0.1"}}),
+    "sigma-null": ("simulate", {"deployment": {"sigma": None}}),
+    "dh-numeric-string": ("crlb", {"deployment": {"dh": "0.5"}}),
+    "dh-object": ("crlb", {"deployment": {"dh": {}}}),
 }
 
 
@@ -627,6 +662,116 @@ def test_calibrate_with_overflowing_true_ranges_exits_1_without_output(tmp_path,
     assert not out.exists()
     err = capsys.readouterr().err
     assert "error: true ranges overflow" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["uls", "gn-uls", "dac", "gn-dac"])
+def test_overflowing_mean_of_squared_ranges_writes_error_rows(tmp_path, capsys, method):
+    # Squares of 1e154 are finite, but their sum over a tag's anchors is not:
+    # every epoch fails instead of reporting a NaN pose as ok.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    rows = list(csv.reader(open(ranges, encoding="utf-8")))
+    with open(ranges, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([rows[0], *([*row[:3], "1e154"] for row in rows[1:])])
+    out = tmp_path / "poses.csv"
+    assert main(["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--method", method]) == 0
+    statuses = [row[5] for row in csv.reader(out.read_text(encoding="utf-8").splitlines()[1:])]
+    assert len(statuses) == 20 and all(status.startswith("error:") for status in statuses)
+    stdout, err = capsys.readouterr()
+    assert "(0 ok)" in stdout and "Warning" not in err
+
+
+# No field of a scenario, deployment or bias file is boolean; JSON true and
+# false are refused anywhere, not read as the numbers 1 and 0.
+BOOLEAN_INPUTS = {
+    "scenario-sigma": ("crlb", ["deployment", "sigma"]),
+    "scenario-dh": ("crlb", ["deployment", "dh"]),
+    "scenario-anchor-coordinate": ("crlb", ["deployment", "anchors", 0, 1]),
+    "scenario-sigma-list-entry": ("crlb", ["deployment", "sigma", 0]),
+    "scenario-theta": ("crlb", ["true_pose", "theta_deg"]),
+    "scenario-noise-scale": ("simulate", ["sweep", "noise_scale"]),
+    "bias-alpha": ("estimate", ["alpha"]),
+    "deployment-sigma": ("calibrate", ["sigma"]),
+    "deployment-tag-coordinate": ("estimate", ["tags", "t0", 0]),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_INPUTS))
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_in_a_json_input_exits_2_without_output(tmp_path, capsys, case, value):
+    command, path = BOOLEAN_INPUTS[case]
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    out = tmp_path / "o.csv"
+    argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
+    if command == "estimate" and case.startswith("bias"):
+        document, target = {"alpha": 0.0, "beta": 0.0, "sigma": 0.05}, tmp_path / "bias.json"
+        argv += ["--bias", str(target)]
+    elif case.startswith("deployment"):
+        document, target = json.loads(pathlib.Path(dep).read_text(encoding="utf-8")), pathlib.Path(dep)
+    else:
+        document = json.loads(json.dumps(SCENARIO_SMALL))
+        document["deployment"]["sigma"] = [0.1, 0.1, 0.1] if case == "scenario-sigma-list-entry" else 0.1
+        target = tmp_path / "scenario.json"
+        argv = [command, "--scenario", str(target)] + (["--out", str(out)] if command == "simulate" else [])
+    target.write_text(json.dumps(_replaced(document, path, value)), encoding="utf-8")
+    assert main(argv) == 2
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and f"{target}: true and false are not values of any field" in err
+
+
+def _unknown_anchor_log(ranges):
+    """The log with anchors a0, a1, a2, a3 renamed zz, yy, xx, ww."""
+    text = pathlib.Path(ranges).read_text(encoding="utf-8")
+    for old, new in zip(["a0", "a1", "a2", "a3"], ["zz", "yy", "xx", "ww"]):
+        text = text.replace(f",{old},", f",{new},")
+    pathlib.Path(ranges).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_unknown_ids_name_the_first_stream_under_any_hash_seed(tmp_path, command):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    _unknown_anchor_log(ranges)
+    argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(tmp_path / "o")]
+    src = str(pathlib.Path(uwbpose.__file__).resolve().parents[1])
+    errors = set()
+    for hash_seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-m", "uwbpose.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 2 and not (tmp_path / "o").exists()
+        errors.add(done.stderr)
+    assert len(errors) == 1 and errors.pop().endswith("error: unknown anchor id 'zz'\n")
+
+
+def test_calibrate_ignores_unknown_ids_outside_the_truth_span(tmp_path, capsys):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=200)
+    reference = tmp_path / "reference.json"
+    assert main(["calibrate", "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(reference)]) == 0
+    with open(ranges, "a", encoding="utf-8", newline="") as handle:  # a stream of an unknown anchor after the truth
+        csv.writer(handle).writerows([[5.0 + k / 100.0, "zz", "t0", 3.0] for k in range(10)])
+    out = tmp_path / "bias.json"
+    assert main(["calibrate", "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+    assert main(["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(tmp_path / "p.csv")]) == 2
+    assert "unknown anchor id 'zz'" in capsys.readouterr().err
+
+
+def test_flat_sigma_list_is_assigned_anchor_major_and_recorded(tmp_path, capsys):
+    # The scenario-only flat form of N * M sigmas runs exactly as the nested
+    # list it stands for, and says how it was read.
+    flat = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]  # (tag, anchor) pairs (0, 0), (1, 0), (0, 1), ...
+    nested = [[0.05, 0.15, 0.25], [0.1, 0.2, 0.3]]
+    texts, outputs = [], []
+    for name, sigma in (("flat", flat), ("nested", nested)):
+        payload = {**SCENARIO_SMALL, "deployment": {**SCENARIO_SMALL["deployment"], "sigma": sigma}}
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--scenario", _write_scenario(tmp_path, payload, f"{name}.json"), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        texts.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    mapping = "# sigma_slot_mapping: flat sigma list assigned anchor-major, tag-minor (assumption)"
+    assert mapping in texts[0].splitlines() and mapping not in texts[1]
 
 
 NON_UTF8_CASES = [
@@ -822,17 +967,19 @@ def replay_files(tmp_path_factory):
     return _write_replay_files(tmp_path_factory.mktemp("replay"), rng=None, samples=20)
 
 
-def _assert_documented_exit(argv, tmp, out, writes_output):
-    """``main(argv)`` returns 0-3 (argparse's ``SystemExit`` counts) and
-    leaves ``out`` in ``tmp`` only on success of a command that writes it."""
+def _assert_documented_exit(argv, tmp, outputs):
+    """``main(argv)`` returns 0-3 (argparse's ``SystemExit`` counts), prints
+    no traceback, and adds to ``tmp`` the set of ``outputs`` on success and
+    nothing otherwise."""
     inputs = set(tmp.iterdir())
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing a value
             code = exc.code
     assert code in (0, 1, 2, 3)
-    assert set(tmp.iterdir()) - inputs == ({out} if code == 0 and writes_output else set())
+    assert "Traceback" not in err.getvalue()
+    assert set(tmp.iterdir()) - inputs == (set(outputs) if code == 0 else set())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -851,7 +998,7 @@ def test_malformed_json_exits_with_a_documented_code(replay_files, case):
             argv = [command, "--scenario", _write_scenario(tmp, _replaced(SCENARIO_SMALL, path, value))]
             if command == "simulate":
                 argv += ["--out", str(out)]
-        _assert_documented_exit(argv, tmp, out, command != "crlb")
+        _assert_documented_exit(argv, tmp, {out} if command != "crlb" else set())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -872,4 +1019,92 @@ def test_malformed_deployment_exits_with_a_documented_code(replay_files, command
         argv = [command, "--ranges", ranges, "--deployment", fuzzed, "--out", str(out)]
         if command == "calibrate":
             argv += ["--truth", truth]
-        _assert_documented_exit(argv, tmp, out, True)
+        _assert_documented_exit(argv, tmp, {out})
+
+
+# In-process fuzz of the range and truth CSVs: one mutation of the replay
+# log or of its ground truth, under calibrate or under estimate at a small
+# --rate. Field values cover non-finite, huge and negative numbers, unicode,
+# ids that fill or overflow the 32 bytes of a byte column, and \x00.
+CSV_FIELD_VALUES = (
+    "nan", "inf", "-inf", "1e308", "-1e308", "-1", "-0.5", "", "x", "\x00", "a\x00", "\u00e4\u4f60",
+    "\u00e9" * 16, "a" * 32, "a" * 33, "zz", "1e-320",
+)
+RANGE_MUTATIONS = ("truncate", "swap", "duplicate", "field", "field", "column", "header", "drop-stream", "unknown-id")
+TRUTH_MUTATIONS = ("truncate", "swap", "duplicate", "field", "field", "column", "header")
+
+
+@st.composite
+def _csv_cases(draw):
+    command = draw(st.sampled_from(["calibrate", "estimate"]))
+    target = draw(st.sampled_from(["ranges", "truth"]))
+    kind = draw(st.sampled_from(RANGE_MUTATIONS if target == "ranges" else TRUTH_MUTATIONS))
+    width = 4
+    if kind == "truncate":
+        detail = draw(st.floats(0.0, 1.0))
+    elif kind in ("swap", "duplicate"):  # in the data rows, or in the header too
+        detail = (*draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True)), draw(st.booleans()))
+    elif kind == "field":  # a data field, or a header name
+        row = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+        detail = (row, draw(st.integers(0, width - 1)), draw(st.sampled_from(CSV_FIELD_VALUES)))
+    elif kind == "column":  # one value in every data row
+        detail = (draw(st.integers(0, width - 1)), draw(st.sampled_from(CSV_FIELD_VALUES + ("1e154", "0"))))
+    elif kind == "header":
+        detail = draw(st.floats(0.0, 1.0))
+    else:  # a stream left out, or an id renamed in every row or in one
+        detail = (draw(st.sampled_from(["a0", "a7", "t0", "t2"])), draw(st.sampled_from([None, 0.0, 0.5, 1.0])))
+    return command, target, kind, detail
+
+
+def _mutated_csv(text, kind, detail):
+    rows = [line.split(",") for line in text.splitlines()]
+    if kind == "truncate":
+        return text[: int(detail * len(text))]
+    if kind == "swap":
+        i, j, header = detail
+        for row in rows[0 if header else 1 :]:
+            row[i], row[j] = row[j], row[i]
+    elif kind == "duplicate":
+        i, j, header = detail
+        rows[0 if header else 1 :] = [row[: j + 1] + [row[i]] + row[j + 1 :] for row in rows[0 if header else 1 :]]
+    elif kind == "field":
+        at, column, value = detail
+        rows[min(int(at * len(rows)), len(rows) - 1)][column] = value
+    elif kind == "column":
+        column, value = detail
+        for row in rows[1:]:
+            row[column] = value
+    elif kind == "header":
+        rows.insert(int(detail * len(rows)), list(rows[0]))
+    elif kind == "drop-stream":
+        rows = [row for row in rows if detail[0] not in row[1:3]]
+    else:  # unknown-id: the id renamed in every row that holds it, or in one
+        name, at = detail
+        hits = [k for k, row in enumerate(rows) if name in row[1:3]]
+        for k in hits if at is None else hits[int(at * (len(hits) - 1)) :][:1]:
+            rows[k] = ["zz" if cell == name else cell for cell in rows[k]]
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_csv_cases())
+@example(case=("calibrate", "ranges", "column", (3, "1e154")))  # a fit with alpha <= -1: exit 1
+@example(case=("estimate", "truth", "column", (1, "1e154")))  # position errors overflow: exit 1
+def test_malformed_csv_exits_with_a_documented_code(replay_files, case):
+    command, target, kind, detail = case
+    dep, truth, ranges = replay_files
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        files = {"ranges": pathlib.Path(ranges), "truth": pathlib.Path(truth)}
+        fuzzed = tmp / f"{target}.csv"
+        fuzzed.write_text(_mutated_csv(files[target].read_text(encoding="utf-8"), kind, detail), encoding="utf-8")
+        files[target] = fuzzed
+        out = tmp / "out.csv"
+        argv = [command, "--ranges", str(files["ranges"]), "--deployment", dep, "--truth", str(files["truth"]),
+                "--out", str(out)]
+        outputs = {out}
+        if command == "estimate":
+            argv += ["--rate", "10"]
+            outputs.add(tmp / "out.csv.summary.csv")
+        _assert_documented_exit(argv, tmp, outputs)

@@ -100,6 +100,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             _small_config(**{name: value})
 
+    @pytest.mark.parametrize(
+        "field, value, choices",
+        [
+            ("axis", "bogus", [axis.value for axis in SweepAxis]),
+            ("estimators", ("x",), [method.value for method in Method]),
+            ("estimators", 5, [method.value for method in Method]),
+            ("estimators", (), [method.value for method in Method]),
+            ("noise_scale", "0.5", []),
+            ("noise_scale", True, []),
+            ("noise_scale", -1.0, []),
+            ("anchor_rect", (("0", 0.0), (50.0, 50.0)), []),
+            ("anchor_rect", ((0.0, 0.0),), []),
+            ("anchor_rect", 5, []),
+        ],
+    )
+    def test_bad_field_is_a_value_error_naming_it(self, field, value, choices):
+        with pytest.raises(ValueError, match=f"^{field} must be") as excinfo:
+            _small_config(**{field: value})
+        assert all(repr(choice) in str(excinfo.value) for choice in choices)
+
+    def test_names_and_numbers_are_normalised(self):
+        config = _small_config(axis="repeat_t", estimators=["uls", "dac"], noise_scale=1, anchor_rect=[[0, 0], [5, 5]])
+        assert config.axis is SweepAxis.REPEAT_T and config.estimators == (Method.ULS, Method.DAC)
+        assert config.anchor_rect == ((0.0, 0.0), (5.0, 5.0))
+
     def test_integral_values_become_ints(self):
         config = _small_config(
             trials=5.0, repeat_t=np.int64(3), seed=7.0, axis=SweepAxis.NOISE_SIGMA, axis_values=(0.1,)

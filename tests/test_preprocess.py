@@ -243,8 +243,8 @@ class TestCalibrateBias:
         count = len(log)
         positions, yaws = truth.interpolate(log.t)
         ids = [log.stream_keys[k] for k in log.stream_id]
-        a_idx = np.array([named.anchor_index(a) for a, _ in ids])
-        t_idx = np.array([named.tag_index(g) for _, g in ids])
+        a_idx = np.array([named.anchor_ids.index(a) for a, _ in ids])
+        t_idx = np.array([named.tag_ids.index(g) for _, g in ids])
         cos_y, sin_y = np.cos(yaws), np.sin(yaws)
         tags = dep.tags[t_idx]
         gx = cos_y * tags[:, 0] - sin_y * tags[:, 1] + positions[:, 0]
@@ -256,6 +256,23 @@ class TestCalibrateBias:
         assert abs(model.alpha - 0.02) <= 3 * math.sqrt(cov[0, 0])
         assert abs(model.beta - 0.05) <= 3 * math.sqrt(cov[1, 1])
         assert model.sigma == pytest.approx(0.05, rel=0.1)
+
+    def test_unknown_id_is_resolved_only_inside_the_truth_span(self):
+        named = _grid_deployment()
+        truth, log = _synthetic_truth_and_log(named, 0.02, 0.05, 0.0, 50, None)
+        later = np.arange(10) / 100.0 + 10.0  # past the 0.49 s of truth
+        extra = _make_log({("zz", "t0"): (later, np.full(10, 5.0))})
+        merged = RangeLog(
+            t=np.concatenate([log.t, extra.t]),
+            anchor=[log.stream_keys[k][0] for k in log.stream_id] + ["zz"] * 10,
+            tag=[log.stream_keys[k][1] for k in log.stream_id] + ["t0"] * 10,
+            range_m=np.concatenate([log.range_m, extra.range_m]),
+            frequency=100.0,
+        )
+        assert calibrate_bias(merged, truth, named) == calibrate_bias(log, truth, named)
+        shifted = GroundTruthLog(t=truth.t + 9.8, x=truth.x, y=truth.y, yaw=truth.yaw)
+        with pytest.raises(SchemaError, match="unknown anchor id 'zz'"):
+            calibrate_bias(merged, shifted, named)
 
     def test_non_overlapping_spans_rejected(self):
         named = _grid_deployment()
@@ -372,6 +389,18 @@ class TestAlignAndBatch:
         with pytest.raises(SchemaError, match="mystery"):
             align_and_batch(log, BiasModel.identity(), named)
 
+    def test_first_unknown_id_in_stream_order_is_named(self):
+        # Streams are numbered by first record; whatever order a set of the
+        # ids would take, the error names the first stream's unknown anchor.
+        named = _grid_deployment()
+        times = np.arange(10) / 100.0
+        streams = {(a, "t0"): (times + k / 1000.0, np.full(10, 5.0)) for k, a in enumerate(["zz", "yy", "xx", "ww"])}
+        log = _make_log({("a0", "t1"): (times, np.full(10, 5.0)), ("a1", "t9"): (times, np.full(10, 5.0)), **streams})
+        with pytest.raises(SchemaError, match="^unknown tag id 't9'$"):
+            align_and_batch(log, BiasModel.identity(), named)
+        with pytest.raises(SchemaError, match="^unknown anchor id 'zz'$"):
+            align_and_batch(_make_log(streams), BiasModel.identity(), named)
+
     def test_missing_stream_yields_no_batches(self):
         named = _grid_deployment()
         times = np.arange(10) / 100.0
@@ -379,6 +408,14 @@ class TestAlignAndBatch:
         epochs = align_and_batch(log, BiasModel.identity(), named)
         assert len(epochs) == 0
         assert epochs.ranges.shape == (0, 2, 4)
+
+
+@pytest.mark.parametrize("anchor_ids, tag_ids, kind", [(("a0", "a0", "a2"), ("t0", "t1"), "anchor"),
+                                                   (("a0", "a1", "a2"), ("t0", "t0"), "tag")])
+def test_duplicate_ids_are_refused(anchor_ids, tag_ids, kind):
+    deployment = Deployment(anchors=[[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], tags=[[0.5, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match=f"one distinct id per {kind} required"):
+        NamedDeployment(deployment, anchor_ids, tag_ids)
 
 
 class TestLogIngestion:

@@ -75,6 +75,9 @@ def _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d2):
     assert list(results) == list(Method)
     for method, (poses, seconds) in results.items():
         assert 0.0 <= seconds < math.inf
+        if isinstance(poses, tuple):  # a PoseStack: every OK pose is finite
+            ok = poses.status == Status.OK
+            assert np.all(np.isfinite(poses.theta[ok])) and np.all(np.isfinite(poses.t[ok])), method
         try:
             alone = estimate_stacked(dep, mean_d, mean_d2, method)
         except EstimationError as exc:
@@ -113,6 +116,19 @@ def test_overflowing_height_fails_every_method():
     results = estimate_methods(reference_deployment(dh=1e308), mean_d, mean_d**2, list(Method))
     for method, (poses, _) in results.items():
         assert type(poses) is EstimationError and "overflow" in str(poses), method
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_mean_of_squared_ranges_fails_every_method():
+    # Mean squared ranges near 1e308 are finite, but their mean over a tag's
+    # anchors overflows in both closed-form stages; the refined methods
+    # inherit the failure, and no pose is reported OK.
+    mean_d = np.full((2,) + reference_deployment().sigma.shape, 1e154)
+    mean_d[1] = predicted_ranges(reference_deployment(), reference_pose())
+    results = _assert_each_method_equals_estimate_stacked(reference_deployment(), mean_d, mean_d**2)
+    for method, (poses, _) in results.items():
+        assert poses.status.tolist() == [Status.DEGENERATE_PROJECTION, Status.OK], method
+        assert np.isnan(poses.theta[0]) and np.all(np.isnan(poses.t[0])), method
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
