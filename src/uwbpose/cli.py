@@ -209,70 +209,63 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, of
+    that one in full and of the others by name and help only."""
     parser = argparse.ArgumentParser(
         prog="uwbpose",
         description="Planar pose estimation from anchor-to-tag range measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     positive_int, positive_float = _bounded(int, 1), _bounded(float, 0, above=True)
+    subs = {}
+    for name, text, func in (
+        ("simulate", "run a Monte-Carlo sweep from a scenario file", _cmd_simulate),
+        ("crlb", "print the lower bound for a scenario", _cmd_crlb),
+        ("estimate", "estimate poses from a range log", _cmd_estimate),
+        ("calibrate", "fit the linear range-bias model", _cmd_calibrate),
+    ):
+        subs[name] = sub.add_parser(name, help=text)
+        subs[name].set_defaults(func=func)
+    full = {command} if command in subs else set(subs)
 
-    sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep from a scenario file")
-    sim.add_argument("--scenario", required=True)
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--seed", type=_bounded(int, 0), default=None, help="override the scenario seed")
-    sim.add_argument(
-        "--threads",
-        type=positive_int,
-        default=1,
-        help="accepted for compatibility, no effect; draws are serial",
-    )
-    sim.add_argument("--trials", type=positive_int, default=None, help="override the scenario trial count")
-    sim.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall times in the CSV (nondeterministic column)",
-    )
-    sim.set_defaults(func=_cmd_simulate)
-
-    crlb_p = sub.add_parser("crlb", help="print the lower bound for a scenario")
-    crlb_p.add_argument("--scenario", required=True)
-    crlb_p.add_argument("--repeat-t", dest="repeat_t", type=positive_int, default=None)
-    crlb_p.set_defaults(func=_cmd_crlb)
-
-    replay = argparse.ArgumentParser(add_help=False)  # the flags estimate and calibrate share
-    replay.add_argument("--ranges", required=True, help="range log CSV: t,anchor,tag,range")
-    replay.add_argument("--deployment", required=True, help="deployment JSON with anchor and tag ids")
-    replay.add_argument("--out", required=True)
-    replay.add_argument("--freq", type=positive_float, default=100.0, help="ranging frequency in Hz")
-    replay.add_argument(
-        "--vmax", type=positive_float, default=1.0, help="velocity bound for outlier rejection, m/s"
-    )
-    replay.add_argument("--window", type=positive_int, default=5, help="outlier rejection window length")
-
-    est = sub.add_parser("estimate", parents=[replay], help="estimate poses from a range log")
-    est.add_argument("--truth", default=None)
-    est.add_argument("--method", choices=[m.value for m in Method], default=Method.GN_ULS.value)
-    est.add_argument("--bias", default=None, help="bias model file from the calibrate command")
-    est.add_argument("--yaw-offset-deg", type=_bounded(float), default=0.0)
-    est.add_argument("--rate", type=positive_float, default=None, help="estimation rate in Hz")
-    est.add_argument(
-        "--max-gap",
-        type=_bounded(float, 0),
-        default=3.0,
-        help="drop epochs with gaps beyond this many periods",
-    )
-    est.set_defaults(func=_cmd_estimate)
-
-    cal = sub.add_parser("calibrate", parents=[replay], help="fit the linear range-bias model")
-    cal.add_argument("--truth", required=True)
-    cal.set_defaults(func=_cmd_calibrate)
-
+    if "simulate" in full:
+        sim = subs["simulate"]
+        sim.add_argument("--scenario", required=True)
+        sim.add_argument("--out", required=True)
+        sim.add_argument("--seed", type=_bounded(int, 0), default=None, help="override the scenario seed")
+        sim.add_argument(
+            "--threads", type=positive_int, default=1, help="accepted for compatibility, no effect; draws are serial"
+        )
+        sim.add_argument("--trials", type=positive_int, default=None, help="override the scenario trial count")
+        sim.add_argument("--timing", action="store_true", help="include wall times in the CSV (nondeterministic column)")
+    if "crlb" in full:
+        subs["crlb"].add_argument("--scenario", required=True)
+        subs["crlb"].add_argument("--repeat-t", dest="repeat_t", type=positive_int, default=None)
+    for replay in (subs[name] for name in ("estimate", "calibrate") if name in full):  # the flags both share
+        replay.add_argument("--ranges", required=True, help="range log CSV: t,anchor,tag,range")
+        replay.add_argument("--deployment", required=True, help="deployment JSON with anchor and tag ids")
+        replay.add_argument("--out", required=True)
+        replay.add_argument("--freq", type=positive_float, default=100.0, help="ranging frequency in Hz")
+        replay.add_argument("--vmax", type=positive_float, default=1.0, help="velocity bound for outlier rejection, m/s")
+        replay.add_argument("--window", type=positive_int, default=5, help="outlier rejection window length")
+    if "estimate" in full:
+        est = subs["estimate"]
+        est.add_argument("--truth", default=None)
+        est.add_argument("--method", choices=[m.value for m in Method], default=Method.GN_ULS.value)
+        est.add_argument("--bias", default=None, help="bias model file from the calibrate command")
+        est.add_argument("--yaw-offset-deg", type=_bounded(float), default=0.0)
+        est.add_argument("--rate", type=positive_float, default=None, help="estimation rate in Hz")
+        gap_help = "drop epochs with gaps beyond this many periods"
+        est.add_argument("--max-gap", type=_bounded(float, 0), default=3.0, help=gap_help)
+    if "calibrate" in full:
+        subs["calibrate"].add_argument("--truth", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -56,15 +56,17 @@ def rotation_matrix(theta: float) -> np.ndarray:
 class Pose2:
     """Planar pose: rotation angle in [0, 2*pi) plus a translation in meters.
 
-    The constructor normalizes the angle and rejects non-finite entries.
+    The constructor normalizes the angle and rejects non-numeric or non-finite entries.
     """
 
     theta: float
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(2).copy()
-        theta = float(self.theta)
+        t = np.asarray(self.t)
+        if t.dtype.kind not in "iuf" or np.asarray(self.theta).dtype.kind not in "iuf":
+            raise TypeError("pose entries must be numbers")
+        t, theta = t.astype(float).reshape(2), float(self.theta)
         if not (math.isfinite(theta) and np.all(np.isfinite(t))):
             raise ValueError("pose entries must be finite")
         t.setflags(write=False)
@@ -87,9 +89,9 @@ class Deployment:
     """Anchor/tag geometry plus per-pair noise levels and height offsets.
 
     ``anchors`` is (M, 2) in the global frame, ``tags`` is (N, 2) in the
-    body frame. ``sigma`` and ``dh`` are numbers (else TypeError: no strings,
-    booleans or None) that broadcast to (N, M): scalars apply to every pair,
-    an (M,) vector applies per anchor, an (N, M) array per pair.
+    body frame. All four are numbers (else TypeError: no strings, booleans
+    or None); ``sigma`` and ``dh`` broadcast to (N, M): scalars apply to
+    every pair, an (M,) vector per anchor, an (N, M) array per pair.
     """
 
     anchors: np.ndarray
@@ -98,8 +100,10 @@ class Deployment:
     dh: np.ndarray = 0.0
 
     def __post_init__(self):
-        anchors = np.asarray(self.anchors, dtype=float)
-        tags = np.asarray(self.tags, dtype=float)
+        anchors, tags = np.asarray(self.anchors), np.asarray(self.tags)
+        if anchors.dtype.kind not in "iuf" or tags.dtype.kind not in "iuf":
+            raise TypeError("anchor and tag coordinates must be numbers")
+        anchors, tags = anchors.astype(float), tags.astype(float)
         if anchors.ndim != 2 or anchors.shape[1] != 2 or anchors.shape[0] < 1:
             raise ValueError("anchors must be a non-empty (M, 2) array")
         if tags.ndim != 2 or tags.shape[1] != 2 or tags.shape[0] < 1:

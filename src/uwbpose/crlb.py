@@ -21,6 +21,9 @@ from .errors import EstimationError, NearSingularityError, UnobservableAtPoseErr
 # Floor on |a - s|^2 + dh^2 in the information denominator (square meters).
 COINCIDENCE_FLOOR_M2 = 1e-9
 
+# The scaled determinant of a singular reduced information; see constrained_crlb.
+RANK_TOL = 1e-12
+
 
 class CrlbResult(NamedTuple):
     """Constrained lower bound and its trace statistics.
@@ -85,19 +88,36 @@ def nullspace_basis(rot: np.ndarray) -> np.ndarray:
 
 def constrained_crlb(info: np.ndarray, pose: Pose2) -> CrlbResult:
     """Lower bound on unbiased (vec(R), t) covariance under the rotation
-    constraint, from the 6x6 information matrix ``info`` at ``pose``."""
+    constraint, from the 6x6 information matrix ``info`` at ``pose``.
+
+    The reduced information ``A = U^T F U`` is scaled to unit diagonal and
+    inverted by its adjugate, as in ``gnrefine.stacked_gn_step``; a diagonal
+    entry that is not positive, or a scaled determinant at most
+    ``RANK_TOL``, raises UnobservableAtPoseError. The scaled eigenvalues sum
+    to 3, so the largest is at least 1 and the two largest multiply to at
+    most 2.25: a refused matrix has a smallest eigenvalue at most
+    sqrt(``RANK_TOL``) = 1e-6 (at most ``RANK_TOL`` over the middle one), an
+    accepted one a smallest eigenvalue above ``RANK_TOL`` / 2.25 and a
+    condition number below 6.75e12. The adjugate loses accuracy when two
+    eigenvalues are small, so the inverse ``X`` is corrected once,
+    ``X += X (I - A X)``, to the accuracy of a backward-stable solve.
+    """
     u = nullspace_basis(pose.rotation)
     reduced = u.T @ info @ u
-    svals = np.linalg.svd(reduced, compute_uv=False)
-    if svals[-1] <= svals[0] * 1e-12 or svals[0] == 0.0:
-        raise UnobservableAtPoseError(
-            "constrained information matrix is singular at this pose"
-        )
-    crlb = u @ np.linalg.solve(reduced, u.T)
-    crlb = 0.5 * (crlb + crlb.T)
-    return CrlbResult(
-        crlb=crlb,
-        sqrt_trace=float(np.sqrt(np.trace(crlb))),
-        rotation_block_trace=float(np.trace(crlb[:4, :4])),
-        translation_block_trace=float(np.trace(crlb[4:, 4:])),
-    )
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = reduced.tolist()
+    s0, s1, s2 = (a**-0.5 if a > 0.0 else math.nan for a in (a00, a11, a22))  # NaN fails the rank test
+    # Cofactors of the scaled matrix [[1, p, q], [p, 1, r], [q, r, 1]].
+    p, q, r = a01 * s0 * s1, a02 * s0 * s2, a12 * s1 * s2
+    c00, c11, c22 = 1.0 - r * r, 1.0 - q * q, 1.0 - p * p
+    c01, c02, c12 = q * r - p, p * r - q, p * q - r
+    det = c00 + p * c01 + q * c02
+    if not det > RANK_TOL:
+        raise UnobservableAtPoseError("constrained information matrix is singular at this pose")
+    scale = np.array([s0, s1, s2])
+    inverse = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) * (np.outer(scale, scale) / det)
+    inverse += inverse @ (np.eye(3) - reduced @ inverse)  # D adj(D A D) D / det, corrected once
+    crlb = u @ inverse @ u.T
+    # U has orthonormal columns, and its first column lies in the rotation coordinates.
+    rotation, translation_x, translation_y = inverse.diagonal().tolist()
+    translation = translation_x + translation_y
+    return CrlbResult(0.5 * (crlb + crlb.T), math.sqrt(rotation + translation), rotation, translation)

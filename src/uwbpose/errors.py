@@ -4,6 +4,7 @@ the reader and key check of every JSON input file."""
 
 import enum
 import json
+import sys
 
 
 class EstimationError(Exception):
@@ -63,8 +64,9 @@ class SchemaError(Exception):
 
 def read_json(path, what: str):
     """The JSON document in ``path``. SchemaError, naming ``what``, when the
-    file cannot be read or parsed, or holds ``true`` or ``false`` anywhere:
-    no field of any input file is boolean."""
+    file cannot be read or parsed, or holds ``true`` or ``false`` or an
+    integer beyond the float range anywhere: no field of any input file is
+    boolean, and every number in one becomes a float."""
     try:
         with open(path, encoding="utf-8") as handle:
             nodes = [json.load(handle)]
@@ -73,6 +75,8 @@ def read_json(path, what: str):
     for node in nodes:  # grows as it goes: every value of the document
         if isinstance(node, bool):
             raise SchemaError(f"{what} {path}: true and false are not values of any field")
+        if isinstance(node, int) and abs(node) > sys.float_info.max:
+            raise SchemaError(f"{what} {path}: an integer is beyond the float range")
         nodes.extend(node.values() if isinstance(node, dict) else node if isinstance(node, list) else ())
     return nodes[0]
 

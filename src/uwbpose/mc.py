@@ -6,18 +6,20 @@ Mersenne Twister keyed by (seed, axis index). Its 64-bit words become
 normals by Box and Muller (1958) and Gamma variates by Marsaglia and Tsang
 (ACM TOMS 26(3), 2000) in numpy, so a sweep never imports ``numpy.random``
 (sweep numbers changed once, in distribution only, when these replaced a
-Philox generator). One ``estimate_methods`` call per axis value then runs
-each stage once over all trials for all the estimators that start from it,
-and aggregation is by trial index, so results are bit-identical for a fixed
-seed. Wall-clock timings are the one exception: ``mean_time_s``, the time of
-the stages an estimator used (``gn-uls`` includes its ULS stage) divided by
-the trial count, is reported but inherently nondeterministic.
+Philox generator). One ``estimate_methods`` call per deployment (all values
+of a ``repeat_t`` axis, each value of the others) runs each stage once over
+all their trials for all the estimators that start from it, and aggregation
+is by trial index, so results are bit-identical for a fixed seed. Wall-clock
+timings are the one exception: ``mean_time_s``, the time of the stages an
+estimator used (``gn-uls`` includes its ULS stage) divided by the call's
+trial count, shared by the values of a call, is nondeterministic.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 import numbers
 import random
@@ -60,7 +62,7 @@ class McConfig:
     """Scenario definition for a sweep; a ValueError names the field that
     breaks a rule. ``axis`` and ``estimators`` (non-empty) may be names.
 
-    ``axis_values`` must be positive, finite and increasing, and integers
+    ``axis_values`` must be positive finite numbers, increasing, and integers
     for the ``repeat_t`` and ``anchor_count`` axes. For anchor-count sweeps
     every value must be at least 3, new anchors are placed uniformly on
     ``anchor_rect`` and the deployment's sigma and dh must be uniform so they
@@ -94,12 +96,10 @@ class McConfig:
         if not estimators:
             raise ValueError(f"estimators must be a non-empty list of {[m.value for m in Method]}, got {self.estimators!r}")
         object.__setattr__(self, "estimators", estimators)
-        try:
-            values = tuple(map(float, self.axis_values))
-        except (TypeError, ValueError):
-            values = ()
-        if not (values and all(0 < v < math.inf for v in values)):
-            raise ValueError("axis values must be positive and finite")
+        values = tuple(self.axis_values) if np.iterable(self.axis_values) else ()
+        if not (values and all(_finite_number(v) and v > 0 for v in values)):
+            raise ValueError("axis values must be positive and finite numbers")
+        values = tuple(map(float, values))
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("axis values must be strictly increasing")
         if self.axis is not SweepAxis.NOISE_SIGMA and not all(v.is_integer() for v in values):
@@ -211,70 +211,57 @@ def _axis_setup(config: McConfig, axis_index: int) -> tuple[Deployment, int, np.
     scale = config.noise_scale * dep.sigma
     shape = (config.trials, dep.num_tags, dep.num_anchors)
     normal, spread = _normal(rng, shape), _gamma(rng, (t_eff - 1) / 2.0, shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # _run_axis refuses non-finite moments
+    with np.errstate(over="ignore", invalid="ignore"):  # _run_axes refuses non-finite moments
         mean_d = predicted_ranges(dep, config.true_pose) + scale * normal / math.sqrt(t_eff)
         return dep, t_eff, mean_d, mean_d * mean_d + (2.0 / t_eff) * scale * scale * spread
 
 
-def _run_axis(config: McConfig, axis_index: int) -> tuple[list[McRow], list[str]]:
-    """Run all trials at one axis value and aggregate per estimator.
-
-    One ``estimate_methods`` call on the moments of all trials, drawn at
-    once by ``_axis_setup``, runs the ULS and DAC stages once each. Returns
-    the rows and, for each row with failures, an entry
-    ``"<axis value> <estimator> <Error>=<count> ..."``.
+def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
+    """Run all trials at the axis values of ``group``, (axis index, *setup)
+    tuples whose ``_axis_setup`` results share one deployment, in one
+    ``estimate_methods`` call, so their rows report one per-trial time, and
+    aggregate per value and estimator. Returns the rows and, for each row
+    with failures, an entry ``"<axis value> <estimator> <Error>=<count> ..."``.
     """
-    dep, t_eff, mean_d, mean_d2 = _axis_setup(config, axis_index)
-    value = config.axis_values[axis_index]
-    if not np.all(np.isfinite(mean_d2)):  # mean_d2 >= mean_d**2: any non-finite moment shows here
-        raise EstimationError(f"{config.axis.value} {value!r}: range moments overflow")
-    pose = config.true_pose
-    try:
-        bound = constrained_crlb(fisher_info(dep, t_eff, pose), pose).sqrt_trace
-    except EstimationError:  # no bound at this pose, e.g. a tag on an anchor
-        bound = float("nan")
-
-    trials = config.trials
+    pose, trials = config.true_pose, config.trials
+    bounds = []
+    for i, dep, t_eff, _, mean_d2 in group:
+        if not np.all(np.isfinite(mean_d2)):  # mean_d2 >= mean_d**2: any non-finite moment shows here
+            raise EstimationError(f"{config.axis.value} {config.axis_values[i]!r}: range moments overflow")
+        try:
+            bounds.append(constrained_crlb(fisher_info(dep, t_eff, pose), pose).sqrt_trace)
+        except EstimationError:  # no bound at this pose, e.g. a tag on an anchor
+            bounds.append(float("nan"))
+    moments = (np.concatenate([setup[k] for setup in group]) for k in (3, 4))
+    results = estimate_methods(group[0][1], *moments, config.estimators)
     cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
-    results = estimate_methods(dep, mean_d, mean_d2, config.estimators)
     rows, failures = [], []
-    for method in config.estimators:
-        poses, elapsed = results[method]
-        if isinstance(poses, EstimationError):  # the deployment itself fails every trial alike
-            ok, errors = np.zeros(trials, dtype=bool), {type(poses).__name__: trials}
-        else:
-            ok = poses.status == 0
-            codes, counts = np.unique(poses.status[~ok], return_counts=True)
-            errors = {Status(c).error.__name__: n for c, n in zip(codes.tolist(), counts.tolist())}
-        count = int(ok.sum())
-        if count:
-            # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
-            theta = poses.theta[ok]
-            d_cos, d_sin = np.cos(theta) - cos_true, np.sin(theta) - sin_true
-            rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
-            trans_sq = np.sum((poses.t[ok] - pose.t) ** 2, axis=1)
-            rot = float(np.sqrt(np.sum(rot_sq) / count))
-            trans = float(np.sqrt(np.sum(trans_sq) / count))
-            combined = float(np.hypot(rot, trans))
-            mean_time = elapsed / trials
-        else:
-            rot = trans = combined = mean_time = float("nan")
-        if errors:
-            kinds = " ".join(f"{name}={n}" for name, n in sorted(errors.items()))
-            failures.append(f"{value!r} {method.value} {kinds}")
-        rows.append(
-            McRow(
-                axis_value=value,
-                estimator=method.value,
-                rotation_rmse=rot,
-                translation_rmse=trans,
-                combined_rmse=combined,
-                sqrt_crlb=bound,
-                mean_time_s=mean_time,
-                failures=trials - count,
-                trials=trials,
-            )
-        )
+    for j, ((i, *_), bound) in enumerate(zip(group, bounds)):
+        value, part = config.axis_values[i], slice(j * trials, (j + 1) * trials)
+        for method in config.estimators:
+            poses, elapsed = results[method]
+            if isinstance(poses, EstimationError):  # the deployment itself fails every trial alike
+                ok, errors = np.zeros(trials, dtype=bool), {type(poses).__name__: trials}
+            else:
+                ok, counts = poses.status[part] == 0, np.bincount(poses.status[part]).tolist()
+                errors = {Status(c).error.__name__: n for c, n in enumerate(counts) if c and n}
+            count = int(ok.sum())
+            if count:
+                # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
+                theta = poses.theta[part][ok]
+                d_cos, d_sin = np.cos(theta) - cos_true, np.sin(theta) - sin_true
+                rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
+                trans_sq = np.sum((poses.t[part][ok] - pose.t) ** 2, axis=1)
+                rot = float(np.sqrt(np.sum(rot_sq) / count))
+                trans = float(np.sqrt(np.sum(trans_sq) / count))
+                combined = float(np.hypot(rot, trans))
+                mean_time = elapsed / (len(group) * trials)
+            else:
+                rot = trans = combined = mean_time = float("nan")
+            if errors:
+                kinds = " ".join(f"{name}={n}" for name, n in sorted(errors.items()))
+                failures.append(f"{value!r} {method.value} {kinds}")
+            rows.append(McRow(value, method.value, rot, trans, combined, bound, mean_time, trials - count, trials))
     return rows, failures
 
 
@@ -290,11 +277,12 @@ def run_sweep(config: McConfig) -> McResult:
     verdict = check_observability(config.deployment)
     if not verdict:
         raise UnobservableDeploymentError(verdict.reason)
+    setups = [(i, *_axis_setup(config, i)) for i in range(len(config.axis_values))]
     rows, failures = [], []
-    for axis_index in range(len(config.axis_values)):
-        axis_rows, axis_failures = _run_axis(config, axis_index)
-        rows.extend(axis_rows)
-        failures.extend(axis_failures)
+    for _, group in itertools.groupby(setups, key=lambda setup: id(setup[1])):  # values sharing a deployment
+        group_rows, group_failures = _run_axes(config, list(group))
+        rows.extend(group_rows)
+        failures.extend(group_failures)
     meta = dict(config.metadata)
     meta.update(
         {

@@ -68,7 +68,7 @@ def _parse_deployment(raw: dict, metadata: dict) -> Deployment:
 def _parse_pose(raw: dict) -> Pose2:
     require_keys(raw, _POSE_KEYS, _POSE_KEYS, "true_pose")
     try:
-        return Pose2(math.radians(float(raw["theta_deg"])), raw["t"])
+        return Pose2(math.radians(raw["theta_deg"]), raw["t"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"true_pose: {exc}") from exc
 

@@ -122,6 +122,23 @@ def constraint_jacobian(rot: np.ndarray) -> np.ndarray:
     return jac
 
 
+def svd_constrained_crlb(info: np.ndarray, rot: np.ndarray) -> np.ndarray | None:
+    """The constrained bound by the rule ``crlb.constrained_crlb`` used
+    before its closed form, as its oracle: on an orthonormal basis ``N`` of
+    the constraint Jacobian's null space (from an SVD, not
+    ``nullspace_basis``), ``N (N^T F N)^-1 N^T`` by ``np.linalg.solve``, or
+    None where the reduced information's smallest singular value is at most
+    1e-12 of its largest. The bound and the singular values do not depend on
+    the choice of ``N``."""
+    basis = np.linalg.svd(constraint_jacobian(rot))[2][3:].T
+    reduced = basis.T @ info @ basis
+    svals = np.linalg.svd(reduced, compute_uv=False)
+    if svals[-1] <= svals[0] * 1e-12 or svals[0] == 0.0:
+        return None
+    crlb = basis @ np.linalg.solve(reduced, basis.T)
+    return 0.5 * (crlb + crlb.T)
+
+
 def random_pose(rng: np.random.Generator) -> Pose2:
     return Pose2(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(10.0, 40.0, size=2))
 

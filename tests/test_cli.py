@@ -397,6 +397,32 @@ class TestNumericFlags:
         assert excinfo.value.code == 2
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [None, "simulate", "crlb", "estimate", "calibrate"])
+    def test_help_is_the_text_of_the_all_subcommand_parser(self, capsys, command):
+        # main builds only the invoked subcommand's arguments; its help must not show that.
+        full = _build_parser()
+        if command is not None:
+            full = full._subparsers._group_actions[0].choices[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"] if command is None else [command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == full.format_help()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["simulate"], ["simulate", "--bogus", "1"], ["crlb", "--scenario", "s", "--repeat-t", "0"],
+         ["estimate", "--ranges", "r"], ["estimate", "--ranges", "r", "--deployment", "d", "--out", "o", "--method", "x"],
+         ["calibrate", "--ranges", "r", "--deployment", "d", "--out", "o"]],
+    )
+    def test_usage_errors_are_those_of_the_all_subcommand_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as full_exit:
+            _build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as main_exit:
+            main(argv)
+        assert main_exit.value.code == full_exit.value.code == 2
+        assert capsys.readouterr() == expected
+
     def test_zero_seed_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
         scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
@@ -594,6 +620,16 @@ BAD_SWEEP_SCENARIOS = {
     "sigma-null": ("simulate", {"deployment": {"sigma": None}}),
     "dh-numeric-string": ("crlb", {"deployment": {"dh": "0.5"}}),
     "dh-object": ("crlb", {"deployment": {"dh": {}}}),
+    # Numbers are JSON numbers: numeric strings are refused wherever a number goes.
+    "theta-numeric-string": ("crlb", {"true_pose": {"theta_deg": "60"}}),
+    "theta-numeric-string-simulate": ("simulate", {"true_pose": {"theta_deg": "60"}}),
+    "t-numeric-string": ("crlb", {"true_pose": {"t": ["0", "25"]}}),
+    "t-numeric-string-entry": ("simulate", {"true_pose": {"t": [0.0, "25"]}}),
+    "anchor-numeric-string": ("crlb", {"deployment": {"anchors": [["50", "0"], [50.0, 50.0], [0.0, 50.0]]}}),
+    "anchor-numeric-string-entry": ("simulate", {"deployment": {"anchors": [[50.0, 0.0], [50.0, "50"], [0.0, 50.0]]}}),
+    "tag-numeric-string": ("crlb", {"deployment": {"tags": [["3", 0.0], [3.0, 3.0]]}}),
+    "sweep-value-numeric-string": ("simulate", {"sweep": {"values": ["5", 20]}}),
+    "noise-sigma-value-numeric-string": ("simulate", {"sweep": {"axis": "noise_sigma", "values": [0.1, "0.2"]}}),
 }
 
 
@@ -696,10 +732,11 @@ BOOLEAN_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(BOOLEAN_INPUTS))
-@pytest.mark.parametrize("value", [True, False])
-def test_boolean_in_a_json_input_exits_2_without_output(tmp_path, capsys, case, value):
-    command, path = BOOLEAN_INPUTS[case]
+def _run_with_json_value(tmp_path, command, case, path, value):
+    """``main`` on the replay or scenario files with ``value`` written at
+    ``path`` of the JSON input the case names (``bias-*``, ``deployment-*``
+    or ``scenario-*``); returns the exit code, that input's path and the
+    output path."""
     dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
     out = tmp_path / "o.csv"
     argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
@@ -714,10 +751,44 @@ def test_boolean_in_a_json_input_exits_2_without_output(tmp_path, capsys, case, 
         target = tmp_path / "scenario.json"
         argv = [command, "--scenario", str(target)] + (["--out", str(out)] if command == "simulate" else [])
     target.write_text(json.dumps(_replaced(document, path, value)), encoding="utf-8")
-    assert main(argv) == 2
+    return main(argv), target, out
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_INPUTS))
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_in_a_json_input_exits_2_without_output(tmp_path, capsys, case, value):
+    command, path = BOOLEAN_INPUTS[case]
+    code, target, out = _run_with_json_value(tmp_path, command, case, path, value)
+    assert code == 2
     assert not out.exists()
     stdout, err = capsys.readouterr()
     assert stdout == "" and f"{target}: true and false are not values of any field" in err
+
+
+# Every number of a JSON input becomes a float, so an integer beyond the
+# float range is refused as it is read, in any file.
+HUGE_INTEGER_INPUTS = {
+    "scenario-anchor-coordinate": ("crlb", ["deployment", "anchors", 0, 0]),
+    "scenario-anchor-coordinate-simulate": ("simulate", ["deployment", "anchors", 0, 0]),
+    "scenario-trials": ("simulate", ["sweep", "trials"]),
+    "scenario-seed": ("simulate", ["seed"]),
+    "bias-alpha": ("estimate", ["alpha"]),
+    "deployment-anchor-coordinate": ("estimate", ["anchors", "a0", 0]),
+    "deployment-tag-coordinate": ("calibrate", ["tags", "t0", 1]),
+    "deployment-sigma": ("calibrate", ["sigma"]),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_INTEGER_INPUTS))
+@pytest.mark.parametrize("value", [10**400, -(10**309)], ids=["1e400", "-1e309"])
+def test_integer_beyond_the_float_range_exits_2_without_output(tmp_path, capsys, case, value):
+    command, path = HUGE_INTEGER_INPUTS[case]
+    code, target, out = _run_with_json_value(tmp_path, command, case, path, value)
+    assert code == 2
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and f"{target}: an integer is beyond the float range" in err
+    assert "Traceback" not in err
 
 
 def _unknown_anchor_log(ranges):
@@ -960,6 +1031,7 @@ def _fuzz_cases(draw):
 
 
 DEPLOYMENT_FUZZ_PATHS = [(), ("anchors",), ("tags",), ("sigma",), ("dh",), ("anchors", "a0", 0)]
+DEPLOYMENT_FUZZ_VALUES = (*FUZZ_VALUES, "1", 10**400)
 
 
 @pytest.fixture(scope="module")
@@ -970,7 +1042,7 @@ def replay_files(tmp_path_factory):
 def _assert_documented_exit(argv, tmp, outputs):
     """``main(argv)`` returns 0-3 (argparse's ``SystemExit`` counts), prints
     no traceback, and adds to ``tmp`` the set of ``outputs`` on success and
-    nothing otherwise."""
+    nothing otherwise; returns the code."""
     inputs = set(tmp.iterdir())
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         try:
@@ -980,6 +1052,7 @@ def _assert_documented_exit(argv, tmp, outputs):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert set(tmp.iterdir()) - inputs == (set(outputs) if code == 0 else set())
+    return code
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1005,11 +1078,14 @@ def test_malformed_json_exits_with_a_documented_code(replay_files, case):
 @given(
     command=st.sampled_from(["calibrate", "estimate"]),
     path=st.sampled_from(DEPLOYMENT_FUZZ_PATHS),
-    value=st.sampled_from(FUZZ_VALUES),
+    value=st.sampled_from(DEPLOYMENT_FUZZ_VALUES),
 )
+@example(command="calibrate", path=("anchors", "a0", 0), value="1")
+@example(command="estimate", path=("sigma",), value=10**400)
 def test_malformed_deployment_exits_with_a_documented_code(replay_files, command, path, value):
     # The replay deployment with its default dh written out, then one of its
-    # sections or leaves, or the whole document, replaced.
+    # sections or leaves, or the whole document, replaced. No field takes a
+    # string, and an integer beyond the float range is no number of any.
     dep, truth, ranges = replay_files
     valid = {**json.loads(pathlib.Path(dep).read_text(encoding="utf-8")), "dh": 0.0}
     with tempfile.TemporaryDirectory() as tmp:
@@ -1019,7 +1095,8 @@ def test_malformed_deployment_exits_with_a_documented_code(replay_files, command
         argv = [command, "--ranges", ranges, "--deployment", fuzzed, "--out", str(out)]
         if command == "calibrate":
             argv += ["--truth", truth]
-        _assert_documented_exit(argv, tmp, {out})
+        code = _assert_documented_exit(argv, tmp, {out})
+    assert code == 2 or not (isinstance(value, str) or value == 10**400)
 
 
 # In-process fuzz of the range and truth CSVs: one mutation of the replay

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbpose.core import Deployment, Method, Pose2
-from uwbpose.crlb import constrained_crlb, fisher_info, nullspace_basis
+from uwbpose.crlb import RANK_TOL, constrained_crlb, fisher_info, nullspace_basis
 from uwbpose.errors import NearSingularityError, UnobservableAtPoseError
 from uwbpose.estimators import estimate
 
@@ -18,6 +20,7 @@ from helpers import (
     pose_parameter_vector,
     reference_deployment,
     reference_pose,
+    svd_constrained_crlb,
 )
 
 
@@ -188,6 +191,98 @@ class TestConstrainedCrlb:
         pose = reference_pose()
         with pytest.raises(UnobservableAtPoseError):
             constrained_crlb(fisher_info(dep, 1, pose), pose)
+
+
+def _assert_agrees_with_svd_oracle(info, pose):
+    """``constrained_crlb`` against ``svd_constrained_crlb``.
+
+    With ``A = U^T F U`` on ``nullspace_basis``, ``r`` the ratio of its
+    largest to smallest diagonal entry, ``kappa`` its condition number (the
+    oracle refuses from 1e12 on) and ``l1 >= l2 >= l3`` the eigenvalues of
+    A scaled to unit diagonal, whose condition number lies within a factor
+    ``r`` of ``kappa``:
+
+    - the verdict keeps the documented eigenvalue bounds: a refused matrix
+      has ``l3 <= sqrt(RANK_TOL)`` and ``l2 l3 <= RANK_TOL``, an accepted
+      one ``l3 > RANK_TOL / 2.25``;
+    - the verdicts agree outside the band ``5e5 / r < kappa < 1.35e13 r``,
+      which holds the oracle's threshold, and outside
+      ``1e11 / r < kappa < 1.35e13 r`` when ``l2 >= 1/4`` (one small
+      eigenvalue, the usual way a bound ceases to exist);
+    - where both accept, the bounds agree to 1e-10 relative, or to
+      ``8 eps ||F|| ||CRLB||`` where that is larger: the accuracy a
+      backward-stable solve has on an information known to rounding.
+    """
+    reduced = nullspace_basis(pose.rotation).T @ info @ nullspace_basis(pose.rotation)
+    diag = np.diag(reduced)
+    expected = svd_constrained_crlb(info, pose.rotation)
+    try:
+        got = constrained_crlb(info, pose)
+    except UnobservableAtPoseError:
+        got = None
+    if not np.all(diag > 0.0):
+        assert got is None
+        return
+    ratio = diag.max() / diag.min()
+    kappa = np.linalg.cond(reduced)
+    l3, l2, _ = np.linalg.eigvalsh(reduced / np.sqrt(np.outer(diag, diag)))
+    slack = 1e-14  # rounding of the scaled determinant and of the eigenvalues
+    if got is None:
+        assert l3 <= math.sqrt(RANK_TOL) + slack and l2 * l3 <= RANK_TOL + slack
+    else:
+        assert l3 > RANK_TOL / 2.25 - slack
+    if kappa >= 1.35e13 * ratio:
+        assert expected is None and got is None
+    if kappa * ratio <= (1e11 if l2 >= 0.25 else 5e5):
+        assert expected is not None and got is not None
+    if expected is not None and got is not None:
+        scale = np.linalg.norm(expected, 2)
+        tol = max(1e-10, 8 * np.finfo(float).eps * np.linalg.norm(info, 2) * scale)
+        assert np.linalg.norm(got.crlb - expected, 2) <= tol * scale
+        assert got.sqrt_trace == pytest.approx(math.sqrt(np.trace(expected)), rel=tol, abs=0.0)
+        assert got.rotation_block_trace + got.translation_block_trace == pytest.approx(
+            np.trace(expected), rel=tol, abs=0.0
+        )
+
+
+class TestClosedFormAgainstSvdOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(3, 12),
+        spread=st.floats(0.0, 2.0),
+        theta=st.floats(0.0, 2 * math.pi),
+    )
+    def test_random_informations(self, seed, rows, spread, theta):
+        # Fisher informations are sums of rank-one terms; columns differ in scale.
+        rng = np.random.default_rng(seed)
+        jac = rng.normal(size=(rows, 6)) * 10.0 ** rng.uniform(-spread, spread, size=6)
+        _assert_agrees_with_svd_oracle(jac.T @ jac, Pose2(theta, [0.0, 0.0]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        smallest=st.one_of(st.integers(0, 72).map(lambda k: k / 4), st.just(math.inf)),
+        middle=st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0]),
+        spread=st.floats(0.0, 3.0),
+        theta=st.floats(0.0, 2 * math.pi),
+    )
+    def test_near_singular_informations(self, seed, smallest, middle, spread, theta):
+        # The reduced information has eigenvalues 1, 10^-(middle * smallest)
+        # and 10^-smallest (0 at infinity) in random directions, with its
+        # coordinates scaled by up to 10^spread; the constrained directions
+        # carry a random positive definite block.
+        rng = np.random.default_rng(seed)
+        pose = Pose2(theta, [0.0, 0.0])
+        eigvals = 10.0 ** -np.array([0.0, middle * smallest if smallest < math.inf else 0.0, smallest])
+        basis = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        scale = 10.0 ** rng.uniform(-spread, spread, size=3)
+        reduced = scale[:, np.newaxis] * ((basis * eigvals) @ basis.T) * scale
+        constrained = np.linalg.svd(constraint_jacobian(pose.rotation))[2][:3].T
+        block = rng.normal(size=(3, 3))
+        u = nullspace_basis(pose.rotation)
+        info = u @ reduced @ u.T + constrained @ (block @ block.T) @ constrained.T
+        _assert_agrees_with_svd_oracle(0.5 * (info + info.T), pose)
 
 
 class TestEmpiricalEfficiency:

@@ -2,6 +2,7 @@
 robustness, CSV."""
 
 import collections
+import dataclasses
 import io
 import math
 import random
@@ -17,6 +18,7 @@ from uwbpose.mc import (
     McConfig,
     SweepAxis,
     _axis_setup,
+    _run_axes,
     _gamma,
     _normal,
     _uniform,
@@ -530,7 +532,16 @@ def _assert_rows_match(rows, reference):
                 assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
-def test_four_method_sweep_runs_each_stage_once_per_axis_value(monkeypatch):
+@pytest.mark.parametrize(
+    "overrides, calls_per_stage",
+    [
+        (dict(axis_values=(1, 5, 20)), 1),
+        (dict(axis=SweepAxis.NOISE_SIGMA, axis_values=(0.1, 0.3), repeat_t=5), 2),
+    ],
+    ids=["repeat-t", "noise-sigma"],
+)
+def test_four_method_sweep_runs_each_stage_once_per_deployment(monkeypatch, overrides, calls_per_stage):
+    # Every value of a repeat_t axis shares one deployment; each noise level has its own.
     calls = collections.Counter()
     for name in ("stacked_uls", "stacked_dac"):
 
@@ -539,17 +550,57 @@ def test_four_method_sweep_runs_each_stage_once_per_axis_value(monkeypatch):
             return _stage(*args)
 
         monkeypatch.setattr(estimators, name, counted)
-    config = _small_config(axis_values=(1, 5, 20))
+    config = _small_config(**overrides)
     assert set(config.estimators) == set(Method)
     rows = run_sweep(config).rows
-    assert calls == {"stacked_uls": 3, "stacked_dac": 3}
-    assert len(rows) == 12 and all(0.0 < row.mean_time_s < math.inf for row in rows)
+    assert calls == {"stacked_uls": calls_per_stage, "stacked_dac": calls_per_stage}
+    assert len(rows) == 4 * len(config.axis_values) and all(0.0 < row.mean_time_s < math.inf for row in rows)
+
+
+def _without_times(rows):
+    """``repr`` of the rows without ``mean_time_s``: equal strings mean equal
+    floats bit for bit, NaN included."""
+    return repr([row._replace(mean_time_s=None) for row in rows])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(axis_values=(1, 5, 20)),
+        dict(axis=SweepAxis.NOISE_SIGMA, axis_values=(0.05, 0.2, 1.0), repeat_t=3),
+        dict(axis=SweepAxis.ANCHOR_COUNT, axis_values=(3, 5), repeat_t=10),
+        dict(true_pose=Pose2(0.0, [47.0, 0.0]), noise_scale=0.0, axis_values=(1, 10)),
+    ],
+    ids=["repeat-t", "noise-sigma", "anchor-count", "tag-on-anchor"],
+)
+def test_stacked_rows_equal_each_value_estimated_alone(overrides):
+    config = _small_config(**{"trials": 30, "seed": 7, **overrides})
+    result = run_sweep(config)
+    # Each value alone: its _axis_setup moments through one estimate_methods call.
+    alone = [_run_axes(config, [(i, *_axis_setup(config, i))]) for i in range(len(config.axis_values))]
+    assert _without_times(result.rows) == _without_times([row for rows, _ in alone for row in rows])
+    assert result.metadata["failures_by_error"] == ("; ".join(entry for _, entries in alone for entry in entries) or "none")
+
+
+def test_stacked_rows_equal_each_value_alone_when_the_stage_raises():
+    # Collinear anchors pass the config checks but fail both linear stages;
+    # observability is checked by run_sweep only, so the rows are built directly.
+    config = _small_config(axis_values=(1, 5), trials=10)
+    dep = Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
+    config = dataclasses.replace(config, deployment=dep)
+    setups = [(i, *_axis_setup(config, i)) for i in range(2)]
+    stacked_rows, stacked_failures = _run_axes(config, setups)
+    alone = [_run_axes(config, [setup]) for setup in setups]
+    assert _without_times(stacked_rows) == _without_times([row for rows, _ in alone for row in rows])
+    assert stacked_failures == [entry for _, entries in alone for entry in entries]
+    assert stacked_failures[0] == "1.0 uls SingularSystemError=10"
+    assert all(row.failures == 10 for row in stacked_rows)
 
 
 class TestStackedMatchesPerTrialLoop:
-    """Sweeps estimate every trial of an axis value in one stacked call; each
-    row must equal a loop of one K = 1 call per trial on that trial's moment
-    slice of the same draw."""
+    """Sweeps estimate every trial of the axis values that share a deployment
+    in one stacked call; each row must equal a loop of one K = 1 call per
+    trial on that trial's moment slice of the same draw."""
 
     @pytest.mark.parametrize(
         "overrides",
