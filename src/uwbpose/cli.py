@@ -8,15 +8,15 @@ runtime failure, 2 malformed input, 3 unobservable deployment.
 
 from __future__ import annotations
 
-import argparse
-import csv
+import contextlib
 import dataclasses
 import io
+import itertools
 import math
 import os
 import sys
-import tempfile
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,7 +44,11 @@ EXIT_UNOBSERVABLE = 3
 
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    for attempt in itertools.count():  # created as open(path, "w") creates a file: mode 0o666 less the umask
+        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{attempt}")
+        with contextlib.suppress(FileExistsError):  # a name in use
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -70,6 +74,8 @@ def _bounded(kind, low=None, above: bool = False):
             value = math.nan
         if math.isfinite(value) and (low is None or value > low or (value == low and not above)):
             return value
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be {name}, got {text}")
 
     return parse
@@ -89,8 +95,7 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for key, value in sorted(result.metadata.items()):
         print(f"# {key}: {value}")
-    header = f"{'axis':>12} {'estimator':>12} {'combined_rmse':>14} {'sqrt_crlb':>12} {'ratio':>8} {'ms':>8} {'fail':>5}"
-    print(header)
+    print(f"{'axis':>12} {'estimator':>12} {'combined_rmse':>14} {'sqrt_crlb':>12} {'ratio':>8} {'ms':>8} {'fail':>5}")
     for row in result.rows:
         ratio = row.combined_rmse / row.sqrt_crlb if row.sqrt_crlb > 0 else float("nan")
         ms = row.mean_time_s * 1e3 if np.isfinite(row.mean_time_s) else float("nan")
@@ -108,10 +113,7 @@ def _cmd_crlb(args) -> int:
         print(f"verdict: not observable ({verdict.reason})", file=sys.stderr)
         return EXIT_UNOBSERVABLE
     repeat_t = args.repeat_t if args.repeat_t is not None else scenario.repeat_t
-    result = constrained_crlb(
-        fisher_info(scenario.deployment, repeat_t, scenario.true_pose),
-        scenario.true_pose,
-    )
+    result = constrained_crlb(fisher_info(scenario.deployment, repeat_t, scenario.true_pose), scenario.true_pose)
     print("verdict: observable")
     print(f"repeat_t: {repeat_t}")
     print(f"sqrt_trace_crlb: {result.sqrt_trace!r}")
@@ -189,11 +191,8 @@ def _cmd_estimate(args) -> int:
     if truth is not None:
         print("method  position_rmse_cm  rotation_rmse_deg")
         print(f"{method.value:>6}  {pos_rmse_cm:>16.3f}  {rot_rmse_deg:>17.3f}")
-        summary = io.StringIO()
-        writer = csv.writer(summary)
-        writer.writerow(["method", "position_rmse_cm", "rotation_rmse_deg"])
-        writer.writerow([method.value, repr(pos_rmse_cm), repr(rot_rmse_deg)])
-        _atomic_write_text(args.out + ".summary.csv", summary.getvalue())
+        summary = f"method,position_rmse_cm,rotation_rmse_deg\r\n{method.value},{pos_rmse_cm!r},{rot_rmse_deg!r}\r\n"
+        _atomic_write_text(args.out + ".summary.csv", summary)
     return EXIT_OK
 
 
@@ -209,63 +208,93 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, when ``command`` names one, of
-    that one in full and of the others by name and help only."""
+_POSITIVE_INT, _POSITIVE_FLOAT = _bounded(int, 1), _bounded(float, 0, above=True)
+# The flags estimate and calibrate share.
+_REPLAY_FLAGS = {
+    "--ranges": dict(required=True, help="range log CSV: t,anchor,tag,range"),
+    "--deployment": dict(required=True, help="deployment JSON with anchor and tag ids"),
+    "--out": dict(required=True),
+    "--freq": dict(type=_POSITIVE_FLOAT, default=100.0, help="ranging frequency in Hz"),
+    "--vmax": dict(type=_POSITIVE_FLOAT, default=1.0, help="velocity bound for outlier rejection, m/s"),
+    "--window": dict(type=_POSITIVE_INT, default=5, help="outlier rejection window length"),
+}
+# Each subcommand's help, handler and flags, as add_argument takes them.
+COMMANDS = {
+    "simulate": ("run a Monte-Carlo sweep from a scenario file", _cmd_simulate, {
+        "--scenario": dict(required=True),
+        "--out": dict(required=True),
+        "--seed": dict(type=_bounded(int, 0), default=None, help="override the scenario seed"),
+        "--threads": dict(type=_POSITIVE_INT, default=1, help="accepted for compatibility, no effect; draws are serial"),
+        "--trials": dict(type=_POSITIVE_INT, default=None, help="override the scenario trial count"),
+        "--timing": dict(
+            action="store_true", default=False, help="include wall times in the CSV (nondeterministic column)"
+        ),
+    }),
+    "crlb": ("print the lower bound for a scenario", _cmd_crlb, {
+        "--scenario": dict(required=True),
+        "--repeat-t": dict(type=_POSITIVE_INT, default=None),
+    }),
+    "estimate": ("estimate poses from a range log", _cmd_estimate, {
+        **_REPLAY_FLAGS,
+        "--truth": dict(default=None),
+        "--method": dict(choices=[m.value for m in Method], default=Method.GN_ULS.value),
+        "--bias": dict(default=None, help="bias model file from the calibrate command"),
+        "--yaw-offset-deg": dict(type=_bounded(float), default=0.0),
+        "--rate": dict(type=_POSITIVE_FLOAT, default=None, help="estimation rate in Hz"),
+        "--max-gap": dict(type=_bounded(float, 0), default=3.0, help="drop epochs with gaps beyond this many periods"),
+    }),
+    "calibrate": ("fit the linear range-bias model", _cmd_calibrate, {**_REPLAY_FLAGS, "--truth": dict(required=True)}),
+}
+
+
+def _build_parser():
+    """The argparse parser of every subcommand in ``COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="uwbpose",
         description="Planar pose estimation from anchor-to-tag range measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    positive_int, positive_float = _bounded(int, 1), _bounded(float, 0, above=True)
-    subs = {}
-    for name, text, func in (
-        ("simulate", "run a Monte-Carlo sweep from a scenario file", _cmd_simulate),
-        ("crlb", "print the lower bound for a scenario", _cmd_crlb),
-        ("estimate", "estimate poses from a range log", _cmd_estimate),
-        ("calibrate", "fit the linear range-bias model", _cmd_calibrate),
-    ):
-        subs[name] = sub.add_parser(name, help=text)
-        subs[name].set_defaults(func=func)
-    full = {command} if command in subs else set(subs)
-
-    if "simulate" in full:
-        sim = subs["simulate"]
-        sim.add_argument("--scenario", required=True)
-        sim.add_argument("--out", required=True)
-        sim.add_argument("--seed", type=_bounded(int, 0), default=None, help="override the scenario seed")
-        sim.add_argument(
-            "--threads", type=positive_int, default=1, help="accepted for compatibility, no effect; draws are serial"
-        )
-        sim.add_argument("--trials", type=positive_int, default=None, help="override the scenario trial count")
-        sim.add_argument("--timing", action="store_true", help="include wall times in the CSV (nondeterministic column)")
-    if "crlb" in full:
-        subs["crlb"].add_argument("--scenario", required=True)
-        subs["crlb"].add_argument("--repeat-t", dest="repeat_t", type=positive_int, default=None)
-    for replay in (subs[name] for name in ("estimate", "calibrate") if name in full):  # the flags both share
-        replay.add_argument("--ranges", required=True, help="range log CSV: t,anchor,tag,range")
-        replay.add_argument("--deployment", required=True, help="deployment JSON with anchor and tag ids")
-        replay.add_argument("--out", required=True)
-        replay.add_argument("--freq", type=positive_float, default=100.0, help="ranging frequency in Hz")
-        replay.add_argument("--vmax", type=positive_float, default=1.0, help="velocity bound for outlier rejection, m/s")
-        replay.add_argument("--window", type=positive_int, default=5, help="outlier rejection window length")
-    if "estimate" in full:
-        est = subs["estimate"]
-        est.add_argument("--truth", default=None)
-        est.add_argument("--method", choices=[m.value for m in Method], default=Method.GN_ULS.value)
-        est.add_argument("--bias", default=None, help="bias model file from the calibrate command")
-        est.add_argument("--yaw-offset-deg", type=_bounded(float), default=0.0)
-        est.add_argument("--rate", type=positive_float, default=None, help="estimation rate in Hz")
-        gap_help = "drop epochs with gaps beyond this many periods"
-        est.add_argument("--max-gap", type=_bounded(float, 0), default=3.0, help=gap_help)
-    if "calibrate" in full:
-        subs["calibrate"].add_argument("--truth", required=True)
+    for name, (text, func, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(func=func)
+        for flag, spec in flags.items():
+            command.add_argument(flag, **spec)
     return parser
+
+
+def _accept_exact(argv: list) -> SimpleNamespace | None:
+    """``_build_parser().parse_args(argv)`` for a subcommand and its exact
+    flags, each once, each value not starting with "-" and accepted, every
+    required one present; None for anything else, which argparse parses."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, flags = COMMANDS[argv[0]]
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        spec = flags.get(token)
+        if spec is None or token in values:
+            return None
+        if spec.get("action") == "store_true":
+            values[token] = True
+            continue
+        text = next(tokens, "-")  # a missing value fails like an option
+        if text.startswith("-") or ("choices" in spec and text not in spec["choices"]):
+            return None
+        try:
+            values[token] = spec["type"](text) if "type" in spec else text
+        except Exception:  # the flag's type refused it: argparse parses again and reports it
+            return None
+    if any(spec.get("required") and flag not in values for flag, spec in flags.items()):
+        return None
+    dests = {flag[2:].replace("-", "_"): values.get(flag, spec.get("default")) for flag, spec in flags.items()}
+    return SimpleNamespace(command=argv[0], func=func, **dests)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _accept_exact(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:
@@ -274,10 +303,7 @@ def main(argv=None) -> int:
     except UnobservableDeploymentError as exc:
         print(f"error: deployment not observable: {exc}", file=sys.stderr)
         return EXIT_UNOBSERVABLE
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,9 +1,11 @@
 """Exception types shared across the package, the per-problem status
 codes of the stacked estimator kernels that stand for some of them, and
-the reader and key check of every JSON input file."""
+the reader, key check and number check of every JSON input file."""
 
 import enum
 import json
+import math
+import numbers
 import sys
 
 
@@ -92,6 +94,11 @@ def require_keys(section, allowed: set, required: set, where: str) -> None:
     missing = required - set(section)
     if missing:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
+
+
+def finite_number(value) -> bool:
+    """True for a finite real number that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class Status(enum.IntEnum):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Deployment, Method, Pose2, check_observability, predicted_ranges
 from .crlb import constrained_crlb, fisher_info
-from .errors import EstimationError, Status, UnobservableDeploymentError
+from .errors import EstimationError, Status, UnobservableDeploymentError, finite_number
 from .estimators import estimate_methods
 
 
@@ -42,11 +42,6 @@ def integer_at_least(value, name: str, low: int) -> int:
     if isinstance(value, bool) or not integral or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
-
-
-def _finite_number(value) -> bool:
-    """True for a finite real number that is not a boolean."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class SweepAxis(str, enum.Enum):
@@ -97,7 +92,7 @@ class McConfig:
             raise ValueError(f"estimators must be a non-empty list of {[m.value for m in Method]}, got {self.estimators!r}")
         object.__setattr__(self, "estimators", estimators)
         values = tuple(self.axis_values) if np.iterable(self.axis_values) else ()
-        if not (values and all(_finite_number(v) and v > 0 for v in values)):
+        if not (values and all(finite_number(v) and v > 0 for v in values)):
             raise ValueError("axis values must be positive and finite numbers")
         values = tuple(map(float, values))
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -112,13 +107,13 @@ class McConfig:
         object.__setattr__(self, "axis_values", values)
         for name, low in (("repeat_t", 1), ("trials", 1), ("seed", 0)):
             object.__setattr__(self, name, integer_at_least(getattr(self, name), name, low))
-        if not (_finite_number(self.noise_scale) and self.noise_scale >= 0):
+        if not (finite_number(self.noise_scale) and self.noise_scale >= 0):
             raise ValueError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
         try:
             (x0, y0), (x1, y1) = self.anchor_rect
         except (TypeError, ValueError):  # not two pairs
             x0 = y0 = x1 = y1 = None
-        if not (all(map(_finite_number, (x0, y0, x1, y1))) and x0 < x1 and y0 < y1):
+        if not (all(map(finite_number, (x0, y0, x1, y1))) and x0 < x1 and y0 < y1):
             raise ValueError(f"anchor_rect must be [[x0, y0], [x1, y1]] with low < high, got {self.anchor_rect!r}")
         object.__setattr__(self, "anchor_rect", ((float(x0), float(y0)), (float(x1), float(y1))))
 

@@ -21,7 +21,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from .core import Deployment
-from .errors import EstimationError, InsufficientDataError, SchemaError, read_json, require_keys
+from .errors import EstimationError, InsufficientDataError, SchemaError, finite_number, read_json, require_keys
 
 # Additive term of the rejection rule, a generic UWB error bound in meters.
 REJECTION_BOUND_M = 0.1
@@ -402,23 +402,24 @@ class BiasModel:
 
     @classmethod
     def from_json_file(cls, path) -> "BiasModel":
-        raw = read_json(path, "bias model")
+        """The ``to_json`` form; SchemaError on an unknown key or a coefficient that is no finite JSON number."""
+        raw, where = read_json(path, "bias model"), f"cannot read bias model {path}"
+        require_keys(raw, {"alpha", "beta", "sigma", "residual_rms", "per_pair"}, {"alpha", "beta", "sigma"}, where)
+        entries = raw.get("per_pair", [])
+        if not isinstance(entries, list):
+            raise SchemaError(f"{where}: per_pair must be a list")
+        pair_keys = {"anchor", "tag", "alpha", "beta"}
+        for entry in entries:
+            require_keys(entry, pair_keys, pair_keys, f"{where}: per_pair")
+        coefficients = [raw[key] for key in ("alpha", "beta", "sigma", "residual_rms") if key in raw]
+        pairs = [(entry["alpha"], entry["beta"]) for entry in entries]
+        if not all(map(finite_number, chain(coefficients, *pairs))):
+            raise SchemaError(f"{where}: coefficients must be finite numbers")
         try:
-            if not isinstance(raw, dict):
-                raise TypeError("not a JSON object")
-            per_pair = {
-                (entry["anchor"], entry["tag"]): (float(entry["alpha"]), float(entry["beta"]))
-                for entry in raw.get("per_pair", [])
-            }
-            return cls(
-                alpha=float(raw["alpha"]),
-                beta=float(raw["beta"]),
-                sigma=float(raw["sigma"]),
-                residual_rms=float(raw.get("residual_rms", 0.0)),
-                per_pair=per_pair,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"cannot read bias model {path}: {exc}") from exc
+            per_pair = {(entry["anchor"], entry["tag"]): tuple(map(float, pair)) for entry, pair in zip(entries, pairs)}
+            return cls(*map(float, coefficients), per_pair=per_pair)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
 
 
 def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog, np.ndarray]:

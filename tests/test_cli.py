@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwbpose
-from uwbpose.cli import _build_parser, main
+from uwbpose.cli import COMMANDS, _accept_exact, _build_parser, main
 from uwbpose.core import Deployment, Pose2, predicted_ranges
 from uwbpose.preprocess import NamedDeployment
 
@@ -399,7 +399,7 @@ class TestNumericFlags:
 
     @pytest.mark.parametrize("command", [None, "simulate", "crlb", "estimate", "calibrate"])
     def test_help_is_the_text_of_the_all_subcommand_parser(self, capsys, command):
-        # main builds only the invoked subcommand's arguments; its help must not show that.
+        # main parses well-formed lines from the flag table; its help must be argparse's, unchanged.
         full = _build_parser()
         if command is not None:
             full = full._subparsers._group_actions[0].choices[command]
@@ -523,6 +523,15 @@ BAD_BIAS_MODELS = {
     "per-pair-alpha-minus-one": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": -1.0, "beta": 0.0}]},
     "per-pair-alpha-nan": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": math.nan, "beta": 0.0}]},
     "per-pair-beta-nan": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": 0.0, "beta": math.nan}]},
+    # Every coefficient is a JSON number, and every key is known.
+    "alpha-numeric-string": {"alpha": "0.01"},
+    "sigma-numeric-string": {"sigma": "0.05"},
+    "residual-rms-numeric-string": {"residual_rms": "0.1"},
+    "per-pair-alpha-numeric-string": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": "0.1", "beta": 0.0}]},
+    "unknown-key": {"resdual_rms": 0.1},
+    "per-pair-unknown-key": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": 0.0, "beta": 0.0, "gamma": 0.0}]},
+    "per-pair-missing-beta": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": 0.0}]},
+    "per-pair-not-a-list": {"per_pair": 5},
 }
 
 
@@ -951,6 +960,90 @@ def test_simulate_does_not_import_numpy_random(tmp_path):
         "print('numpy.random' in sys.modules)\n"
     )
     assert _last_line_in_fresh_interpreter(script) == "False"
+
+
+def test_commands_do_not_import_argparse(tmp_path):
+    # argparse, with the gettext and locale imports of its first parser,
+    # cost several ms; a well-formed command line does not need them.
+    scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    sweep, poses = str(tmp_path / "sweep.csv"), str(tmp_path / "poses.csv")
+    script = (
+        "import sys\n"
+        "from uwbpose.cli import main\n"
+        f"assert main(['simulate', '--scenario', {scenario!r}, '--out', {sweep!r}, '--trials', '3']) == 0\n"
+        f"assert main(['estimate', '--ranges', {ranges!r}, '--deployment', {dep!r}, '--out', {poses!r}]) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    assert _last_line_in_fresh_interpreter(script) == "[]"
+
+
+def test_outputs_get_the_mode_of_a_new_file(tmp_path):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=40)
+    files = ["--ranges", ranges, "--deployment", dep, "--truth", truth]
+    outputs = {name: tmp_path / name for name in ("sweep.csv", "bias.json", "poses.csv", "poses.csv.summary.csv")}
+    old = os.umask(0o022)
+    try:
+        scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
+        assert main(["simulate", "--scenario", scenario, "--out", str(outputs["sweep.csv"]), "--trials", "2"]) == 0
+        assert main(["calibrate", *files, "--out", str(outputs["bias.json"])]) == 0
+        assert main(["estimate", *files, "--bias", str(outputs["bias.json"]), "--out", str(outputs["poses.csv"])]) == 0
+    finally:
+        os.umask(old)
+    assert {name: oct(path.stat().st_mode & 0o777) for name, path in outputs.items()} == dict.fromkeys(outputs, "0o644")
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")) == []
+
+
+# Values that some or all flags refuse, or that are not values at all.
+ACCEPTOR_ODD_VALUES = ["", "-5", "0", "2.5", "1.5", "nan", "1e400", "--out", "--timing", "-h", "bogus"]
+ACCEPTOR_ODD_TOKENS = ["-h", "--help", "--scen", "--out=o.csv", "--bogus", "--", "simulate", "x"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand (or not) with most of its required flags, some optional
+    ones, repeats and odd tokens, shuffled, and after each value flag a value
+    its type or choices accept, or mostly so, an odd value."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus", "--help"]))
+    flags = COMMANDS.get(command, (None, None, {}))[2]
+    chosen = [flag for flag, spec in flags.items() if spec.get("required") and draw(st.integers(0, 9))]
+    chosen += draw(st.lists(st.sampled_from(list(flags) or ["--out"]), max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        chosen.append(draw(st.sampled_from(ACCEPTOR_ODD_TOKENS)))
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        spec = flags.get(flag, {"action": "store_true"})
+        if spec.get("action") != "store_true":
+            good = spec.get("choices", ["1", "7", "100"] if "type" in spec else ["out.csv", "1"])
+            argv.append(draw(st.sampled_from(good if draw(st.integers(0, 7)) else ACCEPTOR_ODD_VALUES)))
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["simulate", "--scenario", "s", "--out", "o", "--timing", "--seed", "0"])
+@example(argv=["estimate", "--ranges", "r", "--deployment", "d", "--out", "o", "--method", "dac"])
+@example(argv=["simulate", "--scenario", "s", "--out", "o", "--seed", "-5"])
+@example(argv=["crlb", "--scenario", "s", "--repeat-t"])
+@example(argv=["simulate", "--scenario", "s", "--out", "--timing"])
+@example(argv=["estimate", "--ranges", "r", "--deployment", "d", "--out", "o", "--method", "bogus"])
+def test_exact_acceptor_agrees_with_argparse(argv):
+    accepted = _accept_exact(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+    if expected is None:
+        assert accepted is None
+    elif accepted is not None:
+        assert vars(accepted) == expected
+    # A parsed line of exact, distinct "--flag value" pairs must be taken.
+    names, values = argv[1::2], argv[2::2]
+    exact = set(names) <= set(COMMANDS.get(argv[0], (None, None, {}))[2]) - {"--timing"}
+    if expected is not None and exact and len(set(names)) == len(names) and not any(v.startswith("-") for v in values):
+        assert accepted is not None
 
 
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
