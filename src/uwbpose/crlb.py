@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import Deployment, Pose2
 from .errors import EstimationError, NearSingularityError, UnobservableAtPoseError
+from .gnrefine import symmetric_inverse
 
 # Floor on |a - s|^2 + dh^2 in the information denominator (square meters).
 COINCIDENCE_FLOOR_M2 = 1e-9
@@ -90,32 +91,17 @@ def constrained_crlb(info: np.ndarray, pose: Pose2) -> CrlbResult:
     """Lower bound on unbiased (vec(R), t) covariance under the rotation
     constraint, from the 6x6 information matrix ``info`` at ``pose``.
 
-    The reduced information ``A = U^T F U`` is scaled to unit diagonal and
-    inverted by its adjugate, as in ``gnrefine.stacked_gn_step``; a diagonal
-    entry that is not positive, or a scaled determinant at most
-    ``RANK_TOL``, raises UnobservableAtPoseError. The scaled eigenvalues sum
-    to 3, so the largest is at least 1 and the two largest multiply to at
-    most 2.25: a refused matrix has a smallest eigenvalue at most
-    sqrt(``RANK_TOL``) = 1e-6 (at most ``RANK_TOL`` over the middle one), an
-    accepted one a smallest eigenvalue above ``RANK_TOL`` / 2.25 and a
-    condition number below 6.75e12. The adjugate loses accuracy when two
-    eigenvalues are small, so the inverse ``X`` is corrected once,
+    The reduced information ``A = U^T F U`` is inverted by
+    ``gnrefine.symmetric_inverse`` with ``RANK_TOL``; where it is refused,
+    UnobservableAtPoseError is raised. The inverse ``X`` is corrected once,
     ``X += X (I - A X)``, to the accuracy of a backward-stable solve.
     """
     u = nullspace_basis(pose.rotation)
     reduced = u.T @ info @ u
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = reduced.tolist()
-    s0, s1, s2 = (a**-0.5 if a > 0.0 else math.nan for a in (a00, a11, a22))  # NaN fails the rank test
-    # Cofactors of the scaled matrix [[1, p, q], [p, 1, r], [q, r, 1]].
-    p, q, r = a01 * s0 * s1, a02 * s0 * s2, a12 * s1 * s2
-    c00, c11, c22 = 1.0 - r * r, 1.0 - q * q, 1.0 - p * p
-    c01, c02, c12 = q * r - p, p * r - q, p * q - r
-    det = c00 + p * c01 + q * c02
-    if not det > RANK_TOL:
+    inverse, ok = symmetric_inverse(reduced[np.newaxis], RANK_TOL)
+    if not ok[0]:
         raise UnobservableAtPoseError("constrained information matrix is singular at this pose")
-    scale = np.array([s0, s1, s2])
-    inverse = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) * (np.outer(scale, scale) / det)
-    inverse += inverse @ (np.eye(3) - reduced @ inverse)  # D adj(D A D) D / det, corrected once
+    inverse = inverse[0] + inverse[0] @ (np.eye(3) - reduced @ inverse[0])
     crlb = u @ inverse @ u.T
     # U has orthonormal columns, and its first column lies in the rotation coordinates.
     rotation, translation_x, translation_y = inverse.diagonal().tolist()

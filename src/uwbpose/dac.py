@@ -19,24 +19,19 @@ from .errors import DegenerateGeometryError
 from .linstage import least_squares, so2_angles, stacked_projected_squared_ranges
 
 
-def _localization_design(deployment: Deployment) -> np.ndarray:
-    """``-2 Abar``: the centered anchors (M, 2) scaled by -2."""
-    anchors = deployment.anchors
-    return -2.0 * (anchors - anchors.mean(axis=0))
-
-
 def stacked_localize_tags(deployment: Deployment, mean_d2: np.ndarray) -> np.ndarray:
     """Global position of every tag of K problems from its own ranges alone,
     shape (K, N, 2).
 
-    Solves the centered linear systems ``-2 Abar^T s_i = dbar_i`` obtained by
-    squaring, debiasing, and projecting each tag's measurements. All tags of
-    all problems share the design, so one least-squares call solves them
-    together, on one factorization of the design (``least_squares``); a
-    rank below 2, from collinear anchors, raises SingularSystemError.
+    Solves the centered systems ``-2 Abar (s_i - c) = dbar_i``, with ``c``
+    the anchor centroid, from each tag's squared, debiased and projected
+    measurements. All tags of all problems share the design, so one
+    least-squares call solves them together, on one factorization of the
+    design (``least_squares``); a rank below 2 raises SingularSystemError.
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)  # (K, N, M)
-    return least_squares(_localization_design(deployment), rhs, "tag localization")
+    centroid = deployment.anchors.mean(axis=0)
+    return least_squares(-2.0 * (deployment.anchors - centroid), rhs, "tag localization") + centroid
 
 
 def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:

@@ -24,7 +24,7 @@ from .errors import Status
 PROXIMITY_FLOOR_M = 1e-6
 
 # A normal matrix scaled to unit diagonal whose determinant is at most this
-# is rank-deficient; see stacked_gn_step.
+# is rank-deficient; see symmetric_inverse.
 RANK_TOL = 1e-10
 
 
@@ -56,6 +56,37 @@ def linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scal
     return g, close, jac
 
 
+def symmetric_inverse(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of K symmetric 3 x 3 matrices (K, 3, 3), read from their
+    upper triangles, and the mask (K,) of those inverted; the rest get 0.
+
+    Each matrix is scaled to unit diagonal, ``D A D`` with
+    ``D = diag(A)^(-1/2)``, so that the rank test does not depend on units,
+    and inverted as ``D adj(D A D) D / det``. It is refused when a diagonal
+    entry is not positive (NaN included) or the scaled determinant is at
+    most ``tol``. The scaled eigenvalues ``l1 >= l2 >= l3`` sum to 3, so
+    ``l1 >= 1`` and ``l1 l2 <= 2.25``: a refused matrix has
+    ``l3 <= sqrt(tol)`` and ``l2 l3 <= tol``, an accepted one
+    ``l3 > tol / 2.25`` and a condition number below ``6.75 / tol``. The
+    adjugate loses accuracy when two eigenvalues are small, so callers
+    correct the inverse once.
+    """
+    diag = a.diagonal(axis1=1, axis2=2)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, np.nan))  # a NaN scale fails the rank test
+    outer = scale[:, :, np.newaxis] * scale[:, np.newaxis, :]
+    scaled = a * outer
+    # Cofactors of the scaled matrix [[1, p, q], [p, 1, r], [q, r, 1]].
+    p, q, r = scaled[:, 0, 1], scaled[:, 0, 2], scaled[:, 1, 2]
+    c00, c11, c22 = 1.0 - r * r, 1.0 - q * q, 1.0 - p * p
+    c01, c02, c12 = q * r - p, p * r - q, p * q - r
+    det = c00 + p * c01 + q * c02
+    ok = det > tol
+    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1).reshape(-1, 3, 3)
+    inverse = adj * (outer * np.divide(1.0, det, out=np.zeros(len(a)), where=ok)[:, np.newaxis, np.newaxis])
+    inverse[~ok] = 0.0
+    return inverse, ok
+
+
 def stacked_gn_step(
     deployment: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: np.ndarray
 ) -> PoseStack:
@@ -64,18 +95,12 @@ def stacked_gn_step(
 
     Each problem solves its normal equations ``A u = b``, with
     ``A = J^T J`` and ``b = J^T r`` for the weighted Jacobian ``J`` and
-    residual ``r``. ``A`` is first scaled to unit diagonal, ``D A D`` with
-    ``D = diag(A)^(-1/2)``, so that the rank test does not depend on the
-    units of theta (rad) and t (m); the scaled system is solved by its
-    adjugate. Its eigenvalues sum to 3, so the largest is at least 1 and the
-    two largest multiply to at most 2.25. A determinant at most
-    ``RANK_TOL`` therefore means a smallest eigenvalue at most
-    ``sqrt(RANK_TOL)`` = 1e-5; one above it means a smallest eigenvalue
-    above ``RANK_TOL / 2.25``, a condition number below 7e10, and a
-    relative error of the solve of at most about that times eps, 1.5e-5.
-    Forming ``A`` squares the condition number of ``J``, so the solve is
-    corrected once, ``u += A^-1 J^T (r - J u)``, which brings the error of
-    the update near that of an orthogonal factorization of ``J``.
+    residual ``r``, by ``symmetric_inverse`` with ``RANK_TOL``: scaled, an
+    accepted ``A`` has a condition number below 6.75e10, so the solve has a
+    relative error of at most about 1.5e-5. Forming ``A`` squares the
+    condition number of ``J``, so the solve is corrected once,
+    ``u += A^-1 J^T (r - J u)``, which brings the error of the update near
+    that of an orthogonal factorization of ``J``.
 
     A problem gets the ``NEAR_SINGULARITY`` status when a predicted range
     falls below ``PROXIMITY_FLOOR_M``, else ``DEGENERATE_GEOMETRY`` when a
@@ -90,25 +115,10 @@ def stacked_gn_step(
     jac = jac.reshape(k, rows, 3)
     jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))  # stacked matmul is slow on the strided view
     rw = ((mean_d - g) * root_w).reshape(k, rows, 1)
-    a = jac_t @ jac
-    diag = a.diagonal(axis1=1, axis2=2)
-    zero = diag == 0.0
-    scale = 1.0 / np.sqrt(np.where(zero, 1.0, diag))
-    outer = scale[:, :, np.newaxis] * scale[:, np.newaxis, :]
-    a *= outer
-    # Cofactors of the scaled matrix [[1, p, q], [p, 1, r], [q, r, 1]].
-    p, q, r = a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]
-    c00, c11, c22 = 1.0 - r * r, 1.0 - q * q, 1.0 - p * p
-    c01, c02, c12 = q * r - p, p * r - q, p * q - r
-    det = c00 + p * c01 + q * c02
-    solved = ~zero.any(axis=1) & (det > RANK_TOL)
-    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1).reshape(k, 3, 3)
-    inv_det = np.divide(1.0, det, out=np.zeros(k), where=solved)
-    inv_a = adj * (outer * inv_det[:, np.newaxis, np.newaxis])  # D adj(D A D) D / det; 0 if failed
+    inv_a, solved = symmetric_inverse(jac_t @ jac, RANK_TOL)
     update = inv_a @ (jac_t @ rw)
     update += inv_a @ (jac_t @ (rw - jac @ update))
-    update = update[:, :, 0]
     status = np.zeros(k, dtype=np.int64)
     status[~solved] = Status.DEGENERATE_GEOMETRY
     status[close.any(axis=(1, 2))] = Status.NEAR_SINGULARITY
-    return PoseStack(theta + update[:, 0], t + update[:, 1:], status)
+    return PoseStack(theta + update[:, 0, 0], t + update[:, 1:, 0], status)

@@ -12,6 +12,8 @@ equations are those of all n measurements divided by T. The solution is
 consistent but unconstrained, so the rotation part is projected onto SO(2):
 the nearest rotation to ``x = Gamma y`` has the angle
 ``atan2(x21 - x12, x11 + x22) = atan2(2 y1, 2 y2) = atan2(y1, y2)``.
+Anchors enter about their centroid ``c``, so that no ``|c|^2`` cancels far
+from the origin; the stage solves for ``t - c`` and adds ``c`` back.
 The design does not depend on the measurements, so K problems that share a
 deployment are one least-squares solve with K right-hand sides
 (``stacked_uls``) on a design factored once; one problem is the case K = 1.
@@ -37,10 +39,10 @@ def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray
     """Debiased squared ranges centered across anchors per tag, shape (K, N, M).
 
     ``mean_d2`` holds the (K, N, M) per-pair mean squared ranges. Entries are
-    ``mean d^2 - |a|^2 - sigma^2 - dh^2`` (the height term makes nonzero
-    height differences reduce to the planar case) minus their mean over the
-    tag's anchors, which applies the all-ones projector without
-    materializing it.
+    ``mean d^2 - |a - c|^2 - sigma^2 - dh^2``, with ``c`` the anchor
+    centroid (the height term makes nonzero height differences reduce to the
+    planar case), minus their mean over the tag's anchors, which applies the
+    all-ones projector without materializing it.
     """
     if deployment.num_anchors < MIN_ANCHORS:
         raise UnderdeterminedDeploymentError(
@@ -52,10 +54,11 @@ def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray
 
 
 def _squared_range_offset(deployment: Deployment) -> np.ndarray:
-    """``|a|^2 + sigma^2 + dh^2`` per (tag, anchor) pair, shape (N, M);
-    raises EstimationError when it overflows."""
+    """``|a - c|^2 + sigma^2 + dh^2`` per (tag, anchor) pair, shape (N, M),
+    with ``c`` the anchor centroid; raises EstimationError when it overflows."""
     with np.errstate(over="ignore"):  # checked below
-        offset = np.sum(deployment.anchors**2, axis=1) + deployment.sigma**2 + deployment.dh**2
+        centered = deployment.anchors - deployment.anchors.mean(axis=0)
+        offset = np.sum(centered**2, axis=1) + deployment.sigma**2 + deployment.dh**2
     if not np.all(np.isfinite(offset)):
         raise EstimationError("squared anchor coordinates, sigma or dh overflow")
     return offset
@@ -101,11 +104,12 @@ def least_squares(design: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 
 
 def solve_uls(h: np.ndarray, dbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares solve of the linear stage ``h @ (y, t) = dbar`` by
+    """Least-squares solve of the linear stage ``h @ (y, t - c) = dbar`` by
     ``least_squares``. ``dbar`` holds the projected squared ranges matching
     the rows of ``h``, (N * M,) for one problem or (N * M, K) with one
-    column per problem. Returns ``(y, t)``, each with a trailing K axis when
-    ``dbar`` has K columns; ``y`` is not unit length in general.
+    column per problem; ``c`` is the anchor centroid. Returns ``(y, t - c)``,
+    each with a trailing K axis when ``dbar`` has K columns; ``y`` is not
+    unit length in general.
     """
     solution = least_squares(h, dbar.T, "design matrix").T
     return solution[:2], solution[2:]
@@ -140,4 +144,4 @@ def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
     dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors).T
     y, t = solve_uls(linear_design(deployment), dbar)
     theta, status = so2_angles(y[1], y[0])
-    return PoseStack(theta, t.T, status)
+    return PoseStack(theta, t.T + deployment.anchors.mean(axis=0), status)

@@ -519,7 +519,8 @@ def align_and_batch(
     default the log frequency.
 
     Every stream id must name an anchor or tag of ``named``, or SchemaError
-    names the first unknown one in stream order (``NamedDeployment.slots``).
+    names the first unknown one in stream order (``NamedDeployment.slots``);
+    so must every per-pair key of ``bias``, or SchemaError names the key.
     Every (anchor, tag) pair of the deployment must appear in the log, or no
     epoch is emitted. Stream values are linearly interpolated at each epoch
     time; an epoch is dropped when any stream does not span the epoch time
@@ -529,6 +530,9 @@ def align_and_batch(
     records is a SchemaError.
     """
     tag_slot, anchor_slot = named.slots(log.stream_keys)
+    for anchor_id, tag_id in bias.per_pair:
+        if anchor_id not in named.anchor_ids or tag_id not in named.tag_ids:
+            raise SchemaError(f"bias model per_pair {(anchor_id, tag_id)!r} is no (anchor id, tag id) of the deployment")
     dep = named.deployment
     n, m = dep.num_tags, dep.num_anchors
     none = Epochs(times=np.zeros(0), ranges=np.zeros((0, n, m)))

@@ -532,6 +532,11 @@ BAD_BIAS_MODELS = {
     "per-pair-unknown-key": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": 0.0, "beta": 0.0, "gamma": 0.0}]},
     "per-pair-missing-beta": {"per_pair": [{"anchor": "a0", "tag": "t0", "alpha": 0.0}]},
     "per-pair-not-a-list": {"per_pair": 5},
+    # Every per-pair entry names an anchor and a tag of the deployment.
+    "per-pair-unknown-anchor": {"per_pair": [{"anchor": "zz", "tag": "t0", "alpha": 0.0, "beta": 0.0}]},
+    "per-pair-numeric-anchor": {"per_pair": [{"anchor": 0, "tag": "t0", "alpha": 0.0, "beta": 0.0}]},
+    "per-pair-unknown-tag": {"per_pair": [{"anchor": "a0", "tag": "t9", "alpha": 0.0, "beta": 0.0}]},
+    "per-pair-swapped-ids": {"per_pair": [{"anchor": "t0", "tag": "a0", "alpha": 0.0, "beta": 0.0}]},
 }
 
 

@@ -173,6 +173,15 @@ class TestObservability:
         dep = Deployment(anchors=CORNER_ANCHORS, tags=[[1.0, 1.0], [2.0, 2.0]], sigma=0.1)
         assert not check_observability(dep).observable
 
+    @pytest.mark.parametrize("ratio, observable", [(1.1e-9, True), (0.9e-9, False)])
+    def test_collinearity_tolerance_is_1e_9(self, ratio, observable):
+        # The centred anchors (+-50, +-50 ratio) and the tags (1, +-ratio)
+        # have orthogonal columns: their singular values differ by ``ratio``.
+        b = 50.0 * ratio
+        dep = Deployment(anchors=[[50.0, b], [50.0, -b], [-50.0, b], [-50.0, -b]], tags=[[1.0, ratio], [1.0, -ratio]])
+        verdict = check_observability(dep)
+        assert verdict.anchors_ok is observable and verdict.tags_ok is observable
+
     def test_invariant_to_global_frame_motion(self):
         rng = np.random.default_rng(11)
         for anchors in (CORNER_ANCHORS, COLLINEAR_ANCHORS):

@@ -11,6 +11,7 @@ from uwbpose.core import Deployment, Method, Pose2
 from uwbpose.crlb import RANK_TOL, constrained_crlb, fisher_info, nullspace_basis
 from uwbpose.errors import NearSingularityError, UnobservableAtPoseError
 from uwbpose.estimators import estimate
+from uwbpose.gnrefine import linearize
 
 from helpers import (
     BODY_TAGS,
@@ -119,6 +120,17 @@ class TestFisherInfo:
         dep = Deployment(anchors=[[3.0, 0.0], [20.0, 0.0], [0.0, 20.0]], tags=BODY_TAGS, sigma=0.1)
         with pytest.raises(NearSingularityError):
             fisher_info(dep, 1, Pose2(0.0, [0.0, 0.0]))
+
+    @pytest.mark.parametrize("squared, raises", [(0.9e-9, True), (1.1e-9, False)])
+    def test_coincidence_floor_is_1e_9_square_metres(self, squared, raises):
+        # At theta = 0 and t = (d, 0), tag 0 lies d from anchor 0.
+        dep = Deployment(anchors=[[3.0, 0.0], [20.0, 0.0], [0.0, 20.0]], tags=BODY_TAGS, sigma=0.1)
+        pose = Pose2(0.0, [math.sqrt(squared), 0.0])
+        if raises:
+            with pytest.raises(NearSingularityError):
+                fisher_info(dep, 1, pose)
+        else:
+            assert np.all(np.isfinite(fisher_info(dep, 1, pose)))
 
     def test_height_offsets_enter_denominator(self):
         flat = fisher_info(reference_deployment(), 1, reference_pose())
@@ -283,6 +295,35 @@ class TestClosedFormAgainstSvdOracle:
         u = nullspace_basis(pose.rotation)
         info = u @ reduced @ u.T + constrained @ (block @ block.T) @ constrained.T
         _assert_agrees_with_svd_oracle(0.5 * (info + info.T), pose)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    anchors=st.integers(3, 6),
+    tags=st.integers(2, 4),
+    repeat_t=st.integers(1, 49),
+)
+def test_reduced_information_is_the_gauss_newton_normal_matrix(seed, anchors, tags, repeat_t):
+    # At the true pose, T J^T J of the weighted range Jacobian in (theta, t)
+    # is the reduced information U^T F U in the coordinates of U, whose
+    # first column is d vec(R) / d theta over sqrt(2): so one inverse serves
+    # the Gauss-Newton step and the bound.
+    rng = np.random.default_rng(seed)
+    shape = (tags, anchors)
+    dep = Deployment(
+        anchors=rng.uniform(0.0, 60.0, size=(anchors, 2)),
+        tags=rng.uniform(-4.0, 4.0, size=(tags, 2)),
+        sigma=rng.uniform(0.02, 0.3, size=shape),
+        dh=rng.uniform(0.0, 2.0, size=shape),
+    )
+    pose = Pose2(rng.uniform(0.0, 2 * math.pi), rng.uniform(10.0, 40.0, size=2))
+    jac = linearize(dep, np.array([pose.theta]), pose.t[np.newaxis], 1.0 / dep.sigma)[2].reshape(-1, 3)
+    u = nullspace_basis(pose.rotation)
+    d_inv = np.diag([math.sqrt(2.0), 1.0, 1.0])
+    expected = d_inv @ (u.T @ fisher_info(dep, repeat_t, pose) @ u) @ d_inv
+    normal = repeat_t * (jac.T @ jac)
+    assert np.linalg.norm(normal - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestEmpiricalEfficiency:

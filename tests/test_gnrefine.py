@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
 from uwbpose.errors import DegenerateGeometryError, NearSingularityError, Status
 from uwbpose.estimators import estimate, estimate_stacked
-from uwbpose.gnrefine import linearize, stacked_gn_step
+from uwbpose.gnrefine import linearize, stacked_gn_step, symmetric_inverse
 
 from helpers import (
     CORNER_ANCHORS,
@@ -187,6 +187,57 @@ class TestGnStep:
         batch = noiseless_batch(dep, pose, repeat_t=5)
         with pytest.raises(DegenerateGeometryError):
             one_gn_step(batch, pose)
+
+    @pytest.mark.parametrize("distance, status", [(0.9e-6, Status.NEAR_SINGULARITY), (1.1e-6, Status.OK)])
+    def test_proximity_floor_is_one_micrometre(self, distance, status):
+        # At theta = 0 and t = (distance, 0), tag 0 lies ``distance`` from anchor 0.
+        dep = Deployment(anchors=[[5.0, 5.0], [20.0, 0.0], [0.0, 20.0]], tags=[[5.0, 5.0], [1.0, 0.0]], sigma=0.1)
+        mean_d = predicted_ranges(dep, Pose2(0.3, [1.0, 2.0]))[np.newaxis]
+        step = stacked_gn_step(dep, mean_d, np.array([0.0]), np.array([[distance, 0.0]]))
+        assert step.status.tolist() == [status]
+
+
+class TestSymmetricInverse:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 50), spread=st.floats(0.0, 8.0))
+    def test_matches_numpy_on_positive_definite_stacks(self, seed, count, spread):
+        # Eigenvalues in [0.1, 1] in random directions, then coordinates
+        # scaled by S, up to 10^spread. The oracle inverts the unscaled core
+        # and scales back, inv(S C S) = S^-1 inv(C) S^-1: LU with pivoting
+        # on S C S itself loses up to 1e-11 here. Entry (i, j) is compared
+        # relative to sqrt(X_ii X_jj), which the scaling does not change.
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.normal(size=(count, 3, 3)))[0]
+        core = (basis * rng.uniform(0.1, 1.0, size=(count, 1, 3))) @ basis.transpose(0, 2, 1)
+        scale = 10.0 ** rng.uniform(-spread, spread, size=(count, 3))
+        outer = scale[:, :, np.newaxis] * scale[:, np.newaxis, :]
+        inverse, ok = symmetric_inverse(core * outer, 1e-10)
+        expected = np.linalg.inv(core) / outer
+        size = np.sqrt(expected.diagonal(axis1=1, axis2=2))
+        assert ok.all()
+        assert np.all(np.abs(inverse - expected) <= 1e-12 * size[:, :, np.newaxis] * size[:, np.newaxis, :])
+
+    def test_refuses_singular_zero_diagonal_and_nan(self):
+        spd = np.diag([4.0, 1.0, 9.0])
+        spd[0, 1] = spd[1, 0] = 1.0
+        singular = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) + np.outer([0.0, 1.0, -1.0], [0.0, 1.0, -1.0])
+        zero_diagonal, negative_diagonal, nan_diagonal, nan_entry = spd.copy(), spd.copy(), spd.copy(), spd.copy()
+        zero_diagonal[1, 1] = 0.0
+        negative_diagonal[2, 2] = -9.0
+        nan_diagonal[0, 0] = np.nan
+        nan_entry[0, 2] = nan_entry[2, 0] = np.nan
+        stack = np.stack([spd, singular, zero_diagonal, negative_diagonal, nan_diagonal, nan_entry, spd])
+        inverse, ok = symmetric_inverse(stack, 1e-10)
+        assert ok.tolist() == [True, False, False, False, False, False, True]
+        np.testing.assert_array_equal(inverse[1:-1], 0.0)
+        np.testing.assert_allclose(inverse[[0, -1]], np.linalg.inv(spd)[np.newaxis].repeat(2, 0), rtol=1e-15)
+
+    @pytest.mark.parametrize("det, ok", [(0.9e-10, False), (1.1e-10, True)])
+    def test_refuses_a_scaled_determinant_at_most_tol(self, det, ok):
+        # [[1, p, 0], [p, 1, 0], [0, 0, 1]] has the determinant 1 - p^2.
+        p = math.sqrt(1.0 - det)
+        a = np.array([[[1.0, p, 0.0], [p, 1.0, 0.0], [0.0, 0.0, 1.0]]]) * 7.0
+        assert symmetric_inverse(a, 1e-10)[1].tolist() == [ok]
 
 
 def _perturbed_problems(dep, poses, rng):

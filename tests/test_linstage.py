@@ -45,6 +45,11 @@ def _system(batch):
     return linear_design(batch.deployment), _projected(batch).reshape(-1)
 
 
+def _centroid(dep):
+    """The anchor centroid ``c``: the linear stage solves for ``t - c``."""
+    return dep.anchors.mean(axis=0)
+
+
 class TestProjector:
     """The all-ones projector, applied implicitly by centering per tag."""
 
@@ -69,7 +74,8 @@ class TestProjector:
         batch, d = self._batch()
         dep = batch.deployment
         proj = np.eye(3) - np.full((3, 3), 1.0 / 3)
-        raw = np.mean(d**2, axis=2) - np.sum(dep.anchors**2, axis=1) - dep.sigma**2 - dep.dh**2
+        offset = np.sum((dep.anchors - _centroid(dep)) ** 2, axis=1) + dep.sigma**2 + dep.dh**2
+        raw = np.mean(d**2, axis=2) - offset
         np.testing.assert_allclose(_projected(batch), raw @ proj, rtol=0, atol=1e-9)
 
 
@@ -106,7 +112,7 @@ class TestBuildLinearSystem:
         pose = reference_pose()
         batch = noiseless_batch(reference_deployment(sigma=0.7), pose)
         h, dbar = _system(batch)
-        x_true = np.concatenate([[math.sin(pose.theta), math.cos(pose.theta)], pose.t])
+        x_true = np.concatenate([[math.sin(pose.theta), math.cos(pose.theta)], pose.t - _centroid(batch.deployment)])
         np.testing.assert_allclose(h @ x_true, dbar, atol=1e-8)
 
 
@@ -115,13 +121,13 @@ class TestSolveUls:
         pose = reference_pose()
         y, t = solve_uls(*_system(noiseless_batch(reference_deployment(), pose)))
         np.testing.assert_allclose(y, [math.sin(pose.theta), math.cos(pose.theta)], atol=1e-9)
-        np.testing.assert_allclose(t, [0.0, 25.0], atol=1e-9)
+        np.testing.assert_allclose(t, [0.0, 25.0] - _centroid(reference_deployment()), atol=1e-9)
 
     def test_noiseless_identity_pose(self):
         pose = Pose2(0.0, [0.0, 0.0])
         y, t = solve_uls(*_system(noiseless_batch(reference_deployment(), pose)))
         np.testing.assert_allclose(y, [0.0, 1.0], atol=1e-9)
-        np.testing.assert_allclose(t, [0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(t, -_centroid(reference_deployment()), atol=1e-9)
 
     def test_residual_orthogonal_to_design(self):
         rng = np.random.default_rng(21)
@@ -176,10 +182,10 @@ class TestSolveUls:
         d = noiseless_ranges(dep_right, pose)
         dep_uniform_wrong = reference_deployment(sigma=0.5)
         y_u, t_u = solve_uls(*_system(RangeBatch(dep_uniform_wrong, 1, d)))
-        np.testing.assert_allclose(t_u, pose.t, atol=1e-9)
+        np.testing.assert_allclose(t_u, pose.t - _centroid(dep_right), atol=1e-9)
         dep_varying_wrong = reference_deployment(sigma=[0.1, 0.5, 1.0])
         y_v, t_v = solve_uls(*_system(RangeBatch(dep_varying_wrong, 1, d)))
-        assert np.linalg.norm(t_v - pose.t) > 1e-6
+        assert np.linalg.norm(t_v - (pose.t - _centroid(dep_right))) > 1e-6
 
 
 def _project(x: np.ndarray) -> tuple[float, int]:
@@ -306,7 +312,7 @@ class TestErrorScalingLaws:
             for _ in range(trials):
                 batch = noisy_batch(dep, pose, repeat_t, rng)
                 y, t = solve_uls(*_system(batch))
-                total += float(np.sum((y - y_true) ** 2) + np.sum((t - pose.t) ** 2))
+                total += float(np.sum((y - y_true) ** 2) + np.sum((t - (pose.t - _centroid(dep))) ** 2))
             rmse[repeat_t] = math.sqrt(total / trials)
         assert 0.4 <= rmse[200] / rmse[50] <= 0.6
 

@@ -1,6 +1,7 @@
 """Outlier rejection, calibration, and epoch batching."""
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -400,6 +401,21 @@ class TestAlignAndBatch:
             align_and_batch(log, BiasModel.identity(), named)
         with pytest.raises(SchemaError, match="^unknown anchor id 'zz'$"):
             align_and_batch(_make_log(streams), BiasModel.identity(), named)
+
+    @pytest.mark.parametrize("key", [("zz", "t0"), (0, "t0"), ("a0", "t9"), ("t0", "a0")])
+    def test_per_pair_key_must_name_a_pair_of_the_deployment(self, key):
+        # Such an entry would never be applied, so the model is refused where it meets the deployment.
+        named = _grid_deployment()
+        _, log = _synthetic_truth_and_log(named, 0.0, 0.0, 0.0, 10, None)
+        model = BiasModel(alpha=0.0, beta=0.0, sigma=0.05, per_pair={("a1", "t1"): (0.1, 0.2), key: (0.1, 0.2)})
+        with pytest.raises(SchemaError, match=f"^bias model per_pair {re.escape(repr(key))} is no "):
+            align_and_batch(log, model, named)
+        del model.per_pair[key]
+        applied = align_and_batch(log, model, named)
+        identity = align_and_batch(log, BiasModel.identity(), named)
+        np.testing.assert_allclose(applied.ranges[:, 1, 1], (identity.ranges[:, 1, 1] - 0.2) / 1.1, rtol=1e-14)
+        np.testing.assert_array_equal(np.delete(applied.ranges.reshape(-1, 8), 5, axis=1),
+                                      np.delete(identity.ranges.reshape(-1, 8), 5, axis=1))
 
     def test_missing_stream_yields_no_batches(self):
         named = _grid_deployment()

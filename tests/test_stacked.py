@@ -137,23 +137,27 @@ def test_overflowing_mean_of_squared_ranges_fails_every_method():
     problems=st.integers(1, 10),
     repeat_t=st.integers(1, 3),
     phi=st.floats(-math.pi, math.pi),
-    shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    shift=st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)),
 )
 def test_rigid_motion_of_the_frame_moves_every_estimate(seed, problems, repeat_t, phi, shift):
     # Anchors and true poses move together, so the ranges stay the same.
+    # The moved anchors are rounded to ulp(L) at a distance L from the
+    # origin, which moves the estimates by a few ulp(L); the tolerances
+    # below hold unchanged up to L = 100 m.
     dep, batches = random_problems(seed, problems, repeat_t)
     rot = rotation_matrix(phi)
     moved = Deployment(anchors=dep.anchors @ rot.T + shift, tags=dep.tags, sigma=dep.sigma, dh=dep.dh)
     extent = float(np.ptp(dep.anchors, axis=0).max())
+    rounding = 32.0 * np.spacing(max(map(abs, shift)))
     moments = _stack(batches)
     for method in Method:
         base = estimate_stacked(dep, *moments, method)
         other = estimate_stacked(moved, *moments, method)
         np.testing.assert_array_equal(other.status, base.status, err_msg=method.value)
         ok = base.status == Status.OK
-        assert np.all(_angle_gap(other.theta[ok], base.theta[ok] + phi) <= 1e-9), method
+        assert np.all(_angle_gap(other.theta[ok], base.theta[ok] + phi) <= max(1e-9, rounding)), method
         np.testing.assert_allclose(
-            other.t[ok], base.t[ok] @ rot.T + shift, rtol=0, atol=1e-9 * extent, err_msg=method.value
+            other.t[ok], base.t[ok] @ rot.T + shift, rtol=0, atol=max(1e-9 * extent, rounding), err_msg=method.value
         )
 
 
@@ -203,6 +207,25 @@ def test_every_method_is_exact_at_zero_noise_with_random_heights(seed, problems,
         np.testing.assert_array_equal(stacked.status, Status.OK, err_msg=method.value)
         assert np.all(_angle_gap(stacked.theta, theta) <= 1e-8), method
         np.testing.assert_allclose(stacked.t, t, rtol=0, atol=1e-8, err_msg=method.value)
+
+
+@pytest.mark.parametrize("shift", [1e5, 1e6, 5e6, 1e7])
+def test_every_method_is_exact_at_zero_noise_far_from_the_origin(shift):
+    # Four anchors on a 50 m square and three tags, all moved by (L, L):
+    # criterion 01's bounds hold, because the linear stages work about the
+    # anchor centroid and cancel no squared coordinate of size L^2.
+    square = np.array([[0.0, 0.0], [50.0, 0.0], [50.0, 50.0], [0.0, 50.0]])
+    dep = Deployment(anchors=square + shift, tags=[[0.5, 0.0], [0.0, 0.5], [-0.4, -0.3]], sigma=1e-12)
+    rng = np.random.default_rng(2101)
+    poses = [Pose2(a, b + shift) for a, b in zip(rng.uniform(0.0, 2 * np.pi, 20), rng.uniform(5.0, 45.0, (20, 2)))]
+    theta = np.array([pose.theta for pose in poses])
+    t = np.array([pose.t for pose in poses])
+    moments = _stack([noiseless_batch(dep, pose) for pose in poses])
+    for method in Method:
+        stacked = estimate_stacked(dep, *moments, method)
+        np.testing.assert_array_equal(stacked.status, Status.OK, err_msg=method.value)
+        assert np.all(_angle_gap(stacked.theta, theta) <= 1e-8), method
+        assert np.all(np.linalg.norm(stacked.t - t, axis=1) <= 1e-8), method
 
 
 @pytest.mark.parametrize("method", REFINED)
