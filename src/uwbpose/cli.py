@@ -43,20 +43,24 @@ EXIT_UNOBSERVABLE = 3
 
 
 def _atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path`` and rename it to ``path``.
+    On failure the new file is removed, and an OSError names ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    for attempt in itertools.count():  # created as open(path, "w") creates a file: mode 0o666 less the umask
-        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{attempt}")
-        with contextlib.suppress(FileExistsError):  # a name in use
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        for attempt in itertools.count():  # created as open(path, "w") creates a file: mode 0o666 less the umask
+            tmp = os.path.join(directory, f".tmp-{os.getpid()}-{attempt}")
+            with contextlib.suppress(FileExistsError):  # a name in use
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _bounded(kind, low=None, above: bool = False):
@@ -143,6 +147,10 @@ def _cmd_estimate(args) -> int:
     bias = BiasModel.from_json_file(args.bias) if args.bias else BiasModel.identity()
     truth = GroundTruthLog.from_csv(args.truth) if args.truth else None
     epochs = align_and_batch(log, bias, named, rate_hz=args.rate, max_gap_periods=args.max_gap)
+    if not len(epochs):
+        print("no epochs: the log needs every (anchor, tag) pair of the deployment, over one common span,"
+              " with gaps of at most --max-gap periods", file=sys.stderr)
+        return EXIT_RUNTIME
     method = Method(args.method)
 
     count = len(epochs)

@@ -219,16 +219,12 @@ class ObservabilityVerdict(NamedTuple):
 
 
 def _rank_two(points: np.ndarray, center: bool) -> bool:
-    """True when the rows span two dimensions.
+    """True when the rows, two or more, span two dimensions.
 
     With ``center`` the test is about collinearity of the point set; without
     it, about collinearity with the origin.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        return False
-    if center:
-        pts = pts - pts.mean(axis=0)
+    pts = points - points.mean(axis=0) if center else points
     svals = np.linalg.svd(pts, compute_uv=False)
     return bool(svals[-1] > COLLINEARITY_RTOL * svals[0])
 

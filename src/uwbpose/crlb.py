@@ -54,11 +54,7 @@ def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> np.ndarra
     sq_dist = np.einsum("nmk,nmk->nm", q, q) + deployment.dh**2
     if np.any(sq_dist < COINCIDENCE_FLOOR_M2):
         i, m = np.argwhere(sq_dist < COINCIDENCE_FLOOR_M2)[0]
-        raise NearSingularityError(
-            f"anchor {m} coincides with transformed tag {i}",
-            tag_index=int(i),
-            anchor_index=int(m),
-        )
+        raise NearSingularityError(f"anchor {m} coincides with transformed tag {i}")
     sbar = np.column_stack([deployment.tags, np.ones(deployment.num_tags)])  # (N, 3)
     # b[i, m] = sbar_i (x) q[i, m], flattened to 6 components.
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

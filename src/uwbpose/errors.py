@@ -37,15 +37,7 @@ class DegenerateGeometryError(EstimationError):
 
 
 class NearSingularityError(EstimationError):
-    """A predicted range or information denominator fell below its floor.
-
-    ``tag_index``/``anchor_index`` identify the offending pair when known.
-    """
-
-    def __init__(self, message: str, tag_index: int | None = None, anchor_index: int | None = None):
-        super().__init__(message)
-        self.tag_index = tag_index
-        self.anchor_index = anchor_index
+    """A predicted range or information denominator fell below its floor."""
 
 
 class UnobservableDeploymentError(EstimationError):

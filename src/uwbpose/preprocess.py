@@ -133,29 +133,22 @@ class RangeLog:
         """Indices of each (anchor, tag) stream, in record order."""
         return dict(zip(self.stream_keys, self._stream_records))
 
-    def _with_ranges(self, range_m: np.ndarray) -> "RangeLog":
-        """The same records with new range values; the stream index is kept."""
-        r = np.array(range_m, dtype=float)
-        if r.shape != self.range_m.shape:
-            raise ValueError("new ranges must match the record count")
-        _check_ranges(r)
-        r.setflags(write=False)
-        log = copy.copy(self)
-        object.__setattr__(log, "range_m", r)
-        return log
-
     @classmethod
     def from_csv(cls, path, frequency: float) -> "RangeLog":
-        """Load ``t,anchor,tag,range`` CSV with ``_read_table``; negative ranges are dropped."""
+        """Load ``t,anchor,tag,range`` CSV with ``_read_table``; negative ranges
+        are dropped, and SchemaError names ``path``."""
         columns = [("t", float), ("anchor", "S32"), ("tag", "S32"), ("range", float)]
         t, anchor, tag, r = _read_table(path, columns, finite=True)
         keep = r >= 0
         if not keep.all():
             anchor, tag = anchor[keep], tag[keep]
-        return cls(
-            t=t[keep], anchor=anchor, tag=tag, range_m=r[keep],
-            frequency=frequency, dropped_negative=len(keep) - int(keep.sum()),
-        )
+        try:
+            return cls(
+                t=t[keep], anchor=anchor, tag=tag, range_m=r[keep],
+                frequency=frequency, dropped_negative=len(keep) - int(keep.sum()),
+            )
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _check_ranges(r: np.ndarray) -> None:
@@ -187,9 +180,6 @@ class GroundTruthLog:
             raise SchemaError("ground-truth log has no data rows")
         if np.any(np.diff(self.t) <= 0):
             raise SchemaError("ground-truth timestamps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.t)
 
     @classmethod
     def from_csv(cls, path) -> "GroundTruthLog":
@@ -373,9 +363,9 @@ class BiasModel:
                 raise ValueError(f"bias coefficients must be finite with alpha > -1, got {alpha}, {beta}")
 
     @classmethod
-    def identity(cls, sigma: float = 1.0) -> "BiasModel":
+    def identity(cls) -> "BiasModel":
         """No-op model: de-biasing returns ranges unchanged."""
-        return cls(alpha=0.0, beta=0.0, sigma=sigma)
+        return cls(alpha=0.0, beta=0.0, sigma=1.0)
 
     def coefficients(self, key: tuple[str, str] | None = None) -> tuple[float, float]:
         if key is not None and key in self.per_pair:
@@ -444,7 +434,11 @@ def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog,
         mask[indices] = flags
         if flags.any():
             values[indices] = interpolate_flagged(log.t[indices], stream, flags)
-    return log._with_ranges(values), mask
+    _check_ranges(values)
+    values.setflags(write=False)
+    cleaned = copy.copy(log)  # the same records and stream index
+    object.__setattr__(cleaned, "range_m", values)
+    return cleaned, mask
 
 
 def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment) -> BiasModel:

@@ -277,7 +277,10 @@ def reference_range_log(path) -> tuple:
         anchor.append(row["anchor"])
         tag.append(row["tag"])
         rng.append(ri)
-    reference_stream_index(t, anchor, tag)
+    try:
+        reference_stream_index(t, anchor, tag)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return np.asarray(t, dtype=float), anchor, tag, np.asarray(rng, dtype=float), dropped
 
 

@@ -68,6 +68,14 @@ class TestSimulate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_scenario_without_sweep_exits_2_without_output(self, tmp_path, capsys):
+        payload = {key: value for key, value in SCENARIO_SMALL.items() if key != "sweep"}
+        scenario = _write_scenario(tmp_path, payload)
+        out = tmp_path / "result.csv"
+        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {scenario}: scenario has no sweep section\n"
+
     def test_missing_scenario_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "result.csv"
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(out)])
@@ -513,6 +521,83 @@ def test_truth_without_overlap_exits_1_without_output(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
     stdout, err = capsys.readouterr()
     assert "wrote" not in stdout and "no epochs overlap the ground-truth span" in err
+
+
+def _rewrite_ranges(ranges, edit):
+    """Rewrite the range log ``ranges`` with ``edit(k, anchor_id, tag_id, row)``
+    applied to each data row of sample k; rows it maps to None are dropped."""
+    with open(ranges, encoding="utf-8", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    edited = (edit(round(float(row[0]) * 100), row[1], row[2], row) for row in rows)
+    with open(ranges, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([header, *(row for row in edited if row is not None)])
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_range_log_errors_name_the_file(tmp_path, capsys, command):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+
+    def back_in_time(k, anchor, tag, row):  # sample 5 of the (a0, t0) stream moves to t = -1
+        return ["-1.0", *row[1:]] if (k, anchor, tag) == (5, "a0", "t0") else row
+
+    _rewrite_ranges(ranges, back_in_time)
+    out = tmp_path / "o.out"
+    assert main([command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {ranges}: timestamps decrease within stream ('a0', 't0')\n"
+
+
+EMPTY_RESULTS = {
+    # The pair (a0, t0) of the deployment has no record.
+    "missing-pair": (lambda k, anchor, tag, row: None if (anchor, tag) == ("a0", "t0") else row, []),
+    # The (a0, t0) stream ends before the others begin.
+    "no-overlap": (lambda k, anchor, tag, row: row if (k < 5) == ((anchor, tag) == ("a0", "t0")) else None, []),
+    # Half a period off the others, (a0, t0) puts every epoch between their samples.
+    "every-epoch-gapped": (
+        lambda k, anchor, tag, row: [repr(float(row[0]) + 0.005), *row[1:]] if (anchor, tag) == ("a0", "t0") else row,
+        ["--max-gap", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("truth_flag", [False, True])
+@pytest.mark.parametrize("case", list(EMPTY_RESULTS))
+def test_estimate_without_epochs_exits_1_without_output(tmp_path, capsys, case, truth_flag):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    edit, flags = EMPTY_RESULTS[case]
+    _rewrite_ranges(ranges, edit)
+    out = tmp_path / "o.out"
+    argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), *flags]
+    assert main(argv + (["--truth", truth] if truth_flag else [])) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deployment.json", "ranges.csv", "truth.csv"]
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.splitlines()[-1].startswith("no epochs: the log needs every (anchor, tag) pair")
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_failed_write_names_out_and_leaves_no_temporary_file(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "simulate":
+        argv = ["simulate", "--scenario", _write_scenario(tmp_path, SCENARIO_SMALL), "--trials", "2"]
+    else:
+        dep, _, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+        argv = ["estimate", "--ranges", ranges, "--deployment", dep]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: cannot write {out}: Is a directory"
+    assert list(out.iterdir()) == [] and [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+@pytest.mark.parametrize("missing", ["--ranges", "--truth"])
+def test_missing_log_file_exits_2_without_output(tmp_path, capsys, command, missing):
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    files = {"--ranges": ranges, "--truth": truth, missing: str(tmp_path / "absent.csv")}
+    out = tmp_path / "o.out"
+    argv = [command, "--deployment", dep, "--out", str(out), *(part for item in files.items() for part in item)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: cannot open {tmp_path / 'absent.csv'}: ")
 
 
 BAD_BIAS_MODELS = {

@@ -125,6 +125,10 @@ class TestRangeBatch:
         with pytest.raises(ValueError):
             RangeBatch(dep, 2, np.zeros((2, 3, 1)))
 
+    def test_rejects_zero_repetitions(self):
+        with pytest.raises(ValueError, match="repeat_t"):
+            RangeBatch(reference_deployment(), 0, np.zeros((2, 3, 0)))
+
     def test_rejects_nonfinite(self):
         dep = reference_deployment()
         d = np.full((2, 3, 1), np.nan)

@@ -118,8 +118,12 @@ class TestFisherInfo:
 
     def test_coincident_anchor_and_tag_rejected(self):
         dep = Deployment(anchors=[[3.0, 0.0], [20.0, 0.0], [0.0, 20.0]], tags=BODY_TAGS, sigma=0.1)
-        with pytest.raises(NearSingularityError):
+        with pytest.raises(NearSingularityError, match=r"^anchor 0 coincides with transformed tag 0$"):
             fisher_info(dep, 1, Pose2(0.0, [0.0, 0.0]))
+
+    def test_rejects_zero_repetitions(self):
+        with pytest.raises(ValueError, match="repeat_t"):
+            fisher_info(reference_deployment(), 0, reference_pose())
 
     @pytest.mark.parametrize("squared, raises", [(0.9e-9, True), (1.1e-9, False)])
     def test_coincidence_floor_is_1e_9_square_metres(self, squared, raises):

@@ -115,6 +115,12 @@ class TestFlagStream:
         assert repaired[6] == pytest.approx(5.0)
         np.testing.assert_array_equal(repaired[flags == False], values[flags == False])  # noqa: E712
 
+    def test_every_sample_flagged_leaves_values_unchanged(self):
+        values = np.array([5.0, 9.0, 6.0])
+        repaired = interpolate_flagged(np.arange(3.0), values, np.ones(3, dtype=bool))
+        np.testing.assert_array_equal(repaired, values)
+        assert repaired is not values
+
 
 class TestRejectOutliers:
     def test_spike_removed_and_mask_reported(self):
