@@ -42,25 +42,30 @@ EXIT_SCHEMA = 2
 EXIT_UNOBSERVABLE = 3
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to a new file beside ``path`` and rename it to ``path``.
-    On failure the new file is removed, and an OSError names ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _atomic_write_text(outputs: dict[str, str]) -> None:
+    """Write each text of ``outputs`` to a new file beside its path, then rename them all. On failure the
+    new files and the outputs already renamed are removed, and an OSError names the path."""
+    created = []  # the new files, each replaced by its path once renamed
     try:
-        for attempt in itertools.count():  # created as open(path, "w") creates a file: mode 0o666 less the umask
-            tmp = os.path.join(directory, f".tmp-{os.getpid()}-{attempt}")
-            with contextlib.suppress(FileExistsError):  # a name in use
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                break
-        try:
+        for path, text in outputs.items():
+            for attempt in itertools.count():  # created as open(path, "w") creates a file: mode 0o666 less the umask
+                tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.getpid()}-{attempt}")
+                with contextlib.suppress(FileExistsError):  # a name in use
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+            created.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        for i, path in enumerate(outputs):
+            os.replace(created[i], path)
+            created[i] = path
+        created.clear()  # every output in place: nothing to remove
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for name in created:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
 
 
 def _bounded(kind, low=None, above: bool = False):
@@ -94,7 +99,7 @@ def _cmd_simulate(args) -> int:
 
     buffer = io.StringIO()
     mc.write_csv(result, buffer, include_timing=args.timing)
-    _atomic_write_text(args.out, buffer.getvalue())
+    _atomic_write_text({args.out: buffer.getvalue()})
 
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for key, value in sorted(result.metadata.items()):
@@ -190,17 +195,18 @@ def _cmd_estimate(args) -> int:
     ):
         lines.append(f"{epoch_time!r},{x!r},{y!r},{yaw!r},{label},{status}\r\n" if status == "ok"
                      else f"{epoch_time!r},,,,{label},{status}\r\n")
-    _atomic_write_text(args.out, "".join(lines))
+    outputs = {args.out: "".join(lines)}
+    if truth is not None:
+        summary = f"method,position_rmse_cm,rotation_rmse_deg\r\n{label},{pos_rmse_cm!r},{rot_rmse_deg!r}\r\n"
+        outputs[args.out + ".summary.csv"] = summary
+    _atomic_write_text(outputs)
     print(f"wrote {len(epochs)} epochs to {args.out} ({int(ok.sum())} ok)")
     failed = Counter(status.removeprefix("error:") for status in statuses if status != "ok")
     kinds = " ".join(f"{name}={n}" for name, n in sorted(failed.items()))
     print(f"failures_by_error: {kinds or 'none'}", file=sys.stderr)
-
     if truth is not None:
         print("method  position_rmse_cm  rotation_rmse_deg")
-        print(f"{method.value:>6}  {pos_rmse_cm:>16.3f}  {rot_rmse_deg:>17.3f}")
-        summary = f"method,position_rmse_cm,rotation_rmse_deg\r\n{method.value},{pos_rmse_cm!r},{rot_rmse_deg!r}\r\n"
-        _atomic_write_text(args.out + ".summary.csv", summary)
+        print(f"{label:>6}  {pos_rmse_cm:>16.3f}  {rot_rmse_deg:>17.3f}")
     return EXIT_OK
 
 
@@ -209,7 +215,7 @@ def _cmd_calibrate(args) -> int:
     log = _load_ranges(args)
     truth = GroundTruthLog.from_csv(args.truth)
     model = calibrate_bias(log, truth, named)
-    _atomic_write_text(args.out, model.to_json() + "\n")
+    _atomic_write_text({args.out: model.to_json() + "\n"})
     for name in ("alpha", "beta", "sigma", "residual_rms"):
         print(f"{name}: {getattr(model, name):.9g}")
     print(f"wrote model to {args.out}")

@@ -58,13 +58,13 @@ class SchemaError(Exception):
 
 def read_json(path, what: str):
     """The JSON document in ``path``. SchemaError, naming ``what``, when the
-    file cannot be read or parsed, or holds ``true`` or ``false`` or an
-    integer beyond the float range anywhere: no field of any input file is
-    boolean, and every number in one becomes a float."""
+    file cannot be read or parsed, repeats a key in an object, or holds
+    ``true``, ``false`` or an integer beyond the float range anywhere: no
+    field of any input file is boolean, and every number becomes a float."""
     try:
         with open(path, encoding="utf-8") as handle:
-            nodes = [json.load(handle)]
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+            nodes = [json.load(handle, object_pairs_hook=unique_keys)]
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, a repeated key or not UTF-8
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
     for node in nodes:  # grows as it goes: every value of the document
         if isinstance(node, bool):
@@ -73,6 +73,16 @@ def read_json(path, what: str):
             raise SchemaError(f"{what} {path}: an integer is beyond the float range")
         nodes.extend(node.values() if isinstance(node, dict) else node if isinstance(node, list) else ())
     return nodes[0]
+
+
+def unique_keys(pairs: list) -> dict:
+    """(key, value) ``pairs``, such as a JSON object's, as a dict; ValueError names a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def require_keys(section, allowed: set, required: set, where: str) -> None:

@@ -16,12 +16,14 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 import numpy as np
 
 from .core import Deployment
-from .errors import EstimationError, InsufficientDataError, SchemaError, finite_number, read_json, require_keys
+from .errors import (
+    EstimationError, InsufficientDataError, SchemaError, finite_number, read_json, require_keys, unique_keys,
+)
 
 # Additive term of the rejection rule, a generic UWB error bound in meters.
 REJECTION_BOUND_M = 0.1
@@ -138,7 +140,7 @@ class RangeLog:
         """Load ``t,anchor,tag,range`` CSV with ``_read_table``; negative ranges
         are dropped, and SchemaError names ``path``."""
         columns = [("t", float), ("anchor", "S32"), ("tag", "S32"), ("range", float)]
-        t, anchor, tag, r = _read_table(path, columns, finite=True)
+        t, anchor, tag, r = _read_table(path, columns)
         keep = r >= 0
         if not keep.all():
             anchor, tag = anchor[keep], tag[keep]
@@ -184,7 +186,7 @@ class GroundTruthLog:
     @classmethod
     def from_csv(cls, path) -> "GroundTruthLog":
         """Load ``t,x,y,yaw_deg`` CSV."""
-        t, x, y, yaw_deg = _read_table(path, [(name, float) for name in ("t", "x", "y", "yaw_deg")], finite=False)
+        t, x, y, yaw_deg = _read_table(path, [(name, float) for name in ("t", "x", "y", "yaw_deg")])
         try:
             return cls(t=t, x=x, y=y, yaw=np.deg2rad(yaw_deg))
         except SchemaError as exc:
@@ -204,15 +206,15 @@ class GroundTruthLog:
         return np.column_stack([xs, ys]), yaw
 
 
-def _read_table(path, columns: list, finite: bool) -> list:
+def _read_table(path, columns: list) -> list:
     """The (name, float or bytes dtype) ``columns`` of a UTF-8 CSV file with
     that header, as float arrays and Latin-1 byte or str arrays. One ``np.loadtxt``
     call parses text with a data row and no ``"``, ``\\r``, \\x00 (which byte
     arrays drop) or \\x1c-\\x1f (which ``loadtxt`` strips around numbers and
-    ``float()`` does not). Text it refuses, with ``finite`` a non-finite
-    number, or with a text field that fills its width goes to
-    ``_read_columns`` and ``_floats``, which accept what ``float()`` does or
-    raise SchemaError at the line."""
+    ``float()`` does not). Text it refuses, with a non-finite number, or
+    with a text field that fills its width goes to ``_read_columns`` and
+    ``_floats``, which accept the finite numbers ``float()`` reads or raise
+    SchemaError at the line."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
@@ -231,64 +233,45 @@ def _read_table(path, columns: list, finite: bool) -> list:
         else:
             out = [table[name] if num else np.ascontiguousarray(table[name]) for name, num in zip(header, numeric)]
             full = any(c.view(np.uint8)[c.itemsize - 1::c.itemsize].any() for c in out if c.dtype.kind == "S")  # cut?
-            if not full and (not finite or np.isfinite(list(compress(out, numeric))).all()):
+            if not full and np.isfinite(list(compress(out, numeric))).all():
                 return out
     fields, lines = _read_columns(path, text, header)
-    floats = iter(_floats(path, lines, *compress(fields, numeric), finite=finite))
+    floats = iter(_floats(path, lines, *compress(fields, numeric)))
     return [next(floats) if num else np.array(column, dtype=object) for column, num in zip(fields, numeric)]
 
 
 def _read_columns(path, text: str, header: list[str]) -> tuple[list[list[str]], np.ndarray]:
-    """The data columns of CSV ``text`` (from ``path``) with ``header`` as
-    lists of strings, and the line of each row: its ``csv.reader`` record
-    number, so blank lines count. Blank lines are skipped. Text without
-    quotes or carriage returns is split with ``str.split``, as csv would."""
-    quoted = '"' in text or "\r" in text
-    if quoted:
-        try:
-            records = list(csv.reader(io.StringIO(text, newline="")))
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise SchemaError(f"{path}: {exc}") from None
-    else:
-        records = text.split("\n")
-        if not records[-1]:
-            records.pop()  # the text after the last newline
+    """The ``header`` columns of CSV ``text`` (from ``path``) as lists of strings, and the
+    line of each row, its ``csv.reader`` record number: blank lines count but are skipped."""
+    try:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise SchemaError(f"{path}: {exc}") from None
     if not records:
         raise SchemaError(f"{path}: empty file, header required")
-    head = records.pop(0)
-    if [h.strip() for h in (head if quoted else head.split(","))] != header:
+    if [h.strip() for h in records.pop(0)] != header:
         raise SchemaError(f"{path}: header must be {','.join(header)}")
-    k, n = len(header), len(records)
-    # A record holds k fields; an unquoted line, k - 1 commas. Blank ones do not.
-    widths = map(len, records) if quoted else map(str.count, records, repeat(",", n))
-    keep = np.fromiter(widths, np.intp, n) == (k if quoted else k - 1)
-    lines = np.arange(2, n + 2)
-    if not keep.all():
-        for i in np.flatnonzero(~keep).tolist():
-            if records[i]:
-                raise SchemaError(f"{path}:{i + 2}: expected {k} fields")
-        records, lines = list(compress(records, keep.tolist())), lines[keep]
-    if quoted:
-        fields = list(chain.from_iterable(records))
-    else:
-        fields = ",".join(records).split(",") if records else []
-    return [fields[j::k] for j in range(k)], lines
+    k, widths = len(header), np.fromiter(map(len, records), np.intp, len(records))
+    if (bad := np.flatnonzero((widths != k) & (widths != 0))).size:
+        raise SchemaError(f"{path}:{bad[0] + 2}: expected {k} fields")
+    fields = list(chain.from_iterable(records))  # a blank line is an empty record
+    return [fields[j::k] for j in range(k)], np.flatnonzero(widths) + 2
 
 
-def _floats(path, lines: np.ndarray, *columns, finite: bool) -> list[np.ndarray]:
+def _floats(path, lines: np.ndarray, *columns) -> list[np.ndarray]:
     """The string ``columns`` as float arrays; SchemaError names the first
-    line with a non-numeric field, or with ``finite`` a non-finite one."""
+    line with a non-numeric or non-finite field."""
     try:
         arrays = [np.fromiter(map(float, col), float, len(lines)) for col in columns]
     except ValueError:
         arrays = None
-    if arrays is None or finite and not np.isfinite(arrays).all():
+    if arrays is None or not np.isfinite(arrays).all():
         for line, row in zip(lines.tolist(), zip(*columns)):
             try:
                 values = list(map(float, row))
             except ValueError:
                 raise SchemaError(f"{path}:{line}: non-numeric field") from None
-            if finite and not all(map(math.isfinite, values)):
+            if not all(map(math.isfinite, values)):
                 raise SchemaError(f"{path}:{line}: non-finite field")
     return arrays
 
@@ -392,7 +375,8 @@ class BiasModel:
 
     @classmethod
     def from_json_file(cls, path) -> "BiasModel":
-        """The ``to_json`` form; SchemaError on an unknown key or a coefficient that is no finite JSON number."""
+        """The ``to_json`` form; SchemaError on an unknown key, a coefficient
+        that is no finite JSON number or a repeated (anchor, tag) pair."""
         raw, where = read_json(path, "bias model"), f"cannot read bias model {path}"
         require_keys(raw, {"alpha", "beta", "sigma", "residual_rms", "per_pair"}, {"alpha", "beta", "sigma"}, where)
         entries = raw.get("per_pair", [])
@@ -406,8 +390,8 @@ class BiasModel:
         if not all(map(finite_number, chain(coefficients, *pairs))):
             raise SchemaError(f"{where}: coefficients must be finite numbers")
         try:
-            per_pair = {(entry["anchor"], entry["tag"]): tuple(map(float, pair)) for entry, pair in zip(entries, pairs)}
-            return cls(*map(float, coefficients), per_pair=per_pair)
+            items = [((entry["anchor"], entry["tag"]), tuple(map(float, pair))) for entry, pair in zip(entries, pairs)]
+            return cls(*map(float, coefficients), per_pair=unique_keys(items))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
 

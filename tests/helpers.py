@@ -285,13 +285,18 @@ def reference_range_log(path) -> tuple:
 
 
 def reference_truth_log(path) -> GroundTruthLog:
+    """The ground truth of a truth CSV, per record, with the errors of
+    ``GroundTruthLog.from_csv``: the range log's per-line number rule."""
     rows = reference_csv_rows(path, ["t", "x", "y", "yaw_deg"])
     data = []
     for line_no, row in rows:
         try:
-            data.append([float(row[k]) for k in ("t", "x", "y", "yaw_deg")])
+            values = [float(row[k]) for k in ("t", "x", "y", "yaw_deg")]
         except ValueError as exc:
             raise SchemaError(f"{path}:{line_no}: non-numeric field") from exc
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"{path}:{line_no}: non-finite field")
+        data.append(values)
     arr = np.asarray(data, dtype=float).reshape(-1, 4)
     try:
         return GroundTruthLog(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], yaw=np.deg2rad(arr[:, 3]))

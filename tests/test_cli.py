@@ -487,10 +487,26 @@ def test_failed_epoch_gets_error_row_and_others_stay_ok(tmp_path, capsys):
         assert float(row[3]) == pytest.approx(math.degrees(pose.theta), abs=1e-7)
 
 
+# The rows of each bad truth file, and the error after the file's path. A
+# non-finite number is refused at its line, as in a range log. The "-lf"
+# files have LF line ends, so np.loadtxt parses them, and the non-finite
+# value sends them to the exact reader.
 BAD_TRUTH_ROWS = {
-    "header-only": [],
-    "nan-x": [[0.0, "nan", 2.5, 20.0], [0.01, 4.0, 2.5, 20.0]],
-    "inf-yaw": [[0.0, 4.0, 2.5, 20.0], [0.01, 4.0, 2.5, "inf"]],
+    "header-only": ([], ": ground-truth log has no data rows"),
+    "nan-x": ([[0.0, "nan", 2.5, 20.0], [0.01, 4.0, 2.5, 20.0]], ":2: non-finite field"),
+    "inf-yaw": ([[0.0, 4.0, 2.5, 20.0], [0.01, 4.0, 2.5, "inf"]], ":3: non-finite field"),
+    "nan-yaw-lf": (
+        [[0.0, 4.0, 2.5, 20.0], [0.01, 4.0, 2.5, 20.0], [0.02, 4.0, 2.5, "nan"], [0.03, 4.0, 2.5, 20.0]],
+        ":4: non-finite field",
+    ),
+    "inf-x-lf": (
+        [[0.0, 4.0, 2.5, 20.0], [0.01, 4.0, 2.5, 20.0], [0.02, "-inf", 2.5, 20.0], [0.03, 4.0, 2.5, 20.0]],
+        ":4: non-finite field",
+    ),
+    "1e400-t-lf": (
+        [[0.0, 4.0, 2.5, 20.0], [0.01, 4.0, 2.5, 20.0], ["1e400", 4.0, 2.5, 20.0], [0.03, 4.0, 2.5, 20.0]],
+        ":4: non-finite field",
+    ),
 }
 
 
@@ -498,15 +514,16 @@ BAD_TRUTH_ROWS = {
 @pytest.mark.parametrize("case", list(BAD_TRUTH_ROWS))
 def test_bad_truth_file_exits_2_without_output(tmp_path, capsys, command, case):
     dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    rows, error = BAD_TRUTH_ROWS[case]
     with open(truth, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n" if case.endswith("-lf") else "\r\n")
         writer.writerow(["t", "x", "y", "yaw_deg"])
-        writer.writerows(BAD_TRUTH_ROWS[case])
+        writer.writerows(rows)
     out = tmp_path / "o.out"
     argv = [command, "--ranges", ranges, "--deployment", dep, "--out", str(out), "--truth", truth]
     assert main(argv) == 2
     assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
-    assert "truth" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {truth}{error}"
 
 
 def test_truth_without_overlap_exits_1_without_output(tmp_path, capsys):
@@ -586,6 +603,23 @@ def test_failed_write_names_out_and_leaves_no_temporary_file(tmp_path, capsys, c
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: cannot write {out}: Is a directory"
     assert list(out.iterdir()) == [] and [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("directory", ["poses", "summary"])
+def test_estimate_with_truth_writes_both_outputs_or_neither(tmp_path, capsys, directory):
+    # One of the two outputs is a directory, so its rename fails: the other
+    # output, written or already renamed, is removed too.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    out, summary = tmp_path / "p.csv", tmp_path / "p.csv.summary.csv"
+    blocked = {"poses": out, "summary": summary}[directory]
+    blocked.mkdir()
+    argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert "wrote" not in stdout and err.splitlines()[-1] == f"error: cannot write {blocked}: Is a directory"
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == sorted(["deployment.json", "ranges.csv", "truth.csv", blocked.name])
+    assert list(blocked.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
@@ -890,6 +924,49 @@ def test_integer_beyond_the_float_range_exits_2_without_output(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# json.load keeps the last of repeated keys; every JSON input refuses them,
+# and a bias file refuses a second per_pair entry for one (anchor, tag) pair.
+# Each case: command, input, the JSON text of a key's first value, the same
+# key repeated with a second value, and the key.
+REPEATED_KEY_INPUTS = {
+    "scenario-sigma": ("crlb", "scenario", '"sigma": 0.1', '"sigma": 0.1, "sigma": 0.5', "sigma"),
+    "scenario-sweep": ("simulate", "scenario", '"seed": 5', '"seed": 5, "seed": 6', "seed"),
+    "deployment-anchor": ("estimate", "deployment", '"a0": [0.0, 0.0]', '"a0": [0.0, 0.0], "a0": [5.0, 5.0]', "a0"),
+    "deployment-sigma": ("calibrate", "deployment", '"sigma": 0.05', '"sigma": 0.05, "sigma": 0.5', "sigma"),
+    "bias-alpha": ("estimate", "bias model", '"alpha": 0.01', '"alpha": 0.01, "alpha": 0.02', "alpha"),
+    "bias-per-pair-entry": ("estimate", "bias model", '"tag": "t0"', '"tag": "t0", "tag": "t1"', "tag"),
+    "bias-per-pair-pair": (
+        "estimate", "bias model", '"beta": 0.1}', '"beta": 0.1}, {"anchor": "a0", "tag": "t0", "alpha": 0.0, "beta": 0.2}', ("a0", "t0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REPEATED_KEY_INPUTS))
+def test_repeated_json_key_exits_2_without_output(tmp_path, capsys, case):
+    command, what, first, repeated, key = REPEATED_KEY_INPUTS[case]
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    out = tmp_path / "o.csv"
+    argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
+    if what == "bias model":
+        target = tmp_path / "bias.json"
+        entry = {"anchor": "a0", "tag": "t0", "alpha": 0.0, "beta": 0.1}
+        model = {"alpha": 0.01, "beta": 0.0, "sigma": 0.05, "per_pair": [entry]}
+        target.write_text(json.dumps(model), encoding="utf-8")
+        argv += ["--bias", str(target)]
+    elif what == "deployment":
+        target = pathlib.Path(dep)
+    else:
+        target = pathlib.Path(_write_scenario(tmp_path, SCENARIO_SMALL))
+        argv = [command, "--scenario", str(target)] + (["--out", str(out)] if command == "simulate" else [])
+    text = target.read_text(encoding="utf-8")
+    assert text.count(first) == 1
+    target.write_text(text.replace(first, repeated), encoding="utf-8")
+    assert main(argv) == 2
+    assert not out.exists() and not (tmp_path / "o.csv.summary.csv").exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.splitlines()[-1] == f"error: cannot read {what} {target}: repeated key {key!r}"
+
+
 def _unknown_anchor_log(ranges):
     """The log with anchors a0, a1, a2, a3 renamed zz, yy, xx, ww."""
     text = pathlib.Path(ranges).read_text(encoding="utf-8")
@@ -976,35 +1053,23 @@ def test_non_utf8_file_exits_2_without_output(tmp_path, capsys, kind, command):
     assert path in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["estimate", "calibrate"])
-def test_oversized_quoted_field_exits_2_without_output(tmp_path, capsys, command):
-    # The fixture's CRLF line ends send the file through csv.reader, whose
-    # field size limit is 131072 characters.
+@pytest.mark.parametrize(
+    "command, newline",
+    [("estimate", "\r\n"), ("calibrate", "\r\n"), ("estimate", "\n"), ("calibrate", "\n")],
+    ids=["estimate", "calibrate", "estimate-lf", "calibrate-lf"],
+)
+def test_oversized_quoted_field_exits_2_without_output(tmp_path, capsys, command, newline):
+    # Every log the exact reader gets goes through csv.reader, whose field
+    # size limit is 131072 characters, whatever its line ends.
     dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
-    with open(ranges, "a", encoding="utf-8", newline="") as handle:
-        handle.write(f"0.5,{'a' * 200_000},t0,1.0\r\n")
+    text = pathlib.Path(ranges).read_text(encoding="utf-8").replace("\r\n", newline)
+    pathlib.Path(ranges).write_text(text + f"0.5,{'a' * 200_000},t0,1.0{newline}", encoding="utf-8")
     out = tmp_path / "o.out"
     argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
     err = capsys.readouterr().err
     assert f"error: {ranges}: field larger than field limit" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["estimate", "calibrate"])
-def test_oversized_field_in_lf_log_loads(tmp_path, command):
-    # Without quotes or carriage returns no csv.reader limit applies.
-    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
-    long_id = "a" * 200_000
-    payload = json.loads(pathlib.Path(dep).read_text(encoding="utf-8"))
-    payload["anchors"][long_id] = payload["anchors"].pop("a0")
-    pathlib.Path(dep).write_text(json.dumps(payload), encoding="utf-8")
-    text = pathlib.Path(ranges).read_text(encoding="utf-8").replace("\r\n", "\n")
-    pathlib.Path(ranges).write_text(text.replace(",a0,", f",{long_id},"), encoding="utf-8")
-    out = tmp_path / "o.out"
-    argv = [command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]
-    assert main(argv) == 0
-    assert out.exists()
 
 
 def _last_line_in_fresh_interpreter(script):

@@ -525,6 +525,13 @@ class TestLogIngestion:
         assert yaw[0] == pytest.approx(3 * math.pi / 4)
         np.testing.assert_allclose(positions[0], [1.5, 2.5])
 
+    @pytest.mark.parametrize("name", ["t", "x", "y", "yaw"])
+    def test_ground_truth_values_must_be_finite(self, name):
+        # The reader refuses these at their line; a library caller gets the column.
+        columns = {"t": [0.0, 1.0], "x": [1.0, 2.0], "y": [2.0, 3.0], "yaw": [0.0, 0.1], name: [0.0, math.nan]}
+        with pytest.raises(SchemaError, match=f"^ground-truth {name} values must be finite$"):
+            GroundTruthLog(**columns)
+
     def test_yaw_interpolation_crosses_wrap(self):
         truth = GroundTruthLog(
             t=np.array([0.0, 1.0]),
