@@ -90,7 +90,7 @@ def _bounded(kind, low=None, above: bool = False):
     return parse
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     scenario = load_scenario(args.scenario)
     if scenario.config is None:
         raise SchemaError(f"{args.scenario}: scenario has no sweep section")
@@ -112,15 +112,12 @@ def _cmd_simulate(args) -> int:
             f"{row.axis_value:>12g} {row.estimator:>12} {row.combined_rmse:>14.6g} "
             f"{row.sqrt_crlb:>12.6g} {ratio:>8.3f} {ms:>8.3f} {row.failures:>5d}"
         )
-    return EXIT_OK
 
 
-def _cmd_crlb(args) -> int:
+def _cmd_crlb(args) -> None:
     scenario = load_scenario(args.scenario)
-    verdict = check_observability(scenario.deployment)
-    if not verdict:
-        print(f"verdict: not observable ({verdict.reason})", file=sys.stderr)
-        return EXIT_UNOBSERVABLE
+    if not (verdict := check_observability(scenario.deployment)):
+        raise UnobservableDeploymentError(verdict.reason)
     repeat_t = args.repeat_t if args.repeat_t is not None else scenario.repeat_t
     result = constrained_crlb(fisher_info(scenario.deployment, repeat_t, scenario.true_pose), scenario.true_pose)
     print("verdict: observable")
@@ -128,7 +125,6 @@ def _cmd_crlb(args) -> int:
     print(f"sqrt_trace_crlb: {result.sqrt_trace!r}")
     print(f"rotation_block_trace: {result.rotation_block_trace!r}")
     print(f"translation_block_trace: {result.translation_block_trace!r}")
-    return EXIT_OK
 
 
 def _load_ranges(args) -> RangeLog:
@@ -142,20 +138,17 @@ def _load_ranges(args) -> RangeLog:
     return cleaned
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     named = NamedDeployment.from_json(args.deployment)
-    verdict = check_observability(named.deployment)
-    if not verdict:
-        print(f"deployment not observable: {verdict.reason}", file=sys.stderr)
-        return EXIT_UNOBSERVABLE
+    if not (verdict := check_observability(named.deployment)):
+        raise UnobservableDeploymentError(verdict.reason)
     log = _load_ranges(args)
     bias = BiasModel.from_json_file(args.bias) if args.bias else BiasModel.identity()
     truth = GroundTruthLog.from_csv(args.truth) if args.truth else None
     epochs = align_and_batch(log, bias, named, rate_hz=args.rate, max_gap_periods=args.max_gap)
     if not len(epochs):
-        print("no epochs: the log needs every (anchor, tag) pair of the deployment, over one common span,"
-              " with gaps of at most --max-gap periods", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise EstimationError("no epochs: the log needs every (anchor, tag) pair of the deployment, over one"
+                              " common span, with gaps of at most --max-gap periods")
     method = Method(args.method)
 
     count = len(epochs)
@@ -177,8 +170,7 @@ def _cmd_estimate(args) -> int:
     if truth is not None:  # scored before anything is written, so a failure leaves no output
         inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
         if not inside.any():
-            print("no epochs overlap the ground-truth span", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise EstimationError("no epochs overlap the ground-truth span")
         positions, yaws = truth.interpolate(epochs.times[inside])
         est_yaw = np.radians(yaw_deg[inside])
         yaw_err = np.degrees(np.arctan2(np.sin(est_yaw - yaws), np.cos(est_yaw - yaws)))
@@ -207,10 +199,9 @@ def _cmd_estimate(args) -> int:
     if truth is not None:
         print("method  position_rmse_cm  rotation_rmse_deg")
         print(f"{label:>6}  {pos_rmse_cm:>16.3f}  {rot_rmse_deg:>17.3f}")
-    return EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> None:
     named = NamedDeployment.from_json(args.deployment)
     log = _load_ranges(args)
     truth = GroundTruthLog.from_csv(args.truth)
@@ -219,7 +210,6 @@ def _cmd_calibrate(args) -> int:
     for name in ("alpha", "beta", "sigma", "residual_rms"):
         print(f"{name}: {getattr(model, name):.9g}")
     print(f"wrote model to {args.out}")
-    return EXIT_OK
 
 
 _POSITIVE_INT, _POSITIVE_FLOAT = _bounded(int, 1), _bounded(float, 0, above=True)
@@ -310,7 +300,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _accept_exact(argv) or _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -320,6 +310,7 @@ def main(argv=None) -> int:
     except (EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

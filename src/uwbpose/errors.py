@@ -57,12 +57,12 @@ class SchemaError(Exception):
 
 
 def read_json(path, what: str):
-    """The JSON document in ``path``. SchemaError, naming ``what``, when the
-    file cannot be read or parsed, repeats a key in an object, or holds
-    ``true``, ``false`` or an integer beyond the float range anywhere: no
-    field of any input file is boolean, and every number becomes a float."""
+    """The JSON document in ``path``, UTF-8 with any leading BOM ignored. SchemaError,
+    naming ``what``, when the file cannot be read or parsed, repeats a key in an object, or
+    holds ``true``, ``false`` or an integer beyond the float range anywhere: no field of any
+    input file is boolean, and every number becomes a float."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             nodes = [json.load(handle, object_pairs_hook=unique_keys)]
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, a repeated key or not UTF-8
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc

@@ -55,7 +55,7 @@ class SweepAxis(str, enum.Enum):
 @dataclass(frozen=True)
 class McConfig:
     """Scenario definition for a sweep; a ValueError names the field that
-    breaks a rule. ``axis`` and ``estimators`` (non-empty) may be names.
+    breaks a rule. ``axis`` and ``estimators`` (non-empty, each once) may be names.
 
     ``axis_values`` must be positive finite numbers, increasing, and integers
     for the ``repeat_t`` and ``anchor_count`` axes. For anchor-count sweeps
@@ -88,8 +88,9 @@ class McConfig:
             estimators = tuple(map(Method, self.estimators))
         except (TypeError, ValueError):  # not a list, or an unknown name
             estimators = ()
-        if not estimators:
-            raise ValueError(f"estimators must be a non-empty list of {[m.value for m in Method]}, got {self.estimators!r}")
+        if not estimators or len(set(estimators)) < len(estimators):
+            names = [m.value for m in Method]
+            raise ValueError(f"estimators must be a non-empty list of distinct {names}, got {self.estimators!r}")
         object.__setattr__(self, "estimators", estimators)
         values = tuple(self.axis_values) if np.iterable(self.axis_values) else ()
         if not (values and all(finite_number(v) and v > 0 for v in values)):
@@ -269,8 +270,7 @@ def run_sweep(config: McConfig) -> McResult:
     ``failures_by_error`` metadata: one entry per row with failures, in row
     order, or ``none``.
     """
-    verdict = check_observability(config.deployment)
-    if not verdict:
+    if not (verdict := check_observability(config.deployment)):
         raise UnobservableDeploymentError(verdict.reason)
     setups = [(i, *_axis_setup(config, i)) for i in range(len(config.axis_values))]
     rows, failures = [], []

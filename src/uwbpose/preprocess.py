@@ -207,8 +207,8 @@ class GroundTruthLog:
 
 
 def _read_table(path, columns: list) -> list:
-    """The (name, float or bytes dtype) ``columns`` of a UTF-8 CSV file with
-    that header, as float arrays and Latin-1 byte or str arrays. One ``np.loadtxt``
+    """The (name, float or bytes dtype) ``columns`` of a UTF-8 CSV file, any leading BOM
+    ignored, with that header, as float arrays and Latin-1 byte or str arrays. One ``np.loadtxt``
     call parses text with a data row and no ``"``, ``\\r``, \\x00 (which byte
     arrays drop) or \\x1c-\\x1f (which ``loadtxt`` strips around numbers and
     ``float()`` does not). Text it refuses, with a non-finite number, or
@@ -216,7 +216,7 @@ def _read_table(path, columns: list) -> list:
     ``_floats``, which accept the finite numbers ``float()`` reads or raise
     SchemaError at the line."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot open {path}: {exc}") from exc

@@ -540,6 +540,29 @@ def test_truth_without_overlap_exits_1_without_output(tmp_path, capsys):
     assert "wrote" not in stdout and "no epochs overlap the ground-truth span" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "crlb", "estimate"])
+def test_unobservable_deployment_exits_3_with_one_error_line(tmp_path, capsys, command):
+    # Every command reports an unobservable deployment the same way, before any output.
+    payload = json.loads(json.dumps(SCENARIO_SMALL))
+    payload["deployment"]["anchors"] = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    scenario = _write_scenario(tmp_path, payload)
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    named = json.loads(pathlib.Path(dep).read_text(encoding="utf-8"))
+    named["anchors"] = {anchor: [float(m), 0.0] for m, anchor in enumerate(named["anchors"])}
+    pathlib.Path(dep).write_text(json.dumps(named), encoding="utf-8")
+    files = sorted(p.name for p in tmp_path.iterdir())
+    out = tmp_path / "o.out"
+    argv = {
+        "simulate": ["--scenario", scenario, "--out", str(out)],
+        "crlb": ["--scenario", scenario],
+        "estimate": ["--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.splitlines()[-1] == "error: deployment not observable: need at least 3 non-collinear anchors"
+
+
 def _rewrite_ranges(ranges, edit):
     """Rewrite the range log ``ranges`` with ``edit(k, anchor_id, tag_id, row)``
     applied to each data row of sample k; rows it maps to None are dropped."""
@@ -588,7 +611,7 @@ def test_estimate_without_epochs_exits_1_without_output(tmp_path, capsys, case, 
     assert main(argv + (["--truth", truth] if truth_flag else [])) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deployment.json", "ranges.csv", "truth.csv"]
     stdout, err = capsys.readouterr()
-    assert stdout == "" and err.splitlines()[-1].startswith("no epochs: the log needs every (anchor, tag) pair")
+    assert stdout == "" and err.splitlines()[-1].startswith("error: no epochs: the log needs every (anchor, tag) pair")
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
@@ -729,6 +752,7 @@ BAD_SWEEP_SCENARIOS = {
         {"sweep": {"axis": "anchor_count", "values": [4], "anchor_rect": [[0.0, 50.0], [50.0, 0.0]]}},
     ),
     "no-estimators": ("simulate", {"sweep": {"estimators": []}}),
+    "repeated-estimator": ("simulate", {"sweep": {"estimators": ["uls", "gn-uls", "uls"]}}),
     # Every section is a JSON object and every coordinate list numeric and
     # rectangular.
     "deployment-number": ("crlb", {"deployment": 5}),
@@ -1051,6 +1075,32 @@ def test_non_utf8_file_exits_2_without_output(tmp_path, capsys, kind, command):
     assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
     err = capsys.readouterr().err
     assert path in err and "Traceback" not in err
+
+
+BOM_CASES = [("ranges", "estimate"), ("truth", "calibrate"), ("deployment", "estimate"), ("scenario", "crlb")]
+
+
+@pytest.mark.parametrize("kind, command", BOM_CASES, ids=["-".join(case) for case in BOM_CASES])
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, kind, command):
+    # Every input file is UTF-8, and a byte-order mark before its first character is dropped.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
+    path = pathlib.Path({"ranges": ranges, "truth": truth, "deployment": dep, "scenario": scenario}[kind])
+    out = tmp_path / "o.out"
+    argv = {
+        "estimate": ["--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)],
+        "calibrate": ["--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)],
+        "crlb": ["--scenario", scenario],
+    }[command]
+    runs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + path.read_bytes())
+        code = main([command, *argv])
+        outputs = {p.name: p.read_bytes() for p in tmp_path.glob("o.out*")}
+        for name in outputs:
+            (tmp_path / name).unlink()
+        runs.append((code, capsys.readouterr(), outputs))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 @pytest.mark.parametrize(

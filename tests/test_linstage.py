@@ -251,6 +251,26 @@ class TestLeastSquares:
             assert rank < design.shape[1]
             assert excinfo.value.rank == rank
 
+    @pytest.mark.parametrize(
+        "smallest",
+        [1e-9, 1.1 * 12 * np.finfo(float).eps, 0.9 * 12 * np.finfo(float).eps],
+        ids=["1e-9", "above-cutoff", "below-cutoff"],
+    )
+    def test_rank_cutoff_is_lstsq_default(self, smallest):
+        # Singular values (1, 1, 1, r) of a 12 x 4 design: lstsq's default
+        # cutoff keeps r above 12 eps and drops it below.
+        design = np.zeros((12, 4))
+        design[np.arange(4), np.arange(4)] = [1.0, 1.0, 1.0, smallest]
+        rhs = np.random.default_rng(3).normal(size=(5, 12))
+        expected, _, rank, _ = np.linalg.lstsq(design, rhs.T, rcond=None)
+        if smallest < 12 * np.finfo(float).eps:
+            with pytest.raises(SingularSystemError) as excinfo:
+                least_squares(design, rhs, "design")
+            assert excinfo.value.rank == rank == 3
+        else:
+            assert rank == 4
+            np.testing.assert_allclose(least_squares(design, rhs, "design"), expected.T, rtol=1e-12)
+
 
 class TestProjectSo2:
     def test_identity_on_rotations(self):

@@ -115,6 +115,7 @@ class TestConfigValidation:
             ("anchor_rect", (("0", 0.0), (50.0, 50.0)), []),
             ("anchor_rect", ((0.0, 0.0),), []),
             ("anchor_rect", 5, []),
+            ("estimators", ("uls", "dac", "uls"), [method.value for method in Method]),
         ],
     )
     def test_bad_field_is_a_value_error_naming_it(self, field, value, choices):
