@@ -57,7 +57,7 @@ def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> np.ndarra
         raise NearSingularityError(f"anchor {m} coincides with transformed tag {i}")
     sbar = np.column_stack([deployment.tags, np.ones(deployment.num_tags)])  # (N, 3)
     # b[i, m] = sbar_i (x) q[i, m], flattened to 6 components.
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         b = sbar[:, :, np.newaxis, np.newaxis] * q[:, np.newaxis, :, :]  # (N, 3, M, 2)
         b = b.transpose(0, 2, 1, 3).reshape(deployment.num_tags, deployment.num_anchors, 6)
         inv_denom = 1.0 / (deployment.sigma**2 * sq_dist)

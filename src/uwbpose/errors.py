@@ -1,7 +1,8 @@
-"""Exception types shared across the package, the per-problem status
-codes of the stacked estimator kernels that stand for some of them, and
-the reader, key check and number check of every JSON input file."""
+"""Exception types shared across the package, the per-problem status codes of the stacked
+estimator kernels that stand for some of them, the one rule that turns a rejected input value
+into a SchemaError, and the reader, key check and number check of every JSON input file."""
 
+import contextlib
 import enum
 import json
 import math
@@ -56,16 +57,22 @@ class SchemaError(Exception):
     """Malformed external input: scenario, log, deployment, or model file."""
 
 
+@contextlib.contextmanager
+def schema_errors(where: str, kinds=(TypeError, ValueError)):
+    """Re-raise an exception of ``kinds`` from the block as SchemaError ``<where>: <exc>``, its cause dropped."""
+    try:
+        yield
+    except kinds as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def read_json(path, what: str):
     """The JSON document in ``path``, UTF-8 with any leading BOM ignored. SchemaError,
     naming ``what``, when the file cannot be read or parsed, repeats a key in an object, or
     holds ``true``, ``false`` or an integer beyond the float range anywhere: no field of any
     input file is boolean, and every number becomes a float."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            nodes = [json.load(handle, object_pairs_hook=unique_keys)]
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, a repeated key or not UTF-8
-        raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
+    with schema_errors(f"cannot read {what} {path}", (OSError, ValueError)), open(path, encoding="utf-8-sig") as handle:
+        nodes = [json.load(handle, object_pairs_hook=unique_keys)]
     for node in nodes:  # grows as it goes: every value of the document
         if isinstance(node, bool):
             raise SchemaError(f"{what} {path}: true and false are not values of any field")

@@ -93,23 +93,23 @@ def stacked_gn_step(
     """One weighted Gauss-Newton update of each of K poses on its problem's
     (K, N, M) mean ranges; the angles are not reduced to [0, 2*pi).
 
-    Each problem solves its normal equations ``A u = b``, with
-    ``A = J^T J`` and ``b = J^T r`` for the weighted Jacobian ``J`` and
-    residual ``r``, by ``symmetric_inverse`` with ``RANK_TOL``: scaled, an
-    accepted ``A`` has a condition number below 6.75e10, so the solve has a
-    relative error of at most about 1.5e-5. Forming ``A`` squares the
-    condition number of ``J``, so the solve is corrected once,
-    ``u += A^-1 J^T (r - J u)``, which brings the error of the update near
-    that of an orthogonal factorization of ``J``.
+    Each problem solves its normal equations ``A u = b``, with ``A = J^T J``
+    and ``b = J^T r`` for ``J`` and ``r``, the Jacobian and residual weighted
+    by ``1/sigma`` times a power of two (largest sigma in [0.5, 1)), by
+    ``symmetric_inverse`` with ``RANK_TOL``: scaled, an accepted ``A`` has a
+    condition number below 6.75e10, so the solve has a relative error of at
+    most about 1.5e-5. Forming ``A`` squares the condition number of ``J``,
+    so the solve is corrected once, ``u += A^-1 J^T (r - J u)``, which brings
+    the error of the update near that of an orthogonal factorization of ``J``.
 
     A problem gets the ``NEAR_SINGULARITY`` status when a predicted range
     falls below ``PROXIMITY_FLOOR_M``, else ``DEGENERATE_GEOMETRY`` when a
     Jacobian column is zero or the scaled determinant is at most
-    ``RANK_TOL``. Poses of failed problems are finite but meaningless.
-    Scaling every sigma by a common factor leaves the update unchanged, and
-    a noiseless problem evaluated at its true pose is a fixed point.
+    ``RANK_TOL``. Poses of failed problems are finite but meaningless. A
+    common scale on sigma leaves the update unchanged, bit for bit when it is
+    a power of two, and a noiseless problem at its true pose is a fixed point.
     """
-    root_w = 1.0 / deployment.sigma
+    root_w = 1.0 / np.ldexp(deployment.sigma, -np.frexp(deployment.sigma.max())[1])
     g, close, jac = linearize(deployment, theta, t, root_w)
     k, rows = g.shape[0], g.shape[1] * g.shape[2]
     jac = jac.reshape(k, rows, 3)

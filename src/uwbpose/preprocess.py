@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import Deployment
 from .errors import (
-    EstimationError, InsufficientDataError, SchemaError, finite_number, read_json, require_keys, unique_keys,
+    EstimationError, InsufficientDataError, SchemaError, finite_number, read_json, require_keys, schema_errors,
+    unique_keys,
 )
 
 # Additive term of the rejection rule, a generic UWB error bound in meters.
@@ -144,13 +145,11 @@ class RangeLog:
         keep = r >= 0
         if not keep.all():
             anchor, tag = anchor[keep], tag[keep]
-        try:
+        with schema_errors(str(path), (SchemaError,)):
             return cls(
                 t=t[keep], anchor=anchor, tag=tag, range_m=r[keep],
                 frequency=frequency, dropped_negative=len(keep) - int(keep.sum()),
             )
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _check_ranges(r: np.ndarray) -> None:
@@ -187,10 +186,8 @@ class GroundTruthLog:
     def from_csv(cls, path) -> "GroundTruthLog":
         """Load ``t,x,y,yaw_deg`` CSV."""
         t, x, y, yaw_deg = _read_table(path, [(name, float) for name in ("t", "x", "y", "yaw_deg")])
-        try:
+        with schema_errors(str(path), (SchemaError,)):
             return cls(t=t, x=x, y=y, yaw=np.deg2rad(yaw_deg))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
 
     def interpolate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions (K, 2) and yaws (K,) at the requested times.
@@ -215,13 +212,9 @@ def _read_table(path, columns: list) -> list:
     with a text field that fills its width goes to ``_read_columns`` and
     ``_floats``, which accept the finite numbers ``float()`` reads or raise
     SchemaError at the line."""
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
+    with schema_errors(f"cannot open {path}", (OSError,)), open(path, encoding="utf-8-sig", newline="") as handle:
+        with schema_errors(f"{path}: not UTF-8 text", (UnicodeDecodeError,)):
             text = handle.read()
-    except OSError as exc:
-        raise SchemaError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     header, numeric = [name for name, _ in columns], [kind is float for _, kind in columns]
     head, _, body = text.partition("\n")
     plain = not any(c in text for c in '\x00"\r\x1c\x1d\x1e\x1f') and body.lstrip()
@@ -243,10 +236,8 @@ def _read_table(path, columns: list) -> list:
 def _read_columns(path, text: str, header: list[str]) -> tuple[list[list[str]], np.ndarray]:
     """The ``header`` columns of CSV ``text`` (from ``path``) as lists of strings, and the
     line of each row, its ``csv.reader`` record number: blank lines count but are skipped."""
-    try:
+    with schema_errors(str(path), (csv.Error,)):  # e.g. a field over csv.field_size_limit()
         records = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise SchemaError(f"{path}: {exc}") from None
     if not records:
         raise SchemaError(f"{path}: empty file, header required")
     if [h.strip() for h in records.pop(0)] != header:
@@ -315,10 +306,8 @@ class NamedDeployment:
             if not isinstance(raw[key], dict) or not raw[key]:
                 raise SchemaError(f"{path}: {key!r} must be a non-empty object")
         anchors, tags = raw["anchors"], raw["tags"]
-        try:
+        with schema_errors(str(path)):
             deployment = Deployment([*anchors.values()], [*tags.values()], raw.get("sigma", 1.0), raw.get("dh", 0.0))
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
         return cls(deployment=deployment, anchor_ids=tuple(anchors), tag_ids=tuple(tags))
 
 
@@ -389,11 +378,9 @@ class BiasModel:
         pairs = [(entry["alpha"], entry["beta"]) for entry in entries]
         if not all(map(finite_number, chain(coefficients, *pairs))):
             raise SchemaError(f"{where}: coefficients must be finite numbers")
-        try:
+        with schema_errors(where):
             items = [((entry["anchor"], entry["tag"]), tuple(map(float, pair))) for entry, pair in zip(entries, pairs)]
             return cls(*map(float, coefficients), per_pair=unique_keys(items))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
 
 
 def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog, np.ndarray]:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Deployment, Pose2
-from .errors import SchemaError, read_json, require_keys
+from .errors import SchemaError, read_json, require_keys, schema_errors
 from .mc import McConfig, integer_at_least
 
 _TOP_KEYS = {"deployment", "true_pose", "sweep", "repeat_t", "seed"}
@@ -57,20 +57,16 @@ def _parse_sigma(raw, n_tags: int, n_anchors: int, metadata: dict):
 
 def _parse_deployment(raw: dict, metadata: dict) -> Deployment:
     require_keys(raw, _DEPLOYMENT_KEYS, {"anchors", "tags"}, "deployment")
-    try:  # the geometry first, so that the sigma forms can be told apart by N and M
+    with schema_errors("deployment"):  # the geometry first, so that the sigma forms can be told apart by N and M
         deployment = Deployment(anchors=raw["anchors"], tags=raw["tags"], dh=raw.get("dh", 0.0))
         sigma = _parse_sigma(raw.get("sigma", 1.0), deployment.num_tags, deployment.num_anchors, metadata)
         return dataclasses.replace(deployment, sigma=sigma)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"deployment: {exc}") from exc
 
 
 def _parse_pose(raw: dict) -> Pose2:
     require_keys(raw, _POSE_KEYS, _POSE_KEYS, "true_pose")
-    try:
+    with schema_errors("true_pose"):
         return Pose2(math.radians(raw["theta_deg"]), raw["t"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"true_pose: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -81,18 +77,16 @@ def load_scenario(path) -> Scenario:
     metadata: dict = {}
     deployment = _parse_deployment(raw["deployment"], metadata)
     true_pose = _parse_pose(raw["true_pose"])
-    try:
+    with schema_errors(str(path)):
         repeat_t = integer_at_least(raw.get("repeat_t", 1), "repeat_t", 1)
         seed = integer_at_least(raw.get("seed", 0), "seed", 0)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
 
     config = None
     if "sweep" in raw:
         sweep = raw["sweep"]
         require_keys(sweep, _SWEEP_KEYS, {"axis", "values", "trials"}, "sweep")
         optional = {key: sweep[key] for key in ("estimators", "anchor_rect", "noise_scale") if key in sweep}
-        try:
+        with schema_errors("sweep"):
             config = McConfig(
                 deployment=deployment,
                 true_pose=true_pose,
@@ -104,7 +98,5 @@ def load_scenario(path) -> Scenario:
                 metadata=dict(metadata),
                 **optional,
             )
-        except ValueError as exc:
-            raise SchemaError(f"sweep: {exc}") from None
 
     return Scenario(deployment, true_pose, repeat_t, config)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 
@@ -302,6 +303,56 @@ def reference_truth_log(path) -> GroundTruthLog:
         return GroundTruthLog(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], yaw=np.deg2rad(arr[:, 3]))
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+def reference_epochs(records, frequency, bias, named, rate_hz, max_gap_periods) -> tuple[list, list]:
+    """(times, N x M nested lists of ranges) of the epochs that
+    ``align_and_batch`` emits from the (t, anchor id, tag id, range)
+    ``records`` of a log at ``frequency``, one grid time and one stream at a
+    time, with its SchemaError texts: its oracle. It shares no code with
+    ``uwbpose.preprocess``, and calls neither ``np.interp`` nor
+    ``np.searchsorted``."""
+    streams: dict = {}  # (anchor id, tag id): (times, de-biased ranges)
+    for t, anchor, tag, value in records:
+        alpha, beta = bias.per_pair.get((anchor, tag), (bias.alpha, bias.beta))
+        stamps, values = streams.setdefault((anchor, tag), ([], []))
+        stamps.append(t)
+        values.append((value - beta) / (1.0 + alpha))
+    for anchor, tag in streams:
+        if anchor not in named.anchor_ids:
+            raise SchemaError(f"unknown anchor id {anchor!r}")
+        if tag not in named.tag_ids:
+            raise SchemaError(f"unknown tag id {tag!r}")
+    if len(streams) < len(named.tag_ids) * len(named.anchor_ids):
+        return [], []
+    start = max(stamps[0] for stamps, _ in streams.values())
+    end = min(stamps[-1] for stamps, _ in streams.values())
+    if end < start:
+        return [], []
+    span = (end - start) * rate_hz
+    if span >= len(records):
+        raise SchemaError(
+            f"rate {rate_hz:g} Hz needs {span // 1 + 1:.6g} epochs, more than the {len(records)} log records"
+        )
+    horizon = max_gap_periods / frequency
+    times, ranges = [], []
+    for k in range(int(span) + 1):
+        epoch = start + k / rate_hz
+        grid = [[None] * len(named.anchor_ids) for _ in named.tag_ids]
+        for (anchor, tag), (stamps, values) in streams.items():
+            right = bisect.bisect_left(stamps, epoch)  # the first sample at or after the epoch
+            if right < len(stamps) and stamps[right] == epoch:
+                value = values[right]
+            elif 0 < right < len(stamps) and stamps[right] - stamps[right - 1] <= horizon:
+                t0, t1, v0, v1 = stamps[right - 1], stamps[right], values[right - 1], values[right]
+                value = v0 + (v1 - v0) * (epoch - t0) / (t1 - t0)
+            else:  # the stream does not span the epoch, or its samples are too far apart
+                break
+            grid[named.tag_ids.index(tag)][named.anchor_ids.index(anchor)] = value
+        else:
+            times.append(epoch)
+            ranges.append(grid)
+    return times, ranges
 
 
 def ks_2samp_pvalue(a: np.ndarray, b: np.ndarray) -> float:

@@ -158,12 +158,14 @@ class TestCrlb:
         assert 1.8**2 <= ratio <= 2.2**2
 
 
-def _write_replay_files(tmp_path, rng=None, sigma=0.05, samples=240, speed=0.3):
-    """Synthetic moving-body dataset: deployment, truth CSV, ranges CSV."""
-    anchors = {
+def _write_replay_files(tmp_path, rng=None, sigma=0.05, samples=240, speed=0.3, anchor_count=8, bias=None):
+    """Synthetic moving-body dataset: deployment, truth CSV, ranges CSV. The
+    ranges of pair (anchor id, tag id) are ``true * (1 + alpha) + beta`` for
+    its (alpha, beta) in ``bias``, if given, plus noise if ``rng`` is given."""
+    anchors = dict(list({
         "a0": [0.0, 0.0], "a1": [10.0, 0.0], "a2": [10.0, 6.0], "a3": [0.0, 6.0],
         "a4": [5.0, 0.0], "a5": [5.0, 6.0], "a6": [0.0, 3.0], "a7": [10.0, 3.0],
-    }
+    }.items())[:anchor_count])
     tags = {"t0": [0.4, 0.0], "t1": [0.4, 0.4], "t2": [0.0, 0.4]}
     dep_path = tmp_path / "deployment.json"
     dep_path.write_text(
@@ -194,6 +196,9 @@ def _write_replay_files(tmp_path, rng=None, sigma=0.05, samples=240, speed=0.3):
             for i, tag_id in enumerate(named.tag_ids):
                 for m, anchor_id in enumerate(named.anchor_ids):
                     value = clean[i, m]
+                    if bias is not None:
+                        alpha, beta = bias[anchor_id, tag_id]
+                        value = value * (1.0 + alpha) + beta
                     if rng is not None:
                         value += rng.normal(0.0, sigma)
                     writer.writerow([times[k], anchor_id, tag_id, max(value, 0.0)])
@@ -201,23 +206,35 @@ def _write_replay_files(tmp_path, rng=None, sigma=0.05, samples=240, speed=0.3):
 
 
 class TestEstimate:
-    def test_noiseless_replay_exact(self, tmp_path):
-        dep, truth, ranges = _write_replay_files(tmp_path, rng=None)
+    @pytest.mark.parametrize("method", ["uls", "gn-uls", "dac", "gn-dac"])
+    def test_noiseless_replay_exact(self, tmp_path, method):
+        # Criterion 01 through the whole replay: noiseless streams with a
+        # linear bias of their own per pair, removed by a --bias file, and
+        # epochs at the log frequency, so every epoch is a truth row.
+        bias = {
+            (f"a{j}", f"t{i}"): (0.01 * (j - 2 * i), 0.03 * (i + 1) - 0.02 * j) for i in range(3) for j in range(4)
+        }
+        dep, truth, ranges = _write_replay_files(tmp_path, samples=200, anchor_count=4, bias=bias)
+        per_pair = [{"anchor": a, "tag": g, "alpha": alpha, "beta": beta} for (a, g), (alpha, beta) in bias.items()]
+        model = tmp_path / "bias.json"
+        model.write_text(json.dumps({"alpha": 0.0, "beta": 0.0, "sigma": 0.05, "per_pair": per_pair}), encoding="utf-8")
         out = tmp_path / "poses.csv"
         code = main(
             ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out),
-             "--truth", truth, "--method", "gn-uls"]
+             "--truth", truth, "--bias", str(model), "--rate", "100", "--method", method]
         )
         assert code == 0
-        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
-        assert rows[0] == ["t", "x", "y", "yaw_deg", "method", "status"]
-        assert all(row[5] == "ok" for row in rows[1:])
-        for row in rows[1:]:  # every numeric field parses as a plain float
-            for field in row[:4]:
-                float(field)
-        summary_rows = list(
-            csv.reader(open(str(out) + ".summary.csv", encoding="utf-8"))
-        )
+        header, *rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+        assert header == ["t", "x", "y", "yaw_deg", "method", "status"]
+        with open(truth, encoding="utf-8", newline="") as handle:
+            poses = {float(row[0]): list(map(float, row[1:])) for row in list(csv.reader(handle))[1:]}
+        assert len(rows) == len(poses) == 200
+        for row in rows:
+            x, y, yaw_deg = poses[float(row[0])]
+            assert row[4:] == [method, "ok"]
+            assert math.hypot(float(row[1]) - x, float(row[2]) - y) <= 1e-8
+            assert abs(math.remainder(math.radians(float(row[3]) - yaw_deg), math.tau)) <= 1e-8
+        summary_rows = list(csv.reader(open(str(out) + ".summary.csv", encoding="utf-8")))
         assert summary_rows[0] == ["method", "position_rmse_cm", "rotation_rmse_deg"]
         assert float(summary_rows[1][1]) <= 1e-6
         assert float(summary_rows[1][2]) <= 1e-6
@@ -811,6 +828,63 @@ def test_bad_sweep_scenario_exits_2_without_output(tmp_path, capsys, case):
     assert "error" in err and "Traceback" not in err
 
 
+# One malformed value for each rule that rewrites a rejected value as a
+# SchemaError (errors.schema_errors) and that no other test pins to the whole
+# line, and the last stderr line it gives; {path} is the file that holds it.
+# A scenario goes to crlb, any other file to estimate with every input given.
+REJECTED_VALUES = {
+    "range-log-missing": ("ranges", None, "cannot open {path}: [Errno 2] No such file or directory: '{path}'"),
+    "range-log-not-utf8": (
+        "ranges", b"t,anchor,tag,range\n0.0,a\xff,t0,5.0\n",
+        "{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte",
+    ),
+    "range-log-oversized-field": (
+        "ranges", f't,anchor,tag,range\n0.0,"{"a" * 200_000}",t0,5.0\n',
+        "{path}: field larger than field limit (131072)",
+    ),
+    "deployment-sigma": (
+        "deployment",
+        json.dumps({"anchors": {"a0": [0, 0], "a1": [9, 0], "a2": [0, 9]}, "tags": {"t0": [0, 0]}, "sigma": -1}),
+        "{path}: sigma must be strictly positive and finite",
+    ),
+    "scenario-deployment": (
+        "scenario", json.dumps({**SCENARIO_SMALL, "deployment": {**SCENARIO_SMALL["deployment"], "dh": "0.5"}}),
+        "deployment: sigma and dh must be numbers or lists of numbers",
+    ),
+    "scenario-true-pose": (
+        "scenario", json.dumps({**SCENARIO_SMALL, "true_pose": {"theta_deg": 60.0, "t": [0.0, "25"]}}),
+        "true_pose: pose entries must be numbers",
+    ),
+    "scenario-repeat-t": (
+        "scenario", json.dumps({**SCENARIO_SMALL, "repeat_t": 2.5}), "{path}: repeat_t must be an integer >= 1, got 2.5"
+    ),
+    "scenario-sweep": (
+        "scenario", json.dumps({**SCENARIO_SMALL, "sweep": {**SCENARIO_SMALL["sweep"], "axis": "bogus"}}),
+        "sweep: axis must be one of ['repeat_t', 'anchor_count', 'noise_sigma'], got 'bogus'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_VALUES))
+def test_rejected_value_prints_where_and_reason(tmp_path, capsys, case):
+    kind, content, message = REJECTED_VALUES[case]
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    scenario = _write_scenario(tmp_path, SCENARIO_SMALL)
+    path = {"ranges": ranges, "deployment": dep, "scenario": scenario}[kind]
+    if content is None:
+        os.remove(path)
+    else:
+        pathlib.Path(path).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    out = tmp_path / "o.out"
+    argv = ["crlb", "--scenario", scenario] if kind == "scenario" else [
+        "estimate", "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)
+    ]
+    assert main(argv) == 2
+    assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.splitlines()[-1] == "error: " + message.format(path=path)
+
+
 # Finite numbers whose ranges or information overflow a float are a runtime
 # failure, reported before any output is written.
 OVERFLOWING_INPUTS = {
@@ -818,6 +892,7 @@ OVERFLOWING_INPUTS = {
     "simulate-pose-far-away": ("simulate", {"true_pose": {"theta_deg": 60.0, "t": [1e308, 25.0]}}),
     "simulate-sigma-huge": ("simulate", {"deployment": {"sigma": 1e308}}),
     "estimate-bias-beta-huge": ("estimate", {"beta": 1e308}),
+    "crlb-sigma-tiny": ("crlb", {"deployment": {"sigma": 1e-300}}),
 }
 
 

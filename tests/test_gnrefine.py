@@ -153,6 +153,21 @@ class TestGnStep:
         assert abs(refined.theta - refined_scaled.theta) <= 1e-12
         np.testing.assert_allclose(refined.t, refined_scaled.t, atol=1e-12)
 
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+    def test_power_of_two_sigma_scale_is_bit_identical(self, exponent):
+        # A power of two changes no rounding, so the weights may carry any
+        # such scale: the step neither overflows nor underflows far from 1.
+        dep, _ = random_problems(7, 1, 1)
+        rng = np.random.default_rng(exponent % 97)
+        poses = [random_pose(rng) for _ in range(8)]
+        mean_d, theta, t = _perturbed_problems(dep, poses, rng)
+        base = stacked_gn_step(dep, mean_d, theta, t)
+        scaled = Deployment(anchors=dep.anchors, tags=dep.tags, sigma=np.ldexp(dep.sigma, exponent), dh=dep.dh)
+        step = stacked_gn_step(scaled, mean_d, theta, t)
+        assert np.all(base.status == Status.OK)
+        for name in ("theta", "t", "status"):
+            np.testing.assert_array_equal(getattr(step, name), getattr(base, name), err_msg=name)
+
     def test_cost_decreases_in_nearly_all_trials(self):
         rng = np.random.default_rng(43)
         dep = reference_deployment(sigma=0.1)

@@ -104,18 +104,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value, choices",
-        [
-            ("axis", "bogus", [axis.value for axis in SweepAxis]),
-            ("estimators", ("x",), [method.value for method in Method]),
-            ("estimators", 5, [method.value for method in Method]),
-            ("estimators", (), [method.value for method in Method]),
-            ("noise_scale", "0.5", []),
-            ("noise_scale", True, []),
-            ("noise_scale", -1.0, []),
-            ("anchor_rect", (("0", 0.0), (50.0, 50.0)), []),
-            ("anchor_rect", ((0.0, 0.0),), []),
-            ("anchor_rect", 5, []),
-            ("estimators", ("uls", "dac", "uls"), [method.value for method in Method]),
+        [  # each id is the name its case has always had, so that a new case renames none
+            pytest.param("axis", "bogus", [axis.value for axis in SweepAxis], id="axis-bogus-choices0"),
+            pytest.param("estimators", ("x",), [method.value for method in Method], id="estimators-value1-choices1"),
+            pytest.param("estimators", 5, [method.value for method in Method], id="estimators-5-choices2"),
+            pytest.param("estimators", (), [method.value for method in Method], id="estimators-value3-choices3"),
+            pytest.param("noise_scale", "0.5", [], id="noise_scale-0.5-choices4"),
+            pytest.param("noise_scale", True, [], id="noise_scale-True-choices5"),
+            pytest.param("noise_scale", -1.0, [], id="noise_scale--1.0-choices6"),
+            pytest.param("anchor_rect", (("0", 0.0), (50.0, 50.0)), [], id="anchor_rect-value7-choices7"),
+            pytest.param("anchor_rect", ((0.0, 0.0),), [], id="anchor_rect-value8-choices8"),
+            pytest.param("anchor_rect", 5, [], id="anchor_rect-5-choices9"),
+            pytest.param(
+                "estimators", ("uls", "dac", "uls"), [method.value for method in Method], id="estimators-value10-choices10"
+            ),
         ],
     )
     def test_bad_field_is_a_value_error_naming_it(self, field, value, choices):

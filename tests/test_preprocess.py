@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     reference_columns,
+    reference_epochs,
     reference_flag_stream,
     reference_range_log,
     reference_stream_index,
@@ -19,7 +20,7 @@ from helpers import (
 )
 from uwbpose import preprocess
 from uwbpose.core import Deployment, Pose2, predicted_ranges
-from uwbpose.errors import InsufficientDataError, SchemaError
+from uwbpose.errors import InsufficientDataError, SchemaError, schema_errors
 from uwbpose.preprocess import (
     BiasModel,
     GroundTruthLog,
@@ -432,12 +433,73 @@ class TestAlignAndBatch:
         assert epochs.ranges.shape == (0, 2, 4)
 
 
+@st.composite
+def replay_logs(draw):
+    """A log of 1-3 tags and 3-5 anchors, its deployment and a bias model with
+    per-pair entries. Each stream starts at its own offset, in eighths of a
+    period, may jitter by an eighth of a period and may lose a run of
+    records. At 16 Hz every time is exact in binary, so that gaps of exactly
+    ``max_gap_periods`` occur."""
+    frequency = draw(st.sampled_from([16.0, 10.0]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(3, 5))
+    anchor_ids, tag_ids = tuple(f"a{j}" for j in range(m)), tuple(f"t{i}" for i in range(n))
+    deployment = Deployment(anchors=np.arange(2.0 * m).reshape(m, 2), tags=np.ones((n, 2)))
+    named = NamedDeployment(deployment, anchor_ids, tag_ids)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))  # jitter and range values
+    records, per_pair = [], {}
+    coefficient = st.floats(-0.3, 0.3)
+    for key in [(a, g) for a in anchor_ids for g in tag_ids]:
+        count, offset = draw(st.integers(6, 16)), draw(st.sampled_from([0, 8, 16, 3, 4]))
+        cut, run = draw(st.integers(1, count - 1)), draw(st.integers(0, 3))
+        units = 8 * np.arange(count) + offset + (draw(st.integers(0, 2)) == 0) * rng.choice([-1, 0, 1], count)
+        for k in [k for k in range(count) if not cut <= k < cut + run]:
+            records.append((units[k] / (8 * frequency), *key, rng.uniform(0.5, 30.0)))
+        if draw(st.booleans()):
+            per_pair[key] = (draw(coefficient), draw(coefficient))
+    records.sort(key=lambda record: record[0])  # interleaved, as a log is; the sort is stable
+    bias = BiasModel(draw(coefficient), draw(coefficient), 0.05, per_pair=per_pair)
+    rate = frequency * draw(st.sampled_from([1.0, 40.0, 0.5, 2.0, 0.75, 3.0]))
+    return records, frequency, bias, named, rate, draw(st.sampled_from([3.0, 1.0, 0.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(replay_logs())
+def test_align_and_batch_matches_per_epoch_oracle(case):
+    records, frequency, bias, named, rate, max_gap = case
+    t, anchor, tag, range_m = zip(*records)
+    log = RangeLog(t=np.array(t), anchor=anchor, tag=tag, range_m=np.array(range_m), frequency=frequency)
+    try:
+        times, ranges = reference_epochs(records, frequency, bias, named, rate, max_gap)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as excinfo:
+            align_and_batch(log, bias, named, rate_hz=rate, max_gap_periods=max_gap)
+        assert str(excinfo.value) == str(exc)
+        return
+    epochs = align_and_batch(log, bias, named, rate_hz=rate, max_gap_periods=max_gap)
+    np.testing.assert_array_equal(epochs.times, np.array(times, dtype=float))
+    assert epochs.ranges.shape == (len(times), len(named.tag_ids), len(named.anchor_ids))
+    np.testing.assert_allclose(epochs.ranges, np.array(ranges, dtype=float).reshape(epochs.ranges.shape), rtol=1e-12)
+
+
 @pytest.mark.parametrize("anchor_ids, tag_ids, kind", [(("a0", "a0", "a2"), ("t0", "t1"), "anchor"),
                                                    (("a0", "a1", "a2"), ("t0", "t0"), "tag")])
 def test_duplicate_ids_are_refused(anchor_ids, tag_ids, kind):
     deployment = Deployment(anchors=[[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], tags=[[0.5, 0.0], [0.0, 0.5]])
     with pytest.raises(ValueError, match=f"one distinct id per {kind} required"):
         NamedDeployment(deployment, anchor_ids, tag_ids)
+
+
+def test_schema_errors_rewrites_only_its_kinds_and_drops_the_cause():
+    with pytest.raises(SchemaError, match="^where: reason$") as excinfo:
+        with schema_errors("where"):
+            raise TypeError("reason")
+    assert excinfo.value.__cause__ is None and excinfo.value.__suppress_context__
+    with pytest.raises(KeyError):
+        with schema_errors("where"):
+            raise KeyError("reason")
+    with pytest.raises(ValueError):
+        with schema_errors("where", (OSError,)):
+            raise ValueError("reason")
 
 
 class TestLogIngestion:
