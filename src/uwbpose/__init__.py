@@ -9,7 +9,6 @@ Monte-Carlo harness, and a preprocessing pipeline for real range logs.
 from .core import (
     Deployment,
     Method,
-    ObservabilityVerdict,
     Pose2,
     PoseStack,
     RangeBatch,
@@ -30,7 +29,6 @@ from .errors import (
     SchemaError,
     SingularSystemError,
     Status,
-    UnderdeterminedDeploymentError,
     UnobservableAtPoseError,
     UnobservableDeploymentError,
 )

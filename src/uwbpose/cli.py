@@ -116,8 +116,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_crlb(args) -> None:
     scenario = load_scenario(args.scenario)
-    if not (verdict := check_observability(scenario.deployment)):
-        raise UnobservableDeploymentError(verdict.reason)
+    check_observability(scenario.deployment)
     repeat_t = args.repeat_t if args.repeat_t is not None else scenario.repeat_t
     result = constrained_crlb(fisher_info(scenario.deployment, repeat_t, scenario.true_pose), scenario.true_pose)
     print("verdict: observable")
@@ -140,8 +139,7 @@ def _load_ranges(args) -> RangeLog:
 
 def _cmd_estimate(args) -> None:
     named = NamedDeployment.from_json(args.deployment)
-    if not (verdict := check_observability(named.deployment)):
-        raise UnobservableDeploymentError(verdict.reason)
+    check_observability(named.deployment)
     log = _load_ranges(args)
     bias = BiasModel.from_json_file(args.bias) if args.bias else BiasModel.identity()
     truth = GroundTruthLog.from_csv(args.truth) if args.truth else None

@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import UnobservableDeploymentError
+
 TWO_PI = 2.0 * math.pi
 
 # Relative singular-value threshold below which a point set counts as
@@ -201,23 +203,6 @@ class Method(str, enum.Enum):
     GN_DAC = "gn-dac"
 
 
-class ObservabilityVerdict(NamedTuple):
-    """Outcome of the deployment observability check.
-
-    ``anchors_ok`` requires at least three non-collinear anchors;
-    ``tags_ok`` requires at least two tags not collinear with the
-    body-frame origin. ``reason`` names the failed condition.
-    """
-
-    observable: bool
-    anchors_ok: bool
-    tags_ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.observable
-
-
 def _rank_two(points: np.ndarray, center: bool) -> bool:
     """True when the rows, two or more, span two dimensions.
 
@@ -229,25 +214,18 @@ def _rank_two(points: np.ndarray, center: bool) -> bool:
     return bool(svals[-1] > COLLINEARITY_RTOL * svals[0])
 
 
-def check_observability(deployment: Deployment) -> ObservabilityVerdict:
-    """Decide whether the deployment makes the planar pose identifiable.
-
-    Failure is an informative verdict, never an exception. The verdict is
-    invariant to rigid motions of the global frame.
-    """
-    anchors_ok = deployment.num_anchors >= 3 and _rank_two(deployment.anchors, center=True)
-    tags_ok = deployment.num_tags >= 2 and _rank_two(deployment.tags, center=False)
+def check_observability(deployment: Deployment) -> None:
+    """Raise UnobservableDeploymentError, naming each failed condition joined by
+    ``"; "``, unless the deployment makes the planar pose identifiable: at least
+    3 non-collinear anchors and 2 tags not collinear with the body-frame origin.
+    The outcome is invariant to rigid motions of the global frame."""
     reasons = []
-    if not anchors_ok:
+    if not (deployment.num_anchors >= 3 and _rank_two(deployment.anchors, center=True)):
         reasons.append("need at least 3 non-collinear anchors")
-    if not tags_ok:
+    if not (deployment.num_tags >= 2 and _rank_two(deployment.tags, center=False)):
         reasons.append("need at least 2 tags not collinear with the body origin")
-    return ObservabilityVerdict(
-        observable=anchors_ok and tags_ok,
-        anchors_ok=anchors_ok,
-        tags_ok=tags_ok,
-        reason="; ".join(reasons),
-    )
+    if reasons:
+        raise UnobservableDeploymentError("; ".join(reasons))
 
 
 def predicted_ranges(deployment: Deployment, pose: Pose2) -> np.ndarray:

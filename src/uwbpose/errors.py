@@ -14,10 +14,6 @@ class EstimationError(Exception):
     """Base class for failures raised by the estimation pipeline."""
 
 
-class UnderdeterminedDeploymentError(EstimationError):
-    """Fewer anchors than the linear stage needs; repetitions do not count."""
-
-
 class SingularSystemError(EstimationError):
     """A least-squares system lost rank.
 
@@ -113,10 +109,10 @@ def finite_number(value) -> bool:
 class Status(enum.IntEnum):
     """Outcome of one problem in a stacked estimator call.
 
-    Failures shared by every problem of a stack (too few anchors, a
-    rank-deficient linear design, degenerate tags) are raised instead. Each
-    nonzero code stands for an error class, which ``estimators.estimate``
-    raises for a problem of its own.
+    Failures shared by every problem of a stack (a rank-deficient linear
+    design, as with too few anchors, or degenerate tags) are raised
+    instead. Each nonzero code stands for an error class, which
+    ``estimators.estimate`` raises for a problem of its own.
     """
 
     OK = 0

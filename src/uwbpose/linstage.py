@@ -27,12 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Deployment, PoseStack
-from .errors import EstimationError, SingularSystemError, Status, UnderdeterminedDeploymentError
-
-# With two anchors a tag's two centered rows are negatives of each other,
-# so every row is s1 u + s2 v + w for fixed u, v, w and the design has rank
-# at most 3 < 4, for any number of tags and repetitions.
-MIN_ANCHORS = 3
+from .errors import EstimationError, SingularSystemError, Status
 
 
 def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray) -> np.ndarray:
@@ -44,10 +39,6 @@ def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray
     planar case), minus their mean over the tag's anchors, which applies the
     all-ones projector without materializing it.
     """
-    if deployment.num_anchors < MIN_ANCHORS:
-        raise UnderdeterminedDeploymentError(
-            f"need at least {MIN_ANCHORS} anchors, got {deployment.num_anchors}"
-        )
     rhs = mean_d2 - _squared_range_offset(deployment)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at so2_angles
         return rhs - rhs.mean(axis=2, keepdims=True)
@@ -137,8 +128,8 @@ def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
 
     One least-squares solve with K right-hand sides, then the SO(2)
     projection of each ``y``. A problem whose ``y`` is zero gets the
-    ``DEGENERATE_PROJECTION`` status. Raises UnderdeterminedDeploymentError
-    or SingularSystemError when the deployment cannot determine any pose.
+    ``DEGENERATE_PROJECTION`` status. Raises SingularSystemError when the
+    deployment cannot determine any pose, as with fewer than 3 anchors.
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)
     dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors).T

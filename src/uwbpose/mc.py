@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Deployment, Method, Pose2, check_observability, predicted_ranges
 from .crlb import constrained_crlb, fisher_info
-from .errors import EstimationError, Status, UnobservableDeploymentError, finite_number
+from .errors import EstimationError, Status, finite_number
 from .estimators import estimate_methods
 
 
@@ -224,9 +224,11 @@ def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
     for i, dep, t_eff, _, mean_d2 in group:
         if not np.all(np.isfinite(mean_d2)):  # mean_d2 >= mean_d**2: any non-finite moment shows here
             raise EstimationError(f"{config.axis.value} {config.axis_values[i]!r}: range moments overflow")
+        e = int(np.frexp(dep.sigma.max())[1])  # the bound is linear in sigma: 2**-e keeps F in range
+        unit = Deployment(anchors=dep.anchors, tags=dep.tags, sigma=np.ldexp(dep.sigma, -e), dh=dep.dh)
         try:
-            bounds.append(constrained_crlb(fisher_info(dep, t_eff, pose), pose).sqrt_trace)
-        except EstimationError:  # no bound at this pose, e.g. a tag on an anchor
+            bounds.append(math.ldexp(constrained_crlb(fisher_info(unit, t_eff, pose), pose).sqrt_trace, e))
+        except (EstimationError, OverflowError):  # no bound at this pose (a tag on an anchor) or no float bound
             bounds.append(float("nan"))
     moments = (np.concatenate([setup[k] for setup in group]) for k in (3, 4))
     results = estimate_methods(group[0][1], *moments, config.estimators)
@@ -270,8 +272,7 @@ def run_sweep(config: McConfig) -> McResult:
     ``failures_by_error`` metadata: one entry per row with failures, in row
     order, or ``none``.
     """
-    if not (verdict := check_observability(config.deployment)):
-        raise UnobservableDeploymentError(verdict.reason)
+    check_observability(config.deployment)
     setups = [(i, *_axis_setup(config, i)) for i in range(len(config.axis_values))]
     rows, failures = [], []
     for _, group in itertools.groupby(setups, key=lambda setup: id(setup[1])):  # values sharing a deployment

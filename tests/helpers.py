@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from uwbpose.core import Deployment, Pose2, RangeBatch, check_observability, predicted_ranges
-from uwbpose.errors import SchemaError, Status
+from uwbpose.errors import SchemaError, Status, UnobservableDeploymentError
 from uwbpose.gnrefine import stacked_gn_step
 from uwbpose.preprocess import GroundTruthLog
 
@@ -82,7 +82,9 @@ def random_observable_deployment(
             tags=tags,
             sigma=float(rng.uniform(0.02, 0.3)) if sigma is None else sigma,
         )
-        if not check_observability(dep):
+        try:
+            check_observability(dep)
+        except UnobservableDeploymentError:
             continue
         a_s = np.linalg.svd(anchors - anchors.mean(axis=0), compute_uv=False)
         t_s = np.linalg.svd(tags, compute_uv=False)

@@ -14,6 +14,7 @@ from uwbpose.core import (
     rotation_matrix,
     wrap_angle,
 )
+from uwbpose.errors import UnobservableDeploymentError
 
 from helpers import (
     BODY_TAGS,
@@ -156,45 +157,62 @@ class TestRangeBatch:
                 moment[0, 0] = 1.0
 
 
+ANCHORS_REASON = "need at least 3 non-collinear anchors"
+TAGS_REASON = "need at least 2 tags not collinear with the body origin"
+
+
+def _observability_reason(dep: Deployment) -> str:
+    """The message check_observability raises for ``dep``, or "" when it returns None."""
+    try:
+        assert check_observability(dep) is None
+    except UnobservableDeploymentError as exc:
+        return str(exc)
+    return ""
+
+
 class TestObservability:
     def test_reference_observable(self):
-        verdict = check_observability(reference_deployment())
-        assert verdict.observable and verdict.anchors_ok and verdict.tags_ok
-        assert verdict.reason == ""
+        assert check_observability(reference_deployment()) is None
 
     def test_collinear_anchors_fail(self):
         dep = Deployment(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS, sigma=0.1)
-        verdict = check_observability(dep)
-        assert not verdict.observable and not verdict.anchors_ok and verdict.tags_ok
-        assert "anchor" in verdict.reason
+        with pytest.raises(UnobservableDeploymentError, match=f"^{ANCHORS_REASON}$"):
+            check_observability(dep)
 
     def test_single_tag_fails(self):
         dep = Deployment(anchors=CORNER_ANCHORS, tags=[[1.0, 1.0]], sigma=0.1)
-        verdict = check_observability(dep)
-        assert not verdict.observable and verdict.anchors_ok and not verdict.tags_ok
+        with pytest.raises(UnobservableDeploymentError, match=f"^{TAGS_REASON}$"):
+            check_observability(dep)
 
     def test_tags_collinear_with_origin_fail(self):
         dep = Deployment(anchors=CORNER_ANCHORS, tags=[[1.0, 1.0], [2.0, 2.0]], sigma=0.1)
-        assert not check_observability(dep).observable
+        with pytest.raises(UnobservableDeploymentError, match=f"^{TAGS_REASON}$"):
+            check_observability(dep)
+
+    def test_both_conditions_fail_in_one_message(self):
+        dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=[[1.0, 1.0]], sigma=0.1)
+        with pytest.raises(UnobservableDeploymentError, match=f"^{ANCHORS_REASON}; {TAGS_REASON}$"):
+            check_observability(dep)
 
     @pytest.mark.parametrize("ratio, observable", [(1.1e-9, True), (0.9e-9, False)])
     def test_collinearity_tolerance_is_1e_9(self, ratio, observable):
         # The centred anchors (+-50, +-50 ratio) and the tags (1, +-ratio)
         # have orthogonal columns: their singular values differ by ``ratio``.
+        # Both fail together, so the message names both conditions.
         b = 50.0 * ratio
         dep = Deployment(anchors=[[50.0, b], [50.0, -b], [-50.0, b], [-50.0, -b]], tags=[[1.0, ratio], [1.0, -ratio]])
-        verdict = check_observability(dep)
-        assert verdict.anchors_ok is observable and verdict.tags_ok is observable
+        assert _observability_reason(dep) == ("" if observable else f"{ANCHORS_REASON}; {TAGS_REASON}")
 
     def test_invariant_to_global_frame_motion(self):
         rng = np.random.default_rng(11)
         for anchors in (CORNER_ANCHORS, COLLINEAR_ANCHORS):
-            base = check_observability(Deployment(anchors=anchors, tags=BODY_TAGS, sigma=0.1))
+            base = _observability_reason(Deployment(anchors=anchors, tags=BODY_TAGS, sigma=0.1))
             for _ in range(20):
                 rot = rotation_matrix(rng.uniform(0, 2 * math.pi))
                 shift = rng.uniform(-100, 100, size=2)
                 moved = Deployment(anchors=anchors @ rot.T + shift, tags=BODY_TAGS, sigma=0.1)
-                assert check_observability(moved).observable == base.observable
+                assert _observability_reason(moved) == base
+            assert base == ("" if anchors is CORNER_ANCHORS else ANCHORS_REASON)
 
 
 class TestMlCost:

@@ -11,7 +11,7 @@ from uwbpose.core import Deployment, Method, Pose2, RangeBatch, rotation_matrix,
 from uwbpose.crlb import constrained_crlb, fisher_info
 from uwbpose.dac import stacked_localize_tags
 from uwbpose.estimators import estimate
-from uwbpose.errors import SingularSystemError, Status, UnderdeterminedDeploymentError
+from uwbpose.errors import SingularSystemError, Status
 from uwbpose.linstage import (
     least_squares,
     linear_design,
@@ -95,18 +95,33 @@ class TestBuildLinearSystem:
         assert np.linalg.matrix_rank(h) < 4
 
     def test_requires_three_effective_anchors(self):
-        dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=BODY_TAGS, sigma=0.1)
-        with pytest.raises(UnderdeterminedDeploymentError):
-            _system(noiseless_batch(dep, reference_pose()))
+        # With two anchors a tag's two centered rows are negatives of each
+        # other, so every row is s1 u + s2 v + w for fixed u, v, w: rank at
+        # most 3 < 4. One anchor centers to zero rows.
+        for count, expected in ((2, 2), (1, 0)):
+            dep = Deployment(anchors=CORNER_ANCHORS[:count], tags=BODY_TAGS, sigma=0.1)
+            with pytest.raises(SingularSystemError) as excinfo:
+                solve_uls(*_system(noiseless_batch(dep, reference_pose())))
+            assert excinfo.value.rank == expected < 4
+
+    @staticmethod
+    def _assert_every_method_singular(anchor_count, repeat_t):
+        # Repetitions add identical rows, not rank, so the outcome cannot depend on T.
+        dep = Deployment(anchors=CORNER_ANCHORS[:anchor_count], tags=BODY_TAGS, sigma=0.1)
+        batch = noiseless_batch(dep, reference_pose(), repeat_t=repeat_t)
+        for method in Method:
+            columns = 2 if method in (Method.DAC, Method.GN_DAC) else 4
+            with pytest.raises(SingularSystemError) as excinfo:
+                estimate(batch, method)
+            assert excinfo.value.rank < columns
 
     @pytest.mark.parametrize("repeat_t", [1, 2, 3])
     def test_two_anchors_underdetermined_at_any_repeat_count(self, repeat_t):
-        # Repetitions add identical rows, not rank, so the verdict cannot depend on T.
-        dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=BODY_TAGS, sigma=0.1)
-        batch = noiseless_batch(dep, reference_pose(), repeat_t=repeat_t)
-        for method in Method:
-            with pytest.raises(UnderdeterminedDeploymentError):
-                estimate(batch, method)
+        self._assert_every_method_singular(2, repeat_t)
+
+    @pytest.mark.parametrize("repeat_t", [1, 2, 3])
+    def test_one_anchor_underdetermined_at_any_repeat_count(self, repeat_t):
+        self._assert_every_method_singular(1, repeat_t)
 
     def test_consistency_with_truth_noiseless(self):
         pose = reference_pose()

@@ -379,6 +379,24 @@ class TestNoiseSigmaSweep:
         rows = run_sweep(config).rows
         assert rows[1].sqrt_crlb == pytest.approx(10 * rows[0].sqrt_crlb, rel=1e-9)
 
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_bound_at_power_of_two_sigma_scale_is_bit_identical(self, exponent):
+        # Far from 1 the information matrix over- or underflows, but the bound
+        # is linear in sigma; per-pair sigma, so the scale is not uniform 1.
+        base, scaled = (
+            run_sweep(_small_config(deployment=reference_deployment(sigma=sigma), trials=1, noise_scale=0.0)).rows
+            for sigma in (reference_sigma_matrix(), np.ldexp(reference_sigma_matrix(), exponent))
+        )
+        assert all(math.isfinite(row.sqrt_crlb) for row in base)
+        assert [math.ldexp(row.sqrt_crlb, exponent) for row in base] == [row.sqrt_crlb for row in scaled]
+
+    def test_bound_beyond_the_float_range_is_nan(self):
+        # The bound is about 1.7 sigma here: 1e308 has one, 1.7e308 none.
+        config = _small_config(axis=SweepAxis.NOISE_SIGMA, axis_values=(1e308, 1.7e308), trials=1, noise_scale=0.0)
+        rows = run_sweep(config).rows
+        assert [math.isfinite(row.sqrt_crlb) for row in rows] == [True] * 4 + [False] * 4
+        assert all(math.isnan(row.sqrt_crlb) for row in rows[4:])
+
 
 class TestOutlierStress:
     """Spike robustness over the per-trial reference: every trial's ranges get

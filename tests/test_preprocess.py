@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BODY_TAGS_3,
     reference_columns,
     reference_epochs,
     reference_flag_stream,
@@ -19,8 +20,9 @@ from helpers import (
     reference_truth_log,
 )
 from uwbpose import preprocess
-from uwbpose.core import Deployment, Pose2, predicted_ranges
-from uwbpose.errors import InsufficientDataError, SchemaError, schema_errors
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
+from uwbpose.errors import InsufficientDataError, SchemaError, Status, schema_errors
+from uwbpose.estimators import estimate, estimate_stacked
 from uwbpose.preprocess import (
     BiasModel,
     GroundTruthLog,
@@ -479,6 +481,84 @@ def test_align_and_batch_matches_per_epoch_oracle(case):
     np.testing.assert_array_equal(epochs.times, np.array(times, dtype=float))
     assert epochs.ranges.shape == (len(times), len(named.tag_ids), len(named.anchor_ids))
     np.testing.assert_allclose(epochs.ranges, np.array(ranges, dtype=float).reshape(epochs.ranges.shape), rtol=1e-12)
+
+
+@st.composite
+def moving_body_replays(draw):
+    """A log of 2-3 tags and 3-5 anchors on a body that turns and drifts:
+    Gaussian noise, spikes on about one record in ten, a per-pair bias that
+    the returned model removes, and each stream with its own start offset,
+    jitter and run of removed records, as in ``replay_logs``.
+    Returns (records, frequency, bias, named, rate, max_gap, window, v_max)."""
+    frequency = draw(st.sampled_from([16.0, 10.0]))
+    n, m = draw(st.integers(2, 3)), draw(st.integers(3, 5))
+    anchor_ids, tag_ids = tuple(f"a{j}" for j in range(m)), tuple(f"t{i}" for i in range(n))
+    anchors = np.array([[50.0, 0.0], [50.0, 50.0], [0.0, 50.0], [0.0, 0.0], [25.0, -10.0]])[:m]
+    named = NamedDeployment(Deployment(anchors=anchors, tags=BODY_TAGS_3[:n], sigma=0.05), anchor_ids, tag_ids)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))  # motion, noise, spikes and bias values
+    theta0, omega = rng.uniform(0.0, 2 * math.pi), rng.uniform(-0.5, 0.5)
+    origin, velocity = rng.uniform(10.0, 40.0, 2), rng.uniform(-1.0, 1.0, 2)
+    records, per_pair = [], {}
+    for (j, anchor), (i, tag) in [(a, g) for a in enumerate(anchor_ids) for g in enumerate(tag_ids)]:
+        count, offset = draw(st.integers(16, 32)), draw(st.sampled_from([0, 8, 16, 3, 4]))
+        cut, run = draw(st.integers(1, count - 1)), draw(st.integers(0, 3))
+        units = 8 * np.arange(count) + offset + (draw(st.integers(0, 2)) == 0) * rng.choice([-1, 0, 1], count)
+        times = units / (8 * frequency)
+        heading = theta0 + omega * times
+        tag_x, tag_y = BODY_TAGS_3[i]
+        position = origin + np.outer(times, velocity) + np.column_stack(
+            [np.cos(heading) * tag_x - np.sin(heading) * tag_y, np.sin(heading) * tag_x + np.cos(heading) * tag_y])
+        true = np.hypot(*(anchors[j] - position).T)
+        measured = true + rng.normal(0.0, 0.05, count) + rng.uniform(0.5, 3.0, count) * (rng.random(count) < 0.1)
+        alpha, beta = per_pair[(anchor, tag)] = tuple(rng.uniform(-0.05, 0.05, 2))
+        records.extend((times[k], anchor, tag, measured[k] * (1 + alpha) + beta)
+                       for k in range(count) if not cut <= k < cut + run)
+    records.sort(key=lambda record: record[0])
+    bias = BiasModel(0.0, 0.0, 0.05, per_pair=per_pair)
+    rate = frequency * draw(st.sampled_from([1.0, 0.5, 2.0, 0.75]))
+    window, v_max = draw(st.integers(1, 8)), draw(st.sampled_from([0.5, 2.0, 5.0]))
+    return records, frequency, bias, named, rate, draw(st.sampled_from([3.0, 1.0])), window, v_max
+
+
+def _reference_rejected(records, frequency, window, v_max):
+    """``records`` with each stream's spikes, by ``reference_flag_stream``,
+    replaced by interpolation between the stream's unflagged neighbours."""
+    streams: dict = {}
+    for index, (_, anchor, tag, _) in enumerate(records):
+        streams.setdefault((anchor, tag), []).append(index)
+    out = list(records)
+    for index in map(np.array, streams.values()):
+        times, values = np.array([records[k][0] for k in index]), np.array([records[k][3] for k in index])
+        flags = reference_flag_stream(values, window, window * v_max / frequency + 0.1)
+        for k, value in zip(index[flags], np.interp(times[flags], times[~flags], values[~flags])):
+            out[k] = (*records[k][:3], value)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(moving_body_replays())
+def test_replay_chain_matches_per_epoch_estimates(case):
+    # reject_outliers, align_and_batch and estimate_stacked against the
+    # oracles' epochs estimated one RangeBatch at a time, for every method.
+    records, frequency, bias, named, rate, max_gap, window, v_max = case
+    t, anchor, tag, range_m = zip(*records)
+    log = RangeLog(t=np.array(t), anchor=anchor, tag=tag, range_m=np.array(range_m), frequency=frequency)
+    epochs = align_and_batch(reject_outliers(log, window, v_max)[0], bias, named, rate_hz=rate, max_gap_periods=max_gap)
+    times, ranges = reference_epochs(_reference_rejected(records, frequency, window, v_max), frequency, bias, named,
+                                     rate, max_gap)
+    np.testing.assert_array_equal(epochs.times, np.array(times, dtype=float))
+    for method in Method:
+        poses = estimate_stacked(named.deployment, epochs.ranges, epochs.ranges**2, method)
+        for k, grid in enumerate(ranges):
+            batch = RangeBatch(named.deployment, 1, np.array(grid)[:, :, np.newaxis])
+            code = Status(int(poses.status[k]))
+            if code:
+                with pytest.raises(code.error):
+                    estimate(batch, method)
+                continue
+            pose = estimate(batch, method)
+            assert abs(math.remainder(pose.theta - poses.theta[k], 2 * math.pi)) < 1e-9
+            np.testing.assert_allclose(pose.t, poses.t[k], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("anchor_ids, tag_ids, kind", [(("a0", "a0", "a2"), ("t0", "t1"), "anchor"),
