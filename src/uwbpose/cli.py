@@ -71,7 +71,8 @@ def _atomic_write_text(outputs: dict[str, str]) -> None:
 def _bounded(kind, low=None, above: bool = False):
     """argparse type for a finite ``kind`` (int or float) that is at least
     ``low``, or above it with ``above``; any finite value when ``low`` is
-    None. argparse prefixes the message with the flag."""
+    None. An integer beyond the float range is not finite here, as in every
+    input file. argparse prefixes the message with the flag."""
     name = "an integer" if kind is int else "a finite number"
     if low is not None:
         name += f" {'above' if above else 'at least'} {low}"
@@ -79,9 +80,10 @@ def _bounded(kind, low=None, above: bool = False):
     def parse(text: str):
         try:
             value = kind(text)
-        except ValueError:
-            value = math.nan
-        if math.isfinite(value) and (low is None or value > low or (value == low and not above)):
+            finite = math.isfinite(value)  # OverflowError for an integer beyond the float range
+        except (ValueError, OverflowError):
+            finite = False
+        if finite and (low is None or value > low or (value == low and not above)):
             return value
         import argparse
 

@@ -22,8 +22,8 @@ from .errors import UnobservableDeploymentError
 
 TWO_PI = 2.0 * math.pi
 
-# Relative singular-value threshold below which a point set counts as
-# collinear. Scale-free: compared against the largest singular value.
+# Relative singular-value threshold below which anchors count as collinear
+# and tags as coincident. Scale-free: compared against the largest singular value.
 COLLINEARITY_RTOL = 1e-9
 
 
@@ -203,27 +203,22 @@ class Method(str, enum.Enum):
     GN_DAC = "gn-dac"
 
 
-def _rank_two(points: np.ndarray, center: bool) -> bool:
-    """True when the rows, two or more, span two dimensions.
-
-    With ``center`` the test is about collinearity of the point set; without
-    it, about collinearity with the origin.
-    """
-    pts = points - points.mean(axis=0) if center else points
-    svals = np.linalg.svd(pts, compute_uv=False)
-    return bool(svals[-1] > COLLINEARITY_RTOL * svals[0])
-
-
 def check_observability(deployment: Deployment) -> None:
     """Raise UnobservableDeploymentError, naming each failed condition joined by
     ``"; "``, unless the deployment makes the planar pose identifiable: at least
-    3 non-collinear anchors and 2 tags not collinear with the body-frame origin.
-    The outcome is invariant to rigid motions of the global frame."""
+    3 non-collinear anchors and 2 distinct tags, which is when the linear
+    stage's design has full rank. Anchors are collinear when their centred
+    coordinates' smaller singular value is at most ``COLLINEARITY_RTOL`` times
+    the larger; tags are distinct when their centred coordinates have a
+    singular value above ``COLLINEARITY_RTOL`` times the largest of the tags
+    themselves. The outcome is invariant to rigid motions of the global frame."""
     reasons = []
-    if not (deployment.num_anchors >= 3 and _rank_two(deployment.anchors, center=True)):
+    anchors, tags = deployment.anchors, deployment.tags
+    spread = np.linalg.svd(anchors - anchors.mean(axis=0), compute_uv=False)
+    if not (len(anchors) >= 3 and spread[-1] > COLLINEARITY_RTOL * spread[0]):
         reasons.append("need at least 3 non-collinear anchors")
-    if not (deployment.num_tags >= 2 and _rank_two(deployment.tags, center=False)):
-        reasons.append("need at least 2 tags not collinear with the body origin")
+    if not np.linalg.norm(tags - tags.mean(axis=0), 2) > COLLINEARITY_RTOL * np.linalg.norm(tags, 2):
+        reasons.append("need at least 2 distinct tags")
     if reasons:
         raise UnobservableDeploymentError("; ".join(reasons))
 

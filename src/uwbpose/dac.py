@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Deployment, PoseStack, _rank_two
-from .errors import DegenerateGeometryError
+from .core import Deployment, PoseStack
 from .linstage import least_squares, so2_angles, stacked_projected_squared_ranges
 
 
@@ -42,14 +41,10 @@ def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:
     (2-D Procrustes; Umeyama 1991): the rotation is the SO(2) projection of
     the centered cross-covariance ``sum_i (fix_i - mean fix)(s_i - mean s)^T``
     and the translation, its conditional minimizer, is the mean fix minus
-    the rotated mean tag. A zero cross-covariance gets the
-    ``DEGENERATE_PROJECTION`` status. Raises DegenerateGeometryError when the
-    tags cannot fix a rotation.
+    the rotated mean tag. A zero cross-covariance, as from one tag or two
+    coincident tags, which cannot fix a rotation, gets the
+    ``DEGENERATE_PROJECTION`` status.
     """
-    if tags.shape[0] < 2 or not _rank_two(tags, center=False):
-        raise DegenerateGeometryError(
-            "pose fit needs at least 2 tags not collinear with the body origin"
-        )
     mean_fix, mean_tag = fixes.mean(axis=1), tags.mean(axis=0)
     cross = (fixes - mean_fix[:, np.newaxis]).transpose(0, 2, 1) @ (tags - mean_tag)  # (K, 2, 2)
     theta, status = so2_angles(cross[:, 0, 0] + cross[:, 1, 1], cross[:, 1, 0] - cross[:, 0, 1])

@@ -110,9 +110,9 @@ class Status(enum.IntEnum):
     """Outcome of one problem in a stacked estimator call.
 
     Failures shared by every problem of a stack (a rank-deficient linear
-    design, as with too few anchors, or degenerate tags) are raised
-    instead. Each nonzero code stands for an error class, which
-    ``estimators.estimate`` raises for a problem of its own.
+    design, as with fewer than 3 anchors, or for ULS fewer than 2 distinct
+    tags) are raised instead. Each nonzero code stands for an error class,
+    which ``estimators.estimate`` raises for a problem of its own.
     """
 
     OK = 0

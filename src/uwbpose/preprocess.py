@@ -529,7 +529,7 @@ def align_and_batch(
         position = np.searchsorted(ts, epochs)
         left = np.clip(position - 1, 0, len(ts) - 1)
         right = np.clip(position, 0, len(ts) - 1)
-        exact = (right < len(ts)) & (ts[right] == epochs)
+        exact = ts[right] == epochs
         gap = ts[right] - ts[left]
         ok &= exact | ((position > 0) & (position < len(ts)) & (gap <= horizon))
 

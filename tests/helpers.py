@@ -17,6 +17,13 @@ CORNER_ANCHORS = np.array([[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]])
 BODY_TAGS = np.array([[3.0, 0.0], [3.0, 3.0]])
 BODY_TAGS_3 = np.array([[3.0, 0.0], [3.0, 3.0], [0.0, 3.0]])
 COLLINEAR_ANCHORS = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+# Pairs of distinct tags on one line with the body origin: they and the origin
+# do not span the plane, yet with the rotation constrained to SO(2) they fix it.
+ORIGIN_LINE_TAGS = {
+    "diagonal": np.array([[1.0, 1.0], [2.0, 2.0]]),
+    "at-origin": np.array([[0.0, 0.0], [1.0, 0.0]]),
+    "opposite": np.array([[1.0, 0.0], [-1.0, 0.0]]),
+}
 
 
 def reference_sigma_matrix() -> np.ndarray:

@@ -21,6 +21,8 @@ from uwbpose.cli import COMMANDS, _accept_exact, _build_parser, main
 from uwbpose.core import Deployment, Pose2, predicted_ranges
 from uwbpose.preprocess import NamedDeployment
 
+from helpers import ORIGIN_LINE_TAGS
+
 SCENARIO_SMALL = {
     "deployment": {
         "anchors": [[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]],
@@ -135,6 +137,24 @@ class TestCrlb:
     def test_collinear_scenario_exits_3(self, capsys):
         assert main(["crlb", "--scenario", "scenarios/crlb_collinear.scenario"]) == 3
         assert "not observable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tags", ORIGIN_LINE_TAGS.values(), ids=ORIGIN_LINE_TAGS)
+    def test_tags_collinear_with_origin_have_a_finite_bound(self, tmp_path, capsys, tags):
+        payload = json.loads(json.dumps(SCENARIO_SMALL))
+        payload["deployment"]["tags"] = tags.tolist()
+        assert main(["crlb", "--scenario", _write_scenario(tmp_path, payload)]) == 0
+        (line,) = (line for line in capsys.readouterr().out.splitlines() if line.startswith("sqrt_trace_crlb:"))
+        assert 0.0 < float(line.split(":")[1]) < math.inf
+
+    @pytest.mark.parametrize(
+        "tags", [[[1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]], ids=["single", "coincident", "zero"]
+    )
+    def test_fewer_than_two_distinct_tags_exit_3(self, tmp_path, capsys, tags):
+        payload = json.loads(json.dumps(SCENARIO_SMALL))
+        payload["deployment"]["tags"] = tags
+        assert main(["crlb", "--scenario", _write_scenario(tmp_path, payload)]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.splitlines() == ["error: deployment not observable: need at least 2 distinct tags"]
 
     def test_tag_scaling_drops_rotation_trace(self, tmp_path, capsys):
         base = json.loads(json.dumps(SCENARIO_SMALL))
@@ -367,8 +387,23 @@ BAD_SCENARIO_FLAGS = [
     ("simulate", "--seed", "1.5"),
 ]
 
+HUGE_INTEGER = "1" + "0" * 400  # beyond the float range
+INTEGER_FLAGS = [("crlb", "--repeat-t"), ("simulate", "--trials"), ("simulate", "--seed"), ("simulate", "--threads"),
+                 ("estimate", "--window"), ("calibrate", "--window")]
+
 
 class TestNumericFlags:
+    @pytest.mark.parametrize("command, flag", INTEGER_FLAGS, ids=[" ".join(case) for case in INTEGER_FLAGS])
+    @pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+    def test_integer_beyond_the_float_range_exits_2(self, capsys, command, flag, joined):
+        # argparse refuses the value before any file is read.
+        required = [token for name, spec in COMMANDS[command][2].items() if spec.get("required") for token in (name, "f")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *required, *([f"{flag}={HUGE_INTEGER}"] if joined else [flag, HUGE_INTEGER])])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, flag, value", BAD_NUMERIC_FLAGS, ids=[" ".join(case) for case in BAD_NUMERIC_FLAGS]
     )
@@ -1275,7 +1310,7 @@ def test_outputs_get_the_mode_of_a_new_file(tmp_path):
 
 
 # Values that some or all flags refuse, or that are not values at all.
-ACCEPTOR_ODD_VALUES = ["", "-5", "0", "2.5", "1.5", "nan", "1e400", "--out", "--timing", "-h", "bogus"]
+ACCEPTOR_ODD_VALUES = ["", "-5", "0", "2.5", "1.5", "nan", "1e400", HUGE_INTEGER, "--out", "--timing", "-h", "bogus"]
 ACCEPTOR_ODD_TOKENS = ["-h", "--help", "--scen", "--out=o.csv", "--bogus", "--", "simulate", "x"]
 
 
@@ -1306,6 +1341,7 @@ def _command_lines(draw):
 @example(argv=["estimate", "--ranges", "r", "--deployment", "d", "--out", "o", "--method", "dac"])
 @example(argv=["simulate", "--scenario", "s", "--out", "o", "--seed", "-5"])
 @example(argv=["crlb", "--scenario", "s", "--repeat-t"])
+@example(argv=["crlb", "--scenario", "s", "--repeat-t", HUGE_INTEGER])
 @example(argv=["simulate", "--scenario", "s", "--out", "--timing"])
 @example(argv=["estimate", "--ranges", "r", "--deployment", "d", "--out", "o", "--method", "bogus"])
 def test_exact_acceptor_agrees_with_argparse(argv):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbpose.core import (
     Deployment,
@@ -15,11 +17,13 @@ from uwbpose.core import (
     wrap_angle,
 )
 from uwbpose.errors import UnobservableDeploymentError
+from uwbpose.linstage import linear_design
 
 from helpers import (
     BODY_TAGS,
     COLLINEAR_ANCHORS,
     CORNER_ANCHORS,
+    ORIGIN_LINE_TAGS,
     ml_cost,
     noiseless_batch,
     noiseless_ranges,
@@ -158,7 +162,7 @@ class TestRangeBatch:
 
 
 ANCHORS_REASON = "need at least 3 non-collinear anchors"
-TAGS_REASON = "need at least 2 tags not collinear with the body origin"
+TAGS_REASON = "need at least 2 distinct tags"
 
 
 def _observability_reason(dep: Deployment) -> str:
@@ -170,6 +174,45 @@ def _observability_reason(dep: Deployment) -> str:
     return ""
 
 
+@st.composite
+def _integer_layouts(draw):
+    """Anchors and tags with small integer coordinates, each set generic or
+    degenerate in a way that is exact in binary. The anchors' sum is a
+    multiple of their count, so that centring them is exact too: 1 or 2
+    anchors, anchors on a line, or generic ones; 1 tag, coincident tags
+    (possibly all at the origin), tags on a line through the body origin,
+    tags that include the origin, or generic ones."""
+    ints = st.integers(-20, 20)
+    point = st.tuples(ints, ints).map(np.array)
+    m, centre = draw(st.integers(1, 5)), draw(point)
+    if draw(st.booleans()):  # on the line through ``centre`` along ``step``
+        step = draw(point)
+        anchors = [centre + k * step for k in draw(st.lists(ints, min_size=m - 1, max_size=m - 1))]
+    else:
+        anchors = draw(st.lists(point, min_size=m - 1, max_size=m - 1))
+    anchors.append(m * centre - sum(anchors, np.zeros(2, dtype=int)))
+    n, first = draw(st.integers(2, 4)), draw(point)
+    kind = draw(st.sampled_from(["single", "coincident", "origin line", "with origin", "generic"]))
+    if kind == "single":
+        tags = [first]
+    elif kind == "coincident":
+        tags = [first] * n
+    elif kind == "origin line":
+        tags = [k * first for k in draw(st.lists(ints, min_size=n, max_size=n))]
+    else:
+        tags = [np.zeros(2, dtype=int) if kind == "with origin" else first]
+        tags += draw(st.lists(point, min_size=n - 1, max_size=n - 1))
+    return np.array(anchors, dtype=float), np.array(tags, dtype=float)
+
+
+@st.composite
+def _random_layouts(draw):
+    """Generic anchors and tags with uniform random coordinates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(3, 8)), draw(st.integers(2, 4))
+    return rng.uniform(0.0, 60.0, size=(m, 2)), rng.uniform(-4.0, 4.0, size=(n, 2))
+
+
 class TestObservability:
     def test_reference_observable(self):
         assert check_observability(reference_deployment()) is None
@@ -179,15 +222,20 @@ class TestObservability:
         with pytest.raises(UnobservableDeploymentError, match=f"^{ANCHORS_REASON}$"):
             check_observability(dep)
 
+    @pytest.mark.parametrize("tags", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]], ids=["coincident", "zero"])
+    def test_coincident_tags_fail(self, tags):
+        dep = Deployment(anchors=CORNER_ANCHORS, tags=tags, sigma=0.1)
+        with pytest.raises(UnobservableDeploymentError, match=f"^{TAGS_REASON}$"):
+            check_observability(dep)
+
     def test_single_tag_fails(self):
         dep = Deployment(anchors=CORNER_ANCHORS, tags=[[1.0, 1.0]], sigma=0.1)
         with pytest.raises(UnobservableDeploymentError, match=f"^{TAGS_REASON}$"):
             check_observability(dep)
 
-    def test_tags_collinear_with_origin_fail(self):
-        dep = Deployment(anchors=CORNER_ANCHORS, tags=[[1.0, 1.0], [2.0, 2.0]], sigma=0.1)
-        with pytest.raises(UnobservableDeploymentError, match=f"^{TAGS_REASON}$"):
-            check_observability(dep)
+    @pytest.mark.parametrize("tags", ORIGIN_LINE_TAGS.values(), ids=ORIGIN_LINE_TAGS)
+    def test_tags_collinear_with_origin_are_observable(self, tags):
+        assert check_observability(Deployment(anchors=CORNER_ANCHORS, tags=tags, sigma=0.1)) is None
 
     def test_both_conditions_fail_in_one_message(self):
         dep = Deployment(anchors=CORNER_ANCHORS[:2], tags=[[1.0, 1.0]], sigma=0.1)
@@ -196,12 +244,20 @@ class TestObservability:
 
     @pytest.mark.parametrize("ratio, observable", [(1.1e-9, True), (0.9e-9, False)])
     def test_collinearity_tolerance_is_1e_9(self, ratio, observable):
-        # The centred anchors (+-50, +-50 ratio) and the tags (1, +-ratio)
-        # have orthogonal columns: their singular values differ by ``ratio``.
-        # Both fail together, so the message names both conditions.
+        # The centred anchors (+-50, +-50 ratio) have orthogonal columns, so
+        # their singular values differ by ``ratio``. So do the centred tags
+        # (0, +-ratio) and the tags (1, +-ratio), whose largest singular value
+        # is that of (1, 1). Both fail together, so the message names both.
         b = 50.0 * ratio
         dep = Deployment(anchors=[[50.0, b], [50.0, -b], [-50.0, b], [-50.0, -b]], tags=[[1.0, ratio], [1.0, -ratio]])
         assert _observability_reason(dep) == ("" if observable else f"{ANCHORS_REASON}; {TAGS_REASON}")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(layout=_integer_layouts() | _random_layouts())
+    def test_holds_exactly_when_the_linear_design_has_full_rank(self, layout):
+        # ``matrix_rank`` cuts singular values as ``least_squares`` does.
+        dep = Deployment(anchors=layout[0], tags=layout[1])
+        assert (_observability_reason(dep) == "") == (np.linalg.matrix_rank(linear_design(dep)) == 4)
 
     def test_invariant_to_global_frame_motion(self):
         rng = np.random.default_rng(11)

@@ -7,7 +7,7 @@ import pytest
 
 from uwbpose.core import Deployment, Method, Pose2, rotation_matrix
 from uwbpose.dac import stacked_fit_poses, stacked_localize_tags
-from uwbpose.errors import DegenerateGeometryError, SingularSystemError, Status
+from uwbpose.errors import SingularSystemError, Status
 from uwbpose.estimators import estimate
 
 from helpers import (
@@ -112,11 +112,12 @@ class TestFitPoseFromFixes:
             np.testing.assert_allclose(turned.rotation, q @ base.rotation, atol=1e-9)
             np.testing.assert_allclose(turned.t, q @ base.t, atol=1e-9)
 
-    def test_degenerate_tags_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            _fit(np.zeros((2, 2)), [[1.0, 1.0], [2.0, 2.0]])
-        with pytest.raises(DegenerateGeometryError):
-            _fit(np.zeros((1, 2)), [[1.0, 1.0]])
+    @pytest.mark.parametrize("tags", [[[1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]], ids=["single", "coincident"])
+    def test_tags_that_cannot_fix_a_rotation_give_degenerate_projection(self, tags):
+        rng = np.random.default_rng(54)
+        fixes = rng.uniform(-10, 10, size=(3, len(tags), 2))
+        fit = stacked_fit_poses(fixes, np.array(tags))
+        np.testing.assert_array_equal(fit.status, Status.DEGENERATE_PROJECTION)
 
     def test_accepts_localize_tags_output(self):
         dep = reference_deployment(dh=0.8)

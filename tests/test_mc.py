@@ -32,6 +32,7 @@ from helpers import (
     BODY_TAGS_3,
     COLLINEAR_ANCHORS,
     CORNER_ANCHORS,
+    ORIGIN_LINE_TAGS,
     ks_2samp_pvalue,
     noisy_ranges,
     reference_deployment,
@@ -269,10 +270,24 @@ class TestRunSweep:
             standard_error = row.combined_rmse / math.sqrt(2 * valid)
             assert row.combined_rmse >= row.sqrt_crlb - 3 * standard_error
 
+    @pytest.mark.parametrize("tags", ORIGIN_LINE_TAGS.values(), ids=ORIGIN_LINE_TAGS)
+    def test_tags_collinear_with_origin_reach_the_bound(self, tags):
+        # Criterion 02's band for the refined methods, at T = 1000 over 10 000 moment draws.
+        config = _small_config(
+            deployment=Deployment(anchors=CORNER_ANCHORS, tags=tags, sigma=0.1),
+            true_pose=Pose2(1.0, [10.0, 20.0]),
+            axis_values=(1000,),
+            trials=10_000,
+            seed=20240601,
+            estimators=(Method.GN_ULS, Method.GN_DAC),
+        )
+        for row in run_sweep(config).rows:
+            assert row.failures == 0 and 0.95 <= row.combined_rmse / row.sqrt_crlb <= 1.05, row.estimator
+
     def test_failures_counted_not_fatal(self):
-        # Tags collinear with the origin pass nothing here, so force failures
-        # with an (observable) geometry whose batches occasionally degenerate:
-        # use anchor-count sweep at minimum anchors with huge noise.
+        # Fewer than 2 distinct tags fail the observability check before any
+        # trial, so force failures with an observable geometry whose batches
+        # occasionally degenerate: huge noise at one repetition.
         config = _small_config(
             deployment=reference_deployment(sigma=20.0),
             axis=SweepAxis.NOISE_SIGMA,

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
-from uwbpose.errors import DegenerateGeometryError, EstimationError, NearSingularityError, Status
+from uwbpose.errors import EstimationError, NearSingularityError, SingularSystemError, Status
 from uwbpose.estimators import estimate, estimate_methods, estimate_stacked
 
 from helpers import (
+    CORNER_ANCHORS,
+    ORIGIN_LINE_TAGS,
     noiseless_batch,
     noisy_batch,
     random_observable_deployment,
@@ -97,15 +99,31 @@ def test_methods_together_equal_each_method_alone(seed, problems, repeat_t):
 
 
 def test_stage_error_reaches_only_the_methods_of_that_stage():
-    # Tags collinear with the body origin leave the ULS design full rank,
-    # but the divide-and-conquer pose fit cannot fix a rotation.
-    dep = Deployment(anchors=[[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]], tags=[[1.0, 0.0], [2.0, 0.0]], sigma=0.1)
-    mean_d = predicted_ranges(dep, Pose2(1.0, [10.0, 20.0]))[np.newaxis]
+    # Coincident tags leave the ULS design rank-deficient, which fails every
+    # problem; divide and conquer localizes each tag, and only its pose fit,
+    # per problem, cannot fix a rotation.
+    dep = Deployment(anchors=CORNER_ANCHORS, tags=[[1.0, 0.0], [1.0, 0.0]], sigma=0.1)
+    mean_d = np.stack([predicted_ranges(dep, Pose2(theta, [10.0, 20.0])) for theta in (1.0, 2.0)])
     results = _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d**2)
     for method in (Method.ULS, Method.GN_ULS):
-        assert np.all(results[method][0].status == Status.OK), method
+        assert isinstance(results[method][0], SingularSystemError) and results[method][0].rank == 2, method
     for method in (Method.DAC, Method.GN_DAC):
-        assert isinstance(results[method][0], DegenerateGeometryError), method
+        assert results[method][0].status.tolist() == [Status.DEGENERATE_PROJECTION] * 2, method
+
+
+@pytest.mark.parametrize("tags", ORIGIN_LINE_TAGS.values(), ids=ORIGIN_LINE_TAGS)
+def test_tags_collinear_with_origin_exact_at_zero_noise(tags):
+    # Criterion 01's tolerances, for every method, at 1 rad and (10, 20) and at random poses.
+    rng = np.random.default_rng(61)
+    dep = Deployment(anchors=CORNER_ANCHORS, tags=tags, sigma=0.1)
+    poses = [Pose2(1.0, [10.0, 20.0])] + [random_pose(rng) for _ in range(20)]
+    mean_d = np.stack([predicted_ranges(dep, pose) for pose in poses])
+    theta = np.array([pose.theta for pose in poses])
+    t = np.array([pose.t for pose in poses])
+    for method, (stack, _) in estimate_methods(dep, mean_d, mean_d**2, list(Method)).items():
+        assert np.all(stack.status == Status.OK), method
+        assert np.max(_angle_gap(stack.theta, theta)) <= 1e-8, method
+        assert np.max(np.linalg.norm(stack.t - t, axis=1)) <= 1e-8, method
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
