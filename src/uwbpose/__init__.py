@@ -34,7 +34,7 @@ from .errors import (
 )
 from .estimators import estimate, estimate_methods, estimate_stacked
 from .gnrefine import stacked_gn_step
-from .linstage import solve_uls, stacked_uls
+from .linstage import stacked_uls
 from .mc import McConfig, McResult, McRow, SweepAxis, run_sweep
 from .preprocess import (
     BiasModel,

@@ -23,7 +23,7 @@ import numpy as np
 from . import mc
 from .core import Method, check_observability, wrap_angles
 from .crlb import constrained_crlb, fisher_info
-from .errors import EstimationError, SchemaError, Status, UnobservableDeploymentError
+from .errors import EstimationError, SchemaError, Status, UnobservableDeploymentError, schema_errors
 from .estimators import estimate_stacked
 from .preprocess import (
     BiasModel,
@@ -97,7 +97,9 @@ def _cmd_simulate(args) -> None:
     if scenario.config is None:
         raise SchemaError(f"{args.scenario}: scenario has no sweep section")
     overrides = {name: getattr(args, name) for name in ("seed", "trials") if getattr(args, name) is not None}
-    result = mc.run_sweep(dataclasses.replace(scenario.config, **overrides) if overrides else scenario.config)
+    with schema_errors("sweep"):  # McConfig's rule on an overridden trial count
+        config = dataclasses.replace(scenario.config, **overrides)
+    result = mc.run_sweep(config)
 
     buffer = io.StringIO()
     mc.write_csv(result, buffer, include_timing=args.timing)
@@ -307,8 +309,8 @@ def main(argv=None) -> int:
     except UnobservableDeploymentError as exc:
         print(f"error: deployment not observable: {exc}", file=sys.stderr)
         return EXIT_UNOBSERVABLE
-    except (EstimationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EstimationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a MemoryError may have no message
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -45,7 +45,8 @@ def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> np.ndarra
     Each (tag, anchor) pair contributes
     ``(sbar_i (x) I2) q q^T (sbar_i (x) I2)^T / (sigma^2 (|q|^2 + dh^2))``
     with ``q = a_m - (R s_i + t)`` and ``sbar_i = (s_i, 1)``; repetition
-    scales the sum linearly.
+    scales the sum linearly. EstimationError when a denominator or the
+    matrix overflows.
     """
     if repeat_t < 1:
         raise ValueError("repeat_t must be >= 1")
@@ -60,10 +61,12 @@ def fisher_info(deployment: Deployment, repeat_t: int, pose: Pose2) -> np.ndarra
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         b = sbar[:, :, np.newaxis, np.newaxis] * q[:, np.newaxis, :, :]  # (N, 3, M, 2)
         b = b.transpose(0, 2, 1, 3).reshape(deployment.num_tags, deployment.num_anchors, 6)
-        inv_denom = 1.0 / (deployment.sigma**2 * sq_dist)
-        f = np.einsum("nma,nmb,nm->ab", b, b, inv_denom) * float(repeat_t)
+        denom = deployment.sigma**2 * sq_dist
+        f = np.einsum("nma,nmb,nm->ab", b, b, 1.0 / denom) * float(repeat_t)
     if not np.all(np.isfinite(f)):
         raise EstimationError("information matrix overflows at this pose")
+    if not np.all(np.isfinite(denom)):  # its term would read 0, as if that pair carried no information
+        raise EstimationError("information denominator sigma^2 (|q|^2 + dh^2) overflows at this pose")
     return 0.5 * (f + f.T)
 
 

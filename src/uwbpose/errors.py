@@ -15,14 +15,7 @@ class EstimationError(Exception):
 
 
 class SingularSystemError(EstimationError):
-    """A least-squares system lost rank.
-
-    Carries the numeric rank that was actually found.
-    """
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(message)
-        self.rank = rank
+    """A least-squares system lost rank; the message names the rank found and the column count."""
 
 
 class DegenerateProjectionError(EstimationError):

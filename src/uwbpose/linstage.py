@@ -88,22 +88,8 @@ def least_squares(design: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * max(design.shape) * np.finfo(float).eps))
     if rank < design.shape[1]:
-        raise SingularSystemError(
-            f"{what} rank {rank} < {design.shape[1]}; deployment does not determine the pose", rank=rank
-        )
+        raise SingularSystemError(f"{what} rank {rank} < {design.shape[1]}; deployment does not determine the pose")
     return np.einsum("...n,pn->...p", rhs, (vt.T / s) @ u.T)
-
-
-def solve_uls(h: np.ndarray, dbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares solve of the linear stage ``h @ (y, t - c) = dbar`` by
-    ``least_squares``. ``dbar`` holds the projected squared ranges matching
-    the rows of ``h``, (N * M,) for one problem or (N * M, K) with one
-    column per problem; ``c`` is the anchor centroid. Returns ``(y, t - c)``,
-    each with a trailing K axis when ``dbar`` has K columns; ``y`` is not
-    unit length in general.
-    """
-    solution = least_squares(h, dbar.T, "design matrix").T
-    return solution[:2], solution[2:]
 
 
 def so2_angles(cos_part: np.ndarray, sin_part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,13 +112,14 @@ def so2_angles(cos_part: np.ndarray, sin_part: np.ndarray) -> tuple[np.ndarray, 
 def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
     """Closed-form poses of K problems from their (K, N, M) mean squared ranges.
 
-    One least-squares solve with K right-hand sides, then the SO(2)
-    projection of each ``y``. A problem whose ``y`` is zero gets the
+    One ``least_squares`` solve of ``h @ (y, t - c) = dbar`` with K
+    right-hand sides, ``c`` the anchor centroid, then the SO(2) projection
+    of each ``y``. A problem whose ``y`` is zero gets the
     ``DEGENERATE_PROJECTION`` status. Raises SingularSystemError when the
     deployment cannot determine any pose, as with fewer than 3 anchors.
     """
-    rhs = stacked_projected_squared_ranges(deployment, mean_d2)
-    dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors).T
-    y, t = solve_uls(linear_design(deployment), dbar)
-    theta, status = so2_angles(y[1], y[0])
-    return PoseStack(theta, t.T + deployment.anchors.mean(axis=0), status)
+    rhs = stacked_projected_squared_ranges(deployment, mean_d2)  # (K, N, M)
+    dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors)  # N * M explicit: K may be 0
+    solution = least_squares(linear_design(deployment), dbar, "design matrix")  # (K, 4): y, then t - c
+    theta, status = so2_angles(solution[:, 1], solution[:, 0])
+    return PoseStack(theta, solution[:, 2:] + deployment.anchors.mean(axis=0), status)

@@ -108,6 +108,9 @@ class McConfig:
         object.__setattr__(self, "axis_values", values)
         for name, low in (("repeat_t", 1), ("trials", 1), ("seed", 0)):
             object.__setattr__(self, name, integer_at_least(getattr(self, name), name, low))
+        anchors = int(values[-1]) if self.axis is SweepAxis.ANCHOR_COUNT else self.deployment.num_anchors
+        if 8 * self.trials * self.deployment.num_tags * anchors > np.iinfo(np.intp).max:
+            raise ValueError(f"trials must keep the (trials, N, M) moments within numpy's index range, got {self.trials}")
         if not (finite_number(self.noise_scale) and self.noise_scale >= 0):
             raise ValueError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
         try:
@@ -142,10 +145,18 @@ class McResult(NamedTuple):
     metadata: dict
 
 
+# 64-bit words per getrandbits call: 2**26 bits, far below a C int, and 8 MB.
+_WORDS_PER_CALL = 2**20
+
+
 def _uniform(rng: random.Random, shape) -> np.ndarray:
-    """Uniforms on (0, 1]: the top 53 bits of each 64-bit word, plus one."""
-    n = math.prod(shape)
-    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+    """Uniforms on (0, 1]: the top 53 bits of each 64-bit word, plus one. The words come
+    ``_WORDS_PER_CALL`` at a time, as ``getrandbits`` takes a C int of bits, into an array
+    allocated first; the words of consecutive calls are those of one call."""
+    words = np.empty(math.prod(shape), "<u8")
+    for start in range(0, words.size, _WORDS_PER_CALL):
+        chunk = words[start : start + _WORDS_PER_CALL]
+        chunk[:] = np.frombuffer(rng.getrandbits(64 * chunk.size).to_bytes(8 * chunk.size, "little"), "<u8")
     return (((words >> 11) + 1) * 2.0**-53).reshape(shape)
 
 

@@ -51,16 +51,6 @@ def flag_stream(values: np.ndarray, window: int, slack: float) -> np.ndarray:
     return flags
 
 
-def interpolate_flagged(times: np.ndarray, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Replace flagged samples by linear interpolation between unflagged neighbors."""
-    good = ~flags
-    if not flags.any() or not good.any():
-        return np.array(values, dtype=float)
-    out = np.array(values, dtype=float)
-    out[flags] = np.interp(times[flags], times[good], values[good])
-    return out
-
-
 @dataclass(frozen=True)
 class RangeLog:
     """Flat record arrays of raw ranging data plus the nominal frequency.
@@ -315,10 +305,10 @@ class NamedDeployment:
 class BiasModel:
     """Linear range-bias model ``measured = true * (1 + alpha) + beta + noise``.
 
-    ``sigma`` is the estimated noise standard deviation; ``per_pair`` holds
-    optional (anchor id, tag id) specific coefficients that override the
-    pooled pair. Every coefficient must be finite and every alpha above -1,
-    so that ``remove`` is defined; ValueError otherwise.
+    ``sigma`` is the estimated noise standard deviation; ``per_pair`` maps an
+    (anchor id, tag id) key to the (alpha, beta) that ``remove`` uses for that
+    key in place of the pooled pair. Every coefficient must be finite and every
+    alpha above -1, so that ``remove`` is defined; ValueError otherwise.
     """
 
     alpha: float
@@ -339,14 +329,9 @@ class BiasModel:
         """No-op model: de-biasing returns ranges unchanged."""
         return cls(alpha=0.0, beta=0.0, sigma=1.0)
 
-    def coefficients(self, key: tuple[str, str] | None = None) -> tuple[float, float]:
-        if key is not None and key in self.per_pair:
-            return self.per_pair[key]
-        return self.alpha, self.beta
-
     def remove(self, measured, key=None):
         """Invert the linear model: subtract ``alpha*d/(1+alpha) + beta/(1+alpha)``."""
-        alpha, beta = self.coefficients(key)
+        alpha, beta = self.per_pair.get(key, (self.alpha, self.beta))
         return (np.asarray(measured, dtype=float) - beta) / (1.0 + alpha)
 
     def to_json(self) -> str:
@@ -388,9 +373,10 @@ def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog,
 
     A sample is flagged when it exceeds the minimum of the previous
     ``window`` samples by more than ``window * v_max / frequency`` plus a
-    fixed 0.1 m bound. Flagged samples are replaced by linear interpolation
-    between their nearest unflagged neighbors. The rule is causal: flags at
-    a timestamp depend only on earlier samples.
+    fixed 0.1 m bound. Flagged samples are replaced by ``np.interp`` in time
+    between their nearest unflagged neighbors, and a flagged tail by the last
+    unflagged sample; the first ``window`` samples are never flagged, so there
+    is one. The rule is causal: flags at a timestamp depend only on earlier samples.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -404,7 +390,8 @@ def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog,
         flags = flag_stream(stream, window, slack)
         mask[indices] = flags
         if flags.any():
-            values[indices] = interpolate_flagged(log.t[indices], stream, flags)
+            times = log.t[indices]
+            values[indices[flags]] = np.interp(times[flags], times[~flags], stream[~flags])
     _check_ranges(values)
     values.setflags(write=False)
     cleaned = copy.copy(log)  # the same records and stream index

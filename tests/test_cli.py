@@ -928,6 +928,7 @@ OVERFLOWING_INPUTS = {
     "simulate-sigma-huge": ("simulate", {"deployment": {"sigma": 1e308}}),
     "estimate-bias-beta-huge": ("estimate", {"beta": 1e308}),
     "crlb-sigma-tiny": ("crlb", {"deployment": {"sigma": 1e-300}}),
+    "crlb-sigma-huge": ("crlb", {"deployment": {"sigma": 1e200}}),  # sigma**2 overflows: not a singular bound
 }
 
 
@@ -952,6 +953,54 @@ def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "overflow" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_trials_beyond_numpy_index_range_exit_2_without_output(tmp_path, capsys, source):
+    payload, flags = json.loads(json.dumps(SCENARIO_SMALL)), []
+    if source == "flag":
+        flags = ["--trials", "1" + "0" * 300]
+    else:
+        payload["sweep"]["trials"] = 1e300
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--scenario", _write_scenario(tmp_path, payload), "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep: trials must keep") and err.count("\n") == 1
+
+
+def test_sweep_beyond_memory_exits_1_without_output(tmp_path):
+    # 10**8 trials of 2 x 3 pairs draw 6 * 10**8 words (4.5 GiB) at once, in a
+    # process that allows itself 2 GiB of address space.
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    out = tmp_path / "o.csv"
+    argv = ["simulate", "--scenario", _write_scenario(tmp_path, SCENARIO_SMALL), "--out", str(out), "--trials", "100000000"]
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard}))\n"
+        "from uwbpose.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(pathlib.Path(uwbpose.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1 and not out.exists()
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_memory_error_without_message_exits_1_without_output(tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("uwbpose.cli.reject_outliers", exhausted)
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    out = tmp_path / "o.out"
+    assert main([command, "--ranges", ranges, "--deployment", dep, "--truth", truth, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -9,8 +9,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uwbpose import estimators
+from uwbpose import estimators, mc
 from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
 from uwbpose.errors import UnobservableDeploymentError
 from uwbpose.estimators import estimate_stacked
@@ -25,7 +27,7 @@ from uwbpose.mc import (
     run_sweep,
     write_csv,
 )
-from uwbpose.preprocess import REJECTION_BOUND_M, flag_stream, interpolate_flagged
+from uwbpose.preprocess import REJECTION_BOUND_M, flag_stream
 
 from helpers import (
     BODY_TAGS,
@@ -125,6 +127,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be") as excinfo:
             _small_config(**{field: value})
         assert all(repr(choice) in str(excinfo.value) for choice in choices)
+
+    def test_trials_beyond_numpy_index_range(self):
+        # 8 bytes per (trial, tag, anchor) moment; the reference geometry has 2 x 3 pairs.
+        limit = np.iinfo(np.intp).max // (8 * 6)
+        assert _small_config(trials=limit).trials == limit
+        assert _small_config(trials=limit // 2 + 1, axis="anchor_count", axis_values=(3, 5)).trials == limit // 2 + 1
+        for overrides in (
+            {"trials": limit + 1},
+            {"trials": 1e300},
+            {"trials": limit // 2 + 1, "axis": "anchor_count", "axis_values": (3, 6)},  # the largest count decides
+        ):
+            with pytest.raises(ValueError, match=r"^trials must keep the \(trials, N, M\) moments within"):
+                _small_config(**overrides)
 
     def test_names_and_numbers_are_normalised(self):
         config = _small_config(axis="repeat_t", estimators=["uls", "dac"], noise_scale=1, anchor_rect=[[0, 0], [5, 5]])
@@ -235,6 +250,23 @@ class TestSamplers:
         first, second, other = (sampler(random.Random(key), (7, 3)) for key in ("5:1:1", "5:1:1", "5:1"))
         np.testing.assert_array_equal(first, second)
         assert not np.any(first == other)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300), words_per_call=st.integers(1, 64))
+    def test_chunked_draws_equal_one_getrandbits_call(self, seed, n, words_per_call):
+        # The uniforms keep each word's top 53 bits, and equal states after the
+        # draw show that the low bits are the same words, none skipped.
+        def draws(per_call):
+            rng = random.Random(seed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mc, "_WORDS_PER_CALL", per_call)
+                found = [_uniform(rng, (n,)), _normal(rng, (n, 2)), _gamma(rng, 0.3, (n,)), _gamma(rng, 40.0, (n,))]
+            return [draw.tobytes() for draw in found] + [rng.getstate()]
+
+        words = np.frombuffer(random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+        whole = draws(mc._WORDS_PER_CALL)  # every draw here fits one call
+        assert whole[0] == (((words >> 11) + 1) * 2.0**-53).tobytes()
+        assert draws(words_per_call) == whole
 
 
 class TestRunSweep:
@@ -517,7 +549,7 @@ def _stress_draws(config, spike, rate, window=5, v_max=0.5, freq_hz=100.0):
             for m in range(dep.num_anchors):
                 flags = flag_stream(filtered[i, m], window, slack)
                 if flags.any():
-                    filtered[i, m] = interpolate_flagged(stamps, filtered[i, m], flags)
+                    filtered[i, m, flags] = np.interp(stamps[flags], stamps[~flags], filtered[i, m, ~flags])
         batches = (("", RangeBatch(dep, t_eff, spiked)), ("+filter", RangeBatch(dep, t_eff, filtered)))
         return [(prefix, batch.mean_d, batch.mean_d2) for prefix, batch in batches]
 

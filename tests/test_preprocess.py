@@ -32,7 +32,6 @@ from uwbpose.preprocess import (
     align_and_batch,
     calibrate_bias,
     flag_stream,
-    interpolate_flagged,
     reject_outliers,
 )
 
@@ -107,22 +106,6 @@ class TestFlagStream:
             np.testing.assert_array_equal(
                 flag_stream(values[:cut], 5, 0.125), flags_full[:cut]
             )
-
-    def test_interpolation_replaces_flagged(self):
-        times = np.arange(10, dtype=float)
-        values = np.full(10, 5.0)
-        values[6] = 9.0
-        flags = np.zeros(10, dtype=bool)
-        flags[6] = True
-        repaired = interpolate_flagged(times, values, flags)
-        assert repaired[6] == pytest.approx(5.0)
-        np.testing.assert_array_equal(repaired[flags == False], values[flags == False])  # noqa: E712
-
-    def test_every_sample_flagged_leaves_values_unchanged(self):
-        values = np.array([5.0, 9.0, 6.0])
-        repaired = interpolate_flagged(np.arange(3.0), values, np.ones(3, dtype=bool))
-        np.testing.assert_array_equal(repaired, values)
-        assert repaired is not values
 
 
 class TestRejectOutliers:

@@ -106,7 +106,8 @@ def test_stage_error_reaches_only_the_methods_of_that_stage():
     mean_d = np.stack([predicted_ranges(dep, Pose2(theta, [10.0, 20.0])) for theta in (1.0, 2.0)])
     results = _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d**2)
     for method in (Method.ULS, Method.GN_ULS):
-        assert isinstance(results[method][0], SingularSystemError) and results[method][0].rank == 2, method
+        assert isinstance(results[method][0], SingularSystemError), method
+        assert str(results[method][0]).startswith("design matrix rank 2 < 4;"), method
     for method in (Method.DAC, Method.GN_DAC):
         assert results[method][0].status.tolist() == [Status.DEGENERATE_PROJECTION] * 2, method
 
