@@ -15,7 +15,6 @@ from .core import (
     check_observability,
     predicted_ranges,
     rotation_matrix,
-    wrap_angle,
     wrap_angles,
 )
 from .crlb import CrlbResult, constrained_crlb, fisher_info

@@ -106,7 +106,7 @@ def _cmd_simulate(args) -> None:
     _atomic_write_text({args.out: buffer.getvalue()})
 
     print(f"wrote {len(result.rows)} rows to {args.out}")
-    for key, value in sorted(result.metadata.items()):
+    for key, value in sorted([*result.metadata.items(), *scenario.notes]):
         print(f"# {key}: {value}")
     print(f"{'axis':>12} {'estimator':>12} {'combined_rmse':>14} {'sqrt_crlb':>12} {'ratio':>8} {'ms':>8} {'fail':>5}")
     for row in result.rows:

@@ -3,10 +3,11 @@
 Coordinates are planar and metric. Anchors live in a fixed global frame,
 tags in the body frame of the rigid object being localized, and a pose
 maps body coordinates into the global frame via ``R(theta) @ s + t``.
-Every type here is immutable after construction, holds no cache, and every
-operation is a pure function, so instances can be shared freely across
-threads. Estimators recompute what they derive from a deployment (designs,
-offsets, weights) on each call; that work is O(N * M).
+``Pose2``, ``Deployment`` and ``RangeBatch`` are frozen with read-only
+arrays; a ``PoseStack``'s arrays are writable. No type holds a cache and
+every operation is a pure function, so a value that no one changes can be
+shared across threads. Estimators recompute what they derive from a
+deployment (designs, offsets, weights) on each call; that work is O(N * M).
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ TWO_PI = 2.0 * math.pi
 COLLINEARITY_RTOL = 1e-9
 
 
-def wrap_angle(theta: float) -> float:
-    """Map an angle to the canonical interval [0, 2*pi)."""
-    return float(wrap_angles(np.array([float(theta)]))[0])
-
-
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Map each angle of an array to [0, 2*pi): the remainder of ``fmod`` by
     2*pi, shifted up by 2*pi where negative, with 0 where rounding of a tiny
-    negative reaches 2*pi. ``wrap_angle`` is its scalar form."""
+    negative reaches 2*pi."""
     wrapped = np.fmod(theta, TWO_PI)
     np.add(wrapped, TWO_PI, out=wrapped, where=wrapped < 0.0)
     wrapped[wrapped >= TWO_PI] = 0.0
@@ -72,18 +68,13 @@ class Pose2:
         if not (math.isfinite(theta) and np.all(np.isfinite(t))):
             raise ValueError("pose entries must be finite")
         t.setflags(write=False)
-        object.__setattr__(self, "theta", wrap_angle(theta))
+        object.__setattr__(self, "theta", float(wrap_angles(np.array([theta]))[0]))
         object.__setattr__(self, "t", t)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """2x2 rotation matrix of this pose."""
-        return rotation_matrix(self.theta)
 
     def transform(self, points) -> np.ndarray:
         """Map body-frame points (K, 2) into the global frame."""
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.t
+        return pts @ rotation_matrix(self.theta).T + self.t
 
 
 @dataclass(frozen=True)
@@ -173,11 +164,6 @@ class RangeBatch:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "repeat_t", t)
-
-    @property
-    def n(self) -> int:
-        """Total measurement count N * M * T."""
-        return self.deployment.num_tags * self.deployment.num_anchors * self.repeat_t
 
 
 class PoseStack(NamedTuple):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Deployment, Pose2
+from .core import Deployment, Pose2, rotation_matrix
 from .errors import EstimationError, NearSingularityError, UnobservableAtPoseError
 from .gnrefine import symmetric_inverse
 
@@ -95,7 +95,7 @@ def constrained_crlb(info: np.ndarray, pose: Pose2) -> CrlbResult:
     UnobservableAtPoseError is raised. The inverse ``X`` is corrected once,
     ``X += X (I - A X)``, to the accuracy of a backward-stable solve.
     """
-    u = nullspace_basis(pose.rotation)
+    u = nullspace_basis(rotation_matrix(pose.theta))
     reduced = u.T @ info @ u
     inverse, ok = symmetric_inverse(reduced[np.newaxis], RANK_TOL)
     if not ok[0]:

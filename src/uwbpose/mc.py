@@ -23,7 +23,7 @@ import itertools
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +77,6 @@ class McConfig:
     repeat_t: int = 1
     anchor_rect: tuple = ((0.0, 0.0), (50.0, 50.0))
     noise_scale: float = 1.0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         try:
@@ -284,22 +283,22 @@ def run_sweep(config: McConfig) -> McResult:
     order, or ``none``.
     """
     check_observability(config.deployment)
-    setups = [(i, *_axis_setup(config, i)) for i in range(len(config.axis_values))]
+    # A generator, so that at most two axis values' moments are alive at once: groupby draws a value
+    # only to end the group before it. Grouping by id() is sound, as groupby compares two consecutive
+    # setups while both of their deployments are alive, and two live objects never share an id.
+    setups = ((i, *_axis_setup(config, i)) for i in range(len(config.axis_values)))
     rows, failures = [], []
     for _, group in itertools.groupby(setups, key=lambda setup: id(setup[1])):  # values sharing a deployment
         group_rows, group_failures = _run_axes(config, list(group))
         rows.extend(group_rows)
         failures.extend(group_failures)
-    meta = dict(config.metadata)
-    meta.update(
-        {
-            "axis": config.axis.value,
-            "trials": str(config.trials),
-            "seed": str(config.seed),
-            "combined_rmse": "sqrt(rotation_rmse^2 + translation_rmse^2), comparable to sqrt_crlb",
-            "failures_by_error": "; ".join(failures) or "none",
-        }
-    )
+    meta = {
+        "axis": config.axis.value,
+        "trials": str(config.trials),
+        "seed": str(config.seed),
+        "combined_rmse": "sqrt(rotation_rmse^2 + translation_rmse^2), comparable to sqrt_crlb",
+        "failures_by_error": "; ".join(failures) or "none",
+    }
     return McResult(rows=rows, metadata=meta)
 
 

@@ -34,32 +34,34 @@ _SWEEP_KEYS = {
 
 
 class Scenario(NamedTuple):
-    """Parsed scenario: geometry, truth, and an optional sweep config."""
+    """Parsed scenario: geometry, truth, an optional sweep config, and notes,
+    (key, value) pairs on how the file was read, which ``simulate`` prints."""
 
     deployment: Deployment
     true_pose: Pose2
     repeat_t: int
     config: McConfig | None
+    notes: tuple[tuple[str, str], ...]
 
 
-def _parse_sigma(raw, n_tags: int, n_anchors: int, metadata: dict):
+def _parse_sigma(raw, n_tags: int, n_anchors: int, notes: list):
     """A flat list of sigmas, the one form only scenarios have: per anchor
     when of length M, unchanged, or of length N*M, assigned to pairs in
-    anchor-major order and recorded in ``metadata``; any other length is a
+    anchor-major order and recorded in ``notes``; any other length is a
     SchemaError. Other values go to ``Deployment`` unchanged, which checks them."""
     if not isinstance(raw, list) or any(isinstance(value, list) for value in raw) or len(raw) == n_anchors:
         return raw
     if len(raw) != n_tags * n_anchors:
         raise SchemaError(f"deployment.sigma list must have length {n_anchors} or {n_tags * n_anchors}")
-    metadata["sigma_slot_mapping"] = "flat sigma list assigned anchor-major, tag-minor (assumption)"
+    notes.append(("sigma_slot_mapping", "flat sigma list assigned anchor-major, tag-minor (assumption)"))
     return np.asarray(raw).reshape(n_anchors, n_tags).T
 
 
-def _parse_deployment(raw: dict, metadata: dict) -> Deployment:
+def _parse_deployment(raw: dict, notes: list) -> Deployment:
     require_keys(raw, _DEPLOYMENT_KEYS, {"anchors", "tags"}, "deployment")
     with schema_errors("deployment"):  # the geometry first, so that the sigma forms can be told apart by N and M
         deployment = Deployment(anchors=raw["anchors"], tags=raw["tags"], dh=raw.get("dh", 0.0))
-        sigma = _parse_sigma(raw.get("sigma", 1.0), deployment.num_tags, deployment.num_anchors, metadata)
+        sigma = _parse_sigma(raw.get("sigma", 1.0), deployment.num_tags, deployment.num_anchors, notes)
         return dataclasses.replace(deployment, sigma=sigma)
 
 
@@ -74,8 +76,8 @@ def load_scenario(path) -> Scenario:
     raw = read_json(path, "scenario")
     require_keys(raw, _TOP_KEYS, {"deployment", "true_pose"}, str(path))
 
-    metadata: dict = {}
-    deployment = _parse_deployment(raw["deployment"], metadata)
+    notes: list = []
+    deployment = _parse_deployment(raw["deployment"], notes)
     true_pose = _parse_pose(raw["true_pose"])
     with schema_errors(str(path)):
         repeat_t = integer_at_least(raw.get("repeat_t", 1), "repeat_t", 1)
@@ -95,8 +97,7 @@ def load_scenario(path) -> Scenario:
                 trials=sweep["trials"],
                 seed=seed,
                 repeat_t=sweep.get("repeat_t", repeat_t),
-                metadata=dict(metadata),
                 **optional,
             )
 
-    return Scenario(deployment, true_pose, repeat_t, config)
+    return Scenario(deployment, true_pose, repeat_t, config, tuple(notes))

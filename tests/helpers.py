@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from uwbpose.core import Deployment, Pose2, RangeBatch, check_observability, predicted_ranges
+from uwbpose.core import Deployment, Pose2, RangeBatch, check_observability, predicted_ranges, rotation_matrix
 from uwbpose.errors import SchemaError, Status, UnobservableDeploymentError
 from uwbpose.gnrefine import stacked_gn_step
 from uwbpose.preprocess import GroundTruthLog
@@ -116,7 +116,7 @@ def random_problems(seed: int, problems: int, repeat_t: int) -> tuple[Deployment
 
 def pose_parameter_vector(pose: Pose2) -> np.ndarray:
     """(vec(R), t) as a 6-vector, column-major rotation stacking."""
-    return np.concatenate([pose.rotation.reshape(4, order="F"), pose.t])
+    return np.concatenate([rotation_matrix(pose.theta).reshape(4, order="F"), pose.t])
 
 
 def constraint_jacobian(rot: np.ndarray) -> np.ndarray:

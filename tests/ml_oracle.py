@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from uwbpose.core import Deployment, Method, Pose2, RangeBatch, wrap_angle
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch
 from uwbpose.estimators import estimate
 
 _FD_STEP = 1e-6
@@ -118,4 +118,4 @@ def ml_reference_pose(
         active[idx[searching & ~accepted]] = False
 
     best = int(np.argmin(costs))
-    return Pose2(wrap_angle(float(thetas[best])), ts[best])
+    return Pose2(float(thetas[best]), ts[best])

@@ -155,11 +155,11 @@ def test_c04_one_step_converges_to_ml():
             reference = ml_reference_pose(dep, d)
             gap = math.sqrt(
                 float(
-                    np.sum((refined.rotation - reference.rotation) ** 2)
+                    np.sum((up.rotation_matrix(refined.theta) - up.rotation_matrix(reference.theta)) ** 2)
                     + np.sum((refined.t - reference.t) ** 2)
                 )
             )
-            gaps.append(math.sqrt(batch.n) * gap)
+            gaps.append(math.sqrt(d.size) * gap)
         medians.append(float(np.median(gaps)))
     ok = medians[0] > medians[1] > medians[2]
     _verdict(
@@ -226,7 +226,7 @@ def test_c06_jacobian_matches_finite_differences():
                     d_t[p - 1] = step
                 plus = up.predicted_ranges(dep, up.Pose2(init.theta + d_theta, init.t + d_t))
                 minus = up.predicted_ranges(dep, up.Pose2(init.theta - d_theta, init.t - d_t))
-                fd[:, p] = ((plus - minus) / (2 * step)).reshape(batch.n)
+                fd[:, p] = ((plus - minus) / (2 * step)).reshape(batch.mean_d.size)
             row_err = np.linalg.norm(jacobian - fd, axis=1)
             row_scale = np.maximum(np.linalg.norm(fd, axis=1), 1.0)
             worst = max(worst, float(np.max(row_err / row_scale)))
@@ -241,7 +241,7 @@ def test_c07_crlb_structure():
 
     checks = []
     for theta in rng.uniform(0, 2 * math.pi, size=20):
-        rot = up.Pose2(theta, [0, 0]).rotation
+        rot = up.rotation_matrix(theta)
         checks.append(np.max(np.abs(constraint_jacobian(rot) @ nullspace_basis(rot))) <= 1e-10)
         checks.append(
             np.max(np.abs(nullspace_basis(rot).T @ nullspace_basis(rot) - np.eye(3))) <= 1e-10

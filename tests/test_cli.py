@@ -929,6 +929,7 @@ OVERFLOWING_INPUTS = {
     "estimate-bias-beta-huge": ("estimate", {"beta": 1e308}),
     "crlb-sigma-tiny": ("crlb", {"deployment": {"sigma": 1e-300}}),
     "crlb-sigma-huge": ("crlb", {"deployment": {"sigma": 1e200}}),  # sigma**2 overflows: not a singular bound
+    "crlb-sigma-above-boundary": ("crlb", {"deployment": {"sigma": 3e152}}),
 }
 
 
@@ -953,6 +954,21 @@ def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "overflow" in err and "Traceback" not in err
+
+
+def test_crlb_sigma_below_the_overflow_boundary_prints_the_scaled_bound(tmp_path, capsys):
+    # The bound is linear in sigma: at 1e152 it is 1e153 times that at 0.1, with block
+    # traces near 1e304; at 3e152 the information denominator overflows (exit 1 above).
+    figures = []
+    for sigma in (0.1, 1e152):
+        payload = json.loads(json.dumps(SCENARIO_SMALL))
+        payload["deployment"]["sigma"] = sigma
+        assert main(["crlb", "--scenario", _write_scenario(tmp_path, payload)]) == 0
+        figures.append([float(line.split(": ")[1]) for line in capsys.readouterr().out.splitlines()[2:]])
+    (root, rotation, translation), (huge_root, huge_rotation, huge_translation) = figures
+    assert huge_root == pytest.approx(1e153 * root, rel=1e-12)
+    assert huge_rotation == pytest.approx(1e306 * rotation, rel=1e-12)
+    assert huge_translation == pytest.approx(1e306 * translation, rel=1e-12)
 
 
 @pytest.mark.parametrize("source", ["flag", "scenario"])

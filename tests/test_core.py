@@ -14,7 +14,7 @@ from uwbpose.core import (
     check_observability,
     predicted_ranges,
     rotation_matrix,
-    wrap_angle,
+    wrap_angles,
 )
 from uwbpose.errors import UnobservableDeploymentError
 from uwbpose.linstage import linear_design
@@ -60,7 +60,7 @@ class TestRotationMatrix:
         for _ in range(200):
             a, b = rng.uniform(-10, 10, size=2)
             lhs = rotation_matrix(a) @ rotation_matrix(b)
-            rhs = rotation_matrix(wrap_angle(a + b))
+            rhs = rotation_matrix(wrap_angles(np.array([a + b]))[0])
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_orthonormal_and_unit_determinant(self):
@@ -74,7 +74,7 @@ class TestRotationMatrix:
         rng = np.random.default_rng(7)
         for theta in rng.uniform(0, 2 * math.pi, size=50):
             rot = rotation_matrix(theta)
-            assert wrap_angle(math.atan2(rot[1, 0], rot[0, 0])) == pytest.approx(theta, abs=1e-12)
+            assert wrap_angles(np.array([math.atan2(rot[1, 0], rot[0, 0])]))[0] == pytest.approx(theta, abs=1e-12)
 
 
 class TestPose2:
@@ -123,7 +123,7 @@ class TestDeployment:
 class TestRangeBatch:
     def test_counts(self):
         batch = noiseless_batch(reference_deployment(), reference_pose(), repeat_t=4)
-        assert batch.n == 24
+        assert batch.repeat_t == 4 and batch.mean_d.shape == batch.mean_d2.shape == (2, 3)
 
     def test_rejects_wrong_shape(self):
         dep = reference_deployment()
@@ -293,7 +293,7 @@ class TestMlCost:
         pose = reference_pose()
         d = noisy_ranges(dep, pose, 2, rng)
         probe = Pose2(pose.theta + 0.05, pose.t + [0.3, -0.2])
-        rot = probe.rotation
+        rot = rotation_matrix(probe.theta)
         expected = 0.0
         for i in range(dep.num_tags):
             for m in range(dep.num_anchors):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbpose.core import Deployment, Method, Pose2
+from uwbpose.core import Deployment, Method, Pose2, rotation_matrix
 from uwbpose.crlb import RANK_TOL, constrained_crlb, fisher_info, nullspace_basis
 from uwbpose.errors import NearSingularityError, UnobservableAtPoseError
 from uwbpose.estimators import estimate
@@ -112,7 +112,7 @@ class TestFisherInfo:
         dep_shifted = Deployment(
             anchors=dep.anchors, tags=dep.tags - shift, sigma=dep.sigma, dh=dep.dh
         )
-        pose_shifted = Pose2(pose.theta, pose.t + pose.rotation @ shift)
+        pose_shifted = Pose2(pose.theta, pose.t + rotation_matrix(pose.theta) @ shift)
         f1 = fisher_info(dep_shifted, 1, pose_shifted)
         assert not np.allclose(f1, f0, rtol=1e-6)
 
@@ -146,14 +146,14 @@ class TestConstraintStructure:
     def test_basis_orthonormal_and_annihilated(self):
         rng = np.random.default_rng(63)
         for theta in rng.uniform(0, 2 * math.pi, size=25):
-            rot = Pose2(theta, [0, 0]).rotation
+            rot = rotation_matrix(theta)
             jac = constraint_jacobian(rot)
             u = nullspace_basis(rot)
             assert np.max(np.abs(jac @ u)) <= 1e-10
             assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-10
 
     def test_constraint_jacobian_full_row_rank(self):
-        rot = reference_pose().rotation
+        rot = rotation_matrix(reference_pose().theta)
         assert np.linalg.matrix_rank(constraint_jacobian(rot)) == 3
 
 
@@ -171,7 +171,7 @@ class TestConstrainedCrlb:
         result = constrained_crlb(fisher_info(dep, 10, pose), pose)
         eigvals = np.linalg.eigvalsh(result.crlb)
         assert eigvals.min() >= -1e-12 * np.abs(eigvals).max()
-        jac = constraint_jacobian(pose.rotation)
+        jac = constraint_jacobian(rotation_matrix(pose.theta))
         assert np.max(np.abs(result.crlb @ jac.T)) <= 1e-10
         assert result.sqrt_trace == pytest.approx(
             math.sqrt(result.rotation_block_trace + result.translation_block_trace), rel=1e-12
@@ -229,9 +229,9 @@ def _assert_agrees_with_svd_oracle(info, pose):
       ``8 eps ||F|| ||CRLB||`` where that is larger: the accuracy a
       backward-stable solve has on an information known to rounding.
     """
-    reduced = nullspace_basis(pose.rotation).T @ info @ nullspace_basis(pose.rotation)
+    reduced = nullspace_basis(rotation_matrix(pose.theta)).T @ info @ nullspace_basis(rotation_matrix(pose.theta))
     diag = np.diag(reduced)
-    expected = svd_constrained_crlb(info, pose.rotation)
+    expected = svd_constrained_crlb(info, rotation_matrix(pose.theta))
     try:
         got = constrained_crlb(info, pose)
     except UnobservableAtPoseError:
@@ -294,9 +294,9 @@ class TestClosedFormAgainstSvdOracle:
         basis = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         scale = 10.0 ** rng.uniform(-spread, spread, size=3)
         reduced = scale[:, np.newaxis] * ((basis * eigvals) @ basis.T) * scale
-        constrained = np.linalg.svd(constraint_jacobian(pose.rotation))[2][:3].T
+        constrained = np.linalg.svd(constraint_jacobian(rotation_matrix(pose.theta)))[2][:3].T
         block = rng.normal(size=(3, 3))
-        u = nullspace_basis(pose.rotation)
+        u = nullspace_basis(rotation_matrix(pose.theta))
         info = u @ reduced @ u.T + constrained @ (block @ block.T) @ constrained.T
         _assert_agrees_with_svd_oracle(0.5 * (info + info.T), pose)
 
@@ -323,7 +323,7 @@ def test_reduced_information_is_the_gauss_newton_normal_matrix(seed, anchors, ta
     )
     pose = Pose2(rng.uniform(0.0, 2 * math.pi), rng.uniform(10.0, 40.0, size=2))
     jac = linearize(dep, np.array([pose.theta]), pose.t[np.newaxis], 1.0 / dep.sigma)[2].reshape(-1, 3)
-    u = nullspace_basis(pose.rotation)
+    u = nullspace_basis(rotation_matrix(pose.theta))
     d_inv = np.diag([math.sqrt(2.0), 1.0, 1.0])
     expected = d_inv @ (u.T @ fisher_info(dep, repeat_t, pose) @ u) @ d_inv
     normal = repeat_t * (jac.T @ jac)

@@ -95,7 +95,7 @@ class TestFitPoseFromFixes:
             return float(np.sum((fixes - tags @ rot.T - t) ** 2))
 
         # The returned pose solves the constrained problem; compare on SO(2).
-        fitted_cost = objective(fitted.rotation, fitted.t)
+        fitted_cost = objective(rotation_matrix(fitted.theta), fitted.t)
         for _ in range(10_000):
             rot = rotation_matrix(rng.uniform(0, 2 * math.pi))
             t = rng.uniform(-12, 12, size=2)
@@ -109,7 +109,7 @@ class TestFitPoseFromFixes:
         for theta in rng.uniform(0, 2 * math.pi, size=10):
             q = rotation_matrix(theta)
             turned = _fit(fixes @ q.T, tags)
-            np.testing.assert_allclose(turned.rotation, q @ base.rotation, atol=1e-9)
+            np.testing.assert_allclose(rotation_matrix(turned.theta), q @ rotation_matrix(base.theta), atol=1e-9)
             np.testing.assert_allclose(turned.t, q @ base.t, atol=1e-9)
 
     @pytest.mark.parametrize("tags", [[[1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]], ids=["single", "coincident"])
@@ -171,7 +171,7 @@ class TestEstimateDac:
             for _ in range(trials):
                 estimated = estimate(noisy_batch(dep, pose, repeat_t, rng), Method.DAC)
                 total += float(
-                    np.sum((estimated.rotation - pose.rotation) ** 2)
+                    np.sum((rotation_matrix(estimated.theta) - rotation_matrix(pose.theta)) ** 2)
                     + np.sum((estimated.t - pose.t) ** 2)
                 )
             rmse[repeat_t] = math.sqrt(total / trials)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
 from uwbpose.errors import DegenerateGeometryError, NearSingularityError, Status
 from uwbpose.estimators import estimate, estimate_stacked
 from uwbpose.gnrefine import linearize, stacked_gn_step, symmetric_inverse
@@ -31,7 +31,7 @@ from ml_oracle import ml_reference_pose
 
 def _pose_distance(a: Pose2, b: Pose2) -> float:
     return math.sqrt(
-        float(np.sum((a.rotation - b.rotation) ** 2) + np.sum((a.t - b.t) ** 2))
+        float(np.sum((rotation_matrix(a.theta) - rotation_matrix(b.theta)) ** 2) + np.sum((a.t - b.t) ** 2))
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbpose.core import Deployment, Method, Pose2, RangeBatch, rotation_matrix, wrap_angle
+from uwbpose.core import Deployment, Method, Pose2, RangeBatch, rotation_matrix, wrap_angles
 from uwbpose.crlb import constrained_crlb, fisher_info
 from uwbpose.dac import stacked_localize_tags
 from uwbpose.estimators import estimate
@@ -214,7 +214,7 @@ def _project(x: np.ndarray) -> tuple[float, int]:
     ``x``, through ``so2_angles`` as ``stacked_uls`` and
     ``stacked_fit_poses`` call it."""
     theta, status = so2_angles(np.array([x[0, 0] + x[1, 1]]), np.array([x[1, 0] - x[0, 1]]))
-    return wrap_angle(theta[0]), int(status[0])
+    return float(wrap_angles(theta)[0]), int(status[0])
 
 
 def _angle(x: np.ndarray) -> float:
@@ -372,13 +372,16 @@ class TestEstimateUls:
         for _ in range(200):
             estimated = estimate(noisy_batch(dep, pose, 10_000, rng), Method.ULS)
             errors.append(
-                np.sum((estimated.rotation - pose.rotation) ** 2)
+                np.sum((rotation_matrix(estimated.theta) - rotation_matrix(pose.theta)) ** 2)
                 + np.sum((estimated.t - pose.t) ** 2)
             )
         rmse = math.sqrt(float(np.mean(errors)))
         fresh = estimate(noisy_batch(dep, pose, 10_000, rng), Method.ULS)
         fresh_err = math.sqrt(
-            float(np.sum((fresh.rotation - pose.rotation) ** 2) + np.sum((fresh.t - pose.t) ** 2))
+            float(
+                np.sum((rotation_matrix(fresh.theta) - rotation_matrix(pose.theta)) ** 2)
+                + np.sum((fresh.t - pose.t) ** 2)
+            )
         )
         assert fresh_err < 3.0 * rmse
 

@@ -154,7 +154,8 @@ class TestConfigValidation:
             value = getattr(config, name)
             assert type(value) is int and value == expected
         result = run_sweep(config)
-        assert result.metadata["seed"] == "7" and result.rows[0].trials == 5
+        assert result.metadata["seed"] == "7" and result.metadata["axis"] == "noise_sigma"
+        assert result.rows[0].trials == 5
 
     def test_unobservable_refused_before_trials(self):
         config = _small_config(
@@ -372,11 +373,6 @@ class TestRunSweep:
             f"3.0 {method.value} SingularSystemError=5" for method in config.estimators
         )
 
-    def test_metadata_carried(self):
-        config = _small_config(metadata={"sigma_slot_mapping": "anchor-major"})
-        result = run_sweep(config)
-        assert result.metadata["sigma_slot_mapping"] == "anchor-major"
-        assert result.metadata["axis"] == "repeat_t"
 
 
 class TestAnchorCountSweep:
@@ -564,7 +560,7 @@ def _reference_rows(config, draws):
     """Per-trial reference: one K = 1 ``estimate_stacked`` call per trial,
     moment set and method, aggregated like a sweep row."""
     rows = []
-    rot_true = config.true_pose.rotation
+    rot_true = rotation_matrix(config.true_pose.theta)
     for axis_index, value in enumerate(config.axis_values):
         dep, trials = draws(axis_index)
         errors = {}
@@ -623,6 +619,37 @@ def test_four_method_sweep_runs_each_stage_once_per_deployment(monkeypatch, over
     rows = run_sweep(config).rows
     assert calls == {"stacked_uls": calls_per_stage, "stacked_dac": calls_per_stage}
     assert len(rows) == 4 * len(config.axis_values) and all(0.0 < row.mean_time_s < math.inf for row in rows)
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        (dict(axis_values=(1, 5, 20)), ["draw 0", "draw 1", "draw 2", "estimate"]),
+        (
+            dict(axis=SweepAxis.NOISE_SIGMA, axis_values=(0.1, 0.2, 0.3)),
+            ["draw 0", "draw 1", "estimate", "draw 2", "estimate", "estimate"],
+        ),
+    ],
+    ids=["repeat-t", "noise-sigma"],
+)
+def test_sweep_draws_a_value_only_after_estimating_the_one_two_before(monkeypatch, overrides, expected):
+    # groupby draws the next value to end a group, so a noise_sigma sweep holds at most
+    # two values' moments; a repeat_t axis is one group, estimated in one call.
+    calls = []
+    setup, estimate = mc._axis_setup, mc.estimate_methods
+
+    def logged_setup(config, axis_index):
+        calls.append(f"draw {axis_index}")
+        return setup(config, axis_index)
+
+    def logged_estimate(*args):
+        calls.append("estimate")
+        return estimate(*args)
+
+    monkeypatch.setattr(mc, "_axis_setup", logged_setup)
+    monkeypatch.setattr(mc, "estimate_methods", logged_estimate)
+    run_sweep(_small_config(trials=5, **overrides))
+    assert calls == expected
 
 
 def _without_times(rows):
