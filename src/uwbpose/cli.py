@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 import sys
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import mc
 from .core import Method, check_observability, wrap_angles
 from .crlb import constrained_crlb, fisher_info
 from .errors import EstimationError, SchemaError, Status, UnobservableDeploymentError, schema_errors
-from .estimators import estimate_stacked
+from .estimators import estimate_stacked, failure_tally
 from .preprocess import (
     BiasModel,
     GroundTruthLog,
@@ -158,17 +157,15 @@ def _cmd_estimate(args) -> None:
         squares = epochs.ranges**2
     if not np.all(np.isfinite(squares)):
         raise EstimationError("de-biased ranges overflow when squared")
-    t_xy, yaw_deg = np.full((count, 2), np.nan), np.full(count, np.nan)
+    t_xy, yaw_deg, ok = np.full((count, 2), np.nan), np.full(count, np.nan), np.zeros(count, dtype=bool)
     try:
         poses = estimate_stacked(named.deployment, epochs.ranges, squares, method)
     except EstimationError as exc:  # the deployment itself fails every epoch alike
-        statuses = [f"error:{type(exc).__name__}"] * count
+        outcome, statuses = exc, [f"error:{type(exc).__name__}"] * count
     else:
-        t_xy = poses.t
+        outcome, ok, t_xy = poses.status, poses.status == 0, poses.t
         yaw_deg = np.degrees(wrap_angles(poses.theta + math.radians(args.yaw_offset_deg)))
-        names = {code: "ok" if code == Status.OK else f"error:{code.error.__name__}" for code in Status}
-        statuses = [names[code] for code in poses.status.tolist()]
-    ok = np.array([status == "ok" for status in statuses], dtype=bool)
+        statuses = ["ok" if code == 0 else f"error:{Status(code).error.__name__}" for code in poses.status.tolist()]
     if truth is not None:  # scored before anything is written, so a failure leaves no output
         inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
         if not inside.any():
@@ -195,9 +192,7 @@ def _cmd_estimate(args) -> None:
         outputs[args.out + ".summary.csv"] = summary
     _atomic_write_text(outputs)
     print(f"wrote {len(epochs)} epochs to {args.out} ({int(ok.sum())} ok)")
-    failed = Counter(status.removeprefix("error:") for status in statuses if status != "ok")
-    kinds = " ".join(f"{name}={n}" for name, n in sorted(failed.items()))
-    print(f"failures_by_error: {kinds or 'none'}", file=sys.stderr)
+    print(f"failures_by_error: {failure_tally(outcome, count) or 'none'}", file=sys.stderr)
     if truth is not None:
         print("method  position_rmse_cm  rotation_rmse_deg")
         print(f"{label:>6}  {pos_rmse_cm:>16.3f}  {rot_rmse_deg:>17.3f}")

@@ -3,11 +3,11 @@
 Coordinates are planar and metric. Anchors live in a fixed global frame,
 tags in the body frame of the rigid object being localized, and a pose
 maps body coordinates into the global frame via ``R(theta) @ s + t``.
-``Pose2``, ``Deployment`` and ``RangeBatch`` are frozen with read-only
-arrays; a ``PoseStack``'s arrays are writable. No type holds a cache and
-every operation is a pure function, so a value that no one changes can be
-shared across threads. Estimators recompute what they derive from a
-deployment (designs, offsets, weights) on each call; that work is O(N * M).
+Every type is immutable, with read-only arrays and mappings; only the
+stacked kernels' ``PoseStack``s are writable. No type holds a cache and
+every operation is a pure function, so any value can be shared across
+threads. Estimators recompute what they derive from a deployment (designs,
+offsets, weights) on each call; that work is O(N * M).
 """
 
 from __future__ import annotations
@@ -133,37 +133,32 @@ class Deployment:
 class RangeBatch:
     """One estimation problem's measurements, reduced to per-pair moments.
 
-    ``d`` is indexed (tag, anchor, repetition). ``T`` repetitions of ``M``
-    anchors behave like ``M * T`` anchors, so ``n = N * M * T``. Every
-    estimator depends on the repetitions only through ``T`` and the per-pair
-    moments ``mean_d`` and ``mean_d2`` (both (N, M), read-only), which are
-    computed once here; the raw ranges are not kept. Measurements must be
-    finite; sign is not checked here because synthetic ranges are raw
-    Gaussian draws, while real logs reject negative ranges at ingestion.
+    ``d`` has shape (N, M, T), T >= 1, indexed (tag, anchor, repetition),
+    and T is ``repeat_t``: T repetitions of M anchors act as M * T anchors,
+    so n = N * M * T. Every estimator depends on the repetitions only
+    through T and the read-only (N, M) per-pair moments ``mean_d`` and
+    ``mean_d2``, computed once here; the raw ranges are not kept. Ranges
+    must be finite; sign is not checked here because synthetic ranges are
+    raw Gaussian draws, while real logs reject negative ranges at ingestion.
     """
 
     deployment: Deployment
-    repeat_t: int
     d: InitVar[np.ndarray]
+    repeat_t: int = field(init=False)
     mean_d: np.ndarray = field(init=False, repr=False, compare=False)
     mean_d2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, d):
-        t = int(self.repeat_t)
-        if t < 1:
-            raise ValueError("repeat_t must be >= 1")
-        expected = (self.deployment.num_tags, self.deployment.num_anchors, t)
         d = np.asarray(d, dtype=float)
-        if d.shape != expected:
-            raise ValueError(f"d must have shape {expected}, got {d.shape}")
+        n, m = self.deployment.num_tags, self.deployment.num_anchors
+        if d.ndim != 3 or d.shape[:2] != (n, m) or d.shape[2] < 1:
+            raise ValueError(f"d must have shape ({n}, {m}, T) with T >= 1, got {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("measurements must be finite")
-        mean_d = d.mean(axis=2)
-        mean_d2 = np.einsum("nmt,nmt->nm", d, d) / t
-        for name, arr in (("mean_d", mean_d), ("mean_d2", mean_d2)):
+        for name, arr in (("mean_d", d.mean(axis=2)), ("mean_d2", np.einsum("nmt,nmt->nm", d, d) / d.shape[2])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "repeat_t", t)
+        object.__setattr__(self, "repeat_t", d.shape[2])
 
 
 class PoseStack(NamedTuple):
@@ -171,8 +166,8 @@ class PoseStack(NamedTuple):
 
     ``theta`` is (K,), ``t`` is (K, 2) and ``status`` is (K,) integer
     ``errors.Status`` codes. The stacked kernels leave ``theta`` unreduced;
-    the stacked estimator entry point reduces it to [0, 2*pi) and sets the
-    pose of every problem whose status is nonzero to NaN.
+    ``estimate_methods`` reduces it to [0, 2*pi), sets the pose of every
+    failed problem to NaN, and makes the arrays read-only.
     """
 
     theta: np.ndarray

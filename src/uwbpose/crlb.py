@@ -27,7 +27,7 @@ RANK_TOL = 1e-12
 
 
 class CrlbResult(NamedTuple):
-    """Constrained lower bound and its trace statistics.
+    """Constrained lower bound, a read-only 6x6 array, and its trace statistics.
 
     ``sqrt_trace`` is over the full 6x6 matrix; the block traces split the
     rotation (first four) and translation (last two) coordinates.
@@ -102,7 +102,9 @@ def constrained_crlb(info: np.ndarray, pose: Pose2) -> CrlbResult:
         raise UnobservableAtPoseError("constrained information matrix is singular at this pose")
     inverse = inverse[0] + inverse[0] @ (np.eye(3) - reduced @ inverse[0])
     crlb = u @ inverse @ u.T
+    crlb = 0.5 * (crlb + crlb.T)
+    crlb.setflags(write=False)
     # U has orthonormal columns, and its first column lies in the rotation coordinates.
     rotation, translation_x, translation_y = inverse.diagonal().tolist()
     translation = translation_x + translation_y
-    return CrlbResult(0.5 * (crlb + crlb.T), math.sqrt(rotation + translation), rotation, translation)
+    return CrlbResult(crlb, math.sqrt(rotation + translation), rotation, translation)

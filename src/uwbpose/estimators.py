@@ -22,11 +22,10 @@ def estimate_methods(
     ``gn-uls``, the DAC stage once for ``dac`` and ``gn-dac``, and each
     refined method takes one Gauss-Newton step. A problem that fails gets
     its nonzero ``errors.Status`` code and a NaN pose. Returns per method its
-    poses, or the EstimationError its stage raised when the deployment
-    itself fails, and the seconds its stage and step took."""
+    poses, with read-only arrays, or the EstimationError its stage raised
+    when the deployment itself fails, and the seconds its stage and step took."""
     shape = (deployment.num_tags, deployment.num_anchors)
-    mean_d = np.asarray(mean_d, dtype=float)
-    mean_d2 = np.asarray(mean_d2, dtype=float)
+    mean_d, mean_d2 = np.asarray(mean_d, dtype=float), np.asarray(mean_d2, dtype=float)
     if mean_d.ndim != 3 or mean_d.shape[1:] != shape or mean_d2.shape != mean_d.shape:
         raise ValueError(f"mean_d and mean_d2 must both have shape (K, {shape[0]}, {shape[1]})")
     if not (np.all(np.isfinite(mean_d)) and np.all(np.isfinite(mean_d2))):
@@ -49,13 +48,21 @@ def estimate_methods(
                 step = stacked_gn_step(deployment, mean_d, poses.theta, poses.t)
                 poses = step._replace(status=np.where(poses.status != 0, poses.status, step.status))
             failed = poses.status != 0
-            poses = PoseStack(
-                np.where(failed, np.nan, wrap_angles(poses.theta)),
-                np.where(failed[:, np.newaxis], np.nan, poses.t),
-                poses.status,
-            )
+            poses = PoseStack(np.where(failed, np.nan, wrap_angles(poses.theta)),
+                              np.where(failed[:, np.newaxis], np.nan, poses.t), poses.status)
+            for arr in poses:
+                arr.setflags(write=False)
         results[method] = poses, seconds + time.perf_counter() - start
     return results
+
+
+def failure_tally(outcome: np.ndarray | EstimationError, count: int) -> str:
+    """``"<Error>=<count> ..."``, sorted by error name, of ``count`` problems, or "" when none
+    failed: ``outcome`` is their status codes, or the EstimationError that failed them all alike."""
+    if isinstance(outcome, EstimationError):
+        return f"{type(outcome).__name__}={count}"
+    failed = {Status(c).error.__name__: n for c, n in enumerate(np.bincount(outcome).tolist()) if c and n}
+    return " ".join(f"{name}={n}" for name, n in sorted(failed.items()))
 
 
 def estimate_stacked(deployment: Deployment, mean_d: np.ndarray, mean_d2: np.ndarray, method: Method) -> PoseStack:

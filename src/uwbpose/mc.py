@@ -6,10 +6,11 @@ Mersenne Twister keyed by (seed, axis index). Its 64-bit words become
 normals by Box and Muller (1958) and Gamma variates by Marsaglia and Tsang
 (ACM TOMS 26(3), 2000) in numpy, so a sweep never imports ``numpy.random``
 (sweep numbers changed once, in distribution only, when these replaced a
-Philox generator). One ``estimate_methods`` call per deployment (all values
-of a ``repeat_t`` axis, each value of the others) runs each stage once over
-all their trials for all the estimators that start from it, and aggregation
-is by trial index, so results are bit-identical for a fixed seed. Wall-clock
+Philox generator). A ``repeat_t`` axis is one group, as its values share a
+deployment; each value of another axis is a group, drawn after the one
+before it is estimated. One ``estimate_methods`` call per group runs each
+stage once for the estimators that start from it, and aggregation is by
+trial index, so results are bit-identical for a fixed seed. Wall-clock
 timings are the one exception: ``mean_time_s``, the time of the stages an
 estimator used (``gn-uls`` includes its ULS stage) divided by the call's
 trial count, shared by the values of a call, is nondeterministic.
@@ -19,19 +20,19 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import math
 import numbers
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Deployment, Method, Pose2, check_observability, predicted_ranges
 from .crlb import constrained_crlb, fisher_info
-from .errors import EstimationError, Status, finite_number
-from .estimators import estimate_methods
+from .errors import EstimationError, finite_number
+from .estimators import estimate_methods, failure_tally
 
 
 def integer_at_least(value, name: str, low: int) -> int:
@@ -138,10 +139,10 @@ class McRow(NamedTuple):
 
 
 class McResult(NamedTuple):
-    """Sweep output rows plus provenance metadata."""
+    """Sweep output rows plus provenance metadata, a read-only mapping."""
 
-    rows: list[McRow]
-    metadata: dict
+    rows: tuple[McRow, ...]
+    metadata: MappingProxyType
 
 
 # 64-bit words per getrandbits call: 2**26 bits, far below a C int, and 8 MB.
@@ -240,7 +241,7 @@ def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
             bounds.append(math.ldexp(constrained_crlb(fisher_info(unit, t_eff, pose), pose).sqrt_trace, e))
         except (EstimationError, OverflowError):  # no bound at this pose (a tag on an anchor) or no float bound
             bounds.append(float("nan"))
-    moments = (np.concatenate([setup[k] for setup in group]) for k in (3, 4))
+    moments = (group[0][k] if len(group) == 1 else np.concatenate([setup[k] for setup in group]) for k in (3, 4))
     results = estimate_methods(group[0][1], *moments, config.estimators)
     cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
     rows, failures = [], []
@@ -248,11 +249,9 @@ def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
         value, part = config.axis_values[i], slice(j * trials, (j + 1) * trials)
         for method in config.estimators:
             poses, elapsed = results[method]
-            if isinstance(poses, EstimationError):  # the deployment itself fails every trial alike
-                ok, errors = np.zeros(trials, dtype=bool), {type(poses).__name__: trials}
-            else:
-                ok, counts = poses.status[part] == 0, np.bincount(poses.status[part]).tolist()
-                errors = {Status(c).error.__name__: n for c, n in enumerate(counts) if c and n}
+            failed_all = isinstance(poses, EstimationError)  # the deployment itself fails every trial alike
+            outcome = poses if failed_all else poses.status[part]
+            ok = np.zeros(trials, dtype=bool) if failed_all else outcome == 0
             count = int(ok.sum())
             if count:
                 # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
@@ -266,8 +265,7 @@ def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
                 mean_time = elapsed / (len(group) * trials)
             else:
                 rot = trans = combined = mean_time = float("nan")
-            if errors:
-                kinds = " ".join(f"{name}={n}" for name, n in sorted(errors.items()))
+            if kinds := failure_tally(outcome, trials):
                 failures.append(f"{value!r} {method.value} {kinds}")
             rows.append(McRow(value, method.value, rot, trans, combined, bound, mean_time, trials - count, trials))
     return rows, failures
@@ -283,13 +281,10 @@ def run_sweep(config: McConfig) -> McResult:
     order, or ``none``.
     """
     check_observability(config.deployment)
-    # A generator, so that at most two axis values' moments are alive at once: groupby draws a value
-    # only to end the group before it. Grouping by id() is sound, as groupby compares two consecutive
-    # setups while both of their deployments are alive, and two live objects never share an id.
-    setups = ((i, *_axis_setup(config, i)) for i in range(len(config.axis_values)))
+    indices = range(len(config.axis_values))
     rows, failures = [], []
-    for _, group in itertools.groupby(setups, key=lambda setup: id(setup[1])):  # values sharing a deployment
-        group_rows, group_failures = _run_axes(config, list(group))
+    for group in [indices] if config.axis is SweepAxis.REPEAT_T else [[i] for i in indices]:  # one deployment each
+        group_rows, group_failures = _run_axes(config, [(i, *_axis_setup(config, i)) for i in group])
         rows.extend(group_rows)
         failures.extend(group_failures)
     meta = {
@@ -299,7 +294,7 @@ def run_sweep(config: McConfig) -> McResult:
         "combined_rmse": "sqrt(rotation_rmse^2 + translation_rmse^2), comparable to sqrt_crlb",
         "failures_by_error": "; ".join(failures) or "none",
     }
-    return McResult(rows=rows, metadata=meta)
+    return McResult(rows=tuple(rows), metadata=MappingProxyType(meta))
 
 
 def write_csv(result: McResult, stream, include_timing: bool = True) -> None:

@@ -14,9 +14,10 @@ import csv
 import io
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, compress
+from types import MappingProxyType
 
 import numpy as np
 
@@ -307,17 +308,18 @@ class BiasModel:
 
     ``sigma`` is the estimated noise standard deviation; ``per_pair`` maps an
     (anchor id, tag id) key to the (alpha, beta) that ``remove`` uses for that
-    key in place of the pooled pair. Every coefficient must be finite and every
-    alpha above -1, so that ``remove`` is defined; ValueError otherwise.
+    key in place of the pooled pair, a read-only copy. Every coefficient must
+    be finite and every alpha above -1, so that ``remove`` is defined; ValueError otherwise.
     """
 
     alpha: float
     beta: float
     sigma: float
     residual_rms: float = 0.0
-    per_pair: dict = field(default_factory=dict)
+    per_pair: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "per_pair", MappingProxyType(dict(self.per_pair)))
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         for alpha, beta in [(self.alpha, self.beta), *self.per_pair.values()]:
@@ -450,10 +452,14 @@ def calibrate_bias(log: RangeLog, truth: GroundTruthLog, named: NamedDeployment)
 @dataclass(frozen=True)
 class Epochs:
     """Epochs aligned from a range log: ``times`` (K,) and the de-biased
-    ranges (K, N, M), one repetition per (tag, anchor) pair and epoch."""
+    ranges (K, N, M), one repetition per (tag, anchor) pair and epoch, both read-only."""
 
     times: np.ndarray
     ranges: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.times, self.ranges):
+            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.times)

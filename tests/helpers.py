@@ -45,7 +45,7 @@ def noiseless_ranges(dep: Deployment, pose: Pose2, repeat_t: int = 1) -> np.ndar
 
 
 def noiseless_batch(dep: Deployment, pose: Pose2, repeat_t: int = 1) -> RangeBatch:
-    return RangeBatch(dep, repeat_t, noiseless_ranges(dep, pose, repeat_t))
+    return RangeBatch(dep, noiseless_ranges(dep, pose, repeat_t))
 
 
 def noisy_ranges(
@@ -69,7 +69,7 @@ def noisy_batch(
     rng: np.random.Generator,
     noise_scale: float = 1.0,
 ) -> RangeBatch:
-    return RangeBatch(dep, repeat_t, noisy_ranges(dep, pose, repeat_t, rng, noise_scale))
+    return RangeBatch(dep, noisy_ranges(dep, pose, repeat_t, rng, noise_scale))
 
 
 def random_observable_deployment(

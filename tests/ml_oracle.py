@@ -60,7 +60,7 @@ def ml_reference_pose(
     Each start runs damped Gauss-Newton (backtracking on the full step) until
     the step norm falls below 1e-12 or no decrease is representable.
     """
-    t_init = estimate(RangeBatch(dep, d.shape[2], d), Method.ULS).t
+    t_init = estimate(RangeBatch(dep, d), Method.ULS).t
     thetas = np.arange(n_starts) * (2.0 * np.pi / n_starts)
     ts = np.tile(t_init, (n_starts, 1))
     costs = _costs(dep, d, thetas, ts)

@@ -150,7 +150,7 @@ def test_c04_one_step_converges_to_ml():
         gaps = []
         for _ in range(200):
             d = noisy_ranges(dep, pose, repeat_t, rng)
-            batch = up.RangeBatch(dep, repeat_t, d)
+            batch = up.RangeBatch(dep, d)
             refined = estimate(batch, up.Method.GN_ULS)
             reference = ml_reference_pose(dep, d)
             gap = math.sqrt(
@@ -299,7 +299,7 @@ def test_c09_linear_complexity_timing():
     large = noisy_ranges(dep, pose, 10_000, rng)  # n = 60000
 
     def construct_and_estimate(d):
-        estimate(up.RangeBatch(dep, d.shape[2], d), up.Method.GN_ULS)
+        estimate(up.RangeBatch(dep, d), up.Method.GN_ULS)
 
     for _ in range(5):
         construct_and_estimate(small)

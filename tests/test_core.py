@@ -1,6 +1,7 @@
 """Geometry types, per-pair range moments, observability, and the ML objective."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,24 +128,29 @@ class TestRangeBatch:
 
     def test_rejects_wrong_shape(self):
         dep = reference_deployment()
-        with pytest.raises(ValueError):
-            RangeBatch(dep, 2, np.zeros((2, 3, 1)))
+        for shape in [(3, 2, 1), (2, 3), (2, 3, 1, 1), (2, 4, 2)]:
+            with pytest.raises(ValueError, match=re.escape(f"d must have shape (2, 3, T) with T >= 1, got {shape}")):
+                RangeBatch(dep, np.zeros(shape))
 
     def test_rejects_zero_repetitions(self):
-        with pytest.raises(ValueError, match="repeat_t"):
-            RangeBatch(reference_deployment(), 0, np.zeros((2, 3, 0)))
+        with pytest.raises(ValueError, match="T >= 1"):
+            RangeBatch(reference_deployment(), np.zeros((2, 3, 0)))
+
+    def test_repetitions_read_from_the_ranges(self):
+        for t in (1, 3, 40):
+            assert RangeBatch(reference_deployment(), np.ones((2, 3, t))).repeat_t == t
 
     def test_rejects_nonfinite(self):
         dep = reference_deployment()
         d = np.full((2, 3, 1), np.nan)
         with pytest.raises(ValueError):
-            RangeBatch(dep, 1, d)
+            RangeBatch(dep, d)
 
     def test_moments_match_explicit_loops(self):
         rng = np.random.default_rng(15)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.4, size=(2, 3)))
         d = noisy_ranges(dep, reference_pose(), 5, rng)
-        batch = RangeBatch(dep, 5, d)
+        batch = RangeBatch(dep, d)
         assert batch.mean_d.shape == batch.mean_d2.shape == (2, 3)
         for i in range(dep.num_tags):
             for m in range(dep.num_anchors):

@@ -177,6 +177,12 @@ class TestConstrainedCrlb:
             math.sqrt(result.rotation_block_trace + result.translation_block_trace), rel=1e-12
         )
 
+    def test_bound_is_read_only(self):
+        pose = reference_pose()
+        result = constrained_crlb(fisher_info(reference_deployment(), 10, pose), pose)
+        with pytest.raises(ValueError, match="read-only"):
+            result.crlb[0, 0] = 0.0
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(64)
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))

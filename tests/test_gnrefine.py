@@ -143,13 +143,13 @@ class TestGnStep:
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
         d = noisy_ranges(dep, pose, 30, rng)
-        batch = RangeBatch(dep, 30, d)
+        batch = RangeBatch(dep, d)
         init = estimate(batch, Method.ULS)
         refined = one_gn_step(batch, init)
         dep_scaled = Deployment(
             anchors=dep.anchors, tags=dep.tags, sigma=7.3 * dep.sigma, dh=dep.dh
         )
-        refined_scaled = one_gn_step(RangeBatch(dep_scaled, 30, d), init)
+        refined_scaled = one_gn_step(RangeBatch(dep_scaled, d), init)
         assert abs(refined.theta - refined_scaled.theta) <= 1e-12
         np.testing.assert_allclose(refined.t, refined_scaled.t, atol=1e-12)
 
@@ -176,7 +176,7 @@ class TestGnStep:
         trials = 1000
         for _ in range(trials):
             d = noisy_ranges(dep, pose, 100, rng)
-            batch = RangeBatch(dep, 100, d)
+            batch = RangeBatch(dep, d)
             init = estimate(batch, Method.ULS)
             refined = one_gn_step(batch, init)
             before = ml_cost(dep, d, init)
@@ -194,7 +194,7 @@ class TestGnStep:
         pose = Pose2(0.0, [0.0, 0.0])  # tag 0 lands exactly on anchor 0
         d = np.maximum(predicted_ranges(dep, pose), 1e-3)[:, :, None]
         with pytest.raises(NearSingularityError):
-            one_gn_step(RangeBatch(dep, 1, d), pose)
+            one_gn_step(RangeBatch(dep, d), pose)
 
     def test_degenerate_geometry_raises(self):
         dep = Deployment(anchors=[[10.0, 0.0]], tags=[[1.0, 0.0]], sigma=0.1)
@@ -374,7 +374,7 @@ class TestAgainstMlOracle:
         gn_gaps, uls_gaps = [], []
         for _ in range(200):
             d = noisy_ranges(dep, pose, 2, rng)
-            batch = RangeBatch(dep, 2, d)
+            batch = RangeBatch(dep, d)
             closed_form = estimate(batch, Method.ULS)
             gn_pose = estimate(batch, Method.GN_ULS)
             ml_pose = ml_reference_pose(dep, d)
@@ -394,7 +394,7 @@ class TestEstimateGnUls:
         rng = np.random.default_rng(45)
         dep = reference_deployment(sigma=0.1)
         d = noisy_ranges(dep, reference_pose(), 200, rng)
-        batch = RangeBatch(dep, 200, d)
+        batch = RangeBatch(dep, d)
         uls = estimate(batch, Method.ULS)
         gn = estimate(batch, Method.GN_ULS)
         assert ml_cost(dep, d, gn) <= ml_cost(dep, d, uls) * (1 + 1e-12)
@@ -416,7 +416,7 @@ class TestEstimateGnUls:
         fixed = small[:, :, :1]
 
         def construct_and_estimate(d):
-            estimate(RangeBatch(dep, d.shape[2], d), Method.GN_ULS)
+            estimate(RangeBatch(dep, d), Method.GN_ULS)
 
         for _ in range(5):
             for d in (fixed, small, large):

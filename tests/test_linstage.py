@@ -65,7 +65,7 @@ class TestProjector:
             sigma=rng.uniform(0.05, 0.3, size=shape), dh=rng.uniform(0.0, 1.0, size=shape)
         )
         d = noisy_ranges(dep, reference_pose(), 7, rng)
-        return RangeBatch(dep, 7, d), d
+        return RangeBatch(dep, d), d
 
     def test_annihilates_ones(self):
         batch, _ = self._batch()
@@ -169,12 +169,12 @@ class TestSolveUls:
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
         d = noisy_ranges(dep, pose, 20, rng)
-        y0, t0 = _solve(*_system(RangeBatch(dep, 20, d)))
+        y0, t0 = _solve(*_system(RangeBatch(dep, d)))
         perm = np.array([2, 0, 1])
         dep_p = Deployment(
             anchors=dep.anchors[perm], tags=dep.tags, sigma=dep.sigma[:, perm], dh=dep.dh[:, perm]
         )
-        batch_p = RangeBatch(dep_p, 20, d[:, perm, :])
+        batch_p = RangeBatch(dep_p, d[:, perm, :])
         y1, t1 = _solve(*_system(batch_p))
         np.testing.assert_allclose(y0, y1, atol=1e-9)
         np.testing.assert_allclose(t0, t1, atol=1e-9)
@@ -184,12 +184,12 @@ class TestSolveUls:
         dep = reference_deployment(sigma=rng.uniform(0.05, 0.3, size=(2, 3)))
         pose = reference_pose()
         d = noisy_ranges(dep, pose, 20, rng)
-        y0, t0 = _solve(*_system(RangeBatch(dep, 20, d)))
+        y0, t0 = _solve(*_system(RangeBatch(dep, d)))
         perm = np.array([1, 0])
         dep_p = Deployment(
             anchors=dep.anchors, tags=dep.tags[perm], sigma=dep.sigma[perm], dh=dep.dh[perm]
         )
-        batch_p = RangeBatch(dep_p, 20, d[perm])
+        batch_p = RangeBatch(dep_p, d[perm])
         y1, t1 = _solve(*_system(batch_p))
         np.testing.assert_allclose(y0, y1, atol=1e-9)
         np.testing.assert_allclose(t0, t1, atol=1e-9)
@@ -202,10 +202,10 @@ class TestSolveUls:
         dep_right = reference_deployment(sigma=0.1)
         d = noiseless_ranges(dep_right, pose)
         dep_uniform_wrong = reference_deployment(sigma=0.5)
-        y_u, t_u = _solve(*_system(RangeBatch(dep_uniform_wrong, 1, d)))
+        y_u, t_u = _solve(*_system(RangeBatch(dep_uniform_wrong, d)))
         np.testing.assert_allclose(t_u, pose.t - _centroid(dep_right), atol=1e-9)
         dep_varying_wrong = reference_deployment(sigma=[0.1, 0.5, 1.0])
-        y_v, t_v = _solve(*_system(RangeBatch(dep_varying_wrong, 1, d)))
+        y_v, t_v = _solve(*_system(RangeBatch(dep_varying_wrong, d)))
         assert np.linalg.norm(t_v - (pose.t - _centroid(dep_right))) > 1e-6
 
 

@@ -546,7 +546,7 @@ def _stress_draws(config, spike, rate, window=5, v_max=0.5, freq_hz=100.0):
                 flags = flag_stream(filtered[i, m], window, slack)
                 if flags.any():
                     filtered[i, m, flags] = np.interp(stamps[flags], stamps[~flags], filtered[i, m, ~flags])
-        batches = (("", RangeBatch(dep, t_eff, spiked)), ("+filter", RangeBatch(dep, t_eff, filtered)))
+        batches = (("", RangeBatch(dep, spiked)), ("+filter", RangeBatch(dep, filtered)))
         return [(prefix, batch.mean_d, batch.mean_d2) for prefix, batch in batches]
 
     def draws(axis_index):
@@ -627,14 +627,18 @@ def test_four_method_sweep_runs_each_stage_once_per_deployment(monkeypatch, over
         (dict(axis_values=(1, 5, 20)), ["draw 0", "draw 1", "draw 2", "estimate"]),
         (
             dict(axis=SweepAxis.NOISE_SIGMA, axis_values=(0.1, 0.2, 0.3)),
-            ["draw 0", "draw 1", "estimate", "draw 2", "estimate", "estimate"],
+            ["draw 0", "estimate", "draw 1", "estimate", "draw 2", "estimate"],
+        ),
+        (
+            dict(axis=SweepAxis.ANCHOR_COUNT, axis_values=(3, 4, 6)),
+            ["draw 0", "estimate", "draw 1", "estimate", "draw 2", "estimate"],
         ),
     ],
-    ids=["repeat-t", "noise-sigma"],
+    ids=["repeat-t", "noise-sigma", "anchor-count"],
 )
-def test_sweep_draws_a_value_only_after_estimating_the_one_two_before(monkeypatch, overrides, expected):
-    # groupby draws the next value to end a group, so a noise_sigma sweep holds at most
-    # two values' moments; a repeat_t axis is one group, estimated in one call.
+def test_sweep_draws_a_value_only_after_estimating_the_one_before(monkeypatch, overrides, expected):
+    # A repeat_t axis is one group, estimated in one call; every value of another axis is a
+    # group of its own, so a sweep holds one value's moments at a time.
     calls = []
     setup, estimate = mc._axis_setup, mc.estimate_methods
 
@@ -650,6 +654,13 @@ def test_sweep_draws_a_value_only_after_estimating_the_one_two_before(monkeypatc
     monkeypatch.setattr(mc, "estimate_methods", logged_estimate)
     run_sweep(_small_config(trials=5, **overrides))
     assert calls == expected
+
+
+def test_result_is_read_only():
+    result = run_sweep(_small_config(trials=5))
+    assert isinstance(result.rows, tuple)
+    with pytest.raises(TypeError):
+        result.metadata["axis"] = "anchor_count"
 
 
 def _without_times(rows):

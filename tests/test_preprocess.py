@@ -1,5 +1,6 @@
 """Outlier rejection, calibration, and epoch batching."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -305,6 +306,15 @@ class TestBiasModel:
         with pytest.raises(ValueError):
             BiasModel(alpha=0.0, beta=0.0, sigma=0.0)
 
+    def test_per_pair_is_a_read_only_copy(self):
+        # Writing alpha = -1 after the check would make remove divide by zero.
+        given = {("a0", "t0"): (0.0, 0.0)}
+        m = BiasModel(0.0, 0.0, 1.0, per_pair=given)
+        with pytest.raises(TypeError):
+            m.per_pair[("a0", "t0")] = (-1.0, 0.0)
+        given[("a0", "t0")] = (-1.0, 0.0)
+        assert m.remove([5.0], ("a0", "t0")).tolist() == [5.0]
+
 
 class TestAlignAndBatch:
     def test_synchronous_identity_bias_passes_ranges_through(self):
@@ -394,6 +404,15 @@ class TestAlignAndBatch:
         with pytest.raises(SchemaError, match="^unknown anchor id 'zz'$"):
             align_and_batch(_make_log(streams), BiasModel.identity(), named)
 
+    def test_epochs_are_read_only(self):
+        named = _grid_deployment()
+        _, log = _synthetic_truth_and_log(named, 0.0, 0.0, 0.0, 10, None)
+        epochs = align_and_batch(log, BiasModel.identity(), named)
+        assert len(epochs)
+        for arr in (epochs.times, epochs.ranges):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     @pytest.mark.parametrize("key", [("zz", "t0"), (0, "t0"), ("a0", "t9"), ("t0", "a0")])
     def test_per_pair_key_must_name_a_pair_of_the_deployment(self, key):
         # Such an entry would never be applied, so the model is refused where it meets the deployment.
@@ -402,7 +421,7 @@ class TestAlignAndBatch:
         model = BiasModel(alpha=0.0, beta=0.0, sigma=0.05, per_pair={("a1", "t1"): (0.1, 0.2), key: (0.1, 0.2)})
         with pytest.raises(SchemaError, match=f"^bias model per_pair {re.escape(repr(key))} is no "):
             align_and_batch(log, model, named)
-        del model.per_pair[key]
+        model = dataclasses.replace(model, per_pair={k: v for k, v in model.per_pair.items() if k != key})
         applied = align_and_batch(log, model, named)
         identity = align_and_batch(log, BiasModel.identity(), named)
         np.testing.assert_allclose(applied.ranges[:, 1, 1], (identity.ranges[:, 1, 1] - 0.2) / 1.1, rtol=1e-14)
@@ -533,7 +552,7 @@ def test_replay_chain_matches_per_epoch_estimates(case):
     for method in Method:
         poses = estimate_stacked(named.deployment, epochs.ranges, epochs.ranges**2, method)
         for k, grid in enumerate(ranges):
-            batch = RangeBatch(named.deployment, 1, np.array(grid)[:, :, np.newaxis])
+            batch = RangeBatch(named.deployment, np.array(grid)[:, :, np.newaxis])
             code = Status(int(poses.status[k]))
             if code:
                 with pytest.raises(code.error):

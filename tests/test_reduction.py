@@ -30,7 +30,7 @@ def _tiled_raw_batch(dep: Deployment, d: np.ndarray) -> RangeBatch:
         dh=np.tile(dep.dh, (1, t_rep)),
     )
     columns = d.transpose(0, 2, 1).reshape(dep.num_tags, -1, 1)  # column rep * M + m
-    return RangeBatch(tiled, 1, columns)
+    return RangeBatch(tiled, columns)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -46,7 +46,7 @@ def test_moment_and_raw_paths_agree(seed, repeat_t):
         dh=rng.uniform(0.2, 2.0, size=shape),
     )
     d = noisy_ranges(dep, random_pose(rng), repeat_t, rng)
-    batch = RangeBatch(dep, repeat_t, d)
+    batch = RangeBatch(dep, d)
     raw = _tiled_raw_batch(dep, d)
     for method in Method:
         reduced, expanded = estimate(batch, method), estimate(raw, method)

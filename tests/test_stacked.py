@@ -257,7 +257,7 @@ def test_tag_on_anchor_fails_only_its_own_problem(method):
     rng = np.random.default_rng(7)
     on_anchor = Pose2(0.0, [0.0, 0.0])  # tag 0 lands exactly on anchor 0
     batches = [noisy_batch(dep, Pose2(0.3 * k, [8.0 + k, 12.0]), 1, rng) for k in range(5)]
-    batches[2] = RangeBatch(dep, 1, predicted_ranges(dep, on_anchor)[:, :, np.newaxis])
+    batches[2] = RangeBatch(dep, predicted_ranges(dep, on_anchor)[:, :, np.newaxis])
     with pytest.raises(NearSingularityError):
         estimate(batches[2], method)
 
@@ -278,6 +278,15 @@ def test_empty_stack():
         stacked = estimate_stacked(dep, empty, empty, method)
         assert stacked.theta.shape == stacked.status.shape == (0,)
         assert stacked.t.shape == (0, 2)
+
+
+def test_returned_poses_are_read_only():
+    dep = reference_deployment()
+    mean_d, mean_d2 = _stack([noiseless_batch(dep, reference_pose(), repeat_t=1)] * 2)
+    for poses, _ in estimate_methods(dep, mean_d, mean_d2, Method).values():
+        for arr in poses:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 def test_rejects_mismatched_moments():

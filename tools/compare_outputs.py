@@ -13,10 +13,14 @@ directory. The commands:
   methods, on the ``perfbench/gen.py`` replay log of seeds 3 and 7;
 - ``crlb`` on both bundled ``crlb_*`` scenarios, at their own ``repeat_t``
   and at 4;
-- the bundled ``sim_*`` sweeps with ``--trials 20``.
+- the bundled ``sim_*`` sweeps with ``--trials 20``;
+- two sweeps whose ``failures_by_error`` is not ``none``: a tag on an
+  anchor at zero noise, where every Gauss-Newton step fails its problem, and
+  an ``anchor_count`` axis whose first three anchors are collinear, where
+  value 3 fails every method for the deployment as a whole.
 
 Inputs come from this repository's ``perfbench/gen.py`` and ``scenarios/``,
-written into each output directory. Before comparing, each directory's path
+and from ``FAILING_SWEEPS`` below, written into each output directory. Before comparing, each directory's path
 is replaced by ``<DIR>``, and the wall-time ``ms`` column of the ``simulate``
 summary table by ``-``. Exit codes, stdout, stderr and every file a command
 writes or changes must then be equal byte for byte. Prints one line per
@@ -24,6 +28,7 @@ command and exits 1 on any difference.
 """
 
 import argparse
+import json
 import os
 import pathlib
 import re
@@ -43,6 +48,23 @@ SWEEPS = {
 }
 SEEDS = (3, 7)
 METHODS = ("uls", "gn-uls", "dac", "gn-dac")
+# Scenarios of the two sweeps with failures, by name.
+FAILING_SWEEPS = {
+    "tag-on-anchor": {
+        "deployment": {"anchors": [[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]], "tags": [[3.0, 0.0], [3.0, 3.0]],
+                       "sigma": 0.1},
+        "true_pose": {"theta_deg": 0.0, "t": [47.0, 0.0]},
+        "seed": 101,
+        "sweep": {"axis": "repeat_t", "values": [5, 20], "trials": 7, "noise_scale": 0.0},
+    },
+    "collinear-anchors": {
+        "deployment": {"anchors": [[0.0, 0.0], [25.0, 0.0], [50.0, 0.0], [0.0, 50.0]],
+                       "tags": [[3.0, 0.0], [3.0, 3.0]], "sigma": 0.1},
+        "true_pose": {"theta_deg": 60.0, "t": [0.0, 25.0]},
+        "seed": 101,
+        "sweep": {"axis": "anchor_count", "values": [3, 4, 6], "trials": 5},
+    },
+}
 # A row of the simulate summary table: axis, estimator, rmse, bound, ratio, ms, failures.
 SUMMARY_ROW = re.compile(rb"^( *\S+ +\S+ +\S+ +\S+ +\S+ +)\S+( +\d+)$", re.MULTILINE)
 
@@ -78,6 +100,10 @@ def commands(workdir: str) -> list[tuple[str, list[str]]]:
             out = f"{path.stem}.csv"
             runs.append((f"simulate {path.stem} trials 20",
                          ["simulate", "--scenario", scenario, "--out", out, "--trials", "20"]))
+    for name, document in FAILING_SWEEPS.items():
+        scenario = os.path.join(workdir, f"{name}.scenario")
+        pathlib.Path(scenario).write_text(json.dumps(document), encoding="utf-8")
+        runs.append((f"simulate {name}", ["simulate", "--scenario", scenario, "--out", f"{name}.csv"]))
     return runs
 
 
