@@ -150,22 +150,15 @@ def _cmd_estimate(args) -> None:
     if not len(epochs):
         raise EstimationError("no epochs: the log needs every (anchor, tag) pair of the deployment, over one"
                               " common span, with gaps of at most --max-gap periods")
-    method = Method(args.method)
 
-    count = len(epochs)
     with np.errstate(over="ignore"):  # checked below
         squares = epochs.ranges**2
     if not np.all(np.isfinite(squares)):
         raise EstimationError("de-biased ranges overflow when squared")
-    t_xy, yaw_deg, ok = np.full((count, 2), np.nan), np.full(count, np.nan), np.zeros(count, dtype=bool)
-    try:
-        poses = estimate_stacked(named.deployment, epochs.ranges, squares, method)
-    except EstimationError as exc:  # the deployment itself fails every epoch alike
-        outcome, statuses = exc, [f"error:{type(exc).__name__}"] * count
-    else:
-        outcome, ok, t_xy = poses.status, poses.status == 0, poses.t
-        yaw_deg = np.degrees(wrap_angles(poses.theta + math.radians(args.yaw_offset_deg)))
-        statuses = ["ok" if code == 0 else f"error:{Status(code).error.__name__}" for code in poses.status.tolist()]
+    poses = estimate_stacked(named.deployment, epochs.ranges, squares, args.method)
+    ok = poses.status == 0
+    yaw_deg = np.degrees(wrap_angles(poses.theta + math.radians(args.yaw_offset_deg)))
+    statuses = ["ok" if code == 0 else f"error:{Status(code).error.__name__}" for code in poses.status.tolist()]
     if truth is not None:  # scored before anything is written, so a failure leaves no output
         inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
         if not inside.any():
@@ -174,16 +167,14 @@ def _cmd_estimate(args) -> None:
         est_yaw = np.radians(yaw_deg[inside])
         yaw_err = np.degrees(np.arctan2(np.sin(est_yaw - yaws), np.cos(est_yaw - yaws)))
         with np.errstate(over="ignore"):  # checked below
-            pos_rmse_cm = float(np.sqrt(np.mean(np.sum((t_xy[inside] - positions) ** 2, axis=1)))) * 100.0
+            pos_rmse_cm = float(np.sqrt(np.mean(np.sum((poses.t[inside] - positions) ** 2, axis=1)))) * 100.0
         if not math.isfinite(pos_rmse_cm):
             raise EstimationError("position errors against the ground truth overflow")
         rot_rmse_deg = float(np.sqrt(np.mean(yaw_err**2)))
 
     # The rows csv.writer would write: reprs and fixed identifiers need no quotes.
-    lines, label = ["t,x,y,yaw_deg,method,status\r\n"], method.value
-    for epoch_time, (x, y), yaw, status in zip(
-        epochs.times.tolist(), t_xy.tolist(), yaw_deg.tolist(), statuses
-    ):
+    lines, label = ["t,x,y,yaw_deg,method,status\r\n"], args.method
+    for epoch_time, (x, y), yaw, status in zip(epochs.times.tolist(), poses.t.tolist(), yaw_deg.tolist(), statuses):
         lines.append(f"{epoch_time!r},{x!r},{y!r},{yaw!r},{label},{status}\r\n" if status == "ok"
                      else f"{epoch_time!r},,,,{label},{status}\r\n")
     outputs = {args.out: "".join(lines)}
@@ -192,7 +183,7 @@ def _cmd_estimate(args) -> None:
         outputs[args.out + ".summary.csv"] = summary
     _atomic_write_text(outputs)
     print(f"wrote {len(epochs)} epochs to {args.out} ({int(ok.sum())} ok)")
-    print(f"failures_by_error: {failure_tally(outcome, count) or 'none'}", file=sys.stderr)
+    print(f"failures_by_error: {failure_tally(poses.status) or 'none'}", file=sys.stderr)
     if truth is not None:
         print("method  position_rmse_cm  rotation_rmse_deg")
         print(f"{label:>6}  {pos_rmse_cm:>16.3f}  {rot_rmse_deg:>17.3f}")

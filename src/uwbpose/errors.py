@@ -1,5 +1,5 @@
 """Exception types shared across the package, the per-problem status codes of the stacked
-estimator kernels that stand for some of them, the one rule that turns a rejected input value
+estimators, one for each way an estimate fails, the one rule that turns a rejected input value
 into a SchemaError, and the reader, key check and number check of every JSON input file."""
 
 import contextlib
@@ -102,16 +102,18 @@ def finite_number(value) -> bool:
 class Status(enum.IntEnum):
     """Outcome of one problem in a stacked estimator call.
 
-    Failures shared by every problem of a stack (a rank-deficient linear
-    design, as with fewer than 3 anchors, or for ULS fewer than 2 distinct
-    tags) are raised instead. Each nonzero code stands for an error class,
-    which ``estimators.estimate`` raises for a problem of its own.
+    Each nonzero code stands for an error class, which ``estimators.estimate``
+    raises for a problem of its own. A failure of the deployment itself gives
+    every problem ``SINGULAR_SYSTEM`` (a rank-deficient linear design) or
+    ``OVERFLOW`` (squared anchor coordinates, sigma or dh beyond the float range).
     """
 
     OK = 0
     DEGENERATE_PROJECTION = 1
     DEGENERATE_GEOMETRY = 2
     NEAR_SINGULARITY = 3
+    SINGULAR_SYSTEM = 4
+    OVERFLOW = 5
 
     @property
     def error(self) -> type[EstimationError]:
@@ -123,4 +125,6 @@ _STATUS_ERRORS = {
     Status.DEGENERATE_PROJECTION: DegenerateProjectionError,
     Status.DEGENERATE_GEOMETRY: DegenerateGeometryError,
     Status.NEAR_SINGULARITY: NearSingularityError,
+    Status.SINGULAR_SYSTEM: SingularSystemError,
+    Status.OVERFLOW: EstimationError,
 }

@@ -144,6 +144,13 @@ class McResult(NamedTuple):
     rows: tuple[McRow, ...]
     metadata: MappingProxyType
 
+    def __reduce__(self):  # pickle and copy a mappingproxy as the plain dict it is rebuilt from
+        return _read_only_result, (self.rows, dict(self.metadata))
+
+
+def _read_only_result(rows: tuple, metadata: dict) -> McResult:
+    return McResult(rows, MappingProxyType(metadata))
+
 
 # 64-bit words per getrandbits call: 2**26 bits, far below a C int, and 8 MB.
 _WORDS_PER_CALL = 2**20
@@ -249,9 +256,8 @@ def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
         value, part = config.axis_values[i], slice(j * trials, (j + 1) * trials)
         for method in config.estimators:
             poses, elapsed = results[method]
-            failed_all = isinstance(poses, EstimationError)  # the deployment itself fails every trial alike
-            outcome = poses if failed_all else poses.status[part]
-            ok = np.zeros(trials, dtype=bool) if failed_all else outcome == 0
+            status = poses.status[part]
+            ok = status == 0
             count = int(ok.sum())
             if count:
                 # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
@@ -265,7 +271,7 @@ def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
                 mean_time = elapsed / (len(group) * trials)
             else:
                 rot = trans = combined = mean_time = float("nan")
-            if kinds := failure_tally(outcome, trials):
+            if kinds := failure_tally(status):
                 failures.append(f"{value!r} {method.value} {kinds}")
             rows.append(McRow(value, method.value, rot, trans, combined, bound, mean_time, trials - count, trials))
     return rows, failures
@@ -294,7 +300,7 @@ def run_sweep(config: McConfig) -> McResult:
         "combined_rmse": "sqrt(rotation_rmse^2 + translation_rmse^2), comparable to sqrt_crlb",
         "failures_by_error": "; ".join(failures) or "none",
     }
-    return McResult(rows=tuple(rows), metadata=MappingProxyType(meta))
+    return _read_only_result(tuple(rows), meta)
 
 
 def write_csv(result: McResult, stream, include_timing: bool = True) -> None:

@@ -187,7 +187,6 @@ class GroundTruthLog:
         do not corrupt intermediate values. Times outside the logged span
         are the caller's responsibility to mask.
         """
-        times = np.asarray(times, dtype=float)
         xs = np.interp(times, self.t, self.x)
         ys = np.interp(times, self.t, self.y)
         yaw = np.interp(times, self.t, np.unwrap(self.yaw))
@@ -325,6 +324,9 @@ class BiasModel:
         for alpha, beta in [(self.alpha, self.beta), *self.per_pair.values()]:
             if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1.0):
                 raise ValueError(f"bias coefficients must be finite with alpha > -1, got {alpha}, {beta}")
+
+    def __reduce__(self):  # pickle and copy a mappingproxy as the plain dict it is rebuilt from
+        return BiasModel, (self.alpha, self.beta, self.sigma, self.residual_rms, dict(self.per_pair))
 
     @classmethod
     def identity(cls) -> "BiasModel":
@@ -517,7 +519,8 @@ def align_and_batch(
     ok = np.ones(count, dtype=bool)
     for (key, indices), i, j in zip(streams.items(), tag_slot, anchor_slot):
         ts = log.t[indices]
-        vals = bias.remove(log.range_m[indices], key=key)
+        with np.errstate(over="ignore"):  # the estimate command refuses ranges whose squares overflow
+            vals = bias.remove(log.range_m[indices], key=key)
         grid[:, i, j] = np.interp(epochs, ts, vals)
         position = np.searchsorted(ts, epochs)
         left = np.clip(position - 1, 0, len(ts) - 1)

@@ -956,6 +956,31 @@ def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
     assert "overflow" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_debiasing_that_overflows_exits_1_without_output(tmp_path, capsys):
+    # alpha just above -1 divides by about 1.1e-16, so one record of 1e308
+    # de-biases to inf; a window longer than each 20-record stream flags none.
+    dep = tmp_path / "deployment.json"
+    dep.write_text(json.dumps({"anchors": {"a0": [0.0, 0.0], "a1": [10.0, 0.0], "a2": [0.0, 10.0]},
+                               "tags": {"t0": [0.4, 0.0], "t1": [0.0, 0.4]}, "sigma": 0.1}), encoding="utf-8")
+    ranges = tmp_path / "ranges.csv"
+    rows = [[k / 100.0, a, t, "1e308" if (k, a, t) == (10, "a0", "t0") else "5.0"]
+            for k in range(20) for t in ("t0", "t1") for a in ("a0", "a1", "a2")]
+    with open(ranges, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([["t", "anchor", "tag", "range"], *rows])
+    bias = tmp_path / "bias.json"
+    bias.write_text(json.dumps({"alpha": -0.9999999999999999, "beta": 0.0, "sigma": 0.1}), encoding="utf-8")
+    out = tmp_path / "poses.csv"
+    argv = ["estimate", "--ranges", str(ranges), "--deployment", str(dep), "--bias", str(bias), "--window", "100",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [f"{ranges}: 120 records read, 0 negative dropped, 0 outliers rejected",
+                                "error: de-biased ranges overflow when squared"]
+
+
 def test_crlb_sigma_below_the_overflow_boundary_prints_the_scaled_bound(tmp_path, capsys):
     # The bound is linear in sigma: at 1e152 it is 1e153 times that at 0.1, with block
     # traces near 1e304; at 3e152 the information denominator overflows (exit 1 above).

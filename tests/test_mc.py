@@ -2,9 +2,11 @@
 robustness, CSV."""
 
 import collections
+import copy
 import dataclasses
 import io
 import math
+import pickle
 import random
 
 import numpy as np
@@ -18,6 +20,7 @@ from uwbpose.errors import UnobservableDeploymentError
 from uwbpose.estimators import estimate_stacked
 from uwbpose.mc import (
     McConfig,
+    McResult,
     SweepAxis,
     _axis_setup,
     _run_axes,
@@ -661,6 +664,16 @@ def test_result_is_read_only():
     assert isinstance(result.rows, tuple)
     with pytest.raises(TypeError):
         result.metadata["axis"] = "anchor_count"
+
+
+@pytest.mark.parametrize("copy_of", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy])
+def test_result_pickles_and_copies_read_only(copy_of):
+    result = run_sweep(_small_config(trials=5))
+    other = copy_of(result)
+    assert type(other) is McResult and other is not result
+    assert other == result
+    with pytest.raises(TypeError):
+        other.metadata["axis"] = "anchor_count"
 
 
 def _without_times(rows):

@@ -1,7 +1,9 @@
 """Outlier rejection, calibration, and epoch batching."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import warnings
 from unittest import mock
@@ -314,6 +316,14 @@ class TestBiasModel:
             m.per_pair[("a0", "t0")] = (-1.0, 0.0)
         given[("a0", "t0")] = (-1.0, 0.0)
         assert m.remove([5.0], ("a0", "t0")).tolist() == [5.0]
+
+    @pytest.mark.parametrize("copy_of", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+    def test_pickles_and_copies_read_only(self, copy_of):
+        m = BiasModel(0.1, 0.2, 1.0, 0.5, per_pair={("a0", "t0"): (0.3, 0.4)})
+        other = copy_of(m)
+        assert other == m and other is not m
+        with pytest.raises(TypeError):
+            other.per_pair[("a0", "t0")] = (-1.0, 0.0)
 
 
 class TestAlignAndBatch:

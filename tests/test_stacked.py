@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
-from uwbpose.errors import EstimationError, NearSingularityError, SingularSystemError, Status
-from uwbpose.estimators import estimate, estimate_methods, estimate_stacked
+from uwbpose.core import Deployment, Method, Pose2, PoseStack, RangeBatch, predicted_ranges, rotation_matrix
+from uwbpose.errors import EstimationError, NearSingularityError, Status
+from uwbpose.estimators import estimate, estimate_methods, estimate_stacked, failure_tally
 
 from helpers import (
+    BODY_TAGS,
+    COLLINEAR_ANCHORS,
     CORNER_ANCHORS,
     ORIGIN_LINE_TAGS,
     noiseless_batch,
@@ -77,14 +79,10 @@ def _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d2):
     assert list(results) == list(Method)
     for method, (poses, seconds) in results.items():
         assert 0.0 <= seconds < math.inf
-        if isinstance(poses, tuple):  # a PoseStack: every OK pose is finite
-            ok = poses.status == Status.OK
-            assert np.all(np.isfinite(poses.theta[ok])) and np.all(np.isfinite(poses.t[ok])), method
-        try:
-            alone = estimate_stacked(dep, mean_d, mean_d2, method)
-        except EstimationError as exc:
-            assert type(poses) is type(exc) and str(poses) == str(exc), method
-            continue
+        assert isinstance(poses, PoseStack), method
+        ok = poses.status == Status.OK
+        assert np.all(np.isfinite(poses.theta[ok])) and np.all(np.isfinite(poses.t[ok])), method
+        alone = estimate_stacked(dep, mean_d, mean_d2, method)
         for got, expected in zip(poses, alone):
             np.testing.assert_array_equal(got, expected, err_msg=method.value)
     return results
@@ -98,6 +96,13 @@ def test_methods_together_equal_each_method_alone(seed, problems, repeat_t):
     _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d2)
 
 
+def _assert_every_problem_failed(poses, code, method):
+    """Every problem of ``poses`` has status ``code`` and a NaN pose, in read-only arrays."""
+    assert poses.status.tolist() == [code] * len(poses.status), method
+    assert np.all(np.isnan(poses.theta)) and np.all(np.isnan(poses.t)), method
+    assert not any(arr.flags.writeable for arr in poses), method
+
+
 def test_stage_error_reaches_only_the_methods_of_that_stage():
     # Coincident tags leave the ULS design rank-deficient, which fails every
     # problem; divide and conquer localizes each tag, and only its pose fit,
@@ -106,10 +111,9 @@ def test_stage_error_reaches_only_the_methods_of_that_stage():
     mean_d = np.stack([predicted_ranges(dep, Pose2(theta, [10.0, 20.0])) for theta in (1.0, 2.0)])
     results = _assert_each_method_equals_estimate_stacked(dep, mean_d, mean_d**2)
     for method in (Method.ULS, Method.GN_ULS):
-        assert isinstance(results[method][0], SingularSystemError), method
-        assert str(results[method][0]).startswith("design matrix rank 2 < 4;"), method
+        _assert_every_problem_failed(results[method][0], Status.SINGULAR_SYSTEM, method)
     for method in (Method.DAC, Method.GN_DAC):
-        assert results[method][0].status.tolist() == [Status.DEGENERATE_PROJECTION] * 2, method
+        _assert_every_problem_failed(results[method][0], Status.DEGENERATE_PROJECTION, method)
 
 
 @pytest.mark.parametrize("tags", ORIGIN_LINE_TAGS.values(), ids=ORIGIN_LINE_TAGS)
@@ -134,7 +138,48 @@ def test_overflowing_height_fails_every_method():
     mean_d = predicted_ranges(reference_deployment(), reference_pose())[np.newaxis]
     results = estimate_methods(reference_deployment(dh=1e308), mean_d, mean_d**2, list(Method))
     for method, (poses, _) in results.items():
-        assert type(poses) is EstimationError and "overflow" in str(poses), method
+        _assert_every_problem_failed(poses, Status.OVERFLOW, method)
+
+
+# Deployments that fail a stage for every problem alike, with the code of the
+# ULS stage's methods and that of the DAC stage's methods.
+FAILING_DEPLOYMENTS = {
+    "two-anchors": (dict(anchors=CORNER_ANCHORS[:2], tags=BODY_TAGS), Status.SINGULAR_SYSTEM, Status.SINGULAR_SYSTEM),
+    "one-anchor": (dict(anchors=CORNER_ANCHORS[:1], tags=BODY_TAGS), Status.SINGULAR_SYSTEM, Status.SINGULAR_SYSTEM),
+    "collinear-anchors": (dict(anchors=COLLINEAR_ANCHORS, tags=BODY_TAGS), Status.SINGULAR_SYSTEM, Status.SINGULAR_SYSTEM),
+    "coincident-tags": (
+        dict(anchors=CORNER_ANCHORS, tags=[[1.0, 0.0], [1.0, 0.0]]), Status.SINGULAR_SYSTEM, Status.DEGENERATE_PROJECTION
+    ),
+    "dh-1e308": (dict(anchors=CORNER_ANCHORS, tags=BODY_TAGS, dh=1e308), Status.OVERFLOW, Status.OVERFLOW),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(FAILING_DEPLOYMENTS))
+def test_failing_deployment_gives_every_problem_a_status(case):
+    # Every method returns poses, and estimate raises the error the status stands for.
+    geometry, uls_code, dac_code = FAILING_DEPLOYMENTS[case]
+    dep = Deployment(sigma=0.1, **geometry)
+    planar = Deployment(anchors=dep.anchors, tags=dep.tags, sigma=dep.sigma)  # ranges without the height
+    mean_d = np.stack([predicted_ranges(planar, Pose2(theta, [10.0, 20.0])) for theta in (1.0, 2.0, 3.0)])
+    results = estimate_methods(dep, mean_d, mean_d**2, list(Method))
+    for method, (poses, _) in results.items():
+        code = dac_code if method in (Method.DAC, Method.GN_DAC) else uls_code
+        assert isinstance(poses, PoseStack), method
+        _assert_every_problem_failed(poses, code, method)
+        words = code.name.lower().replace("_", " ")
+        with pytest.raises(code.error, match=rf"^{method.value}: {words}$") as raised:
+            estimate(RangeBatch(dep, mean_d[0][:, :, np.newaxis]), method)
+        assert type(raised.value) is code.error, method
+
+
+def test_failure_tally_counts_every_code_by_error_name():
+    status = np.array([Status.OVERFLOW, 0, Status.NEAR_SINGULARITY, Status.SINGULAR_SYSTEM, Status.OVERFLOW,
+                       Status.DEGENERATE_GEOMETRY, Status.DEGENERATE_PROJECTION, 0, Status.SINGULAR_SYSTEM,
+                       Status.OVERFLOW])
+    assert failure_tally(status) == ("DegenerateGeometryError=1 DegenerateProjectionError=1 EstimationError=3"
+                                     " NearSingularityError=1 SingularSystemError=2")
+    assert failure_tally(np.zeros(4, dtype=np.int64)) == failure_tally(np.zeros(0, dtype=np.int64)) == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -11,6 +11,10 @@ directory. The commands:
   ``sweep-bigT``) at workload seeds 3 and 7;
 - ``calibrate``, then ``estimate --bias --truth`` with each of the four
   methods, on the ``perfbench/gen.py`` replay log of seeds 3 and 7;
+- ``estimate`` with ``gn-uls`` and ``gn-dac`` on the log of seed 7 with a
+  deployment whose ``dh`` is 1e308, which fails both closed-form stages for
+  every epoch alike, so every row and the ``failures_by_error`` tally print
+  an error;
 - ``crlb`` on both bundled ``crlb_*`` scenarios, at their own ``repeat_t``
   and at 4;
 - the bundled ``sim_*`` sweeps with ``--trials 20``;
@@ -91,6 +95,14 @@ def commands(workdir: str) -> list[tuple[str, list[str]]]:
             out = f"poses-{seed}-{method}.csv"
             runs.append((f"estimate log {seed} {method}",
                          ["estimate", *files, "--bias", bias, "--method", method, "--out", out]))
+    # The last seed's log again, on a deployment whose dh**2 overflows.
+    overflowing = os.path.join(workdir, "deployment-dh-1e308.json")
+    document = json.loads(pathlib.Path(log.deployment).read_text(encoding="utf-8"))
+    pathlib.Path(overflowing).write_text(json.dumps({**document, "dh": 1e308}), encoding="utf-8")
+    for method in ("gn-uls", "gn-dac"):
+        runs.append((f"estimate log {seed} dh 1e308 {method}",
+                     ["estimate", "--ranges", log.ranges, "--deployment", overflowing, "--window", str(gen.LOG_WINDOW),
+                      "--vmax", repr(gen.LOG_VMAX), "--method", method, "--out", f"poses-dh-1e308-{method}.csv"]))
     for path in sorted((ROOT / "scenarios").glob("*.scenario")):
         scenario = shutil.copy(path, workdir)
         if path.name.startswith("crlb_"):
