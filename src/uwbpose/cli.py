@@ -105,7 +105,7 @@ def _cmd_simulate(args) -> None:
     _atomic_write_text({args.out: buffer.getvalue()})
 
     print(f"wrote {len(result.rows)} rows to {args.out}")
-    for key, value in sorted([*result.metadata.items(), *scenario.notes]):
+    for key, value in sorted([*result.metadata, *scenario.notes]):
         print(f"# {key}: {value}")
     print(f"{'axis':>12} {'estimator':>12} {'combined_rmse':>14} {'sqrt_crlb':>12} {'ratio':>8} {'ms':>8} {'fail':>5}")
     for row in result.rows:
@@ -160,9 +160,12 @@ def _cmd_estimate(args) -> None:
     yaw_deg = np.degrees(wrap_angles(poses.theta + math.radians(args.yaw_offset_deg)))
     statuses = ["ok" if code == 0 else f"error:{Status(code).error.__name__}" for code in poses.status.tolist()]
     if truth is not None:  # scored before anything is written, so a failure leaves no output
-        inside = ok & (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
-        if not inside.any():
+        span = (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
+        if not span.any():
             raise EstimationError("no epochs overlap the ground-truth span")
+        inside = ok & span
+        if not inside.any():
+            raise EstimationError(f"every epoch in the ground-truth span failed: {failure_tally(poses.status[span])}")
         positions, yaws = truth.interpolate(epochs.times[inside])
         est_yaw = np.radians(yaw_deg[inside])
         yaw_err = np.degrees(np.arctan2(np.sin(est_yaw - yaws), np.cos(est_yaw - yaws)))

@@ -3,8 +3,9 @@
 Coordinates are planar and metric. Anchors live in a fixed global frame,
 tags in the body frame of the rigid object being localized, and a pose
 maps body coordinates into the global frame via ``R(theta) @ s + t``.
-Every type is immutable, with read-only arrays and mappings; only the
-stacked kernels' ``PoseStack``s are writable. No type holds a cache and
+Every type is immutable: it holds its arrays as read-only copies that it
+owns (``read_only``) and its collections as tuples; only the stacked
+kernels' ``PoseStack``s are writable. No type holds a cache and
 every operation is a pure function, so any value can be shared across
 threads. Estimators recompute what they derive from a deployment (designs,
 offsets, weights) on each call; that work is O(N * M).
@@ -26,6 +27,14 @@ TWO_PI = 2.0 * math.pi
 # Relative singular-value threshold below which anchors count as collinear
 # and tags as coincident. Scale-free: compared against the largest singular value.
 COLLINEARITY_RTOL = 1e-9
+
+
+def read_only(values, dtype=None) -> np.ndarray:
+    """A read-only copy of ``values`` as an array, of ``dtype`` if given: the
+    caller's own array stays writable."""
+    copy = np.array(values, dtype=dtype)
+    copy.setflags(write=False)
+    return copy
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
@@ -64,10 +73,9 @@ class Pose2:
         t = np.asarray(self.t)
         if t.dtype.kind not in "iuf" or np.asarray(self.theta).dtype.kind not in "iuf":
             raise TypeError("pose entries must be numbers")
-        t, theta = t.astype(float).reshape(2), float(self.theta)
+        t, theta = read_only(t.reshape(2), float), float(self.theta)
         if not (math.isfinite(theta) and np.all(np.isfinite(t))):
             raise ValueError("pose entries must be finite")
-        t.setflags(write=False)
         object.__setattr__(self, "theta", float(wrap_angles(np.array([theta]))[0]))
         object.__setattr__(self, "t", t)
 
@@ -96,7 +104,7 @@ class Deployment:
         anchors, tags = np.asarray(self.anchors), np.asarray(self.tags)
         if anchors.dtype.kind not in "iuf" or tags.dtype.kind not in "iuf":
             raise TypeError("anchor and tag coordinates must be numbers")
-        anchors, tags = anchors.astype(float), tags.astype(float)
+        anchors, tags = read_only(anchors, float), read_only(tags, float)
         if anchors.ndim != 2 or anchors.shape[1] != 2 or anchors.shape[0] < 1:
             raise ValueError("anchors must be a non-empty (M, 2) array")
         if tags.ndim != 2 or tags.shape[1] != 2 or tags.shape[0] < 1:
@@ -108,8 +116,7 @@ class Deployment:
             sigma, dh = np.asarray(self.sigma), np.asarray(self.dh)
             if sigma.dtype.kind not in "iuf" or dh.dtype.kind not in "iuf":
                 raise TypeError("sigma and dh must be numbers or lists of numbers")
-            sigma = np.broadcast_to(sigma.astype(float), shape).copy()
-            dh = np.broadcast_to(dh.astype(float), shape).copy()
+            sigma, dh = read_only(np.broadcast_to(sigma, shape), float), read_only(np.broadcast_to(dh, shape), float)
         except ValueError as exc:
             raise ValueError(f"sigma/dh must broadcast to {shape}") from exc
         if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
@@ -117,7 +124,6 @@ class Deployment:
         if not np.all(np.isfinite(dh)):
             raise ValueError("dh must be finite")
         for name, arr in (("anchors", anchors), ("tags", tags), ("sigma", sigma), ("dh", dh)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -156,8 +162,7 @@ class RangeBatch:
         if not np.all(np.isfinite(d)):
             raise ValueError("measurements must be finite")
         for name, arr in (("mean_d", d.mean(axis=2)), ("mean_d2", np.einsum("nmt,nmt->nm", d, d) / d.shape[2])):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(arr))
         object.__setattr__(self, "repeat_t", d.shape[2])
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Deployment, Pose2, rotation_matrix
+from .core import Deployment, Pose2, read_only, rotation_matrix
 from .errors import EstimationError, NearSingularityError, UnobservableAtPoseError
 from .gnrefine import symmetric_inverse
 
@@ -102,8 +102,7 @@ def constrained_crlb(info: np.ndarray, pose: Pose2) -> CrlbResult:
         raise UnobservableAtPoseError("constrained information matrix is singular at this pose")
     inverse = inverse[0] + inverse[0] @ (np.eye(3) - reduced @ inverse[0])
     crlb = u @ inverse @ u.T
-    crlb = 0.5 * (crlb + crlb.T)
-    crlb.setflags(write=False)
+    crlb = read_only(0.5 * (crlb + crlb.T))
     # U has orthonormal columns, and its first column lies in the rotation coordinates.
     rotation, translation_x, translation_y = inverse.diagonal().tolist()
     translation = translation_x + translation_y

@@ -99,6 +99,16 @@ def finite_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def integer_at_least(value, name: str, low: int) -> int:
+    """``value`` as an int of at least ``low``. Integers and integral floats
+    qualify; booleans, strings, fractions, NaN and infinities raise
+    ValueError, naming ``name``."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 class Status(enum.IntEnum):
     """Outcome of one problem in a stacked estimator call.
 

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from .core import Deployment, Method, Pose2, PoseStack, RangeBatch, wrap_angles
+from .core import Deployment, Method, Pose2, PoseStack, RangeBatch, read_only, wrap_angles
 from .dac import stacked_dac
 from .errors import EstimationError, Status
 from .gnrefine import stacked_gn_step
@@ -50,9 +50,7 @@ def estimate_methods(
         failed = poses.status != 0
         poses = PoseStack(np.where(failed, np.nan, wrap_angles(poses.theta)),
                           np.where(failed[:, np.newaxis], np.nan, poses.t), poses.status)
-        for arr in poses:
-            arr.setflags(write=False)
-        results[method] = poses, seconds + time.perf_counter() - start
+        results[method] = PoseStack(*map(read_only, poses)), seconds + time.perf_counter() - start
     return results
 
 

@@ -21,28 +21,16 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import numbers
 import random
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Deployment, Method, Pose2, check_observability, predicted_ranges
 from .crlb import constrained_crlb, fisher_info
-from .errors import EstimationError, finite_number
+from .errors import EstimationError, finite_number, integer_at_least
 from .estimators import estimate_methods, failure_tally
-
-
-def integer_at_least(value, name: str, low: int) -> int:
-    """``value`` as an int of at least ``low``. Integers and integral floats
-    qualify; booleans, strings, fractions, NaN and infinities raise
-    ValueError, naming ``name``."""
-    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 class SweepAxis(str, enum.Enum):
@@ -139,17 +127,10 @@ class McRow(NamedTuple):
 
 
 class McResult(NamedTuple):
-    """Sweep output rows plus provenance metadata, a read-only mapping."""
+    """Sweep output rows plus provenance metadata, (key, value) string pairs as in ``Scenario.notes``."""
 
     rows: tuple[McRow, ...]
-    metadata: MappingProxyType
-
-    def __reduce__(self):  # pickle and copy a mappingproxy as the plain dict it is rebuilt from
-        return _read_only_result, (self.rows, dict(self.metadata))
-
-
-def _read_only_result(rows: tuple, metadata: dict) -> McResult:
-    return McResult(rows, MappingProxyType(metadata))
+    metadata: tuple[tuple[str, str], ...]
 
 
 # 64-bit words per getrandbits call: 2**26 bits, far below a C int, and 8 MB.
@@ -293,14 +274,14 @@ def run_sweep(config: McConfig) -> McResult:
         group_rows, group_failures = _run_axes(config, [(i, *_axis_setup(config, i)) for i in group])
         rows.extend(group_rows)
         failures.extend(group_failures)
-    meta = {
-        "axis": config.axis.value,
-        "trials": str(config.trials),
-        "seed": str(config.seed),
-        "combined_rmse": "sqrt(rotation_rmse^2 + translation_rmse^2), comparable to sqrt_crlb",
-        "failures_by_error": "; ".join(failures) or "none",
-    }
-    return _read_only_result(tuple(rows), meta)
+    meta = (
+        ("axis", config.axis.value),
+        ("trials", str(config.trials)),
+        ("seed", str(config.seed)),
+        ("combined_rmse", "sqrt(rotation_rmse^2 + translation_rmse^2), comparable to sqrt_crlb"),
+        ("failures_by_error", "; ".join(failures) or "none"),
+    )
+    return McResult(tuple(rows), meta)
 
 
 def write_csv(result: McResult, stream, include_timing: bool = True) -> None:

@@ -14,17 +14,16 @@ import csv
 import io
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, compress
-from types import MappingProxyType
 
 import numpy as np
 
-from .core import Deployment
+from .core import Deployment, read_only
 from .errors import (
-    EstimationError, InsufficientDataError, SchemaError, finite_number, read_json, require_keys, schema_errors,
-    unique_keys,
+    EstimationError, InsufficientDataError, SchemaError, finite_number, integer_at_least, read_json, require_keys,
+    schema_errors, unique_keys,
 )
 
 # Additive term of the rejection rule, a generic UWB error bound in meters.
@@ -61,7 +60,8 @@ class RangeLog:
     (anchor, tag) streams by first appearance, and record i's ids are
     ``stream_keys[stream_id[i]]``. Unequal column lengths, non-finite values,
     negative ranges and timestamps that decrease within a stream raise
-    SchemaError. ``dropped_negative`` counts records rejected at ingestion.
+    SchemaError; a ``frequency`` that is no finite number above 0 raises
+    ValueError. ``dropped_negative`` counts records rejected at ingestion.
     """
 
     t: np.ndarray
@@ -75,18 +75,15 @@ class RangeLog:
     _stream_records: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, anchor, tag):
-        t = np.asarray(self.t, dtype=float)
-        r = np.asarray(self.range_m, dtype=float)
+        t, r = read_only(self.t, float), read_only(self.range_m, float)
         n = len(t)
         if not (n == len(anchor) == len(tag) == len(r)):
             raise SchemaError("log columns must have equal length")
-        if not self.frequency > 0:
-            raise ValueError("frequency must be positive")
+        if not (finite_number(self.frequency) and self.frequency > 0):
+            raise ValueError(f"frequency must be a finite number above 0, got {self.frequency!r}")
         if not np.all(np.isfinite(t)):
             raise SchemaError("timestamps must be finite")
         _check_ranges(r)
-        t.setflags(write=False)
-        r.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "range_m", r)
 
@@ -100,8 +97,7 @@ class RangeLog:
         else:
             anchor, tag, firsts = tuple(anchor), tuple(tag), {}
             keys = [np.fromiter(map(firsts.setdefault, zip(anchor, tag), range(n)), np.intp, n)]
-        order = np.lexsort(keys)
-        order.setflags(write=False)  # and so are its views, the stream records
+        order = read_only(np.lexsort(keys))  # and so are its views, the stream records
         bounds = np.flatnonzero(np.any([np.diff(key[order]) != 0 for key in keys], axis=0)) + 1
         records = sorted(np.split(order, bounds), key=lambda indices: indices[0]) if n else []
         pairs = [(anchor[indices[0]], tag[indices[0]]) for indices in records]
@@ -110,9 +106,8 @@ class RangeLog:
         order = np.concatenate(records) if records else order
         stream_id = np.empty(n, dtype=np.intp)
         stream_id[order] = grouped
-        stream_id.setflags(write=False)
         object.__setattr__(self, "stream_keys", stream_keys)
-        object.__setattr__(self, "stream_id", stream_id)
+        object.__setattr__(self, "stream_id", read_only(stream_id))
         object.__setattr__(self, "_stream_records", tuple(records))
 
         decreasing = (np.diff(t[order]) < 0) & (np.diff(grouped) == 0)
@@ -163,10 +158,9 @@ class GroundTruthLog:
 
     def __post_init__(self):
         for name in ("t", "x", "y", "yaw"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = read_only(getattr(self, name), float)
             if not np.all(np.isfinite(arr)):
                 raise SchemaError(f"ground-truth {name} values must be finite")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len(self.t) == 0:
             raise SchemaError("ground-truth log has no data rows")
@@ -305,28 +299,31 @@ class NamedDeployment:
 class BiasModel:
     """Linear range-bias model ``measured = true * (1 + alpha) + beta + noise``.
 
-    ``sigma`` is the estimated noise standard deviation; ``per_pair`` maps an
-    (anchor id, tag id) key to the (alpha, beta) that ``remove`` uses for that
-    key in place of the pooled pair, a read-only copy. Every coefficient must
-    be finite and every alpha above -1, so that ``remove`` is defined; ValueError otherwise.
+    ``sigma`` is the estimated noise standard deviation. ``per_pair``, given
+    as a mapping or as pairs, holds ((anchor id, tag id), (alpha, beta))
+    pairs, one per key, sorted by key: ``remove`` uses that alpha and beta
+    for that key in place of the pooled pair. Every id must be a string,
+    every coefficient finite and every alpha above -1, so that ``remove`` is
+    defined; ValueError otherwise.
     """
 
     alpha: float
     beta: float
     sigma: float
     residual_rms: float = 0.0
-    per_pair: Mapping = field(default_factory=dict)
+    per_pair: tuple[tuple[tuple[str, str], tuple[float, float]], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "per_pair", MappingProxyType(dict(self.per_pair)))
+        per_pair = dict(self.per_pair)
+        for key in per_pair:
+            if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(i, str) for i in key)):
+                raise ValueError(f"per_pair keys must be (anchor id, tag id) pairs of strings, got {key!r}")
+        object.__setattr__(self, "per_pair", tuple(sorted((key, (a, b)) for key, (a, b) in per_pair.items())))
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
-        for alpha, beta in [(self.alpha, self.beta), *self.per_pair.values()]:
+        for alpha, beta in [(self.alpha, self.beta), *per_pair.values()]:
             if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1.0):
                 raise ValueError(f"bias coefficients must be finite with alpha > -1, got {alpha}, {beta}")
-
-    def __reduce__(self):  # pickle and copy a mappingproxy as the plain dict it is rebuilt from
-        return BiasModel, (self.alpha, self.beta, self.sigma, self.residual_rms, dict(self.per_pair))
 
     @classmethod
     def identity(cls) -> "BiasModel":
@@ -335,7 +332,7 @@ class BiasModel:
 
     def remove(self, measured, key=None):
         """Invert the linear model: subtract ``alpha*d/(1+alpha) + beta/(1+alpha)``."""
-        alpha, beta = self.per_pair.get(key, (self.alpha, self.beta))
+        alpha, beta = dict(self.per_pair).get(key, (self.alpha, self.beta))
         return (np.asarray(measured, dtype=float) - beta) / (1.0 + alpha)
 
     def to_json(self) -> str:
@@ -345,8 +342,7 @@ class BiasModel:
             "sigma": self.sigma,
             "residual_rms": self.residual_rms,
             "per_pair": [
-                {"anchor": a, "tag": t, "alpha": ab[0], "beta": ab[1]}
-                for (a, t), ab in sorted(self.per_pair.items())
+                {"anchor": a, "tag": t, "alpha": alpha, "beta": beta} for (a, t), (alpha, beta) in self.per_pair
             ],
         }
         return json.dumps(payload, indent=2)
@@ -381,11 +377,12 @@ def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog,
     between their nearest unflagged neighbors, and a flagged tail by the last
     unflagged sample; the first ``window`` samples are never flagged, so there
     is one. The rule is causal: flags at a timestamp depend only on earlier samples.
+    ``window`` must be an integer at least 1 and ``v_max`` a finite number above 0,
+    as the CLI's flags; ValueError names either otherwise.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if v_max <= 0:
-        raise ValueError("v_max must be positive")
+    window = integer_at_least(window, "window", 1)
+    if not (finite_number(v_max) and v_max > 0):
+        raise ValueError(f"v_max must be a finite number above 0, got {v_max!r}")
     slack = window * v_max / log.frequency + REJECTION_BOUND_M
     mask = np.zeros(len(log), dtype=bool)
     values = np.array(log.range_m)
@@ -397,9 +394,8 @@ def reject_outliers(log: RangeLog, window: int, v_max: float) -> tuple[RangeLog,
             times = log.t[indices]
             values[indices[flags]] = np.interp(times[flags], times[~flags], stream[~flags])
     _check_ranges(values)
-    values.setflags(write=False)
     cleaned = copy.copy(log)  # the same records and stream index
-    object.__setattr__(cleaned, "range_m", values)
+    object.__setattr__(cleaned, "range_m", read_only(values))
     return cleaned, mask
 
 
@@ -460,8 +456,8 @@ class Epochs:
     ranges: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.times, self.ranges):
-            arr.setflags(write=False)
+        for name in ("times", "ranges"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -487,10 +483,16 @@ def align_and_batch(
     or has nearest samples more than ``max_gap_periods`` log periods apart,
     rather than emitted as a partial batch. Every emitted epoch holds the
     full N x M measurement grid. A grid of more epochs than the log has
-    records is a SchemaError.
+    records is a SchemaError. As with the CLI's flags, ``rate_hz`` must be a
+    finite number above 0 and ``max_gap_periods`` one at least 0, or
+    ValueError names it.
     """
+    if rate_hz is not None and not (finite_number(rate_hz) and rate_hz > 0):
+        raise ValueError(f"rate_hz must be a finite number above 0, got {rate_hz!r}")
+    if not (finite_number(max_gap_periods) and max_gap_periods >= 0):
+        raise ValueError(f"max_gap_periods must be a finite number at least 0, got {max_gap_periods!r}")
     tag_slot, anchor_slot = named.slots(log.stream_keys)
-    for anchor_id, tag_id in bias.per_pair:
+    for (anchor_id, tag_id), _ in bias.per_pair:
         if anchor_id not in named.anchor_ids or tag_id not in named.tag_ids:
             raise SchemaError(f"bias model per_pair {(anchor_id, tag_id)!r} is no (anchor id, tag id) of the deployment")
     dep = named.deployment

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Deployment, Pose2
-from .errors import SchemaError, read_json, require_keys, schema_errors
-from .mc import McConfig, integer_at_least
+from .errors import SchemaError, integer_at_least, read_json, require_keys, schema_errors
+from .mc import McConfig
 
 _TOP_KEYS = {"deployment", "true_pose", "sweep", "repeat_t", "seed"}
 _DEPLOYMENT_KEYS = {"anchors", "tags", "sigma", "dh"}

@@ -202,6 +202,15 @@ def lstsq_gn_update(dep: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: n
     return np.array(updates).reshape(len(theta), 3)
 
 
+def assert_owns_read_only_copies(given: list, stored: list) -> None:
+    """Each ``stored`` array of a value is read-only and shares no memory with
+    any ``given`` array, and each ``given`` array, the caller's, stays writable."""
+    for arr in stored:
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, caller) for caller in given)
+    assert all(caller.flags.writeable for caller in given)
+
+
 def reference_flag_stream(values: np.ndarray, window: int, slack: float) -> np.ndarray:
     """The spike rule by a sliding-window minimum: oracle of
     ``uwbpose.preprocess.flag_stream``."""
@@ -322,8 +331,9 @@ def reference_epochs(records, frequency, bias, named, rate_hz, max_gap_periods) 
     ``uwbpose.preprocess``, and calls neither ``np.interp`` nor
     ``np.searchsorted``."""
     streams: dict = {}  # (anchor id, tag id): (times, de-biased ranges)
+    per_pair = dict(bias.per_pair)
     for t, anchor, tag, value in records:
-        alpha, beta = bias.per_pair.get((anchor, tag), (bias.alpha, bias.beta))
+        alpha, beta = per_pair.get((anchor, tag), (bias.alpha, bias.beta))
         stamps, values = streams.setdefault((anchor, tag), ([], []))
         stamps.append(t)
         values.append((value - beta) / (1.0 + alpha))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import uwbpose
 from uwbpose.cli import COMMANDS, _accept_exact, _build_parser, main
-from uwbpose.core import Deployment, Pose2, predicted_ranges
+from uwbpose.core import Deployment, Method, Pose2, predicted_ranges
 from uwbpose.preprocess import NamedDeployment
 
 from helpers import ORIGIN_LINE_TAGS
@@ -590,6 +590,31 @@ def test_truth_without_overlap_exits_1_without_output(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
     stdout, err = capsys.readouterr()
     assert "wrote" not in stdout and "no epochs overlap the ground-truth span" in err
+
+
+@pytest.mark.parametrize("method", [m.value for m in Method])
+@pytest.mark.parametrize("truth_rows", [20, 8])
+def test_truth_span_with_every_epoch_failed_exits_1_without_output(tmp_path, capsys, method, truth_rows):
+    # dh**2 overflows, so every epoch fails; the tally counts only the epochs inside the truth's span.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    payload = json.loads(pathlib.Path(dep).read_text(encoding="utf-8"))
+    pathlib.Path(dep).write_text(json.dumps({**payload, "dh": 1e308}), encoding="utf-8")
+    with open(truth, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[: truth_rows + 1]
+    with open(truth, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    out = tmp_path / "o.out"
+    argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--method", method]
+    assert main(argv) == 0
+    times = [float(row[0]) for row in list(csv.reader(out.open(encoding="utf-8", newline="")))[1:]]
+    out.unlink()
+    capsys.readouterr()
+    assert main([*argv, "--truth", truth]) == 1
+    assert not out.exists() and not (tmp_path / "o.out.summary.csv").exists()
+    stdout, err = capsys.readouterr()
+    inside = sum(t <= float(rows[-1][0]) for t in times)
+    assert 0 < inside <= truth_rows and stdout == ""
+    assert err.splitlines()[-1] == f"error: every epoch in the ground-truth span failed: EstimationError={inside}"
 
 
 @pytest.mark.parametrize("command", ["simulate", "crlb", "estimate"])

@@ -25,6 +25,7 @@ from helpers import (
     COLLINEAR_ANCHORS,
     CORNER_ANCHORS,
     ORIGIN_LINE_TAGS,
+    assert_owns_read_only_copies,
     ml_cost,
     noiseless_batch,
     noiseless_ranges,
@@ -318,3 +319,14 @@ def test_predicted_ranges_include_height_offsets():
     flat = predicted_ranges(reference_deployment(), pose)
     lifted = predicted_ranges(dep, pose)
     np.testing.assert_allclose(lifted, np.sqrt(flat**2 + 1.5**2), atol=1e-12)
+
+
+def test_values_leave_the_callers_arrays_writable():
+    # Float arrays of the right shape, which np.asarray would hand back as they are.
+    t, anchors, tags = np.array([1.0, 2.0]), CORNER_ANCHORS.copy(), BODY_TAGS.copy()
+    sigma, dh, d = np.full((2, 3), 0.1), np.zeros((2, 3)), np.ones((2, 3, 4))
+    pose, dep = Pose2(0.5, t), Deployment(anchors, tags, sigma, dh)
+    batch = RangeBatch(dep, d)
+    assert_owns_read_only_copies(
+        [t, anchors, tags, sigma, dh, d], [pose.t, dep.anchors, dep.tags, dep.sigma, dep.dh, batch.mean_d, batch.mean_d2]
+    )

@@ -157,7 +157,7 @@ class TestConfigValidation:
             value = getattr(config, name)
             assert type(value) is int and value == expected
         result = run_sweep(config)
-        assert result.metadata["seed"] == "7" and result.metadata["axis"] == "noise_sigma"
+        assert dict(result.metadata)["seed"] == "7" and dict(result.metadata)["axis"] == "noise_sigma"
         assert result.rows[0].trials == 5
 
     def test_unobservable_refused_before_trials(self):
@@ -279,7 +279,7 @@ class TestRunSweep:
         for row in result.rows:
             assert row.failures == 0
             assert row.combined_rmse <= 1e-9
-        assert result.metadata["failures_by_error"] == "none"
+        assert dict(result.metadata)["failures_by_error"] == "none"
 
     def test_deterministic_across_runs(self):
         config = _small_config()
@@ -343,7 +343,7 @@ class TestRunSweep:
         # the bound does not exist at that pose either.
         config = _small_config(true_pose=Pose2(0.0, [47.0, 0.0]), noise_scale=0.0, trials=7)
         result = run_sweep(config)
-        assert result.metadata["failures_by_error"] == "; ".join(
+        assert dict(result.metadata)["failures_by_error"] == "; ".join(
             f"{value} {label} NearSingularityError=7"
             for value in ("5.0", "20.0")
             for label in ("gn-uls", "gn-dac")
@@ -372,7 +372,7 @@ class TestRunSweep:
         result = run_sweep(config)
         assert [row.failures for row in result.rows] == [5, 5, 5, 5, 0, 0, 0, 0]
         assert all(math.isfinite(row.sqrt_crlb) for row in result.rows)
-        assert result.metadata["failures_by_error"] == "; ".join(
+        assert dict(result.metadata)["failures_by_error"] == "; ".join(
             f"3.0 {method.value} SingularSystemError=5" for method in config.estimators
         )
 
@@ -698,7 +698,7 @@ def test_stacked_rows_equal_each_value_estimated_alone(overrides):
     # Each value alone: its _axis_setup moments through one estimate_methods call.
     alone = [_run_axes(config, [(i, *_axis_setup(config, i))]) for i in range(len(config.axis_values))]
     assert _without_times(result.rows) == _without_times([row for rows, _ in alone for row in rows])
-    assert result.metadata["failures_by_error"] == ("; ".join(entry for _, entries in alone for entry in entries) or "none")
+    assert dict(result.metadata)["failures_by_error"] == ("; ".join(entry for _, entries in alone for entry in entries) or "none")
 
 
 def test_stacked_rows_equal_each_value_alone_when_the_stage_raises():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     BODY_TAGS_3,
+    assert_owns_read_only_copies,
     reference_columns,
     reference_epochs,
     reference_flag_stream,
@@ -28,6 +29,7 @@ from uwbpose.errors import InsufficientDataError, SchemaError, Status, schema_er
 from uwbpose.estimators import estimate, estimate_stacked
 from uwbpose.preprocess import (
     BiasModel,
+    Epochs,
     GroundTruthLog,
     NamedDeployment,
     RangeLog,
@@ -144,6 +146,33 @@ class TestRejectOutliers:
             reject_outliers(log, window=0, v_max=0.5)
         with pytest.raises(ValueError):
             reject_outliers(log, window=5, v_max=0.0)
+
+    def test_integral_float_window_is_its_integer(self):
+        log = _make_log({("a0", "t0"): (np.arange(10) / 100.0, np.array([5.0] * 6 + [9.0] * 4))})
+        cleaned, mask = reject_outliers(log, window=3.0, v_max=0.5)
+        expected, expected_mask = reject_outliers(log, window=3, v_max=0.5)
+        assert mask.any() and mask.tolist() == expected_mask.tolist()
+        assert cleaned.range_m.tolist() == expected.range_m.tolist()
+
+
+# Each value that the matching CLI flag refuses, by argument.
+BAD_REPLAY_ARGUMENTS = [
+    ("rate_hz", 0), ("rate_hz", -5.0), ("rate_hz", math.nan), ("rate_hz", math.inf), ("rate_hz", True),
+    ("max_gap_periods", -1.0), ("max_gap_periods", math.nan), ("max_gap_periods", math.inf),
+    ("v_max", math.nan), ("v_max", math.inf), ("v_max", -0.5), ("window", 2.5), ("window", True), ("window", "5"),
+]
+
+
+@pytest.mark.parametrize("argument, value", BAD_REPLAY_ARGUMENTS)
+def test_replay_arguments_follow_the_cli_rules(argument, value):
+    named = _grid_deployment()
+    _, log = _synthetic_truth_and_log(named, 0.0, 0.0, 0.0, 10, None)
+    with pytest.raises(ValueError, match=f"^{argument} must be ") as info:
+        if argument in ("rate_hz", "max_gap_periods"):
+            align_and_batch(log, BiasModel.identity(), named, **{argument: value})
+        else:
+            reject_outliers(log, **{"window": 5, "v_max": 1.0, argument: value})
+    assert not isinstance(info.value, SchemaError)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -325,6 +354,20 @@ class TestBiasModel:
         with pytest.raises(TypeError):
             other.per_pair[("a0", "t0")] = (-1.0, 0.0)
 
+    def test_per_pair_is_the_same_whatever_the_order_given(self, tmp_path):
+        items = [(("a1", "t0"), (0.1, 0.2)), (("a0", "t1"), (0.3, 0.4)), (("a0", "t0"), [0.5, 0.6])]
+        models = [BiasModel(0.0, 0.0, 1.0, per_pair=given) for given in (items, items[::-1], dict(items[::-1]))]
+        assert models[0].per_pair == ((("a0", "t0"), (0.5, 0.6)), (("a0", "t1"), (0.3, 0.4)), (("a1", "t0"), (0.1, 0.2)))
+        assert all(m == models[0] and hash(m) == hash(models[0]) for m in models)
+        path = tmp_path / "bias.json"
+        path.write_text(models[1].to_json())
+        assert BiasModel.from_json_file(path) == models[0]
+
+    @pytest.mark.parametrize("key", [(0, "t0"), ("a0", None), ("a0",), ("a0", "t0", "x"), "a0t0"])
+    def test_per_pair_ids_must_be_a_pair_of_strings(self, key):
+        with pytest.raises(ValueError, match=r"^per_pair keys must be \(anchor id, tag id\) pairs of strings, got "):
+            BiasModel(0.0, 0.0, 1.0, per_pair=[(key, (0.1, 0.2))])
+
 
 class TestAlignAndBatch:
     def test_synchronous_identity_bias_passes_ranges_through(self):
@@ -423,7 +466,7 @@ class TestAlignAndBatch:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
-    @pytest.mark.parametrize("key", [("zz", "t0"), (0, "t0"), ("a0", "t9"), ("t0", "a0")])
+    @pytest.mark.parametrize("key", [("zz", "t0"), ("A0", "t0"), ("a0", "t9"), ("t0", "a0")])
     def test_per_pair_key_must_name_a_pair_of_the_deployment(self, key):
         # Such an entry would never be applied, so the model is refused where it meets the deployment.
         named = _grid_deployment()
@@ -431,7 +474,7 @@ class TestAlignAndBatch:
         model = BiasModel(alpha=0.0, beta=0.0, sigma=0.05, per_pair={("a1", "t1"): (0.1, 0.2), key: (0.1, 0.2)})
         with pytest.raises(SchemaError, match=f"^bias model per_pair {re.escape(repr(key))} is no "):
             align_and_batch(log, model, named)
-        model = dataclasses.replace(model, per_pair={k: v for k, v in model.per_pair.items() if k != key})
+        model = dataclasses.replace(model, per_pair={k: v for k, v in dict(model.per_pair).items() if k != key})
         applied = align_and_batch(log, model, named)
         identity = align_and_batch(log, BiasModel.identity(), named)
         np.testing.assert_allclose(applied.ranges[:, 1, 1], (identity.ranges[:, 1, 1] - 0.2) / 1.1, rtol=1e-14)
@@ -594,6 +637,21 @@ def test_schema_errors_rewrites_only_its_kinds_and_drops_the_cause():
             raise ValueError("reason")
 
 
+def test_values_leave_the_callers_arrays_writable():
+    # Float arrays, which np.asarray would hand back as they are.
+    t, r, x, y, yaw = np.arange(4) / 100.0, np.full(4, 5.0), np.zeros(4), np.ones(4), np.full(4, 0.5)
+    truth_t, times, ranges = t.copy(), t.copy(), np.ones((4, 1, 1))
+    log = RangeLog(t=t, anchor=("a0",) * 4, tag=("t0",) * 4, range_m=r, frequency=100.0)
+    truth = GroundTruthLog(t=truth_t, x=x, y=y, yaw=yaw)
+    epochs = Epochs(times=times, ranges=ranges)
+    cleaned, _ = reject_outliers(log, window=2, v_max=1.0)
+    assert_owns_read_only_copies(
+        [t, r, x, y, yaw, truth_t, times, ranges],
+        [log.t, log.range_m, log.stream_id, *log.streams().values(), truth.t, truth.x, truth.y, truth.yaw,
+         epochs.times, epochs.ranges, cleaned.range_m],
+    )
+
+
 class TestLogIngestion:
     def test_csv_round_trip_and_negative_rejection(self, tmp_path):
         path = tmp_path / "ranges.csv"
@@ -647,9 +705,9 @@ class TestLogIngestion:
         with pytest.raises(SchemaError, match=message):
             RangeLog(**{**columns, **change}, frequency=100.0)
 
-    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf, "100"])
     def test_bad_frequency_is_a_parameter_error(self, frequency):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError, match="^frequency must be a finite number above 0, got ") as info:
             RangeLog(t=[0.0], anchor=("a0",), tag=("t0",), range_m=[1.0], frequency=frequency)
         assert not isinstance(info.value, SchemaError)
 

@@ -14,7 +14,8 @@ directory. The commands:
 - ``estimate`` with ``gn-uls`` and ``gn-dac`` on the log of seed 7 with a
   deployment whose ``dh`` is 1e308, which fails both closed-form stages for
   every epoch alike, so every row and the ``failures_by_error`` tally print
-  an error;
+  an error, and ``estimate --truth`` with ``gn-uls`` there, which exits 1
+  with the tally of the failed epochs in the ground-truth span;
 - ``crlb`` on both bundled ``crlb_*`` scenarios, at their own ``repeat_t``
   and at 4;
 - the bundled ``sim_*`` sweeps with ``--trials 20``;
@@ -99,10 +100,10 @@ def commands(workdir: str) -> list[tuple[str, list[str]]]:
     overflowing = os.path.join(workdir, "deployment-dh-1e308.json")
     document = json.loads(pathlib.Path(log.deployment).read_text(encoding="utf-8"))
     pathlib.Path(overflowing).write_text(json.dumps({**document, "dh": 1e308}), encoding="utf-8")
-    for method in ("gn-uls", "gn-dac"):
-        runs.append((f"estimate log {seed} dh 1e308 {method}",
+    for method, truth in (("gn-uls", []), ("gn-dac", []), ("gn-uls", ["--truth", log.truth])):
+        runs.append((f"estimate log {seed} dh 1e308 {method}{' truth' * bool(truth)}",
                      ["estimate", "--ranges", log.ranges, "--deployment", overflowing, "--window", str(gen.LOG_WINDOW),
-                      "--vmax", repr(gen.LOG_VMAX), "--method", method, "--out", f"poses-dh-1e308-{method}.csv"]))
+                      "--vmax", repr(gen.LOG_VMAX), "--method", method, *truth, "--out", f"poses-dh-1e308-{method}.csv"]))
     for path in sorted((ROOT / "scenarios").glob("*.scenario")):
         scenario = shutil.copy(path, workdir)
         if path.name.startswith("crlb_"):
