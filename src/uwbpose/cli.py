@@ -110,10 +110,9 @@ def _cmd_simulate(args) -> None:
     print(f"{'axis':>12} {'estimator':>12} {'combined_rmse':>14} {'sqrt_crlb':>12} {'ratio':>8} {'ms':>8} {'fail':>5}")
     for row in result.rows:
         ratio = row.combined_rmse / row.sqrt_crlb if row.sqrt_crlb > 0 else float("nan")
-        ms = row.mean_time_s * 1e3 if np.isfinite(row.mean_time_s) else float("nan")
         print(
             f"{row.axis_value:>12g} {row.estimator:>12} {row.combined_rmse:>14.6g} "
-            f"{row.sqrt_crlb:>12.6g} {ratio:>8.3f} {ms:>8.3f} {row.failures:>5d}"
+            f"{row.sqrt_crlb:>12.6g} {ratio:>8.3f} {row.mean_time_s * 1e3:>8.3f} {row.failures:>5d}"
         )
 
 
@@ -150,19 +149,18 @@ def _cmd_estimate(args) -> None:
     if not len(epochs):
         raise EstimationError("no epochs: the log needs every (anchor, tag) pair of the deployment, over one"
                               " common span, with gaps of at most --max-gap periods")
+    if truth is not None:
+        span = (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
+        if not span.any():
+            raise EstimationError("no epochs overlap the ground-truth span")
 
-    with np.errstate(over="ignore"):  # checked below
+    with np.errstate(over="ignore"):  # an epoch whose squares overflow fails alone, with Status.OVERFLOW
         squares = epochs.ranges**2
-    if not np.all(np.isfinite(squares)):
-        raise EstimationError("de-biased ranges overflow when squared")
     poses = estimate_stacked(named.deployment, epochs.ranges, squares, args.method)
     ok = poses.status == 0
     yaw_deg = np.degrees(wrap_angles(poses.theta + math.radians(args.yaw_offset_deg)))
     statuses = ["ok" if code == 0 else f"error:{Status(code).error.__name__}" for code in poses.status.tolist()]
     if truth is not None:  # scored before anything is written, so a failure leaves no output
-        span = (epochs.times >= truth.t[0]) & (epochs.times <= truth.t[-1])
-        if not span.any():
-            raise EstimationError("no epochs overlap the ground-truth span")
         inside = ok & span
         if not inside.any():
             raise EstimationError(f"every epoch in the ground-truth span failed: {failure_tally(poses.status[span])}")

@@ -197,9 +197,10 @@ def check_observability(deployment: Deployment) -> None:
     coordinates' smaller singular value is at most ``COLLINEARITY_RTOL`` times
     the larger; tags are distinct when their centred coordinates have a
     singular value above ``COLLINEARITY_RTOL`` times the largest of the tags
-    themselves. The outcome is invariant to rigid motions of the global frame."""
+    themselves, each set scaled first by a power of two so that centring it
+    cannot overflow. The outcome is invariant to rigid motions of the global frame."""
     reasons = []
-    anchors, tags = deployment.anchors, deployment.tags
+    anchors, tags = (np.ldexp(x, -np.frexp(np.abs(x).max())[1]) for x in (deployment.anchors, deployment.tags))
     spread = np.linalg.svd(anchors - anchors.mean(axis=0), compute_uv=False)
     if not (len(anchors) >= 3 and spread[-1] > COLLINEARITY_RTOL * spread[0]):
         reasons.append("need at least 3 non-collinear anchors")

@@ -26,11 +26,12 @@ def stacked_localize_tags(deployment: Deployment, mean_d2: np.ndarray) -> np.nda
     the anchor centroid, from each tag's squared, debiased and projected
     measurements. All tags of all problems share the design, so one
     least-squares call solves them together, on one factorization of the
-    design (``least_squares``); a rank below 2 raises SingularSystemError.
+    design (``least_squares``, which refuses a rank below 2 or a design that overflows).
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)  # (K, N, M)
-    centroid = deployment.anchors.mean(axis=0)
-    return least_squares(-2.0 * (deployment.anchors - centroid), rhs, "tag localization") + centroid
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite design fails at least_squares, a fix later
+        centroid = deployment.anchors.mean(axis=0)
+        return least_squares(-2.0 * (deployment.anchors - centroid), rhs, "tag localization") + centroid
 
 
 def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:
@@ -42,14 +43,15 @@ def stacked_fit_poses(fixes: np.ndarray, tags: np.ndarray) -> PoseStack:
     the centered cross-covariance ``sum_i (fix_i - mean fix)(s_i - mean s)^T``
     and the translation, its conditional minimizer, is the mean fix minus
     the rotated mean tag. A zero cross-covariance, as from one tag or two
-    coincident tags, which cannot fix a rotation, gets the
-    ``DEGENERATE_PROJECTION`` status.
+    coincident tags, which cannot fix a rotation, gets the status
+    ``DEGENERATE_PROJECTION``, and one that is not finite ``OVERFLOW``.
     """
-    mean_fix, mean_tag = fixes.mean(axis=1), tags.mean(axis=0)
-    cross = (fixes - mean_fix[:, np.newaxis]).transpose(0, 2, 1) @ (tags - mean_tag)  # (K, 2, 2)
-    theta, status = so2_angles(cross[:, 0, 0] + cross[:, 1, 1], cross[:, 1, 0] - cross[:, 0, 1])
-    rotated = np.exp(1j * theta) * (mean_tag[0] + 1j * mean_tag[1])  # R mean_tag as x + iy
-    return PoseStack(theta, mean_fix - rotated.view(float).reshape(-1, 2), status)
+    with np.errstate(over="ignore", invalid="ignore"):  # a fit that overflows gets OVERFLOW at so2_angles
+        mean_fix, mean_tag = fixes.mean(axis=1), tags.mean(axis=0)
+        cross = (fixes - mean_fix[:, np.newaxis]).transpose(0, 2, 1) @ (tags - mean_tag)  # (K, 2, 2)
+        theta, status = so2_angles(cross[:, 0, 0] + cross[:, 1, 1], cross[:, 1, 0] - cross[:, 0, 1])
+        rotated = np.exp(1j * theta) * (mean_tag[0] + 1j * mean_tag[1])  # R mean_tag as x + iy
+        return PoseStack(theta, mean_fix - rotated.view(float).reshape(-1, 2), status)
 
 
 def stacked_dac(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:

@@ -113,9 +113,9 @@ class Status(enum.IntEnum):
     """Outcome of one problem in a stacked estimator call.
 
     Each nonzero code stands for an error class, which ``estimators.estimate``
-    raises for a problem of its own. A failure of the deployment itself gives
-    every problem ``SINGULAR_SYSTEM`` (a rank-deficient linear design) or
-    ``OVERFLOW`` (squared anchor coordinates, sigma or dh beyond the float range).
+    raises for a problem of its own. ``OVERFLOW`` marks a problem whose moments
+    or arithmetic leave the float range; a deployment that overflows gives it
+    to every problem, as a rank-deficient linear design gives ``SINGULAR_SYSTEM``.
     """
 
     OK = 0

@@ -21,15 +21,18 @@ def estimate_methods(
     ranges and squared ranges. The ULS stage runs once for ``uls`` and
     ``gn-uls``, the DAC stage once for ``dac`` and ``gn-dac``, and each
     refined method takes one Gauss-Newton step unless every start failed. A failed
-    problem gets its nonzero ``errors.Status`` code and a NaN pose; when the deployment
-    itself fails a stage, every problem gets the first code whose error class it raised.
+    problem gets its nonzero ``errors.Status`` code and a NaN pose, ``OVERFLOW`` under every method
+    when a moment of its own is not finite; when the deployment itself fails a stage, every problem
+    gets the first code whose error class it raised. Moments of the wrong shape raise ValueError.
     Returns per method its poses, with read-only arrays, and the seconds its stage and step took."""
     shape = (deployment.num_tags, deployment.num_anchors)
     mean_d, mean_d2 = np.asarray(mean_d, dtype=float), np.asarray(mean_d2, dtype=float)
     if mean_d.ndim != 3 or mean_d.shape[1:] != shape or mean_d2.shape != mean_d.shape:
         raise ValueError(f"mean_d and mean_d2 must both have shape (K, {shape[0]}, {shape[1]})")
-    if not (np.all(np.isfinite(mean_d)) and np.all(np.isfinite(mean_d2))):
-        raise ValueError("range moments must be finite")
+    overflow = None
+    if not (np.all(np.isfinite(mean_d)) and np.all(np.isfinite(mean_d2))):  # per problem only when needed
+        overflow = ~(np.isfinite(mean_d).all(axis=(1, 2)) & np.isfinite(mean_d2).all(axis=(1, 2)))
+        mean_d, mean_d2 = (np.where(overflow[:, np.newaxis, np.newaxis], 0.0, m) for m in (mean_d, mean_d2))
 
     stages, results = {}, {}
     for method in map(Method, methods):
@@ -41,6 +44,8 @@ def estimate_methods(
             except EstimationError as exc:  # the deployment itself fails every problem alike
                 code = next(c for c in Status if c and isinstance(exc, c.error))
                 poses = PoseStack(np.zeros(len(mean_d)), np.zeros((len(mean_d), 2)), np.full(len(mean_d), int(code)))
+            if overflow is not None:
+                poses = poses._replace(status=np.where(overflow, Status.OVERFLOW, poses.status))
             stages[stage] = poses, time.perf_counter() - start
         poses, seconds = stages[stage]
         start = time.perf_counter()

@@ -1,8 +1,8 @@
 """One Gauss-Newton step on the weighted range-residual objective.
 
 A single step from any root-n-consistent initial pose already attains the
-accuracy of the full maximum-likelihood minimizer asymptotically, so exactly
-one iteration is the library default. The step linearizes the predicted
+accuracy of the full maximum-likelihood minimizer asymptotically, so the
+refined methods take exactly one. The step linearizes the predicted
 ranges in (theta, t) around the initial pose and solves the weighted
 normal equations in closed form. Repetitions share their pair's Jacobian
 row, so there is one row per (tag, anchor) pair on the mean range; the
@@ -39,20 +39,20 @@ def linearize(deployment: Deployment, theta: np.ndarray, t: np.ndarray, row_scal
     Plane vectors are complex numbers here, so ``R s`` is ``e^(i theta) s``
     and ``s1 u2 - s2 u1`` is ``Im(conj(R s) f)``. Rows of pairs below the
     floor are divided by 1 in place of ``g``, so that every entry stays
-    finite.
+    finite, except in the row of a range that is not finite (it overflowed).
     """
     anchors = deployment.anchors[:, 0] + 1j * deployment.anchors[:, 1]
     tags = deployment.tags[:, 0] + 1j * deployment.tags[:, 1]
-    rotated = np.exp(1j * theta)[:, np.newaxis] * tags  # R s, (K, N)
-    f = anchors - (rotated + (t[:, 0] + 1j * t[:, 1])[:, np.newaxis])[:, :, np.newaxis]
-    with np.errstate(over="ignore"):  # an overflowing range gives g = inf and a zero row
+    with np.errstate(over="ignore", invalid="ignore"):  # stacked_gn_step zeroes the row of a range that overflows
+        rotated = np.exp(1j * theta)[:, np.newaxis] * tags  # R s, (K, N)
+        f = anchors - (rotated + (t[:, 0] + 1j * t[:, 1])[:, np.newaxis])[:, :, np.newaxis]
         g = np.sqrt(f.real**2 + f.imag**2 + deployment.dh**2)
-    close = g < PROXIMITY_FLOOR_M
-    scale = -row_scale / np.where(close, 1.0, g)
-    jac = np.empty(g.shape + (3,))
-    np.multiply((rotated.conj()[:, :, np.newaxis] * f).imag, scale, out=jac[..., 0])
-    np.multiply(f.real, scale, out=jac[..., 1])
-    np.multiply(f.imag, scale, out=jac[..., 2])
+        close = g < PROXIMITY_FLOOR_M
+        scale = -row_scale / np.where(close, 1.0, g)
+        jac = np.empty(g.shape + (3,))
+        np.multiply((rotated.conj()[:, :, np.newaxis] * f).imag, scale, out=jac[..., 0])
+        np.multiply(f.real, scale, out=jac[..., 1])
+        np.multiply(f.imag, scale, out=jac[..., 2])
     return g, close, jac
 
 
@@ -87,9 +87,7 @@ def symmetric_inverse(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return inverse, ok
 
 
-def stacked_gn_step(
-    deployment: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: np.ndarray
-) -> PoseStack:
+def stacked_gn_step(deployment: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: np.ndarray) -> PoseStack:
     """One weighted Gauss-Newton update of each of K poses on its problem's
     (K, N, M) mean ranges; the angles are not reduced to [0, 2*pi).
 
@@ -102,23 +100,26 @@ def stacked_gn_step(
     so the solve is corrected once, ``u += A^-1 J^T (r - J u)``, which brings
     the error of the update near that of an orthogonal factorization of ``J``.
 
-    A problem gets the ``NEAR_SINGULARITY`` status when a predicted range
-    falls below ``PROXIMITY_FLOOR_M``, else ``DEGENERATE_GEOMETRY`` when a
-    Jacobian column is zero or the scaled determinant is at most
-    ``RANK_TOL``. Poses of failed problems are finite but meaningless. A
-    common scale on sigma leaves the update unchanged, bit for bit when it is
-    a power of two, and a noiseless problem at its true pose is a fixed point.
+    A problem gets the ``OVERFLOW`` status when a predicted range is not
+    finite, else ``NEAR_SINGULARITY`` when one is below ``PROXIMITY_FLOOR_M``,
+    else ``DEGENERATE_GEOMETRY`` when a Jacobian column is zero or the scaled
+    determinant is at most ``RANK_TOL``; poses of failed problems are
+    meaningless. A common scale on sigma leaves the update unchanged, bit for
+    bit when it is a power of two, and a noiseless problem at its true pose is a fixed point.
     """
     root_w = 1.0 / np.ldexp(deployment.sigma, -np.frexp(deployment.sigma.max())[1])
     g, close, jac = linearize(deployment, theta, t, root_w)
+    rw, far, overflow = (mean_d - g) * root_w, ~np.isfinite(g), np.zeros(len(g), dtype=bool)
+    if far.any():  # a range that is not finite gets a zero row and residual, and fails its problem
+        jac[far], rw[far], overflow = 0.0, 0.0, far.any(axis=(1, 2))
     k, rows = g.shape[0], g.shape[1] * g.shape[2]
-    jac = jac.reshape(k, rows, 3)
+    jac, rw = jac.reshape(k, rows, 3), rw.reshape(k, rows, 1)
     jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))  # stacked matmul is slow on the strided view
-    rw = ((mean_d - g) * root_w).reshape(k, rows, 1)
     inv_a, solved = symmetric_inverse(jac_t @ jac, RANK_TOL)
     update = inv_a @ (jac_t @ rw)
     update += inv_a @ (jac_t @ (rw - jac @ update))
     status = np.zeros(k, dtype=np.int64)
     status[~solved] = Status.DEGENERATE_GEOMETRY
     status[close.any(axis=(1, 2))] = Status.NEAR_SINGULARITY
+    status[overflow] = Status.OVERFLOW
     return PoseStack(theta + update[:, 0, 0], t + update[:, 1:, 0], status)

@@ -39,20 +39,10 @@ def stacked_projected_squared_ranges(deployment: Deployment, mean_d2: np.ndarray
     planar case), minus their mean over the tag's anchors, which applies the
     all-ones projector without materializing it.
     """
-    rhs = mean_d2 - _squared_range_offset(deployment)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at so2_angles
-        return rhs - rhs.mean(axis=2, keepdims=True)
-
-
-def _squared_range_offset(deployment: Deployment) -> np.ndarray:
-    """``|a - c|^2 + sigma^2 + dh^2`` per (tag, anchor) pair, shape (N, M),
-    with ``c`` the anchor centroid; raises EstimationError when it overflows."""
-    with np.errstate(over="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry fails its problem at so2_angles
         centered = deployment.anchors - deployment.anchors.mean(axis=0)
-        offset = np.sum(centered**2, axis=1) + deployment.sigma**2 + deployment.dh**2
-    if not np.all(np.isfinite(offset)):
-        raise EstimationError("squared anchor coordinates, sigma or dh overflow")
-    return offset
+        rhs = mean_d2 - (np.sum(centered**2, axis=1) + deployment.sigma**2 + deployment.dh**2)
+        return rhs - rhs.mean(axis=2, keepdims=True)
 
 
 def linear_design(deployment: Deployment) -> np.ndarray:
@@ -65,10 +55,10 @@ def linear_design(deployment: Deployment) -> np.ndarray:
     # column: with centered anchor coordinates (ax, ay) and tag (s1, s2) the
     # y columns are -2 (s1 ay - s2 ax) and -2 (s1 ax + s2 ay), the imaginary
     # and real parts of conj(s) * (-2 abar) with plane vectors as complex numbers.
-    centered = deployment.anchors - deployment.anchors.mean(axis=0)
-    scaled = -2.0 * (centered[:, 0] + 1j * centered[:, 1])  # (M,)
-    tags = deployment.tags
-    products = np.multiply.outer(tags[:, 0] - 1j * tags[:, 1], scaled)  # (N, M)
+    with np.errstate(over="ignore", invalid="ignore"):  # least_squares refuses a non-finite design
+        centered = deployment.anchors - deployment.anchors.mean(axis=0)
+        scaled = -2.0 * (centered[:, 0] + 1j * centered[:, 1])  # (M,)
+        products = np.multiply.outer(deployment.tags[:, 0] - 1j * deployment.tags[:, 1], scaled)  # (N, M)
     h = np.empty(products.shape + (4,))
     h[:, :, 0] = products.imag
     h[:, :, 1] = products.real
@@ -80,13 +70,15 @@ def linear_design(deployment: Deployment) -> np.ndarray:
 def least_squares(design: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solutions of ``design @ x = b`` for each ``b`` along the last axis of
     ``rhs``, from one SVD of the design, with ``np.linalg.lstsq``'s default
-    rank cutoff ``s > s_max * max(design.shape) * eps``; a deficient rank
-    raises SingularSystemError naming ``what``. ``np.einsum`` applies the
-    pseudo-inverse in the same order for any number of right-hand sides, so
-    a stack equals a loop of single solves bit for bit; a BLAS product does
-    not."""
+    rank cutoff ``s > s_max * max(design.shape) * eps``. A design that is
+    not finite raises EstimationError, and a deficient rank SingularSystemError,
+    each naming ``what``. ``np.einsum`` applies the pseudo-inverse in the same
+    order for any number of right-hand sides, so a stack equals a loop of
+    single solves bit for bit; a BLAS product does not."""
+    if not np.all(np.isfinite(design)):  # np.linalg.svd may never return on one
+        raise EstimationError(f"{what} overflows")
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.count_nonzero(s > s[0] * max(design.shape) * np.finfo(float).eps))
+    rank = int(np.count_nonzero(s > s[0] * (max(design.shape) * np.finfo(float).eps)))  # the same bits, no overflow
     if rank < design.shape[1]:
         raise SingularSystemError(f"{what} rank {rank} < {design.shape[1]}; deployment does not determine the pose")
     return np.einsum("...n,pn->...p", rhs, (vt.T / s) @ u.T)
@@ -100,12 +92,12 @@ def so2_angles(cos_part: np.ndarray, sin_part: np.ndarray) -> tuple[np.ndarray, 
     ``x`` in Frobenius norm, not reduced to [0, 2*pi): ``|x - R(theta)|^2``
     is smallest where ``tr(R(theta)^T x) = cos(theta) cos_part +
     sin(theta) sin_part`` is largest. Where both parts are zero every angle
-    ties, and where either is not finite (the stage overflowed) none is
-    defined: the status is ``DEGENERATE_PROJECTION``.
+    ties, and the status is ``DEGENERATE_PROJECTION``; where either is not
+    finite the stage overflowed, and the status is ``OVERFLOW``.
     """
     status = np.zeros(cos_part.shape, dtype=np.int64)
-    undefined = ((cos_part == 0.0) & (sin_part == 0.0)) | ~(np.isfinite(cos_part) & np.isfinite(sin_part))
-    status[undefined] = Status.DEGENERATE_PROJECTION
+    status[(cos_part == 0.0) & (sin_part == 0.0)] = Status.DEGENERATE_PROJECTION
+    status[~(np.isfinite(cos_part) & np.isfinite(sin_part))] = Status.OVERFLOW
     return np.arctan2(sin_part, cos_part), status
 
 
@@ -114,9 +106,10 @@ def stacked_uls(deployment: Deployment, mean_d2: np.ndarray) -> PoseStack:
 
     One ``least_squares`` solve of ``h @ (y, t - c) = dbar`` with K
     right-hand sides, ``c`` the anchor centroid, then the SO(2) projection
-    of each ``y``. A problem whose ``y`` is zero gets the
-    ``DEGENERATE_PROJECTION`` status. Raises SingularSystemError when the
-    deployment cannot determine any pose, as with fewer than 3 anchors.
+    of each ``y`` by ``so2_angles``, which gives each problem's status.
+    Raises SingularSystemError when the deployment cannot determine any
+    pose, as with fewer than 3 anchors, and EstimationError when its design
+    overflows.
     """
     rhs = stacked_projected_squared_ranges(deployment, mean_d2)  # (K, N, M)
     dbar = rhs.reshape(len(rhs), deployment.num_tags * deployment.num_anchors)  # N * M explicit: K may be 0

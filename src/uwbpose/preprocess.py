@@ -521,7 +521,7 @@ def align_and_batch(
     ok = np.ones(count, dtype=bool)
     for (key, indices), i, j in zip(streams.items(), tag_slot, anchor_slot):
         ts = log.t[indices]
-        with np.errstate(over="ignore"):  # the estimate command refuses ranges whose squares overflow
+        with np.errstate(over="ignore"):  # an epoch whose ranges overflow gets Status.OVERFLOW
             vals = bias.remove(log.range_m[indices], key=key)
         grid[:, i, j] = np.interp(epochs, ts, vals)
         position = np.searchsorted(ts, epochs)

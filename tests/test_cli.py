@@ -592,6 +592,20 @@ def test_truth_without_overlap_exits_1_without_output(tmp_path, capsys):
     assert "wrote" not in stdout and "no epochs overlap the ground-truth span" in err
 
 
+def test_truth_that_misses_the_log_is_refused_before_estimating(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("uwbpose.estimators.estimate_methods", lambda *args: calls.append(args))
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    with open(truth, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    with open(truth, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([rows[0], *([float(row[0]) + 100.0, *row[1:]] for row in rows[1:])])
+    out = tmp_path / "o.out"
+    assert main(["estimate", "--ranges", ranges, "--deployment", dep, "--out", str(out), "--truth", truth]) == 1
+    assert calls == [] and not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no epochs overlap the ground-truth span"
+
+
 @pytest.mark.parametrize("method", [m.value for m in Method])
 @pytest.mark.parametrize("truth_rows", [20, 8])
 def test_truth_span_with_every_epoch_failed_exits_1_without_output(tmp_path, capsys, method, truth_rows):
@@ -945,13 +959,10 @@ def test_rejected_value_prints_where_and_reason(tmp_path, capsys, case):
     assert stdout == "" and err.splitlines()[-1] == "error: " + message.format(path=path)
 
 
-# Finite numbers whose ranges or information overflow a float are a runtime
-# failure, reported before any output is written.
+# Finite numbers whose bound or information overflows a float are a runtime
+# failure of crlb, reported before any output is written.
 OVERFLOWING_INPUTS = {
     "crlb-pose-far-away": ("crlb", {"true_pose": {"theta_deg": 60.0, "t": [1e308, 25.0]}}),
-    "simulate-pose-far-away": ("simulate", {"true_pose": {"theta_deg": 60.0, "t": [1e308, 25.0]}}),
-    "simulate-sigma-huge": ("simulate", {"deployment": {"sigma": 1e308}}),
-    "estimate-bias-beta-huge": ("estimate", {"beta": 1e308}),
     "crlb-sigma-tiny": ("crlb", {"deployment": {"sigma": 1e-300}}),
     "crlb-sigma-huge": ("crlb", {"deployment": {"sigma": 1e200}}),  # sigma**2 overflows: not a singular bound
     "crlb-sigma-above-boundary": ("crlb", {"deployment": {"sigma": 3e152}}),
@@ -962,48 +973,141 @@ OVERFLOWING_INPUTS = {
 @pytest.mark.parametrize("case", list(OVERFLOWING_INPUTS))
 def test_overflowing_input_exits_1_without_output(tmp_path, capsys, case):
     command, changes = OVERFLOWING_INPUTS[case]
+    payload = json.loads(json.dumps(SCENARIO_SMALL))
+    for key, value in changes.items():
+        payload[key].update(value)
+    assert main([command, "--scenario", _write_scenario(tmp_path, payload)]) == 1
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Traceback" not in err
+
+
+# Finite inputs whose range moments overflow a float fail each trial or
+# epoch alone, with Status.OVERFLOW, and the command still writes its rows.
+OVERFLOWING_DATA = {
+    "simulate-pose-far-away": ("simulate", {"true_pose": {"theta_deg": 60.0, "t": [1e308, 25.0]}}),
+    "simulate-sigma-huge": ("simulate", {"deployment": {"sigma": 1e308}}),
+    "estimate-bias-beta-huge": ("estimate", {"beta": 1e308}),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(OVERFLOWING_DATA))
+def test_overflowing_data_fails_every_problem_with_exit_0(tmp_path, capsys, case):
+    command, changes = OVERFLOWING_DATA[case]
     out = tmp_path / "o.csv"
     if command == "estimate":
         dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
         bias = tmp_path / "bias.json"
         bias.write_text(json.dumps({"alpha": 0.0, "beta": 0.0, "sigma": 0.05, **changes}), encoding="utf-8")
-        argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--bias", str(bias)]
+        argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--bias", str(bias), "--out", str(out)]
     else:
         payload = json.loads(json.dumps(SCENARIO_SMALL))
         for key, value in changes.items():
             payload[key].update(value)
-        argv = [command, "--scenario", _write_scenario(tmp_path, payload)]
-    if command != "crlb":
-        argv += ["--out", str(out)]
-    assert main(argv) == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "overflow" in err and "Traceback" not in err
+        argv = [command, "--scenario", _write_scenario(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 0
+    stdout, err = capsys.readouterr()
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    if command == "estimate":
+        assert len(rows) == 20 and {row["status"] for row in rows} == {"error:EstimationError"}
+        assert "(0 ok)" in stdout and err.splitlines()[-1] == "failures_by_error: EstimationError=20"
+    else:
+        assert len(rows) == 4 and all(row["failures"] == row["trials"] == "25" for row in rows)
+        assert "# failures_by_error: 5.0 uls EstimationError=25; 5.0 gn-uls EstimationError=25;" in stdout
+    assert "Warning" not in err and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_debiasing_that_overflows_exits_1_without_output(tmp_path, capsys):
+def test_debiasing_that_overflows_fails_only_its_epoch(tmp_path, capsys):
     # alpha just above -1 divides by about 1.1e-16, so one record of 1e308
     # de-biases to inf; a window longer than each 20-record stream flags none.
+    # Every other row is the row of the same log with 5.0 in that record.
     dep = tmp_path / "deployment.json"
     dep.write_text(json.dumps({"anchors": {"a0": [0.0, 0.0], "a1": [10.0, 0.0], "a2": [0.0, 10.0]},
                                "tags": {"t0": [0.4, 0.0], "t1": [0.0, 0.4]}, "sigma": 0.1}), encoding="utf-8")
-    ranges = tmp_path / "ranges.csv"
-    rows = [[k / 100.0, a, t, "1e308" if (k, a, t) == (10, "a0", "t0") else "5.0"]
-            for k in range(20) for t in ("t0", "t1") for a in ("a0", "a1", "a2")]
-    with open(ranges, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle).writerows([["t", "anchor", "tag", "range"], *rows])
     bias = tmp_path / "bias.json"
     bias.write_text(json.dumps({"alpha": -0.9999999999999999, "beta": 0.0, "sigma": 0.1}), encoding="utf-8")
-    out = tmp_path / "poses.csv"
-    argv = ["estimate", "--ranges", str(ranges), "--deployment", str(dep), "--bias", str(bias), "--window", "100",
-            "--out", str(out)]
-    assert main(argv) == 1
-    assert not out.exists()
+    files = {}
+    for record in ("5.0", "1e308"):
+        ranges = tmp_path / f"ranges-{record}.csv"
+        rows = [[k / 100.0, a, t, record if (k, a, t) == (10, "a0", "t0") else "5.0"]
+                for k in range(20) for t in ("t0", "t1") for a in ("a0", "a1", "a2")]
+        with open(ranges, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([["t", "anchor", "tag", "range"], *rows])
+        out = tmp_path / f"poses-{record}.csv"
+        argv = ["estimate", "--ranges", str(ranges), "--deployment", str(dep), "--bias", str(bias), "--window", "100",
+                "--out", str(out)]
+        assert main(argv) == 0
+        files[record] = out.read_text(encoding="utf-8").splitlines()
+    assert "Warning" not in capsys.readouterr().err
+    clean, overflowing = files["5.0"], files["1e308"]
+    assert len(clean) == len(overflowing) == 21
+    assert overflowing[11] == "0.1,,,,gn-uls,error:EstimationError" != clean[11]
+    assert overflowing[:11] + overflowing[12:] == clean[:11] + clean[12:]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "record, method", [*(("1e200", m.value) for m in Method), ("1e154", "gn-uls"), ("1e154", "gn-dac")]
+)
+def test_one_overflowing_record_fails_only_its_epoch(tmp_path, capsys, record, method):
+    # The first record of a stream is never flagged as an outlier. The square
+    # of 1e200 overflows; that of 1e154 is finite, but the Gauss-Newton step's
+    # predicted ranges at the closed-form pose it gives overflow.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    lines = pathlib.Path(ranges).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("0.0,a0,t0,")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join([lines[0], f"0.0,a0,t0,{record}\r\n", *lines[2:]]), encoding="utf-8")
+    files = {}
+    for name, path in (("clean", ranges), ("bad", str(bad))):
+        out = tmp_path / f"poses-{name}.csv"
+        assert main(["estimate", "--ranges", path, "--deployment", dep, "--method", method, "--out", str(out)]) == 0
+        files[name] = out.read_text(encoding="utf-8").splitlines()
     stdout, err = capsys.readouterr()
-    assert stdout == ""
-    assert err.splitlines() == [f"{ranges}: 120 records read, 0 negative dropped, 0 outliers rejected",
-                                "error: de-biased ranges overflow when squared"]
+    assert "Warning" not in err and err.splitlines()[-1] == "failures_by_error: EstimationError=1"
+    assert files["bad"][1] == f"0.0,,,,{method},error:EstimationError"
+    assert files["bad"][2:] == files["clean"][2:] and len(files["clean"]) == 21
+
+
+def test_far_tag_fails_every_epoch_and_finishes(tmp_path):
+    # The linear design overflows; an SVD of it need not return, so the
+    # command runs in a process of its own, with a time limit.
+    dep, truth, ranges = _write_replay_files(tmp_path, rng=None, samples=20)
+    payload = json.loads(pathlib.Path(dep).read_text(encoding="utf-8"))
+    payload["tags"]["t0"] = [1e308, 0.0]
+    pathlib.Path(dep).write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "poses.csv"
+    src = str(pathlib.Path(uwbpose.__file__).resolve().parents[1])
+    argv = ["estimate", "--ranges", ranges, "--deployment", dep, "--method", "gn-uls", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "uwbpose.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0 and "Warning" not in done.stderr, done.stderr
+    assert done.stderr.splitlines()[-1] == "failures_by_error: EstimationError=20"
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == 20 and {row["status"] for row in rows} == {"error:EstimationError"}
+
+
+# Anchors near the largest float: centring their coordinates overflowed, and
+# the verdict read the overflow. 10 m across 3.4e308 m is collinear by
+# COLLINEARITY_RTOL; a full-size triangle is not, and its information overflows.
+FAR_ANCHORS = {
+    "thin": ([[1.7e308, 0.0], [1.7e308, 10.0], [-1.7e308, 0.0]], 3,
+             "error: deployment not observable: need at least 3 non-collinear anchors"),
+    "wide": ([[1.7e308, 0.0], [1.7e308, 1.7e308], [-1.7e308, 0.0]], 1,
+             "error: information matrix overflows at this pose"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(FAR_ANCHORS))
+def test_crlb_on_far_anchors_gives_the_geometry_verdict(tmp_path, capsys, case):
+    anchors, code, message = FAR_ANCHORS[case]
+    payload = json.loads((pathlib.Path(__file__).parents[1] / "scenarios" / "crlb_base.scenario").read_text())
+    payload["deployment"]["anchors"] = anchors
+    assert main(["crlb", "--scenario", _write_scenario(tmp_path, payload)]) == code
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == message + "\n"
 
 
 def test_crlb_sigma_below_the_overflow_boundary_prints_the_scaled_bound(tmp_path, capsys):

@@ -266,6 +266,16 @@ class TestObservability:
         dep = Deployment(anchors=layout[0], tags=layout[1])
         assert (_observability_reason(dep) == "") == (np.linalg.matrix_rank(linear_design(dep)) == 4)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coordinates_near_the_largest_float_centre_without_overflow(self):
+        # Summing these coordinates overflows: the verdict is the geometry's own.
+        far = [[1.7e308, 0.0], [1.7e308, 1.7e308], [-1.7e308, 0.0]]
+        assert _observability_reason(Deployment(anchors=far, tags=BODY_TAGS)) == ""
+        assert _observability_reason(Deployment(anchors=CORNER_ANCHORS, tags=far)) == ""
+        thin = [[1.7e308, 0.0], [1.7e308, 10.0], [-1.7e308, 0.0]]  # 10 m across 3.4e308 m
+        assert _observability_reason(Deployment(anchors=thin, tags=BODY_TAGS)) == ANCHORS_REASON
+        assert _observability_reason(Deployment(anchors=CORNER_ANCHORS, tags=[[1.7e308, 0.0]] * 2)) == TAGS_REASON
+
     def test_invariant_to_global_frame_motion(self):
         rng = np.random.default_rng(11)
         for anchors in (CORNER_ANCHORS, COLLINEAR_ANCHORS):

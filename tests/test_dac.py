@@ -119,6 +119,15 @@ class TestFitPoseFromFixes:
         fit = stacked_fit_poses(fixes, np.array(tags))
         np.testing.assert_array_equal(fit.status, Status.DEGENERATE_PROJECTION)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fixes_that_overflow_give_overflow(self):
+        # An infinite fix, and finite fixes whose spread overflows the cross-covariance.
+        tags = np.array([[3.0, 0.0], [3.0, 3.0], [0.0, 3.0]])
+        fixes = np.array([[[np.inf, 0.0], [1.0, 1.0], [2.0, 0.0]],
+                          [[1.7e308, 0.0], [-1.7e308, 1.0], [2.0, 0.0]],
+                          [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]])
+        np.testing.assert_array_equal(stacked_fit_poses(fixes, tags).status, [Status.OVERFLOW] * 2 + [Status.OK])
+
     def test_accepts_localize_tags_output(self):
         dep = reference_deployment(dh=0.8)
         pose = reference_pose()

@@ -211,6 +211,22 @@ class TestGnStep:
         step = stacked_gn_step(dep, mean_d, np.array([0.0]), np.array([[distance, 0.0]]))
         assert step.status.tolist() == [status]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ranges_that_are_not_finite_fail_only_their_problem(self):
+        # A pose near 1e306 overflows its predicted ranges, and so do they
+        # at 1e300 from tags near 1e12 m, where the theta column overflows
+        # too; a NaN angle, from a failed closed-form stage, gives NaN ranges.
+        rng = np.random.default_rng(56)
+        for tags, far in (([[3.0, 0.0], [3.0, 3.0]], [1e306, 0.0]), ([[1e12, 0.0], [0.0, 1e12]], [1e300, 1e300])):
+            dep = Deployment(anchors=CORNER_ANCHORS, tags=tags, sigma=0.1)
+            mean_d, theta, t = _perturbed_problems(dep, [random_pose(rng) for _ in range(4)], rng)
+            bad_theta, bad_t = np.insert(theta, [1, 3], [0.5, np.nan]), np.insert(t, [1, 3], [far, [1.0, 2.0]], axis=0)
+            step = stacked_gn_step(dep, np.insert(mean_d, [1, 3], mean_d[0], axis=0), bad_theta, bad_t)
+            np.testing.assert_array_equal(step.status, [0, Status.OVERFLOW, 0, 0, Status.OVERFLOW, 0])
+            alone = stacked_gn_step(dep, mean_d, theta, t)
+            np.testing.assert_array_equal(np.delete(step.theta, [1, 4]), alone.theta)
+            np.testing.assert_array_equal(np.delete(step.t, [1, 4], axis=0), alone.t)
+
 
 class TestSymmetricInverse:
     @settings(max_examples=100, deadline=None, derandomize=True)

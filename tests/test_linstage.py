@@ -11,7 +11,7 @@ from uwbpose.core import Deployment, Method, Pose2, RangeBatch, rotation_matrix,
 from uwbpose.crlb import constrained_crlb, fisher_info
 from uwbpose.dac import stacked_localize_tags
 from uwbpose.estimators import estimate
-from uwbpose.errors import SingularSystemError, Status
+from uwbpose.errors import EstimationError, SingularSystemError, Status
 from uwbpose.linstage import (
     least_squares,
     linear_design,
@@ -293,6 +293,23 @@ class TestLeastSquares:
             assert rank == 4
             np.testing.assert_allclose(least_squares(design, rhs, "design"), expected.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_design_that_is_not_finite_is_refused(self, entry):
+        # Before any SVD, which need not return on such a design.
+        design = np.vstack([np.eye(4), np.ones((2, 4))])
+        design[1, 2] = entry
+        with pytest.raises(EstimationError, match=r"^design overflows$") as raised:
+            least_squares(design, np.ones((3, 6)), "design")
+        assert type(raised.value) is EstimationError
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rank_cutoff_near_the_largest_float(self):
+        # s_max * 12 overflows, while s_max * (12 eps) does not.
+        design = np.zeros((12, 4))
+        design[np.arange(4), np.arange(4)] = [1.7e308, 1e308, 1e300, 1e295]
+        rhs = np.ones((2, 12))
+        np.testing.assert_allclose(least_squares(design, rhs, "design"), [1.0 / design.diagonal()] * 2, rtol=1e-15)
+
 
 class TestProjectSo2:
     def test_identity_on_rotations(self):
@@ -329,6 +346,11 @@ class TestProjectSo2:
         assert _project(np.zeros((2, 2)))[1] == Status.DEGENERATE_PROJECTION
         # Only the two projected parts matter: this matrix is not zero.
         assert _project(np.array([[1.0, 1.0], [1.0, -1.0]]))[1] == Status.DEGENERATE_PROJECTION
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_parts_that_are_not_finite_overflowed(self, entry):
+        for x in (np.array([[entry, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [entry, 1.0]])):
+            assert _project(x)[1] == Status.OVERFLOW
 
 
 class TestErrorScalingLaws:

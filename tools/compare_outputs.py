@@ -16,6 +16,10 @@ directory. The commands:
   every epoch alike, so every row and the ``failures_by_error`` tally print
   an error, and ``estimate --truth`` with ``gn-uls`` there, which exits 1
   with the tally of the failed epochs in the ground-truth span;
+- ``estimate`` with ``gn-uls`` on the log of seed 7 with its first record
+  set to 1e200, whose square overflows, so that epoch alone fails, and on
+  the log of seed 7 with tag ``t0`` at (1e308, 0), whose linear design
+  overflows, so every epoch fails;
 - ``crlb`` on both bundled ``crlb_*`` scenarios, at their own ``repeat_t``
   and at 4;
 - the bundled ``sim_*`` sweeps with ``--trials 20``;
@@ -28,8 +32,9 @@ Inputs come from this repository's ``perfbench/gen.py`` and ``scenarios/``,
 and from ``FAILING_SWEEPS`` below, written into each output directory. Before comparing, each directory's path
 is replaced by ``<DIR>``, and the wall-time ``ms`` column of the ``simulate``
 summary table by ``-``. Exit codes, stdout, stderr and every file a command
-writes or changes must then be equal byte for byte. Prints one line per
-command and exits 1 on any difference.
+writes or changes must then be equal byte for byte. A command that runs
+longer than ``TIMEOUT_S`` is stopped, and its exit code reads ``timeout``.
+Prints one line per command and exits 1 on any difference.
 """
 
 import argparse
@@ -70,6 +75,8 @@ FAILING_SWEEPS = {
         "sweep": {"axis": "anchor_count", "values": [3, 4, 6], "trials": 5},
     },
 }
+# Seconds after which a command counts as hung; every command here takes a few at most.
+TIMEOUT_S = 60
 # A row of the simulate summary table: axis, estimator, rmse, bound, ratio, ms, failures.
 SUMMARY_ROW = re.compile(rb"^( *\S+ +\S+ +\S+ +\S+ +\S+ +)\S+( +\d+)$", re.MULTILINE)
 
@@ -104,6 +111,19 @@ def commands(workdir: str) -> list[tuple[str, list[str]]]:
         runs.append((f"estimate log {seed} dh 1e308 {method}{' truth' * bool(truth)}",
                      ["estimate", "--ranges", log.ranges, "--deployment", overflowing, "--window", str(gen.LOG_WINDOW),
                       "--vmax", repr(gen.LOG_VMAX), "--method", method, *truth, "--out", f"poses-dh-1e308-{method}.csv"]))
+    # The last seed's log with its first record set to 1e200, and on a deployment with tag t0 at (1e308, 0).
+    lines = pathlib.Path(log.ranges).read_text(encoding="utf-8").splitlines(keepends=True)
+    huge = os.path.join(workdir, "ranges-first-1e200.csv")
+    pathlib.Path(huge).write_text("".join([lines[0], lines[1][: lines[1].rindex(",")] + ",1e200\n", *lines[2:]]),
+                                  encoding="utf-8")
+    far = os.path.join(workdir, "deployment-t0-1e308.json")
+    pathlib.Path(far).write_text(json.dumps({**document, "tags": {**document["tags"], "t0": [1e308, 0.0]}}),
+                                 encoding="utf-8")
+    for label, ranges, deployment in (("first record 1e200", huge, log.deployment), ("t0 1e308", log.ranges, far)):
+        runs.append((f"estimate log {seed} {label} gn-uls",
+                     ["estimate", "--ranges", ranges, "--deployment", deployment, "--window", str(gen.LOG_WINDOW),
+                      "--vmax", repr(gen.LOG_VMAX), "--method", "gn-uls",
+                      "--out", f"poses-{label.replace(' ', '-')}.csv"]))
     for path in sorted((ROOT / "scenarios").glob("*.scenario")):
         scenario = shutil.copy(path, workdir)
         if path.name.startswith("crlb_"):
@@ -131,13 +151,17 @@ def snapshot(directory: str) -> dict[str, tuple[int, int]]:
 
 
 def run(tree: str, workdir: str, argv: list[str]) -> dict[str, bytes]:
-    """Exit code, stdout, stderr and each file written or changed by one
-    command, with ``workdir`` masked, by name."""
+    """Exit code (``timeout`` after ``TIMEOUT_S``), stdout, stderr and each
+    file written or changed by one command, with ``workdir`` masked, by name."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     before = snapshot(workdir)
-    done = subprocess.run([sys.executable, "-m", "uwbpose.cli", *argv], cwd=workdir, env=env, capture_output=True)
+    try:
+        done = subprocess.run([sys.executable, "-m", "uwbpose.cli", *argv], cwd=workdir, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+        result = {"exit code": str(done.returncode).encode(), "stdout": done.stdout, "stderr": done.stderr}
+    except subprocess.TimeoutExpired as exc:  # the child is killed; what it printed so far is kept
+        result = {"exit code": b"timeout", "stdout": exc.stdout or b"", "stderr": exc.stderr or b""}
     after = snapshot(workdir)
-    result = {"exit code": str(done.returncode).encode(), "stdout": done.stdout, "stderr": done.stderr}
     for name in sorted(name for name in after if before.get(name) != after[name]):
         result[name] = pathlib.Path(workdir, name).read_bytes()
     result = {key: value.replace(workdir.encode(), b"<DIR>") for key, value in result.items()}
