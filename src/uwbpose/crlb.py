@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Deployment, Pose2, read_only, rotation_matrix
 from .errors import EstimationError, NearSingularityError, UnobservableAtPoseError
-from .gnrefine import symmetric_inverse
+from .gnrefine import ENTRIES, symmetric_inverse
 
 # Floor on |a - s|^2 + dh^2 in the information denominator (square meters).
 COINCIDENCE_FLOOR_M2 = 1e-9
@@ -97,10 +97,10 @@ def constrained_crlb(info: np.ndarray, pose: Pose2) -> CrlbResult:
     """
     u = nullspace_basis(rotation_matrix(pose.theta))
     reduced = u.T @ info @ u
-    inverse, ok = symmetric_inverse(reduced[np.newaxis], RANK_TOL)
+    inverse, ok = symmetric_inverse(reduced[ENTRIES][:, np.newaxis], RANK_TOL)
     if not ok[0]:
         raise UnobservableAtPoseError("constrained information matrix is singular at this pose")
-    inverse = inverse[0] + inverse[0] @ (np.eye(3) - reduced @ inverse[0])
+    inverse = inverse[..., 0] + inverse[..., 0] @ (np.eye(3) - reduced @ inverse[..., 0])
     crlb = u @ inverse @ u.T
     crlb = read_only(0.5 * (crlb + crlb.T))
     # U has orthonormal columns, and its first column lies in the rotation coordinates.

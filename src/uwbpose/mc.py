@@ -229,25 +229,24 @@ def _run_axes(config: McConfig, group: list) -> tuple[list[McRow], list[str]]:
             bounds.append(float("nan"))
     moments = (group[0][k] if len(group) == 1 else np.concatenate([setup[k] for setup in group]) for k in (3, 4))
     results = estimate_methods(group[0][1], *moments, config.estimators)
-    cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
+    # Squared errors of every method and trial in one pass, NaN where a trial failed; each row sums those of
+    # its successful trials. |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
+    theta = np.array([results[method][0].theta for method in config.estimators])
+    d_cos, d_sin = np.cos(theta) - np.cos(pose.theta), np.sin(theta) - np.sin(pose.theta)
+    rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
+    trans_sq = np.sum((np.array([results[method][0].t for method in config.estimators]) - pose.t) ** 2, axis=2)
     rows, failures = [], []
     for j, ((i, *_), bound) in enumerate(zip(group, bounds)):
         value, part = config.axis_values[i], slice(j * trials, (j + 1) * trials)
-        for method in config.estimators:
-            poses, elapsed = results[method]
-            status = poses.status[part]
+        for m, method in enumerate(config.estimators):
+            status = results[method][0].status[part]
             ok = status == 0
             count = int(ok.sum())
             if count:
-                # |R(theta) - R(theta_true)|_F^2 = 2 ((cos diff)^2 + (sin diff)^2)
-                theta = poses.theta[part][ok]
-                d_cos, d_sin = np.cos(theta) - cos_true, np.sin(theta) - sin_true
-                rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
-                trans_sq = np.sum((poses.t[part][ok] - pose.t) ** 2, axis=1)
-                rot = float(np.sqrt(np.sum(rot_sq) / count))
-                trans = float(np.sqrt(np.sum(trans_sq) / count))
+                rot = float(np.sqrt(np.sum(rot_sq[m, part][ok]) / count))
+                trans = float(np.sqrt(np.sum(trans_sq[m, part][ok]) / count))
                 combined = float(np.hypot(rot, trans))
-                mean_time = elapsed / (len(group) * trials)
+                mean_time = results[method][1] / (len(group) * trials)
             else:
                 rot = trans = combined = mean_time = float("nan")
             if kinds := failure_tally(status):

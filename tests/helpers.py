@@ -10,7 +10,9 @@ import numpy as np
 
 from uwbpose.core import Deployment, Pose2, RangeBatch, check_observability, predicted_ranges, rotation_matrix
 from uwbpose.errors import SchemaError, Status, UnobservableDeploymentError
+from uwbpose.estimators import estimate_methods
 from uwbpose.gnrefine import stacked_gn_step
+from uwbpose.mc import SweepAxis, _axis_setup
 from uwbpose.preprocess import GroundTruthLog
 
 CORNER_ANCHORS = np.array([[50.0, 0.0], [50.0, 50.0], [0.0, 50.0]])
@@ -178,28 +180,68 @@ def one_gn_step(batch: RangeBatch, init: Pose2) -> Pose2:
     return Pose2(step.theta[0], step.t[0])
 
 
+def weighted_gn_system(dep: Deployment, mean_d: np.ndarray, theta: float, t: np.ndarray) -> tuple:
+    """The (N * M, 3) Jacobian in (theta, t) of one problem's predicted ranges
+    and its (N * M,) residual ``mean_d - g``, both weighted by ``1/sigma``.
+
+    Built pair by pair, tag-major, from ``g = sqrt(|a - R s - t|^2 + dh^2)``
+    and its derivatives written out here; it shares no code with
+    ``uwbpose.gnrefine``.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    rows, residuals = [], []
+    for i, (sx, sy) in enumerate(dep.tags):
+        px, py = c * sx - s * sy + t[0], s * sx + c * sy + t[1]
+        dpx, dpy = -s * sx - c * sy, c * sx - s * sy  # d(R s)/dtheta
+        for m, (ax, ay) in enumerate(dep.anchors):
+            fx, fy = ax - px, ay - py
+            g = math.sqrt(fx * fx + fy * fy + dep.dh[i, m] ** 2)
+            w = 1.0 / dep.sigma[i, m]
+            rows.append([-w * (fx * dpx + fy * dpy) / g, -w * fx / g, -w * fy / g])
+            residuals.append(w * (mean_d[i, m] - g))
+    return np.array(rows), np.array(residuals)
+
+
 def lstsq_gn_update(dep: Deployment, mean_d: np.ndarray, theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(K, 3) Gauss-Newton updates (dtheta, dt) of K problems, each solved by
-    ``np.linalg.lstsq`` on its weighted Jacobian and residual.
+    ``np.linalg.lstsq`` on its ``weighted_gn_system``."""
+    systems = (weighted_gn_system(dep, mean_d[k], theta[k], t[k]) for k in range(len(theta)))
+    return np.array([np.linalg.lstsq(*system, rcond=None)[0] for system in systems]).reshape(len(theta), 3)
 
-    The Jacobian is built pair by pair from ``g = sqrt(|a - R s - t|^2 + dh^2)``
-    and shares no code with ``uwbpose.gnrefine``.
+
+def reference_row_scores(config) -> list[tuple]:
+    """(axis value, estimator, rotation_rmse, translation_rmse, combined_rmse,
+    failures) of each row of ``run_sweep(config)``, scored row by row: a row
+    selects its method's successful trials, then computes their errors.
+
+    The groups and their ``estimate_methods`` calls are those of the sweep,
+    so equal results mean the scoring is the same, bit for bit.
     """
-    updates = []
-    for k in range(len(theta)):
-        c, s = math.cos(theta[k]), math.sin(theta[k])
-        rows, residuals = [], []
-        for i, (sx, sy) in enumerate(dep.tags):
-            px, py = c * sx - s * sy + t[k, 0], s * sx + c * sy + t[k, 1]
-            dpx, dpy = -s * sx - c * sy, c * sx - s * sy  # d(R s)/dtheta
-            for m, (ax, ay) in enumerate(dep.anchors):
-                fx, fy = ax - px, ay - py
-                g = math.sqrt(fx * fx + fy * fy + dep.dh[i, m] ** 2)
-                w = 1.0 / dep.sigma[i, m]
-                rows.append([-w * (fx * dpx + fy * dpy) / g, -w * fx / g, -w * fy / g])
-                residuals.append(w * (mean_d[k, i, m] - g))
-        updates.append(np.linalg.lstsq(np.array(rows), np.array(residuals), rcond=None)[0])
-    return np.array(updates).reshape(len(theta), 3)
+    pose, trials = config.true_pose, config.trials
+    cos_true, sin_true = np.cos(pose.theta), np.sin(pose.theta)
+    indices = range(len(config.axis_values))
+    rows = []
+    for group in [indices] if config.axis is SweepAxis.REPEAT_T else [[i] for i in indices]:
+        setups = [_axis_setup(config, i) for i in group]
+        mean_d, mean_d2 = (np.concatenate([setup[k] for setup in setups]) for k in (2, 3))
+        results = estimate_methods(setups[0][0], mean_d, mean_d2, config.estimators)
+        for j, i in enumerate(group):
+            part = slice(j * trials, (j + 1) * trials)
+            for method in config.estimators:
+                poses = results[method][0]
+                ok = poses.status[part] == 0
+                count = int(ok.sum())
+                rot = trans = combined = float("nan")
+                if count:
+                    theta = poses.theta[part][ok]
+                    d_cos, d_sin = np.cos(theta) - cos_true, np.sin(theta) - sin_true
+                    rot_sq = 2.0 * (d_cos * d_cos + d_sin * d_sin)
+                    trans_sq = np.sum((poses.t[part][ok] - pose.t) ** 2, axis=1)
+                    rot = float(np.sqrt(np.sum(rot_sq) / count))
+                    trans = float(np.sqrt(np.sum(trans_sq) / count))
+                    combined = float(np.hypot(rot, trans))
+                rows.append((config.axis_values[i], method.value, rot, trans, combined, trials - count))
+    return rows
 
 
 def assert_owns_read_only_copies(given: list, stored: list) -> None:

@@ -217,7 +217,7 @@ def test_c06_jacobian_matches_finite_differences():
             batch = noisy_batch(dep, pose, 1, rng)
             init = up.Pose2(pose.theta + rng.normal(0, 0.05), pose.t + rng.normal(0, 0.2, 2))
             _, _, jac = linearize(dep, np.array([init.theta]), init.t[np.newaxis], 1.0)
-            jacobian = jac[0].reshape(-1, 3)
+            jacobian = jac[:, :, 0]
             fd = np.empty_like(jacobian)
             for p in range(3):
                 d_theta = step if p == 0 else 0.0

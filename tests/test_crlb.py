@@ -328,7 +328,7 @@ def test_reduced_information_is_the_gauss_newton_normal_matrix(seed, anchors, ta
         dh=rng.uniform(0.0, 2.0, size=shape),
     )
     pose = Pose2(rng.uniform(0.0, 2 * math.pi), rng.uniform(10.0, 40.0, size=2))
-    jac = linearize(dep, np.array([pose.theta]), pose.t[np.newaxis], 1.0 / dep.sigma)[2].reshape(-1, 3)
+    jac = linearize(dep, np.array([pose.theta]), pose.t[np.newaxis], 1.0 / dep.sigma)[2][:, :, 0]
     u = nullspace_basis(rotation_matrix(pose.theta))
     d_inv = np.diag([math.sqrt(2.0), 1.0, 1.0])
     expected = d_inv @ (u.T @ fisher_info(dep, repeat_t, pose) @ u) @ d_inv

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbpose.core import Deployment, Method, Pose2, RangeBatch, predicted_ranges, rotation_matrix
+from uwbpose.core import Deployment, Method, Pose2, PoseStack, RangeBatch, predicted_ranges, rotation_matrix
 from uwbpose.errors import DegenerateGeometryError, NearSingularityError, Status
 from uwbpose.estimators import estimate, estimate_stacked
-from uwbpose.gnrefine import linearize, stacked_gn_step, symmetric_inverse
+from uwbpose.gnrefine import ENTRIES, linearize, stacked_gn_step, symmetric_inverse
 
 from helpers import (
     CORNER_ANCHORS,
@@ -38,7 +38,7 @@ def _pose_distance(a: Pose2, b: Pose2) -> float:
 def _linearized(dep, pose, row_scale=1.0):
     """Predicted ranges (N * M,) and (theta, t) Jacobian (N * M, 3) at one pose."""
     g, _, jac = linearize(dep, np.array([pose.theta]), pose.t[np.newaxis], row_scale)
-    return g[0].reshape(-1), jac[0].reshape(-1, 3)
+    return g[:, 0], jac[:, :, 0]
 
 
 def _fd_jacobian(batch, pose, step=1e-6):
@@ -228,6 +228,12 @@ class TestGnStep:
             np.testing.assert_array_equal(np.delete(step.t, [1, 4], axis=0), alone.t)
 
 
+def _stacked_inverse(stack, tol):
+    """``symmetric_inverse`` of a (K, 3, 3) stack, read from its upper triangles, as a (K, 3, 3) stack."""
+    inverse, ok = symmetric_inverse(stack.transpose(1, 2, 0)[ENTRIES], tol)
+    return inverse.transpose(2, 0, 1), ok
+
+
 class TestSymmetricInverse:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 50), spread=st.floats(0.0, 8.0))
@@ -242,7 +248,7 @@ class TestSymmetricInverse:
         core = (basis * rng.uniform(0.1, 1.0, size=(count, 1, 3))) @ basis.transpose(0, 2, 1)
         scale = 10.0 ** rng.uniform(-spread, spread, size=(count, 3))
         outer = scale[:, :, np.newaxis] * scale[:, np.newaxis, :]
-        inverse, ok = symmetric_inverse(core * outer, 1e-10)
+        inverse, ok = _stacked_inverse(core * outer, 1e-10)
         expected = np.linalg.inv(core) / outer
         size = np.sqrt(expected.diagonal(axis1=1, axis2=2))
         assert ok.all()
@@ -258,7 +264,7 @@ class TestSymmetricInverse:
         nan_diagonal[0, 0] = np.nan
         nan_entry[0, 2] = nan_entry[2, 0] = np.nan
         stack = np.stack([spd, singular, zero_diagonal, negative_diagonal, nan_diagonal, nan_entry, spd])
-        inverse, ok = symmetric_inverse(stack, 1e-10)
+        inverse, ok = _stacked_inverse(stack, 1e-10)
         assert ok.tolist() == [True, False, False, False, False, False, True]
         np.testing.assert_array_equal(inverse[1:-1], 0.0)
         np.testing.assert_allclose(inverse[[0, -1]], np.linalg.inv(spd)[np.newaxis].repeat(2, 0), rtol=1e-15)
@@ -268,7 +274,7 @@ class TestSymmetricInverse:
         # [[1, p, 0], [p, 1, 0], [0, 0, 1]] has the determinant 1 - p^2.
         p = math.sqrt(1.0 - det)
         a = np.array([[[1.0, p, 0.0], [p, 1.0, 0.0], [0.0, 0.0, 1.0]]]) * 7.0
-        assert symmetric_inverse(a, 1e-10)[1].tolist() == [ok]
+        assert _stacked_inverse(a, 1e-10)[1].tolist() == [ok]
 
 
 def _perturbed_problems(dep, poses, rng):
@@ -306,6 +312,35 @@ class TestAgainstLstsq:
         assert np.all(step.status == Status.OK)
         _assert_matches_lstsq(step, dep, mean_d, theta, t)
 
+    @pytest.mark.parametrize("problems", [1, 7, 1200])
+    def test_each_problem_steps_as_it_would_alone(self, problems):
+        # Tags on the body's x axis and collinear anchors: every sixth problem
+        # is put on the anchors' line (a zero theta column), every sixth at
+        # 1e306 m (its ranges overflow) and every sixth with tag 0 on anchor 0,
+        # at no height. The sums over the 10 pairs add in pair order whatever
+        # the stack (numpy's own sum of 8 or more terms does not at K = 1), so
+        # each problem's pose and status are those of its step alone, bit for bit.
+        rng = np.random.default_rng(problems)
+        dh = rng.uniform(0.0, 1.0, (2, 5))
+        dh[0, 0] = 0.0
+        dep = Deployment(anchors=[[0.0, 0.0], [10.0, 0.0], [25.0, 0.0], [40.0, 0.0], [55.0, 0.0]],
+                         tags=[[1.0, 0.0], [-2.0, 0.0]], sigma=rng.uniform(0.05, 0.3, (2, 5)), dh=dh)
+        poses = [Pose2(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-20.0, 20.0, 2)) for _ in range(problems)]
+        mean_d, theta, t = _perturbed_problems(dep, poses, rng)
+        kinds = np.array([Status.OK, Status.DEGENERATE_GEOMETRY, Status.OK, Status.OVERFLOW, Status.OK,
+                          Status.NEAR_SINGULARITY])[np.arange(problems) % 6]
+        theta[kinds != Status.OK] = 0.0
+        t[kinds == Status.DEGENERATE_GEOMETRY] = [4.0, 0.0]
+        t[kinds == Status.OVERFLOW] = [1e306, 0.0]
+        t[kinds == Status.NEAR_SINGULARITY] = [-1.0, 0.0]
+        step = stacked_gn_step(dep, mean_d, theta, t)
+        alone = [stacked_gn_step(dep, mean_d[k : k + 1], theta[k : k + 1], t[k : k + 1]) for k in range(problems)]
+        np.testing.assert_array_equal(step.status, kinds)
+        for name in ("theta", "t", "status"):
+            np.testing.assert_array_equal(getattr(step, name), np.concatenate([getattr(a, name) for a in alone]))
+        ok = kinds == Status.OK
+        _assert_matches_lstsq(PoseStack(step.theta[ok], step.t[ok], step.status[ok]), dep, mean_d[ok], theta[ok], t[ok])
+
     def test_ill_conditioned_step_matches_lstsq(self):
         # Anchors 3 mm apart seen from 100 m: the scaled normal matrices have
         # condition numbers up to about 3e7, so the solve alone errs by about
@@ -334,8 +369,8 @@ class TestRankDeficiency:
         dep = Deployment(anchors=anchors, tags=np.zeros((2, 2)), sigma=0.1, dh=dh)
         mean_d, theta, t = _perturbed_problems(dep, [random_pose(rng) for _ in range(5)], rng)
         _, _, jac = linearize(dep, theta, t, 1.0)
-        assert np.all(jac[..., 0] == 0.0)
-        assert all(np.linalg.matrix_rank(j.reshape(-1, 3)) == 2 for j in jac)
+        assert np.all(jac[:, 0] == 0.0)
+        assert all(np.linalg.matrix_rank(j) == 2 for j in jac.transpose(2, 0, 1))
         step = stacked_gn_step(dep, mean_d, theta, t)
         np.testing.assert_array_equal(step.status, Status.DEGENERATE_GEOMETRY)
         assert np.all(np.isfinite(step.theta)) and np.all(np.isfinite(step.t))
@@ -348,8 +383,8 @@ class TestRankDeficiency:
         dep = Deployment(anchors=anchors, tags=[[2.0, 1.0]], sigma=rng.uniform(0.05, 0.3, (1, 4)))
         mean_d, theta, t = _perturbed_problems(dep, [random_pose(rng) for _ in range(5)], rng)
         _, _, jac = linearize(dep, theta, t, 1.0)
-        assert np.all(np.abs(jac).max(axis=(1, 2)) > 0.1)
-        assert all(np.linalg.matrix_rank(j.reshape(-1, 3)) == 2 for j in jac)
+        assert np.all(np.abs(jac).max(axis=(0, 1)) > 0.1)
+        assert all(np.linalg.matrix_rank(j) == 2 for j in jac.transpose(2, 0, 1))
         step = stacked_gn_step(dep, mean_d, theta, t)
         np.testing.assert_array_equal(step.status, Status.DEGENERATE_GEOMETRY)
         assert np.all(np.isfinite(step.theta)) and np.all(np.isfinite(step.t))
@@ -370,7 +405,7 @@ class TestRankDeficiency:
         order = np.array([0, 4, 1, 2, 5, 3])
         mean_d, theta, t, on_line = mean_d[order], theta[order], t[order], order >= 4
         _, _, jac = linearize(dep, theta, t, 1.0)
-        assert np.all(jac[on_line][..., 0] == 0.0)
+        assert np.all(jac[:, 0, on_line] == 0.0)
         step = stacked_gn_step(dep, mean_d, theta, t)
         expected = np.where(on_line, Status.DEGENERATE_GEOMETRY, Status.OK)
         np.testing.assert_array_equal(step.status, expected)

@@ -4,8 +4,11 @@ robustness, CSV."""
 import collections
 import copy
 import dataclasses
+import importlib.util
 import io
+import json
 import math
+import pathlib
 import pickle
 import random
 
@@ -31,6 +34,7 @@ from uwbpose.mc import (
     write_csv,
 )
 from uwbpose.preprocess import REJECTION_BOUND_M, flag_stream
+from uwbpose.scenario import load_scenario
 
 from helpers import (
     BODY_TAGS,
@@ -42,8 +46,12 @@ from helpers import (
     noisy_ranges,
     reference_deployment,
     reference_pose,
+    reference_row_scores,
     reference_sigma_matrix,
 )
+
+
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 
 def _small_config(**overrides):
@@ -714,6 +722,30 @@ def test_stacked_rows_equal_each_value_alone_when_the_stage_raises():
     assert stacked_failures == [entry for _, entries in alone for entry in entries]
     assert stacked_failures[0] == "1.0 uls SingularSystemError=10"
     assert all(row.failures == 10 for row in stacked_rows)
+
+
+def _failing_sweep_config(name, tmp_path):
+    """The sweep of ``tools/compare_outputs.py``'s ``FAILING_SWEEPS[name]``, read as ``simulate`` reads it."""
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOLS / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    path = tmp_path / f"{name}.scenario"
+    path.write_text(json.dumps(module.FAILING_SWEEPS[name]), encoding="utf-8")
+    return load_scenario(path).config
+
+
+@pytest.mark.parametrize("name", ["tag-on-anchor", "collinear-anchors", "noise-sigma"])
+def test_one_pass_scoring_equals_the_per_row_loop(name, tmp_path):
+    # The sweep scores every method's trials in one pass; each row must equal
+    # its own selection of successful trials scored alone, NaN rows included.
+    if name == "noise-sigma":
+        config = _small_config(axis=SweepAxis.NOISE_SIGMA, axis_values=(0.05, 0.2, 1.0), repeat_t=3, trials=30, seed=7)
+    else:
+        config = _failing_sweep_config(name, tmp_path)
+    rows = [(r.axis_value, r.estimator, r.rotation_rmse, r.translation_rmse, r.combined_rmse, r.failures)
+            for r in run_sweep(config).rows]
+    assert repr(rows) == repr(reference_row_scores(config))
+    assert any(failures for *_, failures in rows) == (name != "noise-sigma")
 
 
 class TestStackedMatchesPerTrialLoop:

@@ -34,11 +34,14 @@ is replaced by ``<DIR>``, and the wall-time ``ms`` column of the ``simulate``
 summary table by ``-``. Exit codes, stdout, stderr and every file a command
 writes or changes must then be equal byte for byte. A command that runs
 longer than ``TIMEOUT_S`` is stopped, and its exit code reads ``timeout``.
-Prints one line per command and exits 1 on any difference.
+Prints one line per command and exits 1 on any difference. For each output
+that differs, the line gives the largest relative difference between its
+corresponding numbers, or says that the texts differ in more than numbers.
 """
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import re
@@ -77,6 +80,8 @@ FAILING_SWEEPS = {
 }
 # Seconds after which a command counts as hung; every command here takes a few at most.
 TIMEOUT_S = 60
+# A decimal number as the commands print them, or nan or inf; the text between numbers is compared as is.
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|inf)\b")
 # A row of the simulate summary table: axis, estimator, rmse, bound, ratio, ms, failures.
 SUMMARY_ROW = re.compile(rb"^( *\S+ +\S+ +\S+ +\S+ +\S+ +)\S+( +\d+)$", re.MULTILINE)
 
@@ -170,6 +175,20 @@ def run(tree: str, workdir: str, argv: list[str]) -> dict[str, bytes]:
     return result
 
 
+def number_gap(base: bytes, head: bytes) -> str:
+    """How two outputs differ: the largest relative difference between their
+    corresponding numbers, ``|a - b| / max(|a|, |b|)``, when the text between
+    the numbers is the same, else that they differ in more than numbers."""
+    if NUMBER.split(base) != NUMBER.split(head):
+        return "text differs in more than numbers"
+    gap = 0.0
+    for a, b in zip(map(float, NUMBER.findall(base)), map(float, NUMBER.findall(head))):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        gap = max(gap, abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b) else math.inf)
+    return f"largest relative difference {gap:.3g}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="source tree of the parent")
@@ -187,8 +206,9 @@ def main() -> int:
             diffs = sorted(key for key in base.keys() | head.keys() if base.get(key) != head.get(key))
             differing += bool(diffs)
             outputs = len(base) - 3
+            gaps = [f"{key} ({number_gap(base.get(key, b''), head.get(key, b''))})" for key in diffs]
             print(f"{'DIFFERS' if diffs else 'same':>7}  {label}: exit {base['exit code'].decode()}, "
-                  f"{outputs} output file{'s' * (outputs != 1)}" + (f"; differs in {', '.join(diffs)}" if diffs else ""))
+                  f"{outputs} output file{'s' * (outputs != 1)}" + (f"; differs in {', '.join(gaps)}" if diffs else ""))
         print(f"{differing} of {len(runs['base'])} commands differ")
     return 1 if differing else 0
 
